@@ -1,4 +1,4 @@
-"""Round-by-round simulation of the conference key agreement protocol.
+"""Simulation of the conference key agreement protocol.
 
 One run proceeds in seven steps:
 
@@ -21,27 +21,36 @@ One run proceeds in seven steps:
      recover the Alice-Bob string as the conference key
 
 All announcements are deferred to after the last round, so devices can
-gain nothing from the public transcript. One RNG stream seeded from the
-config drives the rounds; per round the draw order is fixed: round
-type, then inputs (Alice, Bob, Carole; test rounds only), then one
-collapse draw per party in the same order. Post-round sampling (the
-alignment spot check, Alice-Bob pair before Alice-Carole) uses a
-stream derived from the same seed, so it is insensitive to how the
-transcript was produced or restored. Two runs with the same config are
-bit-identical.
+gain nothing from the public transcript. Steps 1-3 of a run read one
+block of uniforms, default_rng(seed).random((n_rounds, 7)); row r serves
+round r:
+
+  column 0     round type: a test round when the draw is below gamma
+  columns 1-3  test-round inputs of Alice, Bob and Carole: 1 when the
+               draw is below 0.5, else 0 (unread on generation rounds)
+  columns 4-6  one collapse draw each for Alice, Bob and Carole, who
+               measure in that order: the outcome is the first label, in
+               ascending order, whose cumulative probability exceeds it
+
+Both device backends read the same rows, so they agree draw for draw.
+Post-round sampling (the alignment spot check, Alice-Bob pair before
+Alice-Carole) uses the stream default_rng([seed, 1]), so it is
+insensitive to how the transcript was produced or restored. Two runs
+with the same config are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import (
     CHSH_QUANTUM_MAX,
     GENERATION_INPUTS,
+    TABLE_SHAPE,
     bell_value,
     bell_value_stderr,
     estimate_behavior,
@@ -83,6 +92,18 @@ __all__ = [
 PARTY_NAMES = ("alice", "bob", "carole")
 ABORT_REASONS = ("FlagMismatch", "FlagConstant", "BellBelowThreshold", "AlignmentFailure")
 PARALLEL_QUANTUM_MAX = 2.0 * CHSH_QUANTUM_MAX
+# Columns of Transcript.data: inputs, then (value, flag) per party.
+COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
+_A, _TA, _B, _TB, _C, _TC = range(3, 9)
+_ROUND_TYPES = ("generation", "test")
+# One round's schedule as (event, party or None).
+_ROUND_EVENTS = (
+    ("distribute", None),
+    *(("receipt", name) for name in PARTY_NAMES),
+    ("round_type", "alice"),
+    *(("input", name) for name in PARTY_NAMES),
+    *(("measure", name) for name in PARTY_NAMES),
+)
 
 
 @dataclass(frozen=True)
@@ -135,13 +156,58 @@ class Message:
     payload: object
 
 
-@dataclass
 class Transcript:
-    strategy_kind: str
-    n_rounds: int
-    rounds: list = field(default_factory=list)
-    messages: list = field(default_factory=list)
-    events: list = field(default_factory=list)   # (kind, round_index, party or None)
+    """A run's rounds, stored as columns.
+
+    `test` marks the test rounds and `data` holds one int8 row per round
+    in the COLUMNS layout, which estimate_behavior reads directly.
+    `announcements` collects the messages of steps 4-7. The per-round
+    records, events and messages are derived on demand; passing
+    `rounds=[RoundRecord, ...]` converts the records to columns once.
+    """
+
+    def __init__(self, strategy_kind: str, n_rounds: int, rounds=None, *, test=None, data=None):
+        if rounds is not None:
+            test, data = _columns(rounds)
+        elif data is None:
+            test, data = np.zeros(0, dtype=bool), np.zeros((0, len(COLUMNS)), dtype=np.int8)
+        self.strategy_kind = strategy_kind
+        self.n_rounds = n_rounds
+        self.test = test
+        self.data = data
+        self.announcements: list[Message] = []
+
+    @property
+    def rounds(self) -> list[RoundRecord]:
+        return [
+            RoundRecord(i, _ROUND_TYPES[t], (x, y, z), ((a, ta), (b, tb), (c, tc)))
+            for i, (t, (x, y, z, a, ta, b, tb, c, tc)) in enumerate(zip(self.test.tolist(), self.data.tolist()))
+        ]
+
+    @property
+    def events(self) -> list[tuple]:
+        """(kind, round index, party or None) per event of every round."""
+        return [(kind, r, party) for r in range(len(self.test)) for kind, party in _ROUND_EVENTS]
+
+    @property
+    def messages(self) -> list[Message]:
+        """Per round three receipts and the round-type announcement, then
+        the announcements of steps 4-7."""
+        out = []
+        for r, t in enumerate(self.test.tolist()):
+            out += [Message(name, "Receipt", r, None) for name in PARTY_NAMES]
+            out.append(Message("alice", "RoundTypeAnnounce", r, _ROUND_TYPES[t]))
+        return out + self.announcements
+
+
+def _columns(rounds) -> tuple[np.ndarray, np.ndarray]:
+    if any(r.index != i for i, r in enumerate(rounds)):
+        raise ValueError("round records must be indexed 0, 1, 2, ... in order")
+    if any(r.round_type not in _ROUND_TYPES for r in rounds):
+        raise ValueError(f"round types must be one of {_ROUND_TYPES}")
+    test = np.array([r.round_type == "test" for r in rounds], dtype=bool)
+    data = np.array([(*r.inputs, *(bit for out in r.outputs for bit in out)) for r in rounds], dtype=np.int8)
+    return test, data.reshape(-1, len(COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -171,130 +237,72 @@ class ProtocolResult:
     stats: dict
 
 
-class RoundState:
-    """Shared handle for one round; carries the collapse history."""
+def _pick(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome index per row of cumulative distributions `cum` (N, 4).
 
-    __slots__ = ("prefix", "rho")
-
-    def __init__(self, rho=None):
-        self.prefix = []
-        self.rho = rho
-
-
-class TableDevice:
-    """Measurement device sampling the exact sequential Born chain.
-
-    Conditional outcome tables are precomputed from the strategy
-    behavior; per round the device reads the collapse history recorded
-    on the state handle (earlier parties' inputs and outcomes, the
-    classical shadow of the collapsed state) and consumes one uniform
-    draw. Outcome intervals follow ascending label order, so given the
-    same draws this device reproduces the explicit-collapse device's
-    outcomes exactly.
+    Bins are the label intervals in ascending order: outcome i is chosen
+    when the draw lands in [cum[i-1], cum[i]), so a zero-width bin is
+    never chosen. A draw in the float dust above the last edge takes the
+    last positive-width bin among 1-3, else bin 0.
     """
-
-    def __init__(self, party: int, tables):
-        self.party = party
-        self.tables = tables
-
-    def measure(self, x: int, state: RoundState, draw: float):
-        prefix = state.prefix
-        if len(prefix) != self.party:
-            raise RuntimeError("parties must measure in fixed order")
-        if self.party == 0:
-            cum = self.tables.cum_a[x]
-        elif self.party == 1:
-            (xa, oa) = prefix[0]
-            cum = self.tables.cum_b[xa][oa][x]
-        else:
-            (xa, oa), (xb, ob) = prefix
-            cum = self.tables.cum_c[xa][oa][xb][ob][x]
-        idx = _pick(cum, draw)
-        prefix.append((x, idx))
-        return (idx >> 1, idx & 1)
+    below = draws[:, None] < cum
+    idx = below.argmax(axis=1)
+    dust = ~below.any(axis=1)
+    if dust.any():
+        rising = cum[dust, 1:] > cum[dust, :-1]
+        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
+    return idx
 
 
-class CollapseDevice:
-    """Measurement device performing an explicit projective collapse."""
+def _table_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome indices (N, 3) sampled from the sequential Born chain.
 
-    def __init__(self, party: int, strategy: Strategy):
-        self.party = party
-        self.initial = strategy.state
-        self.effects = {
-            x: {label: strategy.effect(party, x, label) for label in strategy.measurements[party][x]}
-            for x in range(N_INPUTS[party])
-        }
+    Cumulative conditional tables, one row of four per conditioning, are
+    precomputed from the strategy behavior: Alice's given x, Bob's given
+    (x, oa, y), Carole's given (x, oa, y, ob, z). Given the same draws this
+    reproduces the explicit-collapse outcomes.
+    """
+    from .bell import behavior_from_strategy
 
-    def measure(self, x: int, state: RoundState, draw: float):
-        if state.rho is None:
-            state.rho = self.initial
-        label, state.rho = measure_collapse(state.rho, self.effects[x], draw)
-        state.prefix.append((x, (label[0] << 1) | label[1]))
-        return label
-
-
-def _pick(cum, draw: float) -> int:
-    for i in range(4):
-        if draw < cum[i]:
-            return i
-    # Float dust above the last edge: take the last positive-width bin.
-    for i in (3, 2, 1):
-        if cum[i] > cum[i - 1]:
-            return i
-    return 0
-
-
-class _ConditionalTables:
-    """Cumulative conditional outcome tables, nested lists for fast lookup."""
-
-    def __init__(self, strategy: Strategy):
-        from .bell import behavior_from_strategy
-
-        b6 = behavior_from_strategy(strategy).table.reshape(2, 3, 3, 4, 4, 4)
-        p_a = b6[:, 0, 0].sum(axis=(2, 3))                      # (x, oa)
-        joint_ab = b6[:, :, 0].sum(axis=4)                      # (x, y, oa, ob)
-        cond_b = np.divide(
-            joint_ab,
-            p_a[:, None, :, None],
-            out=np.zeros_like(joint_ab),
-            where=p_a[:, None, :, None] > 1e-15,
-        )
-        cond_c = np.divide(
-            b6,
-            joint_ab[:, :, None, :, :, None],
-            out=np.zeros_like(b6),
-            where=joint_ab[:, :, None, :, :, None] > 1e-15,
-        )
-        self.cum_a = np.cumsum(p_a, axis=-1).tolist()
-        # Reorder bob: (x, oa, y, ob); carole: (x, oa, y, ob, z, oc).
-        self.cum_b = np.cumsum(cond_b, axis=-1).transpose(0, 2, 1, 3).tolist()
-        self.cum_c = np.cumsum(cond_c, axis=-1).transpose(0, 3, 1, 4, 2, 5).tolist()
+    b6 = behavior_from_strategy(strategy).table.reshape(2, 3, 3, 4, 4, 4)
+    p_a = b6[:, 0, 0].sum(axis=(2, 3))                      # (x, oa)
+    joint_ab = b6[:, :, 0].sum(axis=4)                      # (x, y, oa, ob)
+    cond_b = np.divide(
+        joint_ab,
+        p_a[:, None, :, None],
+        out=np.zeros_like(joint_ab),
+        where=p_a[:, None, :, None] > 1e-15,
+    )
+    cond_c = np.divide(
+        b6,
+        joint_ab[:, :, None, :, :, None],
+        out=np.zeros_like(b6),
+        where=joint_ab[:, :, None, :, :, None] > 1e-15,
+    )
+    cum_a = np.cumsum(p_a, axis=-1)
+    cum_b = np.cumsum(cond_b, axis=-1).transpose(0, 2, 1, 3).reshape(-1, 4)
+    cum_c = np.cumsum(cond_c, axis=-1).transpose(0, 3, 1, 4, 2, 5).reshape(-1, 4)
+    x, y, z = inputs.T
+    oa = _pick(cum_a[x], draws[:, 0])
+    row_b = (x * 4 + oa) * 3 + y
+    ob = _pick(cum_b[row_b], draws[:, 1])
+    oc = _pick(cum_c[(row_b * 4 + ob) * 3 + z], draws[:, 2])
+    return np.stack((oa, ob, oc), axis=1)
 
 
-class Party:
-    """One protocol participant: private data plus an untrusted device."""
-
-    def __init__(self, name: str, index: int, device):
-        self.name = name
-        self.index = index
-        self.device = device
-        self.inputs: list[int] = []
-        self.outputs: list[tuple[int, int]] = []
-        self._state: RoundState | None = None
-        self._input: int | None = None
-
-    def receive_state(self, state: RoundState):
-        self._state = state
-
-    def choose_input(self, is_test: bool, rng) -> int:
-        self._input = int(rng.integers(2)) if is_test else GENERATION_INPUTS[self.index]
-        self.inputs.append(self._input)
-        return self._input
-
-    def measure(self, rng) -> tuple[int, int]:
-        outcome = self.device.measure(self._input, self._state, float(rng.random()))
-        self.outputs.append(outcome)
-        return outcome
+def _collapse_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome indices (N, 3) by explicit projective collapse, round by round."""
+    effects = [
+        [{label: strategy.effect(p, x, label) for label in strategy.measurements[p][x]} for x in range(N_INPUTS[p])]
+        for p in range(3)
+    ]
+    out = np.empty(inputs.shape, dtype=np.intp)
+    for r, (row_inputs, row_draws) in enumerate(zip(inputs.tolist(), draws.tolist())):
+        rho = strategy.state
+        for p in range(3):
+            (value, flag), rho = measure_collapse(rho, effects[p][row_inputs[p]], row_draws[p])
+            out[r, p] = 2 * value + flag
+    return out
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:
@@ -307,105 +315,116 @@ def _build_strategy(config: ProtocolConfig) -> Strategy:
 def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Transcript:
     """Steps 1-3: distribute, announce round type, choose inputs, measure.
 
-    See the module docstring for the documented draw order. The returned
-    transcript holds the raw per-round records and every broadcast
-    message so far; announcements of flags and test data happen in
-    postprocess.
+    See the module docstring for the layout of the draws. Announcements
+    of flags and test data happen in postprocess.
     """
     strategy = _build_strategy(config) if strategy is None else strategy
     if strategy.kind != config.strategy_kind:
         raise ValueError(f"strategy kind {strategy.kind!r} does not match config {config.strategy_kind!r}")
-    rng = np.random.default_rng(config.seed)
-    if config.backend == "table":
-        tables = _ConditionalTables(strategy)
-        devices = [TableDevice(p, tables) for p in range(3)]
-    else:
-        devices = [CollapseDevice(p, strategy) for p in range(3)]
-    parties = [Party(name, i, devices[i]) for i, name in enumerate(PARTY_NAMES)]
-    transcript = Transcript(strategy_kind=strategy.kind, n_rounds=config.n_rounds)
-    rounds = transcript.rounds
-    messages = transcript.messages
-    events = transcript.events
-    for r in range(config.n_rounds):
-        state = RoundState()
-        events.append(("distribute", r, None))
-        for party in parties:
-            party.receive_state(state)
-            messages.append(Message(party.name, "Receipt", r, None))
-            events.append(("receipt", r, party.name))
-        is_test = bool(rng.random() < config.gamma)
-        round_type = "test" if is_test else "generation"
-        messages.append(Message("alice", "RoundTypeAnnounce", r, round_type))
-        events.append(("round_type", r, "alice"))
-        inputs = []
-        for party in parties:
-            inputs.append(party.choose_input(is_test, rng))
-            events.append(("input", r, party.name))
-        outputs = []
-        for party in parties:
-            outputs.append(party.measure(rng))
-            events.append(("measure", r, party.name))
-        rounds.append(RoundRecord(index=r, round_type=round_type, inputs=tuple(inputs), outputs=tuple(outputs)))
-    return transcript
+    n = config.n_rounds
+    u = np.random.default_rng(config.seed).random((n, 7))
+    test = u[:, 0] < config.gamma
+    inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
+    outcomes = (_table_outcomes if config.backend == "table" else _collapse_outcomes)(strategy, inputs, u[:, 4:])
+    data = np.empty((n, len(COLUMNS)), dtype=np.int8)
+    data[:, :3] = inputs
+    data[:, _A::2] = outcomes >> 1
+    data[:, _TA::2] = outcomes & 1
+    return Transcript(strategy.kind, n, test=test, data=data)
 
 
-def check_flag_agreement(flags_a: str, flags_b: str, flags_c: str) -> str:
+def _bit_string(bits: np.ndarray) -> str:
+    return (np.asarray(bits, dtype=np.uint8) | 48).tobytes().decode("ascii")
+
+
+def check_flag_agreement(flags_a, flags_b, flags_c) -> str:
     """Step-4 verdict: 'ok', 'FlagMismatch' or 'FlagConstant'.
 
-    Any position where the three announced strings differ is a mismatch;
-    identical but constant strings mean the source never alternated and
-    the run must abort too.
+    Takes the three announced flag strings, or the three flag columns.
+    Any position where they differ is a mismatch; identical but constant
+    flags mean the source never alternated and the run must abort too.
     """
-    if not (len(flags_a) == len(flags_b) == len(flags_c)):
+    a, b, c = (
+        np.frombuffer(f.encode(), dtype=np.uint8) if isinstance(f, str) else np.asarray(f)
+        for f in (flags_a, flags_b, flags_c)
+    )
+    if not (len(a) == len(b) == len(c)):
         raise ValueError("flag strings must have equal length")
-    if flags_a != flags_b or flags_a != flags_c:
+    if not (np.array_equal(a, b) and np.array_equal(a, c)):
         return "FlagMismatch"
-    if len(set(flags_a)) == 1:
+    if len(a) and (a == a[0]).all():
         return "FlagConstant"
     return "ok"
+
+
+def _flagged_score(estimate) -> tuple[float, dict]:
+    report = bell_value(estimate.behavior)
+    return report.total, {
+        "bell_stderr": bell_value_stderr(estimate),
+        "bell_branches": {"ab_t0": report.chsh_ab_t0, "ac_t1": report.chsh_ac_t1},
+    }
+
+
+def _parallel_score(estimate) -> tuple[float, dict]:
+    report = parallel_bell_value(estimate.behavior)
+    return report.total, {"bell_branches": {"pair_ab": report.chsh_pair_ab, "pair_ac": report.chsh_pair_ac}}
+
+
+@dataclass(frozen=True)
+class _Routing:
+    """Per strategy kind: which generation rounds feed each pairwise key,
+    which output columns hold the key bits, and how the Bell test scores."""
+
+    by_flag: bool      # flags are announced and checked; Alice's flag 0 feeds "ab", 1 feeds "ac"
+    key_columns: dict  # pair -> (Alice's column, partner's column)
+    score: object      # BehaviorEstimate -> (Bell value, Bell stats)
+
+
+_ROUTING = {
+    "flagged": _Routing(True, {"ab": (_A, _B), "ac": (_A, _C)}, _flagged_score),
+    "parallel": _Routing(False, {"ab": (_A, _B), "ac": (_TA, _TC)}, _parallel_score),
+}
+
+
+def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, tuple[int, int]]:
+    """Indices of the generation rounds feeding `pair`'s key, in order,
+    and its (Alice's, partner's) key-bit columns."""
+    routing = _ROUTING[transcript.strategy_kind]
+    feeds = ~transcript.test
+    if routing.by_flag:
+        feeds &= transcript.data[:, _TA] == ("ab", "ac").index(pair)
+    return np.flatnonzero(feeds), routing.key_columns[pair]
 
 
 def sift_pair_keys(transcript: Transcript, exclude_ab=frozenset(), exclude_ac=frozenset()) -> SiftResult:
     """Step-6 sifting into the two pairwise raw keys.
 
-    Flagged strategies: generation rounds route by the (verified common)
-    flag, Alice-Bob on flag 0, Alice-Carole on flag 1. The two-pair
-    strategy has no flags and every generation round feeds both keys:
-    first output bits for Alice-Bob, second bits for Alice-Carole.
-    Mismatch counts compare Alice's bit against the partner's.
+    Rounds and key bits follow the strategy kind's routing: flagged
+    strategies route generation rounds by the (verified common) flag,
+    Alice-Bob on flag 0, Alice-Carole on flag 1; the two-pair strategy
+    has no flags and every generation round feeds both keys, first
+    output bits for Alice-Bob, second bits for Alice-Carole. Mismatch
+    counts compare Alice's bit against the partner's.
     """
-    ab_alice, ab_partner, ac_alice, ac_partner = [], [], [], []
-    for record in transcript.rounds:
-        if record.round_type != "generation":
-            continue
-        (a, ta), (b, tb), (c, tc) = record.outputs
-        if transcript.strategy_kind == "flagged":
-            if ta == 0 and record.index not in exclude_ab:
-                ab_alice.append(a)
-                ab_partner.append(b)
-            elif ta == 1 and record.index not in exclude_ac:
-                ac_alice.append(a)
-                ac_partner.append(c)
-        else:
-            if record.index not in exclude_ab:
-                ab_alice.append(a)
-                ab_partner.append(b)
-            if record.index not in exclude_ac:
-                ac_alice.append(ta)
-                ac_partner.append(tc)
-    join = "".join
+    bits = {}
+    for pair, exclude in (("ab", exclude_ab), ("ac", exclude_ac)):
+        rows, (alice, partner) = _pair_rounds(transcript, pair)
+        if exclude:
+            rows = rows[~np.isin(rows, np.fromiter(exclude, dtype=np.intp, count=len(exclude)))]
+        bits[pair] = (transcript.data[rows, alice], transcript.data[rows, partner])
+    (ab_alice, ab_partner), (ac_alice, ac_partner) = bits["ab"], bits["ac"]
     return SiftResult(
-        alice_ab=join(map(str, ab_alice)),
-        partner_ab=join(map(str, ab_partner)),
-        alice_ac=join(map(str, ac_alice)),
-        partner_ac=join(map(str, ac_partner)),
-        mismatch_ab=sum(1 for u, v in zip(ab_alice, ab_partner) if u != v),
-        mismatch_ac=sum(1 for u, v in zip(ac_alice, ac_partner) if u != v),
+        alice_ab=_bit_string(ab_alice),
+        partner_ab=_bit_string(ab_partner),
+        alice_ac=_bit_string(ac_alice),
+        partner_ac=_bit_string(ac_partner),
+        mismatch_ab=int(np.count_nonzero(ab_alice != ab_partner)),
+        mismatch_ac=int(np.count_nonzero(ac_alice != ac_partner)),
     )
 
 
 def _xor_strings(u: str, v: str) -> str:
-    return "".join("1" if a != b else "0" for a, b in zip(u, v))
+    return _bit_string(np.frombuffer(u.encode(), dtype=np.uint8) ^ np.frombuffer(v.encode(), dtype=np.uint8))
 
 
 def xor_reconcile(k_ab: str, k_ac: str) -> tuple[str, str]:
@@ -427,46 +446,26 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
 
     For each pair, ceil(fraction * n_pair) of that pair's generation
     rounds are sampled (Alice-Bob first, then Alice-Carole, consuming
-    draws in that order), their outputs compared in public, and the
+    draws in that order), their key bits compared in public, and the
     sampled rounds excluded from key material. fraction 0 passes
     vacuously.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    pair_rounds = {"ab": [], "ac": []}
-    for record in transcript.rounds:
-        if record.round_type != "generation":
-            continue
-        if transcript.strategy_kind == "flagged":
-            pair_rounds["ab" if record.outputs[0][1] == 0 else "ac"].append(record)
-        else:
-            pair_rounds["ab"].append(record)
-            pair_rounds["ac"].append(record)
     rates = {}
     excluded = {}
     ok = True
     for pair in ("ab", "ac"):
-        rounds = pair_rounds[pair]
-        k = math.ceil(fraction * len(rounds))
+        rows, (alice, partner) = _pair_rounds(transcript, pair)
+        k = math.ceil(fraction * len(rows))
         if k == 0:
             rates[pair] = None
             excluded[pair] = frozenset()
             continue
-        chosen = rng.choice(len(rounds), size=k, replace=False)
-        matches = 0
-        sampled = set()
-        for i in chosen:
-            record = rounds[int(i)]
-            sampled.add(record.index)
-            (a, ta), (b, tb), (c, tc) = record.outputs
-            if transcript.strategy_kind == "flagged":
-                partner_bit = b if pair == "ab" else c
-                alice_bit = a
-            else:
-                alice_bit, partner_bit = (a, b) if pair == "ab" else (ta, tc)
-            matches += int(alice_bit == partner_bit)
-        rates[pair] = matches / k
-        excluded[pair] = frozenset(sampled)
+        sampled = rows[rng.choice(len(rows), size=k, replace=False)]
+        data = transcript.data[sampled]
+        rates[pair] = int(np.count_nonzero(data[:, alice] == data[:, partner])) / k
+        excluded[pair] = frozenset(sampled.tolist())
         if rates[pair] < floor:
             ok = False
     return AlignmentResult(ok=ok, match_rates=rates, excluded_ab=excluded["ab"], excluded_ac=excluded["ac"])
@@ -482,51 +481,45 @@ def _default_threshold(kind: str, n_test: int) -> float:
 
 def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResult:
     """Steps 4-7 on a finished transcript: announcements, checks, keys."""
-    rounds = transcript.rounds
-    messages = transcript.messages
+    test, data = transcript.test, transcript.data
+    n_test = int(np.count_nonzero(test))
     stats = {
-        "n_rounds": len(rounds),
-        "n_test": sum(1 for r in rounds if r.round_type == "test"),
-        "n_gen": sum(1 for r in rounds if r.round_type == "generation"),
+        "n_rounds": len(test),
+        "n_test": n_test,
+        "n_gen": len(test) - n_test,
         "strategy_kind": transcript.strategy_kind,
         "backend": config.backend,
     }
+    announce = transcript.announcements.append
 
     def aborted(reason):
-        messages.append(Message("alice", "AbortNotice", None, reason))
+        announce(Message("alice", "AbortNotice", None, reason))
         return ProtocolResult(outcome="aborted", abort_reason=reason, keys={}, k_xor="", stats=stats)
 
-    flagged = transcript.strategy_kind == "flagged"
-    if flagged:
-        flag_strings = {
-            name: "".join(str(r.outputs[i][1]) for r in rounds) for i, name in enumerate(PARTY_NAMES)
-        }
-        for name in PARTY_NAMES:
-            messages.append(Message(name, "FlagAnnounce", None, flag_strings[name]))
-        verdict = check_flag_agreement(*(flag_strings[name] for name in PARTY_NAMES))
+    routing = _ROUTING[transcript.strategy_kind]
+    if routing.by_flag:
+        flags = [data[:, col] for col in (_TA, _TB, _TC)]
+        for name, party_flags in zip(PARTY_NAMES, flags):
+            announce(Message(name, "FlagAnnounce", None, _bit_string(party_flags)))
+        verdict = check_flag_agreement(*flags)
         if verdict != "ok":
             return aborted(verdict)
-        common = flag_strings["alice"]
-        stats["p_t0_estimate"] = common.count("0") / len(common)
-        stats["p_t1_estimate"] = common.count("1") / len(common)
+        n_t0 = int(np.count_nonzero(flags[0] == 0))
+        stats["p_t0_estimate"] = n_t0 / len(test)
+        stats["p_t1_estimate"] = (len(test) - n_t0) / len(test)
 
-    test_rounds = [r for r in rounds if r.round_type == "test"]
+    test_index = np.flatnonzero(test)
+    test_rows = data[test_index]
     for i, name in enumerate(PARTY_NAMES):
-        payload = [(r.index, r.inputs[i], r.outputs[i]) for r in test_rounds]
-        messages.append(Message(name, "TestDataAnnounce", None, payload))
-    estimate = estimate_behavior([(r.inputs, r.outputs) for r in test_rounds])
-    if flagged:
-        report = bell_value(estimate.behavior)
-        observed = report.total
-        stats["bell_stderr"] = bell_value_stderr(estimate)
-        stats["bell_branches"] = {"ab_t0": report.chsh_ab_t0, "ac_t1": report.chsh_ac_t1}
-    else:
-        report = parallel_bell_value(estimate.behavior)
-        observed = report.total
-        stats["bell_branches"] = {"pair_ab": report.chsh_pair_ab, "pair_ac": report.chsh_pair_ac}
+        # Per test round: round index, input, output value, output flag.
+        payload = np.column_stack((test_index, test_rows[:, i], test_rows[:, _A + 2 * i], test_rows[:, _TA + 2 * i]))
+        announce(Message(name, "TestDataAnnounce", None, payload))
+    estimate = estimate_behavior(test_rows)
+    observed, bell_stats = routing.score(estimate)
+    stats.update(bell_stats)
     threshold = config.bell_threshold
     if threshold is None:
-        threshold = _default_threshold(transcript.strategy_kind, stats["n_test"])
+        threshold = _default_threshold(transcript.strategy_kind, n_test)
     stats["bell_estimate"] = observed
     stats["bell_threshold"] = threshold
     stats["missing_test_inputs"] = [t for t in estimate.missing_inputs if all(v < 2 for v in t)]
@@ -550,7 +543,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
     else:
         k_xor, k_cka = "", ""
-    messages.append(Message("alice", "XorAnnounce", None, k_xor))
+    announce(Message("alice", "XorAnnounce", None, k_xor))
     m = len(k_cka)
     keys = {
         "alice": k_cka,
@@ -573,12 +566,13 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
 
     'flag-flip:RATE' flips Bob's flag bit in ceil(RATE * n) distinct
     random rounds; 'flag-constant:T' rewrites every party's flag to T.
-    Only meaningful for flagged strategies.
+    Only meaningful for flagged strategies. Returns a new transcript and
+    leaves `transcript` untouched.
     """
     if transcript.strategy_kind != "flagged":
         raise ValueError("tampering with flags requires a flagged strategy")
     kind, _, arg = spec.partition(":")
-    rounds = list(transcript.rounds)
+    data = transcript.data.copy()
     if kind == "flag-flip":
         try:
             rate = float(arg)
@@ -586,27 +580,16 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
             raise ValueError(f"bad tamper rate {arg!r}") from None
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"tamper rate must be in (0, 1], got {rate}")
-        n_flip = math.ceil(rate * len(rounds))
-        for i in rng.choice(len(rounds), size=n_flip, replace=False):
-            record = rounds[int(i)]
-            (a, ta), (b, tb), (c, tc) = record.outputs
-            rounds[int(i)] = replace(record, outputs=((a, ta), (b, 1 - tb), (c, tc)))
+        n_flip = math.ceil(rate * len(data))
+        data[rng.choice(len(data), size=n_flip, replace=False), _TB] ^= 1
     elif kind == "flag-constant":
         t = int(arg) if arg else 0
         if t not in (0, 1):
             raise ValueError(f"tamper flag value must be 0 or 1, got {arg!r}")
-        for i, record in enumerate(rounds):
-            (a, _), (b, _), (c, _) = record.outputs
-            rounds[i] = replace(record, outputs=((a, t), (b, t), (c, t)))
+        data[:, _TA::2] = t
     else:
         raise ValueError(f"unknown tamper kind {kind!r}")
-    return Transcript(
-        strategy_kind=transcript.strategy_kind,
-        n_rounds=transcript.n_rounds,
-        rounds=rounds,
-        messages=list(transcript.messages),
-        events=list(transcript.events),
-    )
+    return Transcript(transcript.strategy_kind, transcript.n_rounds, test=transcript.test.copy(), data=data)
 
 
 _CONFIG_KEYS = {
@@ -667,19 +650,24 @@ def config_from_json(text: str) -> ProtocolConfig:
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
-    lines = []
-    for r in transcript.rounds:
-        lines.append(
-            json.dumps(
-                {
-                    "index": r.index,
-                    "type": r.round_type,
-                    "inputs": list(r.inputs),
-                    "outputs": [list(o) for o in r.outputs],
-                }
-            )
+    """One line per round: json.dumps of {"index", "type", "inputs", "outputs"}.
+
+    A line depends on the round only through its index and its (round
+    type, row) code, of which a run has at most 576, so each code's line
+    is rendered by json.dumps once and reused after the index.
+    """
+    shape = (2, *TABLE_SHAPE)
+    codes = np.ravel_multi_index((transcript.test.astype(np.intp), *transcript.data.T.astype(np.intp)), shape)
+    unique, inverse = np.unique(codes, return_inverse=True)
+    head = '{"index": 0'
+    tails = []
+    for code in unique.tolist():
+        t, x, y, z, a, ta, b, tb, c, tc = (int(v) for v in np.unravel_index(code, shape))
+        line = json.dumps(
+            {"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]}
         )
-    return "\n".join(lines) + "\n"
+        tails.append(line[len(head):] + "\n")
+    return "".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(inverse.tolist())]) or "\n"
 
 
 def result_to_json(result: ProtocolResult) -> str:

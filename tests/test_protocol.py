@@ -369,3 +369,87 @@ def test_run_rounds_rejects_mismatched_strategy():
 
     with pytest.raises(ValueError):
         run_rounds(ProtocolConfig(n_rounds=10, strategy_kind="flagged"), honest_parallel_strategy())
+
+
+def _diagonal_family():
+    labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return {label: np.diag(np.eye(4)[i]).astype(complex) for i, label in enumerate(labels)}
+
+
+@pytest.mark.parametrize(
+    "probs, draw, expected",
+    [
+        ([0.25, 0.25, 0.25, 0.25], 0.0, 0),
+        ([0.25, 0.25, 0.25, 0.25], 0.25, 1),           # exactly on an edge: the upper bin
+        ([0.25, 0.25, 0.25, 0.25], 0.75, 3),
+        ([0.5, 0.0, 0.5, 0.0], 0.5, 2),                 # edge shared with a zero-width bin
+        ([0.0, 0.5, 0.5, 0.0], 0.0, 1),                 # zero-width first bin
+        ([0.5, 0.5 - 1e-12, 0.0, 0.0], 1.0 - 1e-13, 1),  # dust, trailing zero-width bins
+        ([1.0 - 1e-12, 0.0, 0.0, 0.0], 1.0 - 1e-13, 0),  # dust, only the first bin is wide
+        ([0.25, 0.25, 0.25, 0.25 - 1e-12], 1.0 - 1e-13, 3),
+    ],
+)
+def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
+    from flagcka.protocol import _pick
+    from flagcka.qops import measure_collapse
+
+    picked = int(_pick(np.cumsum(probs)[None, :], np.array([draw]))[0])
+    (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
+    assert picked == 2 * value + flag == expected
+    assert probs[picked] > 0.0
+
+
+def test_pick_is_row_wise():
+    from flagcka.protocol import _pick
+
+    cum = np.cumsum([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5 - 1e-12, 0.0, 0.0]], axis=1)
+    draws = np.array([0.5, 0.0, 1.0 - 1e-13])
+    assert _pick(cum, draws).tolist() == [2, 1, 1]
+
+
+def test_transcript_jsonl_bytes():
+    rows = [
+        ("test", (1, 0, 1), ((0, 1), (1, 0), (1, 1))),
+        ("generation", (0, 2, 2), ((1, 0), (1, 0), (0, 0))),
+        ("test", (1, 0, 1), ((0, 1), (1, 0), (1, 1))),
+    ]
+    assert transcript_to_jsonl(_synthetic_transcript(rows)) == (
+        '{"index": 0, "type": "test", "inputs": [1, 0, 1], "outputs": [[0, 1], [1, 0], [1, 1]]}\n'
+        '{"index": 1, "type": "generation", "inputs": [0, 2, 2], "outputs": [[1, 0], [1, 0], [0, 0]]}\n'
+        '{"index": 2, "type": "test", "inputs": [1, 0, 1], "outputs": [[0, 1], [1, 0], [1, 1]]}\n'
+    )
+
+
+def test_transcript_jsonl_matches_json_dumps():
+    tr = run_rounds(ProtocolConfig(n_rounds=400, seed=4, visibility=0.8))
+    records = [
+        {"index": r.index, "type": r.round_type, "inputs": list(r.inputs), "outputs": [list(o) for o in r.outputs]}
+        for r in tr.rounds
+    ]
+    assert transcript_to_jsonl(tr).splitlines(keepends=True) == [json.dumps(record) + "\n" for record in records]
+
+
+def test_flag_flip_tamper_changes_only_bobs_flags():
+    from flagcka.protocol import COLUMNS
+
+    tr = run_rounds(ProtocolConfig(n_rounds=1000, seed=13))
+    data_before, test_before = tr.data.copy(), tr.test.copy()
+    tb = COLUMNS.index("tb")
+    for rate in (0.001, 0.05, 0.333, 1.0):
+        bad = apply_tamper(tr, f"flag-flip:{rate}", np.random.default_rng(0))
+        changed = bad.data != tr.data
+        assert np.count_nonzero(changed[:, tb]) == math.ceil(rate * 1000)
+        assert not np.delete(changed, tb, axis=1).any()
+        assert np.array_equal(bad.test, tr.test)
+    assert np.array_equal(tr.data, data_before) and np.array_equal(tr.test, test_before)
+
+
+def test_transcript_from_records_matches_columns():
+    tr = run_rounds(ProtocolConfig(n_rounds=200, seed=3))
+    again = Transcript(strategy_kind="flagged", n_rounds=200, rounds=tr.rounds)
+    assert np.array_equal(again.data, tr.data) and np.array_equal(again.test, tr.test)
+    assert again.rounds == tr.rounds
+    with pytest.raises(ValueError):
+        Transcript(strategy_kind="flagged", n_rounds=2, rounds=[replace(r, index=r.index + 1) for r in tr.rounds[:2]])
+    with pytest.raises(ValueError):
+        Transcript(strategy_kind="flagged", n_rounds=1, rounds=[replace(tr.rounds[0], round_type="other")])
