@@ -4,17 +4,38 @@ Alice chooses from two inputs, Bob and Carole from three; every party
 outputs a pair of bits. A behavior is the full conditional table
 p(outputs | inputs), stored dense with axes (x, y, z, a, ta, b, tb, c, tc).
 
-The Bell functional is a sum of two flag-gated CHSH blocks: the
-Alice-Bob block counts only events where all three announced flags read
-0, the Alice-Carole block only events where all three read 1. Any
-disagreeing-flag mass contributes nothing and so can only lower the
-value. Each block is evaluated with the third party's input fixed at 0
-(test rounds never use the generation input, and no-signalling makes
-the choice immaterial for exact behaviors).
+Each strategy kind's Bell functional is a sum of two CHSH blocks, and it
+is stored once: BELL_FUNCTIONALS[kind].coeffs is a tensor of shape
+(2, *TABLE_SHAPE) whose slice k holds block k's coefficient on every cell
+of the table. A block's value is the full contraction of its slice with
+the table; the functional is linear in the behavior. Term (x, w, a, b) of
+a block, with x Alice's input, w the partner's input and a, b the two
+bits compared, carries the CHSH sign (-1)^(a + b + x*w):
+
+  flagged   ab_t0    Alice's and Bob's values on cells where all three
+                     flags read 0; Carole's value is summed out
+            ac_t1    Alice's and Carole's values, all three flags 1
+  parallel  pair_ab  Alice's and Bob's first bits; the rest summed out
+            pair_ac  Alice's and Carole's second bits
+
+Cells with disagreeing flags carry no coefficient in the flagged tensor,
+so that mass can only lower the value. The same tensors give the values
+(bell_value, parallel_bell_value), the standard error of an estimate
+(bell_value_stderr) and the local bound by enumeration
+(local_bound_bruteforce).
+
+Each block reads the third party's (the spectator's) input at 0. Test
+rounds never use the generation input 2, and for an exact no-signalling
+behavior the spectator's input leaves the pair's marginal unchanged, so
+one setting suffices. On sampled data it costs data: test triples with
+spectator input 1 feed no block. Pooling over spectator inputs {0, 1}
+is a change to the tensor alone, weight 1/2 at each, and every evaluator
+above follows it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,6 +54,8 @@ __all__ = [
     "FlagStats",
     "BellReport",
     "ParallelBellReport",
+    "BellFunctional",
+    "BELL_FUNCTIONALS",
     "BehaviorEstimate",
     "behavior_from_strategy",
     "deterministic_behavior",
@@ -52,6 +75,53 @@ TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
 
 # Spectator input used when a CHSH block marginalizes the third party.
 _SPECTATOR_INPUT = 0
+
+# Per kind and block, the table cells read by CHSH term (x, w, a, b), one
+# entry per table axis: a term letter, a fixed index, or ":" to sum out.
+_BLOCK_CELLS = {
+    "flagged": {
+        "ab_t0": ("x", "w", _SPECTATOR_INPUT, "a", 0, "b", 0, ":", 0),
+        "ac_t1": ("x", _SPECTATOR_INPUT, "w", "a", 1, ":", 1, "b", 1),
+    },
+    "parallel": {
+        "pair_ab": ("x", "w", _SPECTATOR_INPUT, "a", ":", "b", ":", ":", ":"),
+        "pair_ac": ("x", _SPECTATOR_INPUT, "w", ":", "a", ":", ":", ":", "b"),
+    },
+}
+
+
+def _chsh_tensors() -> dict:
+    """Kind -> read-only (2, *TABLE_SHAPE) coefficient tensor, one slice per block."""
+    tensors = {kind: np.zeros((len(cells), *TABLE_SHAPE)) for kind, cells in _BLOCK_CELLS.items()}
+    for x, w, a, b in itertools.product((0, 1), repeat=4):
+        term = {"x": x, "w": w, "a": a, "b": b, ":": slice(None)}
+        sign = (-1.0) ** (a + b + x * w)
+        for kind, cells in _BLOCK_CELLS.items():
+            for k, cell in enumerate(cells.values()):
+                tensors[kind][(k, *(term.get(v, v) for v in cell))] = sign
+    for tensor in tensors.values():
+        tensor.setflags(write=False)
+    return tensors
+
+
+@dataclass(frozen=True, eq=False)
+class BellFunctional:
+    """One strategy kind's Bell functional and its reference values."""
+
+    blocks: tuple[str, ...]   # block names, in slice order
+    coeffs: np.ndarray        # (len(blocks), *TABLE_SHAPE)
+    local_bound: float        # maximum over local (deterministic) behaviors
+    quantum_max: float
+
+    def block_values(self, table: np.ndarray) -> np.ndarray:
+        return np.tensordot(self.coeffs, table, axes=table.ndim)
+
+
+_TENSORS = _chsh_tensors()
+BELL_FUNCTIONALS = {
+    "flagged": BellFunctional(tuple(_BLOCK_CELLS["flagged"]), _TENSORS["flagged"], 2.0, CHSH_QUANTUM_MAX),
+    "parallel": BellFunctional(tuple(_BLOCK_CELLS["parallel"]), _TENSORS["parallel"], 4.0, 2.0 * CHSH_QUANTUM_MAX),
+}
 
 
 @dataclass(frozen=True)
@@ -221,22 +291,6 @@ def flag_stats(behavior: Behavior, atol: float = 1e-9) -> FlagStats:
     )
 
 
-def _chsh_block(table: np.ndarray, pair: str, t: int) -> float:
-    """Signed, flag-gated CHSH sum for one pair, third party marginalized."""
-    total = 0.0
-    for x in (0, 1):
-        for w in (0, 1):
-            if pair == "ab":
-                cell = table[x, w, _SPECTATOR_INPUT, :, t, :, t, :, t]
-                joint = cell.sum(axis=2)  # sum Carole's value -> p(a, b)
-            else:
-                cell = table[x, _SPECTATOR_INPUT, w, :, t, :, t, :, t]
-                joint = cell.sum(axis=1)  # sum Bob's value -> p(a, c)
-            sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-            total += ((-1.0) ** (x * w)) * float((sign * joint).sum())
-    return total
-
-
 def bell_value(behavior: Behavior) -> BellReport:
     """Evaluate both flag-gated CHSH blocks of the Bell functional.
 
@@ -244,8 +298,7 @@ def bell_value(behavior: Behavior) -> BellReport:
     vanishing weight leaves that normalized entry undefined (None).
     """
     t = behavior.table
-    ab = _chsh_block(t, "ab", 0)
-    ac = _chsh_block(t, "ac", 1)
+    ab, ac = BELL_FUNCTIONALS["flagged"].block_values(t).tolist()
     p0 = _all_flags_mass(t, 0, 0, 0, 0)
     p1 = _all_flags_mass(t, 0, 0, 0, 1)
     return BellReport(
@@ -264,17 +317,28 @@ def parallel_bell_value(behavior: Behavior) -> ParallelBellReport:
     Alice-Bob CHSH uses each party's first bit, the Alice-Carole CHSH
     the second bits. No flag gating is involved.
     """
-    t = behavior.table
-    ab = 0.0
-    ac = 0.0
-    for x in (0, 1):
-        for w in (0, 1):
-            pab = t[x, w, _SPECTATOR_INPUT].sum(axis=(1, 3, 4, 5))  # -> p(a1, b1)
-            pac = t[x, _SPECTATOR_INPUT, w].sum(axis=(0, 2, 3, 4))  # -> p(a2, c2)
-            sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-            ab += ((-1.0) ** (x * w)) * float((sign * pab).sum())
-            ac += ((-1.0) ** (x * w)) * float((sign * pac).sum())
+    ab, ac = BELL_FUNCTIONALS["parallel"].block_values(behavior.table).tolist()
     return ParallelBellReport(chsh_pair_ab=ab, chsh_pair_ac=ac, total=ab + ac)
+
+
+# Every deterministic assignment as rows of per-input outcome indices
+# o = 2*value + flag, in lexicographic order: 16 for Alice, 64 for a partner.
+_ALICE_ASSIGNMENTS = np.array(list(itertools.product(range(4), repeat=2)))
+_PARTNER_ASSIGNMENTS = np.array(list(itertools.product(range(4), repeat=3)))
+
+
+def _deterministic_values(coeffs: np.ndarray) -> np.ndarray:
+    """Value of a functional on every deterministic assignment.
+
+    `coeffs` has TABLE_SHAPE; entry [i, j, k] of the (16, 64, 64) result
+    is the value on Alice's i-th, Bob's j-th and Carole's k-th assignment.
+    A one-hot (value, flag) per input gathers the coefficient of each
+    triple's single nonzero cell.
+    """
+    one_hot = np.eye(4)
+    alice = one_hot[_ALICE_ASSIGNMENTS].reshape(-1, 2, 2, 2)
+    partner = one_hot[_PARTNER_ASSIGNMENTS].reshape(-1, 3, 2, 2)
+    return np.einsum("xyzabcdef,ixab,jycd,kzef->ijk", coeffs, alice, partner, partner, optimize=True)
 
 
 def local_bound_bruteforce() -> tuple[float, dict]:
@@ -285,40 +349,18 @@ def local_bound_bruteforce() -> tuple[float, dict]:
     directly. Returns the maximum and the first maximizer in
     lexicographic (Alice, Bob, Carole) enumeration order.
     """
-    # Encode outcome index o = 2*value + flag; party strategies are rows of
-    # per-input outcome indices.
-    alice = np.array([[o0, o1] for o0 in range(4) for o1 in range(4)])          # (16, 2)
-    partner = np.array(
-        [[o0, o1, o2] for o0 in range(4) for o1 in range(4) for o2 in range(4)]
-    )                                                                            # (64, 3)
-    a_val, a_flag = alice >> 1, alice & 1
-    p_val, p_flag = partner >> 1, partner & 1
+    values = _deterministic_values(BELL_FUNCTIONALS["flagged"].coeffs.sum(axis=0))
+    ia, ib, ic = np.unravel_index(int(values.argmax()), values.shape)
 
-    def block(flag_t: int):
-        # CHSH sum between Alice and a partner, all flags gated to flag_t;
-        # shape (16, 64), before gating on the spectator's flag.
-        out = np.zeros((alice.shape[0], partner.shape[0]))
-        for x in (0, 1):
-            for w in (0, 1):
-                signs = ((-1.0) ** (a_val[:, x][:, None] + p_val[:, w][None, :] + x * w))
-                gate = (a_flag[:, x][:, None] == flag_t) & (p_flag[:, w][None, :] == flag_t)
-                out += signs * gate
-        return out
+    def outputs(row):
+        return {i: (int(o >> 1), int(o & 1)) for i, o in enumerate(row)}
 
-    ab = block(0)                       # (16, 64) Alice x Bob
-    ac = block(1)                       # (16, 64) Alice x Carole
-    carole_gate = (p_flag[:, _SPECTATOR_INPUT] == 0).astype(float)   # (64,)
-    bob_gate = (p_flag[:, _SPECTATOR_INPUT] == 1).astype(float)
-    values = ab[:, :, None] * carole_gate[None, None, :] + ac[:, None, :] * bob_gate[None, :, None]
-    flat = int(values.argmax())
-    ia, ib, ic = np.unravel_index(flat, values.shape)
-    best = float(values[ia, ib, ic])
     maximizer = {
-        "alice": {x: (int(a_val[ia, x]), int(a_flag[ia, x])) for x in range(2)},
-        "bob": {y: (int(p_val[ib, y]), int(p_flag[ib, y])) for y in range(3)},
-        "carole": {z: (int(p_val[ic, z]), int(p_flag[ic, z])) for z in range(3)},
+        "alice": outputs(_ALICE_ASSIGNMENTS[ia]),
+        "bob": outputs(_PARTNER_ASSIGNMENTS[ib]),
+        "carole": outputs(_PARTNER_ASSIGNMENTS[ic]),
     }
-    return best, maximizer
+    return float(values[ia, ib, ic]), maximizer
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,44 +409,23 @@ def estimate_behavior(records) -> BehaviorEstimate:
     return BehaviorEstimate(behavior=Behavior(table), counts=counts, missing_inputs=missing)
 
 
-def _bell_coefficients() -> np.ndarray:
-    """Coefficient tensor c with bell = sum c * p over conditional cells."""
-    coeff = np.zeros(TABLE_SHAPE)
-    for x in (0, 1):
-        for w in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    s = (-1.0) ** (a + b + x * w)
-                    coeff[x, w, _SPECTATOR_INPUT, a, 0, b, 0, :, 0] += s
-                    coeff[x, _SPECTATOR_INPUT, w, a, 1, :, 1, b, 1] += s
-    return coeff
-
-
-def bell_value_stderr(estimate: BehaviorEstimate) -> float:
+def bell_value_stderr(estimate: BehaviorEstimate, kind: str = "flagged") -> float:
     """Multinomial delta-method standard error of the estimated Bell value.
 
-    The Bell value is linear in the per-triple conditionals, so its
-    variance is the sum over input triples of
-    (sum c^2 p - (sum c p)^2) / N. Returns inf if a triple the
-    functional depends on was never sampled.
+    The Bell value of strategy kind `kind` is linear in the per-triple
+    conditionals, so with c its summed coefficient tensor its variance is
+    the sum over input triples of (sum c^2 p - (sum c p)^2) / N. Returns
+    inf if a triple the functional depends on was never sampled.
     """
-    coeff = _bell_coefficients()
-    table = estimate.behavior.table
-    totals = estimate.triple_totals()
-    var = 0.0
-    for x in range(2):
-        for y in range(3):
-            for z in range(3):
-                c = coeff[x, y, z]
-                if not c.any():
-                    continue
-                if totals[x, y, z] == 0:
-                    return math.inf
-                p = table[x, y, z]
-                mean = float((c * p).sum())
-                second = float((c * c * p).sum())
-                var += max(second - mean * mean, 0.0) / totals[x, y, z]
-    return math.sqrt(var)
+    coeff = BELL_FUNCTIONALS[kind].coeffs.sum(axis=0).reshape(18, -1)
+    p = estimate.behavior.table.reshape(18, -1)
+    totals = estimate.triple_totals().ravel()
+    used = coeff.any(axis=1)
+    if (totals[used] == 0).any():
+        return math.inf
+    mean = (coeff * p).sum(axis=1)
+    second = (coeff * coeff * p).sum(axis=1)
+    return math.sqrt(float((np.maximum(second - mean * mean, 0.0)[used] / totals[used]).sum()))
 
 
 def behavior_to_json(behavior: Behavior) -> str:

@@ -13,13 +13,11 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .bell import CHSH_QUANTUM_MAX, behavior_from_json, local_bound_bruteforce
+from .bell import BELL_FUNCTIONALS, CHSH_QUANTUM_MAX, behavior_from_json, local_bound_bruteforce
 from .checks import check_decoupling, reports_to_json, run_check_suite
 from .protocol import (
     ProtocolConfig,
@@ -144,14 +142,7 @@ def _curve(args) -> int:
         print("curve: error: --points must be at least 2", file=sys.stderr)
         return 1
     method = BoundMethod(selector=_METHODS[args.method], score_mode=_MODES[args.mode])
-    grid = np.linspace(2.0, CHSH_QUANTUM_MAX, args.points)
-    if args.jobs > 1:
-        chunks = np.array_split(grid, args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(partial(robustness_curve, method=method), chunks))
-        points = [p for part in parts for p in part]
-    else:
-        points = robustness_curve(grid, method)
+    points = robustness_curve(np.linspace(2.0, CHSH_QUANTUM_MAX, args.points), method)
     if args.format == "csv":
         _emit(None, args, csv_text=curve_to_csv(points, method))
     else:
@@ -184,27 +175,16 @@ def _verify(args) -> int:
     honest = honest_flagged_strategy()
     reports.extend(run_check_suite(honest, args.suite))
     if args.suite != "decoupling":
-        seeds = [args.seed + i for i in range(args.seeds)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for part in pool.map(partial(_verify_one, suite=args.suite), seeds):
-                    reports.extend(part)
-        else:
-            for seed in seeds:
-                reports.extend(_verify_one(seed, args.suite))
+        # Decoupling is a property of the maximal violation only, so it is
+        # skipped for the randomized strategies and run on the honest one.
+        for seed in range(args.seed, args.seed + args.seeds):
+            out = run_check_suite(random_projective_strategy(seed), args.suite)
+            reports.extend(r for r in out if not r.name.startswith("decoupling"))
     _emit(reports_to_json(reports), args)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAIL {r.name}: residual {r.residual:.3e} > {r.tolerance:.1e}", file=sys.stderr)
     return 2 if failed else 0
-
-
-def _verify_one(seed: int, suite: str):
-    # Decoupling is a property of the maximal violation only, so it is
-    # skipped for the randomized strategies and run on the honest one.
-    strategy = random_projective_strategy(seed)
-    out = run_check_suite(strategy, suite)
-    return [r for r in out if not r.name.startswith("decoupling")]
 
 
 def _info(args) -> int:
@@ -219,8 +199,8 @@ def _info(args) -> int:
             "generation_inputs": [0, 2, 2],
         },
         "constants": {
-            "local_bound": 2.0,
-            "quantum_maximum": CHSH_QUANTUM_MAX,
+            "local_bound": BELL_FUNCTIONALS["flagged"].local_bound,
+            "quantum_maximum": BELL_FUNCTIONALS["flagged"].quantum_max,
             "honest_conference_rate": 0.5,
             "no_flag_reference_rate": no_flag_reference_rate(),
             "honest_decoupling_entropy": honest.details["conditional_entropy"],
@@ -263,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--method", choices=tuple(_METHODS), default="vn")
     curve.add_argument("--mode", choices=tuple(_MODES), default="two-scores")
     curve.add_argument("--points", type=int, default=101)
-    curve.add_argument("--jobs", type=int, default=1)
     curve.set_defaults(func=_curve)
 
     lb = sub.add_parser("local-bound", help="exact classical maximum by enumeration")
@@ -274,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(verify)
     verify.add_argument("--suite", choices=("sos", "lemma", "tsirelson", "decoupling", "all"), default="all")
     verify.add_argument("--seeds", type=int, default=5, help="number of randomized strategies")
-    verify.add_argument("--jobs", type=int, default=1)
     verify.set_defaults(func=_verify)
 
     info = sub.add_parser("info", help="scenario facts and reference constants")

@@ -48,13 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
-    CHSH_QUANTUM_MAX,
+    BELL_FUNCTIONALS,
     GENERATION_INPUTS,
     TABLE_SHAPE,
-    bell_value,
     bell_value_stderr,
     estimate_behavior,
-    parallel_bell_value,
 )
 from .qops import measure_collapse
 from .strategies import (
@@ -91,7 +89,7 @@ __all__ = [
 
 PARTY_NAMES = ("alice", "bob", "carole")
 ABORT_REASONS = ("FlagMismatch", "FlagConstant", "BellBelowThreshold", "AlignmentFailure")
-PARALLEL_QUANTUM_MAX = 2.0 * CHSH_QUANTUM_MAX
+PARALLEL_QUANTUM_MAX = BELL_FUNCTIONALS["parallel"].quantum_max
 # Columns of Transcript.data: inputs, then (value, flag) per party.
 COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
 _A, _TA, _B, _TB, _C, _TC = range(3, 9)
@@ -126,8 +124,8 @@ class ProtocolConfig:
         if self.strategy_kind not in ("flagged", "parallel"):
             raise ValueError(f"unknown strategy kind {self.strategy_kind!r}")
         if self.bell_threshold is not None:
-            lo = 2.0 if self.strategy_kind == "flagged" else 4.0
-            hi = CHSH_QUANTUM_MAX if self.strategy_kind == "flagged" else PARALLEL_QUANTUM_MAX
+            functional = BELL_FUNCTIONALS[self.strategy_kind]
+            lo, hi = functional.local_bound, functional.quantum_max
             if not lo - 1e-12 <= self.bell_threshold <= hi + 1e-9:
                 raise ValueError(f"bell_threshold must lie in [{lo}, {hi:.6f}], got {self.bell_threshold}")
         if not 0.0 <= self.alignment_fraction < 1.0:
@@ -357,32 +355,28 @@ def check_flag_agreement(flags_a, flags_b, flags_c) -> str:
     return "ok"
 
 
-def _flagged_score(estimate) -> tuple[float, dict]:
-    report = bell_value(estimate.behavior)
-    return report.total, {
-        "bell_stderr": bell_value_stderr(estimate),
-        "bell_branches": {"ab_t0": report.chsh_ab_t0, "ac_t1": report.chsh_ac_t1},
+def _bell_score(estimate, kind: str) -> tuple[float, dict]:
+    """Step-5 Bell value of a strategy kind's test data, and its stats."""
+    functional = BELL_FUNCTIONALS[kind]
+    blocks = functional.block_values(estimate.behavior.table).tolist()
+    return sum(blocks), {
+        "bell_stderr": bell_value_stderr(estimate, kind),
+        "bell_branches": dict(zip(functional.blocks, blocks)),
     }
-
-
-def _parallel_score(estimate) -> tuple[float, dict]:
-    report = parallel_bell_value(estimate.behavior)
-    return report.total, {"bell_branches": {"pair_ab": report.chsh_pair_ab, "pair_ac": report.chsh_pair_ac}}
 
 
 @dataclass(frozen=True)
 class _Routing:
-    """Per strategy kind: which generation rounds feed each pairwise key,
-    which output columns hold the key bits, and how the Bell test scores."""
+    """Per strategy kind: which generation rounds feed each pairwise key
+    and which output columns hold the key bits."""
 
     by_flag: bool      # flags are announced and checked; Alice's flag 0 feeds "ab", 1 feeds "ac"
     key_columns: dict  # pair -> (Alice's column, partner's column)
-    score: object      # BehaviorEstimate -> (Bell value, Bell stats)
 
 
 _ROUTING = {
-    "flagged": _Routing(True, {"ab": (_A, _B), "ac": (_A, _C)}, _flagged_score),
-    "parallel": _Routing(False, {"ab": (_A, _B), "ac": (_TA, _TC)}, _parallel_score),
+    "flagged": _Routing(True, {"ab": (_A, _B), "ac": (_A, _C)}),
+    "parallel": _Routing(False, {"ab": (_A, _B), "ac": (_TA, _TC)}),
 }
 
 
@@ -472,8 +466,8 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
 
 
 def _default_threshold(kind: str, n_test: int) -> float:
-    hi = CHSH_QUANTUM_MAX if kind == "flagged" else PARALLEL_QUANTUM_MAX
-    lo = 2.0 if kind == "flagged" else 4.0
+    functional = BELL_FUNCTIONALS[kind]
+    lo, hi = functional.local_bound, functional.quantum_max
     if n_test <= 0:
         return hi
     return min(max(hi * (1.0 - 10.0 / math.sqrt(n_test)), lo), hi)
@@ -515,7 +509,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         payload = np.column_stack((test_index, test_rows[:, i], test_rows[:, _A + 2 * i], test_rows[:, _TA + 2 * i]))
         announce(Message(name, "TestDataAnnounce", None, payload))
     estimate = estimate_behavior(test_rows)
-    observed, bell_stats = routing.score(estimate)
+    observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold
     if threshold is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagcka.bell import (
+    BELL_FUNCTIONALS,
     CHSH_QUANTUM_MAX,
     GENERATION_INPUTS,
     Behavior,
@@ -20,6 +21,7 @@ from flagcka.bell import (
     local_bound_bruteforce,
     parallel_bell_value,
 )
+from flagcka.bell import _deterministic_values
 from flagcka.strategies import (
     NoiseParams,
     constant_flag_strategy,
@@ -265,3 +267,97 @@ def test_behavior_json_roundtrip():
     back = behavior_from_json(blob)
     np.testing.assert_allclose(back.table, b.table, atol=1e-12)
     assert bell_value(back).total == pytest.approx(bell_value(b).total, abs=1e-9)
+
+
+def _chsh(joint):
+    """CHSH from correlators, E00 + E01 + E10 - E11; joint(x, w) is the
+    2x2 table of the two compared bits at Alice's input x, partner's w."""
+
+    def corr(x, w):
+        p = joint(x, w)
+        return p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
+
+    return corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1)
+
+
+def _reference_blocks(t):
+    """Every block of both kinds, written out term by term with the
+    spectator's input at 0; `t` need not be a normalized behavior."""
+    return {
+        # all three flags 0; sum Carole's value -> p(a, b)
+        "ab_t0": _chsh(lambda x, w: t[x, w, 0, :, 0, :, 0, :, 0].sum(axis=2)),
+        # all three flags 1; sum Bob's value -> p(a, c)
+        "ac_t1": _chsh(lambda x, w: t[x, 0, w, :, 1, :, 1, :, 1].sum(axis=1)),
+        # first bits of Alice and Bob -> p(a, b)
+        "pair_ab": _chsh(lambda x, w: t[x, w, 0].sum(axis=(1, 3, 4, 5))),
+        # second bits of Alice and Carole -> p(ta, tc)
+        "pair_ac": _chsh(lambda x, w: t[x, 0, w].sum(axis=(0, 2, 3, 4))),
+    }
+
+
+def test_coefficient_tensors_match_reference_chsh_sums():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        table = rng.random(TABLE_SHAPE)
+        ref = _reference_blocks(table)
+        flagged = bell_value(Behavior(table))
+        parallel = parallel_bell_value(Behavior(table))
+        assert flagged.chsh_ab_t0 == pytest.approx(ref["ab_t0"], abs=1e-12)
+        assert flagged.chsh_ac_t1 == pytest.approx(ref["ac_t1"], abs=1e-12)
+        assert parallel.chsh_pair_ab == pytest.approx(ref["pair_ab"], abs=1e-12)
+        assert parallel.chsh_pair_ac == pytest.approx(ref["pair_ac"], abs=1e-12)
+        for functional in BELL_FUNCTIONALS.values():
+            values = functional.block_values(table)
+            for name, value in zip(functional.blocks, values):
+                assert value == pytest.approx(ref[name], abs=1e-12)
+
+
+def test_enumeration_matches_bell_value_on_deterministic_behaviors():
+    rng = np.random.default_rng(43)
+    flagged = _deterministic_values(BELL_FUNCTIONALS["flagged"].coeffs.sum(axis=0))
+    parallel = _deterministic_values(BELL_FUNCTIONALS["parallel"].coeffs.sum(axis=0))
+    for _ in range(250):
+        # Outcome index o = 2*value + flag per input, as the enumeration orders them.
+        outs = [rng.integers(4, size=n) for n in (2, 3, 3)]
+        idx = tuple(int(np.ravel_multi_index(o, (4,) * len(o))) for o in outs)
+        alice, bob, carole = ({i: (int(o >> 1), int(o & 1)) for i, o in enumerate(row)} for row in outs)
+        b = deterministic_behavior(alice, bob, carole)
+        assert flagged[idx] == bell_value(b).total
+        assert parallel[idx] == parallel_bell_value(b).total
+
+
+def test_enumerated_local_bound_per_kind():
+    # The floors ProtocolConfig and the default threshold take from
+    # BELL_FUNCTIONALS: one CHSH block's 2 when flags gate, two otherwise.
+    expected = {"flagged": 2.0, "parallel": 4.0}
+    for kind, functional in BELL_FUNCTIONALS.items():
+        values = _deterministic_values(functional.coeffs.sum(axis=0))
+        assert values.max() == functional.local_bound == expected[kind]
+        assert functional.local_bound < functional.quantum_max
+
+
+
+def test_bell_value_stderr_matches_loop_reference():
+    # Coefficients recovered cell by cell from the written-out blocks
+    # (the functional is linear), then the per-triple variance loop.
+    names = {"flagged": ("ab_t0", "ac_t1"), "parallel": ("pair_ab", "pair_ac")}
+    coeff = {kind: np.zeros(TABLE_SHAPE) for kind in names}
+    for cell in itertools.product(*map(range, TABLE_SHAPE)):
+        unit = np.zeros(TABLE_SHAPE)
+        unit[cell] = 1.0
+        ref = _reference_blocks(unit)
+        for kind, blocks in names.items():
+            coeff[kind][cell] = sum(ref[b] for b in blocks)
+    rng = np.random.default_rng(47)
+    rows = np.column_stack(
+        [rng.integers(2, size=3000), rng.integers(2, size=3000), rng.integers(2, size=3000), rng.integers(2, size=(3000, 6))]
+    )
+    est = estimate_behavior(rows)
+    for kind, c in coeff.items():
+        var = 0.0
+        for x, y, z in itertools.product(range(2), range(3), range(3)):
+            if c[x, y, z].any():
+                p = est.behavior.table[x, y, z]
+                mean = (c[x, y, z] * p).sum()
+                var += ((c[x, y, z] ** 2 * p).sum() - mean**2) / est.triple_totals()[x, y, z]
+        assert bell_value_stderr(est, kind) == pytest.approx(np.sqrt(var), rel=1e-12)

@@ -109,13 +109,6 @@ def test_curve_csv_and_endpoints(tmp_path):
     assert float(rows[-1]["entropy_bound"]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_curve_jobs_do_not_change_output(capsys):
-    assert main(["curve", "--points", "17"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["curve", "--points", "17", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_curve_rejects_single_point(capsys):
     assert main(["curve", "--points", "1"]) == 1
 

@@ -323,6 +323,14 @@ def test_parallel_protocol_completes():
     assert res.stats["bell_threshold"] >= 4.0
 
 
+def test_parallel_run_reports_bell_stderr():
+    res, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=9, strategy_kind="parallel"))
+    se = res.stats["bell_stderr"]
+    assert math.isfinite(se) and 0.0 < se < 1.0
+    assert set(res.stats["bell_branches"]) == {"pair_ab", "pair_ac"}
+    assert sum(res.stats["bell_branches"].values()) == res.stats["bell_estimate"]
+
+
 def test_config_json_roundtrip():
     cfg = ProtocolConfig(
         n_rounds=5000,
