@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--tamper", help="fault injection, e.g. flag-flip:0.01 or flag-constant:0")
     sim.add_argument("--transcript", help="write per-round records as JSON lines")
     sim.add_argument("--keys-dir", dest="keys_dir", help="write one key file per party")
-    sim.set_defaults(func=_simulate)
+    # No --seed means the config file's seed (or the config default), not 0.
+    sim.set_defaults(func=_simulate, seed=None)
 
     rates = sub.add_parser("rates", help="asymptotic rate report for a behavior")
     _add_common(rates)

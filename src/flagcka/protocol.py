@@ -54,9 +54,10 @@ from .bell import (
     bell_value_stderr,
     estimate_behavior,
 )
-from .qops import measure_collapse
+from .qops import born_probabilities, check_effects_complete, select_outcome
 from .strategies import (
     N_INPUTS,
+    OUTCOME_LABELS,
     NoiseParams,
     Strategy,
     honest_flagged_strategy,
@@ -289,18 +290,41 @@ def _table_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -
 
 
 def _collapse_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome indices (N, 3) by explicit projective collapse, round by round."""
+    """Outcome indices (N, 3) by explicit projective collapse, one prefix at a time.
+
+    The state a party measures depends only on the inputs and outcomes of
+    the parties before it: the prefix (x) for Alice, (x, oa, y) for Bob and
+    (x, oa, y, ob, z) for Carole, at most 2 + 24 + 288 prefixes. The rounds
+    are walked as a tree of the prefixes they reach: each prefix's Born
+    distribution is computed once, and all rounds sharing it select their
+    outcomes from it with `select_outcome`, the rule `measure_collapse`
+    uses. Each outcome's state P rho P / p is formed as `measure_collapse`
+    forms it and lives only while its subtree is walked; nothing reads the
+    state after Carole's measurement, so it is never formed. Each embedded
+    (party, input) family is checked complete once.
+    """
     effects = [
         [{label: strategy.effect(p, x, label) for label in strategy.measurements[p][x]} for x in range(N_INPUTS[p])]
         for p in range(3)
     ]
+    for families in effects:
+        for family in families:
+            check_effects_complete(family)
     out = np.empty(inputs.shape, dtype=np.intp)
-    for r, (row_inputs, row_draws) in enumerate(zip(inputs.tolist(), draws.tolist())):
-        rho = strategy.state
-        for p in range(3):
-            (value, flag), rho = measure_collapse(rho, effects[p][row_inputs[p]], row_draws[p])
-            out[r, p] = 2 * value + flag
+    _walk_prefixes(0, np.arange(len(inputs)), strategy.state, effects, inputs, draws, out)
     return out
+
+
+def _walk_prefixes(party, rows, rho, effects, inputs, draws, out) -> None:
+    """Fill out[rows, party:] for the rounds `rows`, whose earlier parties left them in state `rho`."""
+    for x in np.unique(inputs[rows, party]).tolist():
+        group = rows[inputs[rows, party] == x]
+        pvals = list(born_probabilities(rho, effects[party][x]).values())
+        picked = out[group, party] = select_outcome(pvals, np.cumsum(pvals), draws[group, party])
+        if party < 2:
+            for o in np.unique(picked).tolist():
+                proj = effects[party][x][OUTCOME_LABELS[o]]
+                _walk_prefixes(party + 1, group[picked == o], proj @ rho @ proj / pvals[o], effects, inputs, draws, out)
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:

@@ -29,6 +29,8 @@ __all__ = [
     "assert_density_operator",
     "check_effects_complete",
     "outcome_distribution",
+    "born_probabilities",
+    "select_outcome",
     "measure_collapse",
     "partial_trace",
     "permute_subsystems",
@@ -137,6 +139,17 @@ def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) 
     dim = check_effects_complete(effects)
     if rho.shape != (dim, dim):
         raise ValueError(f"state dimension {rho.shape} does not match effects ({dim})")
+    return born_probabilities(rho, effects)
+
+
+def born_probabilities(rho: np.ndarray, effects: Mapping[object, np.ndarray]) -> dict:
+    """`outcome_distribution` for a family already checked complete.
+
+    Callers that measure many states with one family check it once with
+    `check_effects_complete` and call this per state. The per-state checks
+    stay: a probability below -1e-12 or a total off from 1 by more than
+    1e-10 raises.
+    """
     probs = {}
     for label in sorted(effects):
         p = np.einsum("ij,ji->", np.asarray(effects[label], dtype=complex), rho).real
@@ -149,13 +162,32 @@ def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) 
     return probs
 
 
+def select_outcome(pvals: Sequence[float], cum: np.ndarray, draws):
+    """Indices of the outcomes that uniform draws select from one distribution.
+
+    `pvals` are the outcome probabilities in ascending label order and
+    `cum` their cumulative sums. Outcome k is chosen when a draw lands in
+    [cum[k-1], cum[k]), so a zero-probability outcome has an empty
+    interval and is never chosen; a draw in the float dust above cum[-1]
+    takes the last outcome of positive probability. `draws` may be a
+    float or an array; the result has its shape.
+    """
+    draws = np.asarray(draws, dtype=float)
+    if not ((draws >= 0.0) & (draws < 1.0)).all():
+        raise ValueError(f"draws must lie in [0, 1), got {draws}")
+    positive = np.asarray(pvals) > 0.0
+    nearest = np.maximum.accumulate(np.where(positive, np.arange(len(positive)), -1))
+    idx = nearest[np.minimum(np.searchsorted(cum, draws, side="right"), len(positive) - 1)]
+    if (idx < 0).any():
+        raise ValueError("selected outcome has zero probability (malformed family)")
+    return idx
+
+
 def measure_collapse(rho: np.ndarray, projectors: Mapping[object, np.ndarray], draw: float):
     """Sample an outcome and return (label, post-measurement state).
 
-    Outcomes are ordered by ascending label and selected by cumulative
-    probability: outcome k is chosen when the draw lands in
-    [cum_{k-1}, cum_k). Zero-probability outcomes have empty intervals
-    and are never returned. The family must consist of orthogonal
+    The outcome is picked by `select_outcome` from the Born distribution,
+    labels in ascending order. The family must consist of orthogonal
     projectors summing to the identity; the collapsed state is
     P rho P / p.
     """
@@ -164,19 +196,9 @@ def measure_collapse(rho: np.ndarray, projectors: Mapping[object, np.ndarray], d
     probs = outcome_distribution(rho, projectors)
     labels = sorted(probs)
     pvals = [probs[l] for l in labels]
-    cum = np.cumsum(pvals)
-    idx = min(int(np.searchsorted(cum, draw, side="right")), len(labels) - 1)
-    # A draw in the float dust above cum[-1] must not select a
-    # zero-probability outcome; back off to the nearest positive one.
-    while idx > 0 and pvals[idx] <= 0.0:
-        idx -= 1
-    label = labels[idx]
-    p = probs[label]
-    if p <= 0.0:
-        raise ValueError("selected outcome has zero probability (malformed family)")
+    label = labels[int(select_outcome(pvals, np.cumsum(pvals), draw))]
     proj = np.asarray(projectors[label], dtype=complex)
-    collapsed = proj @ rho @ proj / p
-    return label, collapsed
+    return label, proj @ rho @ proj / probs[label]
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -85,6 +85,17 @@ def test_simulate_config_file_with_override(tmp_path, capsys):
     assert doc["stats"]["n_rounds"] == 1500
 
 
+def test_simulate_config_file_seed_applies_without_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_rounds": 1500, "seed": 77}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["simulate", "--rounds", "1500", "--seed", "77"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["simulate", "--rounds", "1500", "--seed", "0"]) == 0
+    assert capsys.readouterr().out != from_file
+
+
 def test_rates_command(tmp_path, capsys):
     behavior = behavior_from_strategy(honest_flagged_strategy(NoiseParams(visibility=0.95)))
     path = tmp_path / "behavior.json"

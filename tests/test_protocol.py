@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS
+from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy
 from flagcka.protocol import (
     PARALLEL_QUANTUM_MAX,
     ProtocolConfig,
@@ -23,8 +23,12 @@ from flagcka.protocol import (
     sift_pair_keys,
     transcript_to_jsonl,
     xor_reconcile,
+    _build_strategy,
+    _collapse_outcomes,
     _default_threshold,
 )
+from flagcka.qops import measure_collapse, projector, random_density_operator, random_unitary, select_outcome
+from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, Strategy
 
 
 def test_config_validation():
@@ -75,6 +79,94 @@ def test_backends_agree_under_noise_and_parallel():
     _, c = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="table"))
     _, d = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="collapse"))
     assert c.rounds == d.rounds
+
+
+def _layout_rows(n_rounds, seed, gamma=0.2):
+    # Inputs and collapse draws as run_rounds takes them from its block of uniforms.
+    u = np.random.default_rng(seed).random((n_rounds, 7))
+    inputs = np.where((u[:, 0] < gamma)[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
+    return inputs, u[:, 4:]
+
+
+def _collapse_outcomes_reference(strategy, inputs, draws):
+    """Round by round: each party measures the state its predecessors left with measure_collapse."""
+    effects = [
+        [{label: strategy.effect(p, x, label) for label in strategy.measurements[p][x]} for x in range(N_INPUTS[p])]
+        for p in range(3)
+    ]
+    out = np.empty(inputs.shape, dtype=np.intp)
+    for r, (row_inputs, row_draws) in enumerate(zip(inputs.tolist(), draws.tolist())):
+        rho = strategy.state
+        for p in range(3):
+            (value, flag), rho = measure_collapse(rho, effects[p][row_inputs[p]], row_draws[p])
+            out[r, p] = 2 * value + flag
+    return out
+
+
+@pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.85), ("parallel", 0.97)])
+@pytest.mark.parametrize("seed", [0, 7, 21])
+def test_memoised_collapse_matches_round_by_round_loop(kind, visibility, seed):
+    strategy = _build_strategy(ProtocolConfig(strategy_kind=kind, visibility=visibility))
+    inputs, draws = _layout_rows(2000, seed)
+    expected = _collapse_outcomes_reference(strategy, inputs, draws)
+    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), expected)
+
+
+def test_memoised_collapse_matches_loop_on_a_generic_strategy():
+    # Honest strategies make Carole's outcome independent of Bob's given
+    # Alice's; a random state and random projective families do not, so a
+    # walk that lost part of a prefix would show here.
+    rng = np.random.default_rng(5)
+
+    def family():
+        u = random_unitary(4, rng)
+        return {label: projector(u[:, i]) for i, label in enumerate(OUTCOME_LABELS)}
+
+    measurements = tuple({x: family() for x in range(N_INPUTS[p])} for p in range(3))
+    strategy = Strategy(random_density_operator(64, rng), (4, 4, 4), measurements)
+    inputs, draws = _layout_rows(2000, 3)
+    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), _collapse_outcomes_reference(strategy, inputs, draws))
+
+
+def _prefixes(transcript):
+    x, y, z = transcript.data[:, :3].T.tolist()
+    oa, ob, _ = (2 * transcript.data[:, 3:9:2] + transcript.data[:, 4:9:2]).T.tolist()
+    return set(zip(x)) | set(zip(x, oa, y)) | set(zip(x, oa, y, ob, z))
+
+
+def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
+    import flagcka.protocol as protocol
+
+    calls = []
+    original = protocol.born_probabilities
+    monkeypatch.setattr(protocol, "born_probabilities", lambda rho, family: calls.append(1) or original(rho, family))
+    config = ProtocolConfig(n_rounds=2000, seed=0, backend="collapse")
+    # Prefixes with positive probability under the protocol's input support.
+    b6 = behavior_from_strategy(_build_strategy(config)).table.reshape(2, 3, 3, 4, 4, 4)
+    triples = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [GENERATION_INPUTS]
+    reachable = {(x,) for x, _, _ in triples}
+    for x, y, z in triples:
+        reachable |= {(x, oa, y) for oa in range(4) if b6[x, y, z, oa].sum() > 1e-12}
+        reachable |= {(x, oa, y, ob, z) for oa in range(4) for ob in range(4) if b6[x, y, z, oa, ob].sum() > 1e-12}
+    counts = []
+    for n_rounds in (2000, 20000):
+        calls.clear()
+        transcript = run_rounds(replace(config, n_rounds=n_rounds))
+        assert len(calls) == len(_prefixes(transcript)) <= 2 + 24 + 288
+        counts.append(len(calls))
+    # Ten times the rounds only fills in the few prefixes the shorter run
+    # missed: the count is capped by the reachable set, not by the rounds.
+    assert counts[0] <= counts[1] == len(reachable) < 2 + 24 + 288
+
+
+@pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.9), ("parallel", 0.97)])
+def test_backends_agree_draw_for_draw_at_scale(kind, visibility):
+    table, collapse = (
+        run_rounds(ProtocolConfig(n_rounds=20000, seed=31, strategy_kind=kind, visibility=visibility, backend=backend))
+        for backend in ("table", "collapse")
+    )
+    assert np.array_equal(table.test, collapse.test)
+    assert np.array_equal(table.data, collapse.data)
 
 
 def test_round_records_use_protocol_inputs():
@@ -399,11 +491,10 @@ def _diagonal_family():
 )
 def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
     from flagcka.protocol import _pick
-    from flagcka.qops import measure_collapse
 
     picked = int(_pick(np.cumsum(probs)[None, :], np.array([draw]))[0])
     (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
-    assert picked == 2 * value + flag == expected
+    assert picked == 2 * value + flag == select_outcome(probs, np.cumsum(probs), draw) == expected
     assert probs[picked] > 0.0
 
 

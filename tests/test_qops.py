@@ -18,6 +18,7 @@ from flagcka.qops import (
     purify,
     random_density_operator,
     random_unitary,
+    select_outcome,
     tensor,
     trace_distance,
     von_neumann_entropy,
@@ -225,3 +226,15 @@ def test_random_density_operator_is_state():
     assert is_hermitian(rho)
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+def test_select_outcome_on_arrays_matches_each_draw():
+    pvals = [0.5, 0.0, 0.5 - 1e-12, 0.0]
+    cum = np.cumsum(pvals)
+    draws = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 1e-13])
+    picked = select_outcome(pvals, cum, draws)
+    assert picked.tolist() == [int(select_outcome(pvals, cum, d)) for d in draws] == [0, 0, 2, 2, 2]
+    with pytest.raises(ValueError):
+        select_outcome(pvals, cum, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        select_outcome([0.0, 0.0], np.zeros(2), 0.5)
