@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import CHSH_QUANTUM_MAX, behavior_from_strategy
-from .qops import SQRT2, identity, partial_trace, projector, purify, tensor, trace_distance, von_neumann_entropy
+from .qops import SQRT2, identity, partial_trace, tensor, trace_distance, von_neumann_entropy
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy
 
 __all__ = [
@@ -49,6 +49,13 @@ ATOL_IDENTITY = 1e-10
 ATOL_STATE = 1e-10
 
 _PAIRS = (("ab", 1), ("ac", 2))
+
+# The (party, input) keys of the flag projectors, and the index pairs of
+# keys of different parties, in itertools.combinations order.
+_FLAG_KEYS = [(party, x) for party in range(3) for x in range(N_INPUTS[party])]
+_CROSS_PAIRS = np.array(
+    [(i, j) for i, j in itertools.combinations(range(len(_FLAG_KEYS)), 2) if _FLAG_KEYS[i][0] != _FLAG_KEYS[j][0]]
+).T
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,16 @@ def _report(name: str, residual: float, tolerance: float, **details) -> CheckRep
     )
 
 
-def _embedded_flag_projector(strategy: Strategy, party: int, x: int, t: int) -> np.ndarray:
-    ops = [identity(d) for d in strategy.party_dims]
-    ops[party] = strategy.flag_projector(party, x, t)
-    return tensor(*ops)
+def _flag_stack(strategy: Strategy, party: int, t: int) -> np.ndarray:
+    """[I, P_0, P_1, ...]: the local identity, then the flag-t projector per input."""
+    projs = [strategy.flag_projector(party, x, t) for x in range(N_INPUTS[party])]
+    return np.stack([identity(strategy.party_dims[party]), *projs])
+
+
+def _apply_local(ops: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
+    """Each operator of a stack applied to one subsystem axis of a state
+    tensor; the stack axis comes first, the state's axes keep their order."""
+    return np.moveaxis(np.tensordot(ops, psi, axes=(-1, axis)), 1, axis + 1)
 
 
 def _expectation(rho: np.ndarray, op: np.ndarray) -> float:
@@ -87,28 +100,22 @@ def check_flag_consistency(strategy: Strategy, tolerance: float = ATOL_IDENTITY)
     projector (all inputs, generation settings included), every pairwise
     product and the triple product; the residual is the spread between
     the largest and smallest of these numbers over both t.
+
+    The projectors are local, so all of them come from one contraction
+    of the state tensor with each party's stack [I, P_0, P_1, ...]: entry
+    (u, v, w) is Tr[(S_u (x) S_v (x) S_w) rho], and every entry but
+    (0, 0, 0) = Tr rho is one of the single, pair or triple products.
     """
-    rho = strategy.state
+    rho = strategy.state.reshape(strategy.party_dims * 2)
     residual = 0.0
     branch_weights = {}
     for t in (0, 1):
-        values = []
-        projs = [
-            [_embedded_flag_projector(strategy, party, x, t) for x in range(N_INPUTS[party])]
-            for party in range(3)
-        ]
-        for party in range(3):
-            values.extend(_expectation(rho, p) for p in projs[party])
-        for pa, pb in itertools.combinations(range(3), 2):
-            for opa in projs[pa]:
-                for opb in projs[pb]:
-                    values.append(_expectation(rho, opa @ opb))
-        for opa in projs[0]:
-            for opb in projs[1]:
-                for opc in projs[2]:
-                    values.append(_expectation(rho, opa @ opb @ opc))
+        sa, sb, sc = (_flag_stack(strategy, party, t) for party in range(3))
+        # Contract the state with Alice's stack, then Bob's, then Carole's.
+        table = np.einsum("uai,vbj,wck,ijkabc->uvw", sa, sb, sc, rho, optimize=["einsum_path", (0, 3), (0, 2), (0, 1)])
+        values = table.real.ravel()[1:]
         branch_weights[t] = float(np.mean(values))
-        residual = max(residual, max(values) - min(values))
+        residual = max(residual, float(values.max() - values.min()))
         if branch_weights[t] <= 0.0:
             return _report("flag_consistency", np.inf, tolerance, p_T=branch_weights, reason="vanishing branch weight")
     return _report("flag_consistency", residual, tolerance, p_T=branch_weights)
@@ -119,27 +126,25 @@ def check_projection_lemma(strategy: Strategy, tolerance: float = ATOL_STATE) ->
 
     For every t and every input pair, || (P_party1 - P_party2) |psi> ||
     must vanish, where |psi> purifies the shared state and the
-    projectors act as identity on the purifier.
+    projectors act as identity on the purifier. Each projector is
+    applied to its party's axis of the (party, party, party, purifier)
+    tensor of |psi>.
     """
-    psi = purify(strategy.state)
-    dim = strategy.state.shape[0]
-    env = psi.size // dim
-    psi_mat = psi.reshape(dim, env)
-    residual = 0.0
-    worst = None
-    for t in (0, 1):
-        projected = {}
-        for party in range(3):
-            for x in range(N_INPUTS[party]):
-                p = _embedded_flag_projector(strategy, party, x, t)
-                projected[(party, x)] = p @ psi_mat
-        keys = sorted(projected)
-        for k1, k2 in itertools.combinations(keys, 2):
-            if k1[0] == k2[0]:
-                continue
-            gap = float(np.linalg.norm(projected[k1] - projected[k2]))
-            if gap > residual:
-                residual, worst = gap, (t, k1, k2)
+    psi = strategy.purification.reshape(*strategy.party_dims, -1)
+    first, second = _CROSS_PAIRS
+
+    def projected(party):
+        # Row (t, x) is the flattened P|psi> for the party's flag-t projector at input x.
+        ops = np.stack([strategy.flag_projector(party, x, t) for t in (0, 1) for x in range(N_INPUTS[party])])
+        return _apply_local(ops, psi, party).reshape(2, N_INPUTS[party], -1)
+
+    rows = np.concatenate([projected(party) for party in range(3)], axis=1)
+    # gaps[t, n] is ||(P_i - P_j)|psi>|| at flag t for the n-th pair (i, j).
+    gaps = np.linalg.norm(rows[:, first] - rows[:, second], axis=-1)
+    # The first largest gap, in the order t, then pair, is the worst one.
+    t, n = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    residual = float(gaps[t, n])
+    worst = (int(t), _FLAG_KEYS[first[n]], _FLAG_KEYS[second[n]]) if residual > 0.0 else None
     return _report("projection_lemma", residual, tolerance, worst=repr(worst))
 
 
@@ -156,21 +161,23 @@ def _require_projective(strategy: Strategy, tolerance: float = ATOL_IDENTITY):
 
 
 def _branch_operators(strategy: Strategy, partner: int, t: int):
-    """Embedded signed observables and flag projectors for one CHSH block."""
-    def signed(party, x):
-        ops = [identity(d) for d in strategy.party_dims]
-        fam = strategy.measurements[party][x]
-        ops[party] = fam[(0, t)] - fam[(1, t)]
-        return tensor(*ops)
+    """Signed observables, flag projectors and CHSH block of one branch.
 
-    a0, a1 = signed(0, 0), signed(0, 1)
-    b0, b1 = signed(partner, 0), signed(partner, 1)
-    flags = [
-        _embedded_flag_projector(strategy, 0, 0, t),
-        _embedded_flag_projector(strategy, 0, 1, t),
-        _embedded_flag_projector(strategy, partner, 0, t),
-        _embedded_flag_projector(strategy, partner, 1, t),
-    ]
+    All act on the (Alice, partner) space. The operator on the full space
+    is each of them tensored with the spectator's identity, so entry
+    deviations, eigenvalues and expectations on the reduced state of
+    (Alice, partner) are those of the full operators.
+    """
+    def local(party):
+        # Signed observables A_0, A_1, then flag projectors P_0, P_1.
+        fams = [strategy.measurements[party][x] for x in (0, 1)]
+        signed = [fam[(0, t)] - fam[(1, t)] for fam in fams]
+        return np.stack(signed + [strategy.flag_projector(party, x, t) for x in (0, 1)])
+
+    # The Kronecker product of stacks embeds each operator of a stack at once.
+    a0, a1, *alice_flags = tensor(local(0), identity(strategy.party_dims[partner])[None])
+    b0, b1, *partner_flags = tensor(identity(strategy.party_dims[0])[None], local(partner))
+    flags = alice_flags + partner_flags
     chsh = a0 @ (b0 + b1) + a1 @ (b0 - b1)
     return a0, a1, b0, b1, flags, chsh
 
@@ -186,6 +193,8 @@ def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0, toleran
 
     holds for projective measurements. Residual is the largest matrix
     entry deviation; the left side must also be positive semidefinite.
+    Both are evaluated on the (Alice, partner) space, which leaves them
+    unchanged (see `_branch_operators`).
     """
     if pair not in ("ab", "ac"):
         raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
@@ -214,11 +223,12 @@ def check_weighted_tsirelson(strategy: Strategy, tolerance: float = ATOL_IDENTIT
     Reports the slack per branch (Alice-Bob at t=0, Alice-Carole at
     t=1); the residual is the worst constraint violation, zero when both
     hold. A maximally violating strategy saturates with zero slack.
+    Expectations are taken in the reduced state of Alice and the partner.
     """
-    rho = strategy.state
     slacks = {}
     for (pair, partner), t in zip(_PAIRS, (0, 1)):
         _, _, _, _, flags, chsh = _branch_operators(strategy, partner, t)
+        rho = partial_trace(strategy.state, strategy.party_dims, [0, partner])
         p_t = float(np.mean([_expectation(rho, f) for f in flags]))
         value = _expectation(rho, chsh)
         slacks[f"{pair}_t{t}"] = CHSH_QUANTUM_MAX * p_t - value
@@ -269,10 +279,9 @@ def check_decoupling(strategy: Strategy, t: int = 0, tolerance: float = ATOL_STA
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
-    psi = purify(strategy.state)
     dim = strategy.state.shape[0]
-    env = psi.size // dim
-    psi_mat = psi.reshape(dim, env)
+    psi_mat = strategy.purification.reshape(dim, -1)
+    env = psi_mat.shape[1]
     blocks = []
     for a in (0, 1):
         effect = strategy.effect(0, 0, (a, t))

@@ -171,15 +171,18 @@ def _local_bound(args) -> int:
 
 
 def _verify(args) -> int:
-    reports = []
-    honest = honest_flagged_strategy()
-    reports.extend(run_check_suite(honest, args.suite))
+    if args.seeds < 0:
+        print("verify: error: --seeds must be at least 0", file=sys.stderr)
+        return 1
+    reports = run_check_suite(honest_flagged_strategy(), args.suite)
+    # Decoupling is a property of the maximal violation only, so it runs on
+    # the honest strategy and not on the randomized ones.
+    suites = ("lemma", "sos", "tsirelson") if args.suite == "all" else (args.suite,)
     if args.suite != "decoupling":
-        # Decoupling is a property of the maximal violation only, so it is
-        # skipped for the randomized strategies and run on the honest one.
         for seed in range(args.seed, args.seed + args.seeds):
-            out = run_check_suite(random_projective_strategy(seed), args.suite)
-            reports.extend(r for r in out if not r.name.startswith("decoupling"))
+            strategy = random_projective_strategy(seed)
+            for suite in suites:
+                reports.extend(run_check_suite(strategy, suite))
     _emit(reports_to_json(reports), args)
     failed = [r for r in reports if not r.passed]
     for r in failed:

@@ -379,6 +379,26 @@ def check_flag_agreement(flags_a, flags_b, flags_c) -> str:
     return "ok"
 
 
+def _flag_abort_stats(verdict: str, flags) -> dict:
+    """Where step 4 failed, for the result's stats.
+
+    FlagMismatch: the first round whose three flags differ, the parties
+    whose flag there is off that round's majority flag, and the number of
+    such rounds. FlagConstant: the one flag value every round carries.
+    """
+    flags = np.stack(flags)
+    if verdict == "FlagConstant":
+        return {"flag_constant_value": int(flags[0, 0])}
+    rounds = np.flatnonzero((flags != flags[0]).any(axis=0))
+    first = flags[:, rounds[0]]
+    majority = np.bincount(first).argmax()
+    return {
+        "flag_mismatch_round": int(rounds[0]),
+        "flag_mismatch_parties": [name for name, f in zip(PARTY_NAMES, first) if f != majority],
+        "flag_mismatch_count": len(rounds),
+    }
+
+
 def _bell_score(estimate, kind: str) -> tuple[float, dict]:
     """Step-5 Bell value of a strategy kind's test data, and its stats."""
     functional = BELL_FUNCTIONALS[kind]
@@ -521,6 +541,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
             announce(Message(name, "FlagAnnounce", None, _bit_string(party_flags)))
         verdict = check_flag_agreement(*flags)
         if verdict != "ok":
+            stats.update(_flag_abort_stats(verdict, flags))
             return aborted(verdict)
         n_t0 = int(np.count_nonzero(flags[0] == 0))
         stats["p_t0_estimate"] = n_t0 / len(test)
@@ -540,6 +561,8 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         threshold = _default_threshold(transcript.strategy_kind, n_test)
     stats["bell_estimate"] = observed
     stats["bell_threshold"] = threshold
+    stderr = stats["bell_stderr"]
+    stats["bell_margin_stderr"] = (observed - threshold) / stderr if 0.0 < stderr < math.inf else None
     stats["missing_test_inputs"] = [t for t in estimate.missing_inputs if all(v < 2 for v in t)]
     if observed < threshold:
         return aborted("BellBelowThreshold")

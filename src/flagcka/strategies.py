@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .qops import (
     phi_plus,
     plus_ket,
     projector,
+    purify,
     random_unitary,
     tensor,
 )
@@ -115,7 +117,15 @@ class Strategy:
 
     def flag_projector(self, party: int, x: int, t: int) -> np.ndarray:
         """Local coarse-graining sum_a M_{(a,t)|x} for one party."""
-        return sum(self.measurements[party][x][(a, t)] for a in (0, 1))
+        family = self.measurements[party][x]
+        return family[(0, t)] + family[(1, t)]
+
+    @cached_property
+    def purification(self) -> np.ndarray:
+        """`qops.purify` of the state, computed on first use and kept (read-only)."""
+        psi = purify(self.state)
+        psi.flags.writeable = False
+        return psi
 
 
 def binary_observable_effects(obs: np.ndarray) -> dict[int, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -13,8 +14,19 @@ from flagcka.checks import (
     reports_to_json,
     run_check_suite,
 )
-from flagcka.qops import basis_ket, identity, plus_ket, projector, tensor
+from flagcka.qops import (
+    basis_ket,
+    identity,
+    plus_ket,
+    projector,
+    purify,
+    random_density_operator,
+    random_unitary,
+    tensor,
+)
 from flagcka.strategies import (
+    N_INPUTS,
+    OUTCOME_LABELS,
     NoiseParams,
     Strategy,
     constant_flag_strategy,
@@ -220,3 +232,166 @@ def test_reports_to_json():
     assert doc[0]["name"] == "weighted_tsirelson"
     assert doc[0]["passed"] is True
     assert "slacks" in doc[0]["details"]
+
+
+# Kronecker references: the four rewritten checks as they were first
+# written, with every operator embedded into the full 64-dimensional
+# space. The checks evaluate the same identities on the subsystems the
+# operators act on; these pin that the numbers agree.
+
+
+def _embedded(strategy, party, op):
+    ops = [identity(d) for d in strategy.party_dims]
+    ops[party] = op
+    return tensor(*ops)
+
+
+def _ref_flag_projector(strategy, party, x, t):
+    return _embedded(strategy, party, strategy.flag_projector(party, x, t))
+
+
+def _ref_expectation(rho, op):
+    return float(np.einsum("ij,ji->", op, rho).real)
+
+
+def _ref_flag_consistency(strategy):
+    rho = strategy.state
+    residual, weights = 0.0, {}
+    for t in (0, 1):
+        projs = [[_ref_flag_projector(strategy, p, x, t) for x in range(N_INPUTS[p])] for p in range(3)]
+        values = [_ref_expectation(rho, op) for party in projs for op in party]
+        for pa, pb in itertools.combinations(range(3), 2):
+            values += [_ref_expectation(rho, opa @ opb) for opa in projs[pa] for opb in projs[pb]]
+        values += [
+            _ref_expectation(rho, opa @ opb @ opc) for opa in projs[0] for opb in projs[1] for opc in projs[2]
+        ]
+        weights[t] = float(np.mean(values))
+        residual = max(residual, max(values) - min(values))
+        if weights[t] <= 0.0:
+            return np.inf, weights
+    return residual, weights
+
+
+def _ref_projection_lemma(strategy):
+    psi = purify(strategy.state)
+    psi_mat = psi.reshape(strategy.state.shape[0], -1)
+    residual = 0.0
+    for t in (0, 1):
+        projected = {
+            (p, x): _ref_flag_projector(strategy, p, x, t) @ psi_mat for p in range(3) for x in range(N_INPUTS[p])
+        }
+        for k1, k2 in itertools.combinations(sorted(projected), 2):
+            if k1[0] != k2[0]:
+                residual = max(residual, float(np.linalg.norm(projected[k1] - projected[k2])))
+    return residual
+
+
+def _ref_branch_operators(strategy, partner, t):
+    def signed(party, x):
+        fam = strategy.measurements[party][x]
+        return _embedded(strategy, party, fam[(0, t)] - fam[(1, t)])
+
+    a0, a1, b0, b1 = signed(0, 0), signed(0, 1), signed(partner, 0), signed(partner, 1)
+    flags = [_ref_flag_projector(strategy, p, x, t) for p in (0, partner) for x in (0, 1)]
+    return a0, a1, b0, b1, flags, a0 @ (b0 + b1) + a1 @ (b0 - b1)
+
+
+def _ref_sos(strategy, partner, t):
+    a0, a1, b0, b1, flags, chsh = _ref_branch_operators(strategy, partner, t)
+    s1 = a0 + a1 - SQRT2 * b0
+    s2 = a0 - a1 - SQRT2 * b1
+    lhs = (SQRT2 / 4.0) * (s1 @ s1 + s2 @ s2)
+    rhs = (SQRT2 / 2.0) * sum(flags) - chsh
+    return float(np.abs(lhs - rhs).max()), float(np.linalg.eigvalsh(lhs)[0])
+
+
+def _ref_tsirelson_slacks(strategy):
+    slacks = {}
+    for pair, partner, t in (("ab", 1, 0), ("ac", 2, 1)):
+        _, _, _, _, flags, chsh = _ref_branch_operators(strategy, partner, t)
+        p_t = float(np.mean([_ref_expectation(strategy.state, f) for f in flags]))
+        slacks[f"{pair}_t{t}"] = 2.0 * SQRT2 * p_t - _ref_expectation(strategy.state, chsh)
+    return slacks
+
+
+def _generic_strategy(seed):
+    # A random mixed state and, per party and input, the projectors onto
+    # the columns of a random unitary: no flag structure at all, so every
+    # check sees nonzero residuals that the reference must reproduce.
+    rng = np.random.default_rng(seed)
+    meas = []
+    for party in range(3):
+        families = {}
+        for x in range(N_INPUTS[party]):
+            u = random_unitary(4, rng)
+            families[x] = {label: projector(u[:, k]) for k, label in enumerate(OUTCOME_LABELS)}
+        meas.append(families)
+    return Strategy(
+        state=random_density_operator(64, rng), party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged"
+    )
+
+
+_REFERENCE_CASES = {
+    "honest": lambda: honest_flagged_strategy(),
+    "honest_v0.9": lambda: honest_flagged_strategy(NoiseParams(visibility=0.9)),
+    **{f"random_{seed}": (lambda seed=seed: random_projective_strategy(seed)) for seed in range(5)},
+    "independent_flags": _independent_flag_strategy,
+    "generic_0": lambda: _generic_strategy(0),
+    "generic_1": lambda: _generic_strategy(1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_local_checks_match_kronecker_reference(case):
+    s = _REFERENCE_CASES[case]()
+    tol = 1e-12
+
+    r = check_flag_consistency(s)
+    residual, weights = _ref_flag_consistency(s)
+    assert r.residual == pytest.approx(residual, abs=tol)
+    assert r.details["p_T"].keys() == weights.keys()
+    for t in weights:
+        assert r.details["p_T"][t] == pytest.approx(weights[t], abs=tol)
+
+    assert check_projection_lemma(s).residual == pytest.approx(_ref_projection_lemma(s), abs=tol)
+
+    for pair, partner in (("ab", 1), ("ac", 2)):
+        for t in (0, 1):
+            r = check_sos_identity(s, pair, t)
+            residual, min_eig = _ref_sos(s, partner, t)
+            assert r.residual == pytest.approx(residual, abs=tol), (pair, t)
+            assert r.details["min_eigenvalue_lhs"] == pytest.approx(min_eig, abs=tol), (pair, t)
+
+    slacks = _ref_tsirelson_slacks(s)
+    r = check_weighted_tsirelson(s)
+    assert r.details["slacks"].keys() == slacks.keys()
+    for key, slack in slacks.items():
+        assert r.details["slacks"][key] == pytest.approx(slack, abs=tol), key
+    assert r.residual == pytest.approx(max(0.0, *(-v for v in slacks.values())), abs=tol)
+
+
+def test_generic_reference_cases_are_not_trivial():
+    # The generic strategy must tell parties and branches apart, or the
+    # reference comparison above could not catch a check reading the wrong
+    # ones. The SOS identity holds for any projective family, so there its
+    # minimum eigenvalue is what depends on the partner.
+    s = _generic_strategy(0)
+    assert _ref_flag_consistency(s)[0] > 0.1
+    assert _ref_projection_lemma(s) > 0.1
+    min_eigs = {(partner, t): _ref_sos(s, partner, t)[1] for partner in (1, 2) for t in (0, 1)}
+    assert abs(min_eigs[1, 0] - min_eigs[2, 0]) > 1e-3 and abs(min_eigs[1, 1] - min_eigs[2, 1]) > 1e-3
+    slacks = _ref_tsirelson_slacks(s)
+    assert abs(slacks["ab_t0"] - slacks["ac_t1"]) > 1e-3
+
+
+def test_purification_is_computed_once_per_strategy(monkeypatch):
+    import flagcka.strategies as strategies_module
+
+    calls = []
+    real = strategies_module.purify
+    monkeypatch.setattr(strategies_module, "purify", lambda rho: calls.append(1) or real(rho))
+    s = honest_flagged_strategy()
+    reports = run_check_suite(s, "all")
+    assert len(calls) == 1
+    assert all(r.passed for r in reports)
+    assert not s.purification.flags.writeable

@@ -166,3 +166,34 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"gamma": 2.0}))
     assert main(["simulate", "--config", str(cfg)]) == 1
+
+
+def test_verify_rejects_negative_seeds(capsys):
+    assert main(["verify", "--seeds", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seeds" in captured.err
+
+
+_SUITE_NAMES = {
+    "lemma": ["flag_consistency", "projection_lemma"],
+    "sos": ["sos_identity_ab_t0", "sos_identity_ab_t1", "sos_identity_ac_t0", "sos_identity_ac_t1"],
+    "tsirelson": ["weighted_tsirelson"],
+    "decoupling": ["decoupling_t0", "decoupling_t1"],
+}
+
+
+@pytest.mark.parametrize("suite", ["all", "sos", "lemma", "tsirelson", "decoupling"])
+def test_verify_report_order(suite, capsys):
+    assert main(["verify", "--suite", suite, "--seeds", "3"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)]
+    if suite == "all":
+        random_block = _SUITE_NAMES["lemma"] + _SUITE_NAMES["sos"] + _SUITE_NAMES["tsirelson"]
+        expected = random_block + _SUITE_NAMES["decoupling"] + 3 * random_block
+        assert len(expected) == 9 + 3 * 7
+    elif suite == "decoupling":
+        # Decoupling runs on the honest strategy only.
+        expected = _SUITE_NAMES["decoupling"]
+    else:
+        expected = 4 * _SUITE_NAMES[suite]
+    assert names == expected

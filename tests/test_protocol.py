@@ -552,3 +552,56 @@ def test_transcript_from_records_matches_columns():
         Transcript(strategy_kind="flagged", n_rounds=2, rounds=[replace(r, index=r.index + 1) for r in tr.rounds[:2]])
     with pytest.raises(ValueError):
         Transcript(strategy_kind="flagged", n_rounds=1, rounds=[replace(tr.rounds[0], round_type="other")])
+
+
+def test_flag_mismatch_abort_reports_where():
+    from flagcka.protocol import COLUMNS
+
+    cfg = ProtocolConfig(n_rounds=1000, seed=13)
+    tr = run_rounds(cfg)
+    tb = COLUMNS.index("tb")
+    for rate in (0.001, 0.05, 1.0):
+        bad = apply_tamper(tr, f"flag-flip:{rate}", np.random.default_rng(0))
+        res = postprocess(bad, cfg)
+        assert res.abort_reason == "FlagMismatch"
+        flipped = np.flatnonzero(bad.data[:, tb] != tr.data[:, tb])
+        assert res.stats["flag_mismatch_round"] == flipped[0]
+        assert res.stats["flag_mismatch_parties"] == ["bob"]
+        assert res.stats["flag_mismatch_count"] == len(flipped) == math.ceil(rate * 1000)
+        assert "bell_margin_stderr" not in res.stats
+        assert json.loads(result_to_json(res))["stats"]["flag_mismatch_parties"] == ["bob"]
+
+
+def test_flag_mismatch_names_the_odd_party_out():
+    from flagcka.protocol import COLUMNS
+
+    cfg = ProtocolConfig(n_rounds=500, seed=3)
+    tr = run_rounds(cfg)
+    ta = COLUMNS.index("ta")
+    tr.data[[7, 40], ta] ^= 1
+    res = postprocess(tr, cfg)
+    assert res.abort_reason == "FlagMismatch"
+    assert res.stats["flag_mismatch_round"] == 7
+    assert res.stats["flag_mismatch_parties"] == ["alice"]
+    assert res.stats["flag_mismatch_count"] == 2
+
+
+def test_flag_constant_abort_reports_value():
+    cfg = ProtocolConfig(n_rounds=1000, seed=13)
+    tr = run_rounds(cfg)
+    for t in (0, 1):
+        res = postprocess(apply_tamper(tr, f"flag-constant:{t}", np.random.default_rng(0)), cfg)
+        assert res.abort_reason == "FlagConstant"
+        assert res.stats["flag_constant_value"] == t
+        assert "flag_mismatch_round" not in res.stats
+
+
+def test_bell_margin_in_standard_errors():
+    low, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=2, visibility=0.7))
+    assert low.abort_reason == "BellBelowThreshold"
+    s = low.stats
+    assert s["bell_margin_stderr"] == (s["bell_estimate"] - s["bell_threshold"]) / s["bell_stderr"]
+    assert s["bell_margin_stderr"] < 0.0
+    honest, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=2))
+    assert honest.outcome == "completed"
+    assert honest.stats["bell_margin_stderr"] > 0.0
