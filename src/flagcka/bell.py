@@ -24,13 +24,13 @@ so that mass can only lower the value. The same tensors give the values
 (bell_value_stderr) and the local bound by enumeration
 (local_bound_bruteforce).
 
-Each block reads the third party's (the spectator's) input at 0. Test
-rounds never use the generation input 2, and for an exact no-signalling
-behavior the spectator's input leaves the pair's marginal unchanged, so
-one setting suffices. On sampled data it costs data: test triples with
-spectator input 1 feed no block. Pooling over spectator inputs {0, 1}
-is a change to the tensor alone, weight 1/2 at each, and every evaluator
-above follows it.
+Each block pools over the third party's (the spectator's) test inputs:
+a term reads the cells at spectator input 0 and at 1, with half its sign
+on each. For an exact no-signalling behavior the spectator's input leaves
+the pair's marginal unchanged, so this is the same value as reading one
+input; on sampled data every test round feeds every block, which halves
+the range of a round's contribution and narrows the estimate. Test
+rounds never use the generation input 2.
 """
 
 from __future__ import annotations
@@ -73,19 +73,17 @@ CHSH_QUANTUM_MAX = 2.0 * SQRT2
 GENERATION_INPUTS = (0, 2, 2)
 TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
 
-# Spectator input used when a CHSH block marginalizes the third party.
-_SPECTATOR_INPUT = 0
-
-# Per kind and block, the table cells read by CHSH term (x, w, a, b), one
-# entry per table axis: a term letter, a fixed index, or ":" to sum out.
+# Per kind and block, the table cells read by CHSH term (x, w, a, b) at
+# spectator input s, one entry per table axis: a term letter, a fixed
+# index, or ":" to sum out.
 _BLOCK_CELLS = {
     "flagged": {
-        "ab_t0": ("x", "w", _SPECTATOR_INPUT, "a", 0, "b", 0, ":", 0),
-        "ac_t1": ("x", _SPECTATOR_INPUT, "w", "a", 1, ":", 1, "b", 1),
+        "ab_t0": ("x", "w", "s", "a", 0, "b", 0, ":", 0),
+        "ac_t1": ("x", "s", "w", "a", 1, ":", 1, "b", 1),
     },
     "parallel": {
-        "pair_ab": ("x", "w", _SPECTATOR_INPUT, "a", ":", "b", ":", ":", ":"),
-        "pair_ac": ("x", _SPECTATOR_INPUT, "w", ":", "a", ":", ":", ":", "b"),
+        "pair_ab": ("x", "w", "s", "a", ":", "b", ":", ":", ":"),
+        "pair_ac": ("x", "s", "w", ":", "a", ":", ":", ":", "b"),
     },
 }
 
@@ -93,12 +91,12 @@ _BLOCK_CELLS = {
 def _chsh_tensors() -> dict:
     """Kind -> read-only (2, *TABLE_SHAPE) coefficient tensor, one slice per block."""
     tensors = {kind: np.zeros((len(cells), *TABLE_SHAPE)) for kind, cells in _BLOCK_CELLS.items()}
-    for x, w, a, b in itertools.product((0, 1), repeat=4):
-        term = {"x": x, "w": w, "a": a, "b": b, ":": slice(None)}
-        sign = (-1.0) ** (a + b + x * w)
+    for x, w, s, a, b in itertools.product((0, 1), repeat=5):
+        term = {"x": x, "w": w, "s": s, "a": a, "b": b, ":": slice(None)}
+        coeff = (-1.0) ** (a + b + x * w) / 2
         for kind, cells in _BLOCK_CELLS.items():
             for k, cell in enumerate(cells.values()):
-                tensors[kind][(k, *(term.get(v, v) for v in cell))] = sign
+                tensors[kind][(k, *(term.get(v, v) for v in cell))] = coeff
     for tensor in tensors.values():
         tensor.setflags(write=False)
     return tensors

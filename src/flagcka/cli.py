@@ -26,7 +26,7 @@ from .protocol import (
     postprocess,
     result_to_json,
     run_rounds,
-    transcript_to_jsonl,
+    write_transcript_jsonl,
 )
 from .rates import BoundMethod, curve_to_csv, no_flag_reference_rate, rate_report, robustness_curve
 from .strategies import honest_flagged_strategy, random_projective_strategy
@@ -113,7 +113,7 @@ def _simulate(args) -> int:
     result = postprocess(transcript, config)
     if args.transcript:
         with open(args.transcript, "w") as fh:
-            fh.write(transcript_to_jsonl(transcript))
+            write_transcript_jsonl(transcript, fh)
     if args.keys_dir and result.outcome == "completed":
         import os
 

@@ -21,9 +21,10 @@ One run proceeds in seven steps:
      recover the Alice-Bob string as the conference key
 
 All announcements are deferred to after the last round, so devices can
-gain nothing from the public transcript. Steps 1-3 of a run read one
-block of uniforms, default_rng(seed).random((n_rounds, 7)); row r serves
-round r:
+gain nothing from the public transcript. Steps 1-3 of a run read the
+uniforms default_rng(seed).random((n_rounds, 7)), drawn BLOCK_ROWS rows
+at a time (the generator fills in stream order, so the numbers do not
+depend on the block size); row r serves round r:
 
   column 0     round type: a test round when the draw is below gamma
   columns 1-3  test-round inputs of Alice, Bob and Carole: 1 when the
@@ -85,6 +86,7 @@ __all__ = [
     "config_to_json",
     "config_from_json",
     "transcript_to_jsonl",
+    "write_transcript_jsonl",
     "result_to_json",
 ]
 
@@ -95,6 +97,11 @@ PARALLEL_QUANTUM_MAX = BELL_FUNCTIONALS["parallel"].quantum_max
 COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
 _A, _TA, _B, _TB, _C, _TC = range(3, 9)
 _ROUND_TYPES = ("generation", "test")
+# Rounds drawn, sampled and rendered as JSONL per block, so that the table
+# backend's temporaries are bounded by a block whatever the number of
+# rounds. The collapse backend keeps each round's three collapse draws
+# for its one prefix walk per run.
+BLOCK_ROWS = 1 << 14
 # One round's schedule as (event, party or None).
 _ROUND_EVENTS = (
     ("distribute", None),
@@ -253,13 +260,11 @@ def _pick(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _table_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome indices (N, 3) sampled from the sequential Born chain.
+def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative conditional tables of the sequential Born chain.
 
-    Cumulative conditional tables, one row of four per conditioning, are
-    precomputed from the strategy behavior: Alice's given x, Bob's given
-    (x, oa, y), Carole's given (x, oa, y, ob, z). Given the same draws this
-    reproduces the explicit-collapse outcomes.
+    One row of four per conditioning, from the strategy behavior: Alice's
+    given x, Bob's given (x, oa, y), Carole's given (x, oa, y, ob, z).
     """
     from .bell import behavior_from_strategy
 
@@ -281,7 +286,15 @@ def _table_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -
     cum_a = np.cumsum(p_a, axis=-1)
     cum_b = np.cumsum(cond_b, axis=-1).transpose(0, 2, 1, 3).reshape(-1, 4)
     cum_c = np.cumsum(cond_c, axis=-1).transpose(0, 3, 1, 4, 2, 5).reshape(-1, 4)
-    x, y, z = inputs.T
+    return cum_a, cum_b, cum_c
+
+
+def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome indices (N, 3) picked from the `_cumulative_tables` rows the
+    inputs and earlier outcomes select. Given the same draws this
+    reproduces the explicit-collapse outcomes."""
+    cum_a, cum_b, cum_c = tables
+    x, y, z = inputs.astype(np.intp).T
     oa = _pick(cum_a[x], draws[:, 0])
     row_b = (x * 4 + oa) * 3 + y
     ob = _pick(cum_b[row_b], draws[:, 1])
@@ -337,22 +350,39 @@ def _build_strategy(config: ProtocolConfig) -> Strategy:
 def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Transcript:
     """Steps 1-3: distribute, announce round type, choose inputs, measure.
 
-    See the module docstring for the layout of the draws. Announcements
-    of flags and test data happen in postprocess.
+    See the module docstring for the layout of the draws, which are read
+    BLOCK_ROWS rows at a time. Announcements of flags and test data
+    happen in postprocess.
     """
     strategy = _build_strategy(config) if strategy is None else strategy
     if strategy.kind != config.strategy_kind:
         raise ValueError(f"strategy kind {strategy.kind!r} does not match config {config.strategy_kind!r}")
     n = config.n_rounds
-    u = np.random.default_rng(config.seed).random((n, 7))
-    test = u[:, 0] < config.gamma
-    inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-    outcomes = (_table_outcomes if config.backend == "table" else _collapse_outcomes)(strategy, inputs, u[:, 4:])
+    rng = np.random.default_rng(config.seed)
+    test = np.empty(n, dtype=bool)
     data = np.empty((n, len(COLUMNS)), dtype=np.int8)
-    data[:, :3] = inputs
-    data[:, _A::2] = outcomes >> 1
-    data[:, _TA::2] = outcomes & 1
+    if config.backend == "table":
+        tables = _cumulative_tables(strategy)
+    else:
+        draws = np.empty((n, 3))
+    for start in range(0, n, BLOCK_ROWS):
+        u = rng.random((min(BLOCK_ROWS, n - start), 7))
+        block = slice(start, start + len(u))
+        test[block] = u[:, 0] < config.gamma
+        data[block, :3] = np.where(test[block, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
+        if config.backend == "table":
+            _set_outcomes(data[block], _table_outcomes(tables, data[block, :3], u[:, 4:]))
+        else:
+            draws[block] = u[:, 4:]
+    if config.backend == "collapse":
+        _set_outcomes(data, _collapse_outcomes(strategy, data[:, :3], draws))
     return Transcript(strategy.kind, n, test=test, data=data)
+
+
+def _set_outcomes(rows: np.ndarray, outcomes: np.ndarray) -> None:
+    """Write outcome indices o = 2*value + flag into the (value, flag) columns of `rows`."""
+    rows[:, _A::2] = outcomes >> 1
+    rows[:, _TA::2] = outcomes & 1
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -690,25 +720,54 @@ def config_from_json(text: str) -> ProtocolConfig:
     return ProtocolConfig(**kwargs)
 
 
-def transcript_to_jsonl(transcript: Transcript) -> str:
-    """One line per round: json.dumps of {"index", "type", "inputs", "outputs"}.
+# Per row code: weights of the columns (test, *COLUMNS) in the index of the
+# (round type, row) code in a C-ordered (2, *TABLE_SHAPE) array.
+_CODE_SHAPE = (2, *TABLE_SHAPE)
+_CODE_WEIGHTS = np.array([int(np.prod(_CODE_SHAPE[k + 1:])) for k in range(len(_CODE_SHAPE))], dtype=np.int32)
+_LINE_HEAD = '{"index": 0'
+
+
+def _line_tail(code: int) -> str:
+    """The JSONL line of a (round type, row) code, after its index."""
+    t, x, y, z, a, ta, b, tb, c, tc = (int(v) for v in np.unravel_index(code, _CODE_SHAPE))
+    line = json.dumps({"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]})
+    return line[len(_LINE_HEAD):] + "\n"
+
+
+def _jsonl_blocks(transcript: Transcript):
+    """The JSONL text of a transcript, BLOCK_ROWS lines at a time.
 
     A line depends on the round only through its index and its (round
-    type, row) code, of which a run has at most 576, so each code's line
-    is rendered by json.dumps once and reused after the index.
+    type, row) code, of which there are 1152, so each code's line is
+    rendered by json.dumps once per run, the first time a block holds it,
+    and reused after the index.
     """
-    shape = (2, *TABLE_SHAPE)
-    codes = np.ravel_multi_index((transcript.test.astype(np.intp), *transcript.data.T.astype(np.intp)), shape)
-    unique, inverse = np.unique(codes, return_inverse=True)
-    head = '{"index": 0'
-    tails = []
-    for code in unique.tolist():
-        t, x, y, z, a, ta, b, tb, c, tc = (int(v) for v in np.unravel_index(code, shape))
-        line = json.dumps(
-            {"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]}
-        )
-        tails.append(line[len(head):] + "\n")
-    return "".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(inverse.tolist())]) or "\n"
+    n = len(transcript.test)
+    if n == 0:
+        yield "\n"
+        return
+    tails = [None] * int(np.prod(_CODE_SHAPE))
+    rendered = np.zeros(len(tails), dtype=bool)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        codes = transcript.data[start:stop] @ _CODE_WEIGHTS[1:] + transcript.test[start:stop] * _CODE_WEIGHTS[0]
+        present = np.zeros_like(rendered)
+        present[codes] = True
+        for code in np.flatnonzero(present & ~rendered).tolist():
+            tails[code] = _line_tail(code)
+        rendered |= present
+        yield "".join([f'{{"index": {i}{tails[k]}' for i, k in zip(range(start, stop), codes.tolist())])
+
+
+def transcript_to_jsonl(transcript: Transcript) -> str:
+    """One line per round: json.dumps of {"index", "type", "inputs", "outputs"}."""
+    return "".join(_jsonl_blocks(transcript))
+
+
+def write_transcript_jsonl(transcript: Transcript, fh) -> None:
+    """Write transcript_to_jsonl's text to the text file `fh`, one block at a time."""
+    for block in _jsonl_blocks(transcript):
+        fh.write(block)
 
 
 def result_to_json(result: ProtocolResult) -> str:

@@ -281,17 +281,22 @@ def _chsh(joint):
 
 
 def _reference_blocks(t):
-    """Every block of both kinds, written out term by term with the
-    spectator's input at 0; `t` need not be a normalized behavior."""
+    """Every block of both kinds, written out term by term: the mean of
+    its CHSH values at the spectator's test inputs 0 and 1; `t` need not
+    be a normalized behavior."""
+
+    def pooled(joint):
+        return (_chsh(lambda x, w: joint(x, w, 0)) + _chsh(lambda x, w: joint(x, w, 1))) / 2
+
     return {
         # all three flags 0; sum Carole's value -> p(a, b)
-        "ab_t0": _chsh(lambda x, w: t[x, w, 0, :, 0, :, 0, :, 0].sum(axis=2)),
+        "ab_t0": pooled(lambda x, w, s: t[x, w, s, :, 0, :, 0, :, 0].sum(axis=2)),
         # all three flags 1; sum Bob's value -> p(a, c)
-        "ac_t1": _chsh(lambda x, w: t[x, 0, w, :, 1, :, 1, :, 1].sum(axis=1)),
+        "ac_t1": pooled(lambda x, w, s: t[x, s, w, :, 1, :, 1, :, 1].sum(axis=1)),
         # first bits of Alice and Bob -> p(a, b)
-        "pair_ab": _chsh(lambda x, w: t[x, w, 0].sum(axis=(1, 3, 4, 5))),
+        "pair_ab": pooled(lambda x, w, s: t[x, w, s].sum(axis=(1, 3, 4, 5))),
         # second bits of Alice and Carole -> p(ta, tc)
-        "pair_ac": _chsh(lambda x, w: t[x, 0, w].sum(axis=(0, 2, 3, 4))),
+        "pair_ac": pooled(lambda x, w, s: t[x, s, w].sum(axis=(0, 2, 3, 4))),
     }
 
 

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy
 from flagcka.protocol import (
+    BLOCK_ROWS,
     PARALLEL_QUANTUM_MAX,
     ProtocolConfig,
     RoundRecord,
@@ -22,10 +26,13 @@ from flagcka.protocol import (
     run_rounds,
     sift_pair_keys,
     transcript_to_jsonl,
+    write_transcript_jsonl,
     xor_reconcile,
     _build_strategy,
     _collapse_outcomes,
+    _cumulative_tables,
     _default_threshold,
+    _table_outcomes,
 )
 from flagcka.qops import measure_collapse, projector, random_density_operator, random_unitary, select_outcome
 from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, Strategy
@@ -457,7 +464,7 @@ def test_transcript_jsonl():
 
 
 def test_result_json():
-    res, _ = run_protocol(ProtocolConfig(n_rounds=500, seed=4))
+    res, _ = run_protocol(ProtocolConfig(n_rounds=2000, seed=4))
     doc = json.loads(result_to_json(res))
     assert doc["outcome"] == "completed"
     assert set(doc["keys"]) == {"alice", "bob", "carole"}
@@ -597,7 +604,7 @@ def test_flag_constant_abort_reports_value():
 
 
 def test_bell_margin_in_standard_errors():
-    low, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=2, visibility=0.7))
+    low, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=2, visibility=0.5))
     assert low.abort_reason == "BellBelowThreshold"
     s = low.stats
     assert s["bell_margin_stderr"] == (s["bell_estimate"] - s["bell_threshold"]) / s["bell_stderr"]
@@ -605,3 +612,65 @@ def test_bell_margin_in_standard_errors():
     honest, _ = run_protocol(ProtocolConfig(n_rounds=3000, seed=2))
     assert honest.outcome == "completed"
     assert honest.stats["bell_margin_stderr"] > 0.0
+
+
+def test_pooled_bell_estimate_spread():
+    # Every test round feeds both blocks of the pooled functional; reading
+    # the spectator's input 0 only, the spread at 2000 rounds is ~0.23.
+    estimates = [run_protocol(ProtocolConfig(n_rounds=2000, seed=seed))[0].stats["bell_estimate"] for seed in range(200)]
+    assert np.std(estimates) < 0.2
+
+
+def _one_block_rounds(config):
+    """run_rounds' (test, data) with all uniforms drawn as one block."""
+    u = np.random.default_rng(config.seed).random((config.n_rounds, 7))
+    test = u[:, 0] < config.gamma
+    inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
+    outcomes = _table_outcomes(_cumulative_tables(_build_strategy(config)), inputs, u[:, 4:])
+    bits = np.stack((outcomes >> 1, outcomes & 1), axis=2).reshape(-1, 6)
+    return test, np.column_stack((inputs, bits)).astype(np.int8)
+
+
+@pytest.mark.parametrize("n_rounds", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("backend", ["table", "collapse"])
+def test_block_draws_match_one_block(backend, n_rounds):
+    config = ProtocolConfig(n_rounds=n_rounds, seed=17, visibility=0.9, backend=backend)
+    transcript = run_rounds(config)
+    test, data = _one_block_rounds(config)
+    assert np.array_equal(transcript.test, test)
+    assert np.array_equal(transcript.data, data)
+
+
+@pytest.mark.parametrize("n_rounds", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+def test_written_jsonl_matches_joined_text(n_rounds):
+    tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=23, visibility=0.8))
+    fh = io.StringIO()
+    write_transcript_jsonl(tr, fh)
+    text = transcript_to_jsonl(tr)
+    assert fh.getvalue() == text
+    assert text.count("\n") == n_rounds and text.endswith("\n")
+    lines = text.splitlines(keepends=True)
+    for r in (0, n_rounds // 2, n_rounds - 1):
+        record = {"index": r, "type": ("generation", "test")[int(tr.test[r])], "inputs": tr.data[r, :3].tolist()}
+        record["outputs"] = tr.data[r, 3:].reshape(3, 2).tolist()
+        assert lines[r] == json.dumps(record) + "\n"
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_flat_in_rounds():
+    # Twice the rounds may add the 10 bytes per round a transcript keeps,
+    # 1 MB here, but no temporary that grows with the rounds.
+    configs = [ProtocolConfig(n_rounds=n_rounds, seed=29) for n_rounds in (100_000, 200_000)]
+    sampled = [_traced_peak(lambda: run_rounds(config)) for config in configs]
+    with open(os.devnull, "w") as sink:
+        written = [_traced_peak(lambda: write_transcript_jsonl(tr, sink)) for tr in map(run_rounds, configs)]
+    growth_mb = [(peaks[1] - peaks[0]) / 2**20 for peaks in (sampled, written)]
+    assert max(growth_mb) <= 2.0, growth_mb
