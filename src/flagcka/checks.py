@@ -279,14 +279,13 @@ def check_decoupling(strategy: Strategy, t: int = 0, tolerance: float = ATOL_STA
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
-    dim = strategy.state.shape[0]
-    psi_mat = strategy.purification.reshape(dim, -1)
-    env = psi_mat.shape[1]
-    blocks = []
-    for a in (0, 1):
-        effect = strategy.effect(0, 0, (a, t))
-        # Purifier-side subnormalized state Tr_parties[(M (x) 1)|psi><psi|].
-        blocks.append(psi_mat.T @ effect.T @ psi_mat.conj())
+    psi = strategy.purification.reshape(*strategy.party_dims, -1)
+    env = psi.shape[-1]
+    effects = np.stack([strategy.measurements[0][0][(a, t)] for a in (0, 1)])
+    # Purifier-side subnormalized state Tr_parties[(M (x) 1)|psi><psi|], with
+    # M applied to Alice's axis of the (party, party, party, purifier) tensor.
+    applied = _apply_local(effects, psi, 0).reshape(2, -1, env)
+    blocks = [m.T @ psi.reshape(-1, env).conj() for m in applied]
     weight = float(sum(b.trace().real for b in blocks))
     if weight <= 1e-12:
         return _report(f"decoupling_t{t}", np.inf, tolerance, reason="vanishing branch weight")

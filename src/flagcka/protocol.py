@@ -57,7 +57,6 @@ from .bell import (
 )
 from .qops import born_probabilities, check_effects_complete, select_outcome
 from .strategies import (
-    N_INPUTS,
     OUTCOME_LABELS,
     NoiseParams,
     Strategy,
@@ -311,33 +310,36 @@ def _collapse_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray
     are walked as a tree of the prefixes they reach: each prefix's Born
     distribution is computed once, and all rounds sharing it select their
     outcomes from it with `select_outcome`, the rule `measure_collapse`
-    uses. Each outcome's state P rho P / p is formed as `measure_collapse`
-    forms it and lives only while its subtree is walked; nothing reads the
-    state after Carole's measurement, so it is never formed. Each embedded
-    (party, input) family is checked complete once.
+    uses. A level of the tree holds the reduced state of the parties still
+    to measure. Alice measures Tr_BC rho; her outcome, of projector P and
+    probability p, leaves rho_BC = Tr_A[(P (x) I) rho] / p, which is Tr_A
+    of the collapsed state (P (x) I) rho (P (x) I) / p since P^2 = P.
+    Bob measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC] / p.
+    Each local (party, input) family is checked complete once.
     """
-    effects = [
-        [{label: strategy.effect(p, x, label) for label in strategy.measurements[p][x]} for x in range(N_INPUTS[p])]
-        for p in range(3)
-    ]
-    for families in effects:
-        for family in families:
+    for families in strategy.measurements:
+        for family in families.values():
             check_effects_complete(family)
     out = np.empty(inputs.shape, dtype=np.intp)
-    _walk_prefixes(0, np.arange(len(inputs)), strategy.state, effects, inputs, draws, out)
+    _walk_prefixes(0, np.arange(len(inputs)), strategy.state, strategy, inputs, draws, out)
     return out
 
 
-def _walk_prefixes(party, rows, rho, effects, inputs, draws, out) -> None:
-    """Fill out[rows, party:] for the rounds `rows`, whose earlier parties left them in state `rho`."""
-    for x in np.unique(inputs[rows, party]).tolist():
-        group = rows[inputs[rows, party] == x]
-        pvals = list(born_probabilities(rho, effects[party][x]).values())
+def _walk_prefixes(party, rows, rho, strategy, inputs, draws, out) -> None:
+    """Fill out[rows, party:] for the rounds `rows`; `rho` is the state of `party` and the parties after it."""
+    d = strategy.party_dims[party]
+    rho = rho.reshape(d, rho.shape[0] // d, d, -1)
+    local = np.einsum("ijkj->ik", rho)
+    xs = inputs[rows, party]
+    for x in np.flatnonzero(np.bincount(xs)).tolist():
+        group = rows[xs == x]
+        family = strategy.measurements[party][x]
+        pvals = list(born_probabilities(local, family).values())
         picked = out[group, party] = select_outcome(pvals, np.cumsum(pvals), draws[group, party])
         if party < 2:
-            for o in np.unique(picked).tolist():
-                proj = effects[party][x][OUTCOME_LABELS[o]]
-                _walk_prefixes(party + 1, group[picked == o], proj @ rho @ proj / pvals[o], effects, inputs, draws, out)
+            for o in np.flatnonzero(np.bincount(picked)).tolist():
+                reduced = np.einsum("ki,ibkc->bc", family[OUTCOME_LABELS[o]], rho) / pvals[o]
+                _walk_prefixes(party + 1, group[picked == o], reduced, strategy, inputs, draws, out)
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:

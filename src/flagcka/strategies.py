@@ -68,13 +68,10 @@ class NoiseParams:
     """Depolarizing noise on each entangled pair; flags stay noiseless."""
 
     visibility: float = 1.0
-    flag_noise: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.flag_noise != 0.0:
-            raise ValueError("flag register noise is not modelled; flag_noise must be 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,12 +17,15 @@ from flagcka.checks import (
 from flagcka.qops import (
     basis_ket,
     identity,
+    partial_trace,
     plus_ket,
     projector,
     purify,
     random_density_operator,
     random_unitary,
     tensor,
+    trace_distance,
+    von_neumann_entropy,
 )
 from flagcka.strategies import (
     N_INPUTS,
@@ -204,6 +207,53 @@ def test_decoupling_vanishing_branch():
     r = check_decoupling(constant_flag_strategy(1), 0)
     assert not r.passed
     assert np.isinf(r.residual)
+
+
+def _decoupling_embedded(strategy, t):
+    """check_decoupling's numbers with Alice's effect embedded into the full space."""
+    dim = strategy.state.shape[0]
+    psi_mat = strategy.purification.reshape(dim, -1)
+    env = psi_mat.shape[1]
+    blocks = [psi_mat.T @ strategy.effect(0, 0, (a, t)).T @ psi_mat.conj() for a in (0, 1)]
+    weight = float(sum(b.trace().real for b in blocks))
+    rho_ae = np.zeros((2 * env, 2 * env), dtype=complex)
+    for a, block in enumerate(blocks):
+        rho_ae[a * env:(a + 1) * env, a * env:(a + 1) * env] = block / weight
+    rho_ae = (rho_ae + rho_ae.conj().T) / 2.0
+    rho_e = partial_trace(rho_ae, [2, env], [1])
+    distance = trace_distance(rho_ae, np.kron(np.eye(2) / 2.0, rho_e))
+    return distance, von_neumann_entropy(rho_ae) - von_neumann_entropy(rho_e), weight
+
+
+def test_decoupling_matches_embedded_effect():
+    # Unequal local dimensions (Alice 2, then 4 and 3) catch an effect
+    # applied to the wrong axis of the purification tensor.
+    rng = np.random.default_rng(12)
+    dims = (2, 4, 3)
+
+    def family(d):
+        u = random_unitary(d, rng)
+        effects = [projector(u[:, i]) for i in range(d)] + [np.zeros((d, d), dtype=complex)] * (4 - d)
+        return dict(zip(OUTCOME_LABELS, effects))
+
+    generic = Strategy(
+        random_density_operator(24, rng),
+        dims,
+        tuple({x: family(d) for x in range(N_INPUTS[p])} for p, d in enumerate(dims)),
+    )
+    strategies = [
+        honest_flagged_strategy(),
+        honest_flagged_strategy(NoiseParams(visibility=0.9)),
+        *(random_projective_strategy(seed, NoiseParams(visibility=0.95)) for seed in range(3)),
+        generic,
+    ]
+    for strategy in strategies:
+        for t in (0, 1):
+            report = check_decoupling(strategy, t)
+            distance, entropy, weight = _decoupling_embedded(strategy, t)
+            assert report.residual == pytest.approx(distance, abs=1e-12)
+            assert report.details["conditional_entropy"] == pytest.approx(entropy, abs=1e-12)
+            assert report.details["branch_weight"] == pytest.approx(weight, abs=1e-12)
 
 
 def test_random_strategies_pass_operator_checks():

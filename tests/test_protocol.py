@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy
 from flagcka.protocol import (
@@ -35,7 +37,7 @@ from flagcka.protocol import (
     _table_outcomes,
 )
 from flagcka.qops import measure_collapse, projector, random_density_operator, random_unitary, select_outcome
-from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, Strategy
+from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, Strategy, random_projective_strategy
 
 
 def test_config_validation():
@@ -135,6 +137,63 @@ def test_memoised_collapse_matches_loop_on_a_generic_strategy():
     assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), _collapse_outcomes_reference(strategy, inputs, draws))
 
 
+def _unequal_dims_strategy(seed):
+    # Local dimensions 2, 4 and 3: each family is a random orthonormal
+    # basis, padded with zero projectors at random labels up to the four
+    # outcomes. A reshape or an axis-order slip that all-4 dimensions
+    # would hide mixes up the parties' spaces here.
+    rng = np.random.default_rng(seed)
+    dims = (2, 4, 3)
+
+    def family(d):
+        u = random_unitary(d, rng)
+        effects = [projector(u[:, i]) for i in range(d)] + [np.zeros((d, d), dtype=complex)] * (4 - d)
+        return {label: effects[i] for label, i in zip(OUTCOME_LABELS, rng.permutation(4))}
+
+    measurements = tuple({x: family(d) for x in range(N_INPUTS[p])} for p, d in enumerate(dims))
+    return Strategy(random_density_operator(int(np.prod(dims)), rng), dims, measurements)
+
+
+def test_memoised_collapse_matches_loop_with_unequal_local_dims():
+    strategy = _unequal_dims_strategy(8)
+    inputs, draws = _layout_rows(2000, 4)
+    expected = _collapse_outcomes_reference(strategy, inputs, draws)
+    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), expected)
+    # Each (party, input) picks exactly the labels of its nonzero projectors.
+    for p in range(3):
+        for x, family in strategy.measurements[p].items():
+            nonzero = {o for o, label in enumerate(OUTCOME_LABELS) if np.any(family[label])}
+            assert set(expected[inputs[:, p] == x, p].tolist()) == nonzero
+
+
+def test_collapse_measures_reduced_local_states(monkeypatch):
+    # The walk measures each party's d x d reduced state with its local
+    # family: it never embeds an effect into the full space.
+    import flagcka.protocol as protocol
+    import flagcka.qops as qops
+    import flagcka.strategies as strategies
+
+    strategy = _unequal_dims_strategy(8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the collapse path embedded an operator")
+
+    monkeypatch.setattr(Strategy, "effect", forbidden)
+    monkeypatch.setattr(strategies, "tensor", forbidden)
+    monkeypatch.setattr(qops, "tensor", forbidden)
+    shapes = []
+    original = protocol.born_probabilities
+
+    def recording(rho, family):
+        shapes.append((rho.shape, next(iter(family.values())).shape))
+        return original(rho, family)
+
+    monkeypatch.setattr(protocol, "born_probabilities", recording)
+    run_rounds(ProtocolConfig(n_rounds=2000, seed=2, backend="collapse"), strategy)
+    assert shapes and all(state == effect for state, effect in shapes)
+    assert {state for state, _ in shapes} == {(d, d) for d in strategy.party_dims}
+
+
 def _prefixes(transcript):
     x, y, z = transcript.data[:, :3].T.tolist()
     oa, ob, _ = (2 * transcript.data[:, 3:9:2] + transcript.data[:, 4:9:2]).T.tolist()
@@ -170,6 +229,23 @@ def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
 def test_backends_agree_draw_for_draw_at_scale(kind, visibility):
     table, collapse = (
         run_rounds(ProtocolConfig(n_rounds=20000, seed=31, strategy_kind=kind, visibility=visibility, backend=backend))
+        for backend in ("table", "collapse")
+    )
+    assert np.array_equal(table.test, collapse.test)
+    assert np.array_equal(table.data, collapse.data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    visibility=hst.sampled_from([1.0, 0.9]),
+    n_rounds=hst.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7]),
+    gamma=hst.floats(0.01, 0.99),
+)
+def test_backends_agree_draw_for_draw_on_random_strategies(seed, visibility, n_rounds, gamma):
+    strategy = random_projective_strategy(seed, NoiseParams(visibility=visibility))
+    table, collapse = (
+        run_rounds(ProtocolConfig(n_rounds=n_rounds, gamma=gamma, seed=seed, backend=backend), strategy)
         for backend in ("table", "collapse")
     )
     assert np.array_equal(table.test, collapse.test)
