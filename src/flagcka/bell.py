@@ -72,6 +72,9 @@ __all__ = [
 CHSH_QUANTUM_MAX = 2.0 * SQRT2
 GENERATION_INPUTS = (0, 2, 2)
 TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
+# Weights of a round's nine columns (x, y, z, a, ta, b, tb, c, tc) in the
+# flat index of its cell of a C-ordered TABLE_SHAPE table.
+CELL_WEIGHTS = np.array([math.prod(TABLE_SHAPE[k + 1:]) for k in range(len(TABLE_SHAPE))], dtype=np.int32)
 
 # Per kind and block, the table cells read by CHSH term (x, w, a, b) at
 # spectator input s, one entry per table axis: a term letter, a fixed
@@ -373,30 +376,24 @@ class BehaviorEstimate:
         return self.counts.reshape(2, 3, 3, -1).sum(axis=-1)
 
 
-def estimate_behavior(records) -> BehaviorEstimate:
-    """Empirical conditional frequencies from per-round (inputs, outputs).
+def estimate_behavior(rows: np.ndarray) -> BehaviorEstimate:
+    """Empirical conditional frequencies from an (N, 9) integer array.
 
-    Accepts an iterable of ((x, y, z), ((a, ta), (b, tb), (c, tc)))
-    pairs, or an (N, 9) integer array with the same columns. Cells of
-    input triples that never occur are left at zero and the triple is
-    reported in missing_inputs.
+    Each row is one round in the columns (x, y, z, a, ta, b, tb, c, tc),
+    counted at its cell's flat index: one code per row is the only
+    temporary that grows with N. Cells of input triples that never occur
+    are left at zero and the triple is reported in missing_inputs.
     """
-    if isinstance(records, np.ndarray):
-        rows = records.astype(np.int64, copy=False)
-        if rows.ndim != 2 or rows.shape[1] != 9:
-            raise ValueError(f"record array must have shape (N, 9), got {rows.shape}")
-    else:
-        rows = np.array(
-            [
-                (x, y, z, out[0][0], out[0][1], out[1][0], out[1][1], out[2][0], out[2][1])
-                for (x, y, z), out in records
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 9)
+    if not np.issubdtype(rows.dtype, np.integer) or rows.ndim != 2 or rows.shape[1] != len(TABLE_SHAPE):
+        raise ValueError(f"rows must be an integer array of shape (N, 9), got {rows.dtype} of shape {rows.shape}")
     counts = np.zeros(TABLE_SHAPE, dtype=np.int64)
-    if rows.shape[0]:
-        idx = np.ravel_multi_index(tuple(rows.T), TABLE_SHAPE)
-        counts = np.bincount(idx, minlength=counts.size).reshape(TABLE_SHAPE)
+    if len(rows):
+        if (rows.min(axis=0) < 0).any() or (rows.max(axis=0) >= TABLE_SHAPE).any():
+            raise ValueError(f"row values must lie below {TABLE_SHAPE} column by column")
+        # einsum, unlike matmul, casts the rows in buffered chunks, not as a
+        # whole copy; intp codes are what bincount reads without a copy.
+        codes = np.einsum("ij,j->i", rows, CELL_WEIGHTS, dtype=np.intp)
+        counts = np.bincount(codes, minlength=counts.size).reshape(TABLE_SHAPE)
     totals = counts.reshape(2, 3, 3, -1).sum(axis=-1)
     table = np.zeros(TABLE_SHAPE)
     nz = totals > 0

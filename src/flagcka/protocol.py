@@ -9,7 +9,7 @@ One run proceeds in seven steps:
      rounds and the fixed generation settings otherwise
   3. parties measure; each measurement device sees only its input and
      the shared state handle, never the round type
-  4. flag strings are announced; the run aborts if they differ anywhere
+  4. flags are announced; the run aborts if they differ anywhere
      (FlagMismatch) or if the common string is constant (FlagConstant)
   5. test-round data is announced, the Bell value estimated and compared
      against the threshold (BellBelowThreshold on failure); optionally a
@@ -50,6 +50,7 @@ import numpy as np
 
 from .bell import (
     BELL_FUNCTIONALS,
+    CELL_WEIGHTS,
     GENERATION_INPUTS,
     TABLE_SHAPE,
     bell_value_stderr,
@@ -68,7 +69,6 @@ __all__ = [
     "ABORT_REASONS",
     "PARTY_NAMES",
     "ProtocolConfig",
-    "RoundRecord",
     "Message",
     "Transcript",
     "SiftResult",
@@ -101,14 +101,6 @@ _ROUND_TYPES = ("generation", "test")
 # rounds. The collapse backend keeps each round's three collapse draws
 # for its one prefix walk per run.
 BLOCK_ROWS = 1 << 14
-# One round's schedule as (event, party or None).
-_ROUND_EVENTS = (
-    ("distribute", None),
-    *(("receipt", name) for name in PARTY_NAMES),
-    ("round_type", "alice"),
-    *(("input", name) for name in PARTY_NAMES),
-    *(("measure", name) for name in PARTY_NAMES),
-)
 
 
 @dataclass(frozen=True)
@@ -146,73 +138,32 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class RoundRecord:
-    index: int
-    round_type: str                          # "test" | "generation"
-    inputs: tuple[int, int, int]
-    outputs: tuple[tuple[int, int], ...]     # one (value, flag) pair per party
-
-
-@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     kind: str
-    round_index: int | None
     payload: object
 
 
 class Transcript:
-    """A run's rounds, stored as columns.
+    """A run's public record: its rounds as two arrays, and the announcements.
 
-    `test` marks the test rounds and `data` holds one int8 row per round
-    in the COLUMNS layout, which estimate_behavior reads directly.
-    `announcements` collects the messages of steps 4-7. The per-round
-    records, events and messages are derived on demand; passing
-    `rounds=[RoundRecord, ...]` converts the records to columns once.
+    `test` (N,) bool marks the test rounds and `data` (N, 9) int8 holds
+    one row per round in the COLUMNS layout, which estimate_behavior
+    reads directly. `announcements` collects the messages of steps 4-7,
+    all made after the last round; their payloads are views of, or
+    indices into, `test` and `data`, not copies.
     """
 
-    def __init__(self, strategy_kind: str, n_rounds: int, rounds=None, *, test=None, data=None):
-        if rounds is not None:
-            test, data = _columns(rounds)
-        elif data is None:
-            test, data = np.zeros(0, dtype=bool), np.zeros((0, len(COLUMNS)), dtype=np.int8)
+    def __init__(self, strategy_kind: str, test: np.ndarray, data: np.ndarray):
+        if test.dtype != bool or test.ndim != 1:
+            raise ValueError(f"test must be a 1-D bool array, got {test.dtype} of shape {test.shape}")
+        shape = (len(test), len(COLUMNS))
+        if data.dtype != np.int8 or data.shape != shape:
+            raise ValueError(f"data must be an int8 array of shape {shape}, got {data.dtype} of shape {data.shape}")
         self.strategy_kind = strategy_kind
-        self.n_rounds = n_rounds
         self.test = test
         self.data = data
         self.announcements: list[Message] = []
-
-    @property
-    def rounds(self) -> list[RoundRecord]:
-        return [
-            RoundRecord(i, _ROUND_TYPES[t], (x, y, z), ((a, ta), (b, tb), (c, tc)))
-            for i, (t, (x, y, z, a, ta, b, tb, c, tc)) in enumerate(zip(self.test.tolist(), self.data.tolist()))
-        ]
-
-    @property
-    def events(self) -> list[tuple]:
-        """(kind, round index, party or None) per event of every round."""
-        return [(kind, r, party) for r in range(len(self.test)) for kind, party in _ROUND_EVENTS]
-
-    @property
-    def messages(self) -> list[Message]:
-        """Per round three receipts and the round-type announcement, then
-        the announcements of steps 4-7."""
-        out = []
-        for r, t in enumerate(self.test.tolist()):
-            out += [Message(name, "Receipt", r, None) for name in PARTY_NAMES]
-            out.append(Message("alice", "RoundTypeAnnounce", r, _ROUND_TYPES[t]))
-        return out + self.announcements
-
-
-def _columns(rounds) -> tuple[np.ndarray, np.ndarray]:
-    if any(r.index != i for i, r in enumerate(rounds)):
-        raise ValueError("round records must be indexed 0, 1, 2, ... in order")
-    if any(r.round_type not in _ROUND_TYPES for r in rounds):
-        raise ValueError(f"round types must be one of {_ROUND_TYPES}")
-    test = np.array([r.round_type == "test" for r in rounds], dtype=bool)
-    data = np.array([(*r.inputs, *(bit for out in r.outputs for bit in out)) for r in rounds], dtype=np.int8)
-    return test, data.reshape(-1, len(COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -229,8 +180,8 @@ class SiftResult:
 class AlignmentResult:
     ok: bool
     match_rates: dict
-    excluded_ab: frozenset
-    excluded_ac: frozenset
+    excluded_ab: np.ndarray                   # indices of the rounds sampled, excluded from the key
+    excluded_ac: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -378,7 +329,7 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
             draws[block] = u[:, 4:]
     if config.backend == "collapse":
         _set_outcomes(data, _collapse_outcomes(strategy, data[:, :3], draws))
-    return Transcript(strategy.kind, n, test=test, data=data)
+    return Transcript(strategy.kind, test, data)
 
 
 def _set_outcomes(rows: np.ndarray, outcomes: np.ndarray) -> None:
@@ -466,7 +417,7 @@ def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, tuple[i
     return np.flatnonzero(feeds), routing.key_columns[pair]
 
 
-def sift_pair_keys(transcript: Transcript, exclude_ab=frozenset(), exclude_ac=frozenset()) -> SiftResult:
+def sift_pair_keys(transcript: Transcript, exclude_ab=(), exclude_ac=()) -> SiftResult:
     """Step-6 sifting into the two pairwise raw keys.
 
     Rounds and key bits follow the strategy kind's routing: flagged
@@ -474,13 +425,14 @@ def sift_pair_keys(transcript: Transcript, exclude_ab=frozenset(), exclude_ac=fr
     Alice-Bob on flag 0, Alice-Carole on flag 1; the two-pair strategy
     has no flags and every generation round feeds both keys, first
     output bits for Alice-Bob, second bits for Alice-Carole. Mismatch
-    counts compare Alice's bit against the partner's.
+    counts compare Alice's bit against the partner's. The exclusions are
+    arrays of round indices, such as AlignmentResult's.
     """
     bits = {}
     for pair, exclude in (("ab", exclude_ab), ("ac", exclude_ac)):
         rows, (alice, partner) = _pair_rounds(transcript, pair)
-        if exclude:
-            rows = rows[~np.isin(rows, np.fromiter(exclude, dtype=np.intp, count=len(exclude)))]
+        if len(exclude):
+            rows = rows[~np.isin(rows, exclude)]
         bits[pair] = (transcript.data[rows, alice], transcript.data[rows, partner])
     (ab_alice, ab_partner), (ac_alice, ac_partner) = bits["ab"], bits["ac"]
     return SiftResult(
@@ -530,12 +482,12 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
         k = math.ceil(fraction * len(rows))
         if k == 0:
             rates[pair] = None
-            excluded[pair] = frozenset()
+            excluded[pair] = rows[:0]
             continue
         sampled = rows[rng.choice(len(rows), size=k, replace=False)]
         data = transcript.data[sampled]
         rates[pair] = int(np.count_nonzero(data[:, alice] == data[:, partner])) / k
-        excluded[pair] = frozenset(sampled.tolist())
+        excluded[pair] = sampled
         if rates[pair] < floor:
             ok = False
     return AlignmentResult(ok=ok, match_rates=rates, excluded_ab=excluded["ab"], excluded_ac=excluded["ac"])
@@ -563,14 +515,14 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     announce = transcript.announcements.append
 
     def aborted(reason):
-        announce(Message("alice", "AbortNotice", None, reason))
+        announce(Message("alice", "AbortNotice", reason))
         return ProtocolResult(outcome="aborted", abort_reason=reason, keys={}, k_xor="", stats=stats)
 
     routing = _ROUTING[transcript.strategy_kind]
     if routing.by_flag:
         flags = [data[:, col] for col in (_TA, _TB, _TC)]
         for name, party_flags in zip(PARTY_NAMES, flags):
-            announce(Message(name, "FlagAnnounce", None, _bit_string(party_flags)))
+            announce(Message(name, "FlagAnnounce", party_flags))
         verdict = check_flag_agreement(*flags)
         if verdict != "ok":
             stats.update(_flag_abort_stats(verdict, flags))
@@ -580,12 +532,10 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         stats["p_t1_estimate"] = (len(test) - n_t0) / len(test)
 
     test_index = np.flatnonzero(test)
-    test_rows = data[test_index]
     for i, name in enumerate(PARTY_NAMES):
-        # Per test round: round index, input, output value, output flag.
-        payload = np.column_stack((test_index, test_rows[:, i], test_rows[:, _A + 2 * i], test_rows[:, _TA + 2 * i]))
-        announce(Message(name, "TestDataAnnounce", None, payload))
-    estimate = estimate_behavior(test_rows)
+        # The test rounds' indices, and the party's input, value and flag columns.
+        announce(Message(name, "TestDataAnnounce", (test_index, (i, _A + 2 * i, _TA + 2 * i))))
+    estimate = estimate_behavior(data[test_index])
     observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold
@@ -616,7 +566,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
     else:
         k_xor, k_cka = "", ""
-    announce(Message("alice", "XorAnnounce", None, k_xor))
+    announce(Message("alice", "XorAnnounce", k_xor))
     m = len(k_cka)
     keys = {
         "alice": k_cka,
@@ -662,7 +612,7 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
         data[:, _TA::2] = t
     else:
         raise ValueError(f"unknown tamper kind {kind!r}")
-    return Transcript(transcript.strategy_kind, transcript.n_rounds, test=transcript.test.copy(), data=data)
+    return Transcript(transcript.strategy_kind, transcript.test.copy(), data)
 
 
 _CONFIG_KEYS = {
@@ -722,10 +672,10 @@ def config_from_json(text: str) -> ProtocolConfig:
     return ProtocolConfig(**kwargs)
 
 
-# Per row code: weights of the columns (test, *COLUMNS) in the index of the
-# (round type, row) code in a C-ordered (2, *TABLE_SHAPE) array.
+# Per row code: the flat index of the round's (round type, row) cell in a
+# C-ordered (2, *TABLE_SHAPE) array, row @ CELL_WEIGHTS + test * _TEST_WEIGHT.
 _CODE_SHAPE = (2, *TABLE_SHAPE)
-_CODE_WEIGHTS = np.array([int(np.prod(_CODE_SHAPE[k + 1:])) for k in range(len(_CODE_SHAPE))], dtype=np.int32)
+_TEST_WEIGHT = np.int32(math.prod(TABLE_SHAPE))
 _LINE_HEAD = '{"index": 0'
 
 
@@ -752,7 +702,7 @@ def _jsonl_blocks(transcript: Transcript):
     rendered = np.zeros(len(tails), dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        codes = transcript.data[start:stop] @ _CODE_WEIGHTS[1:] + transcript.test[start:stop] * _CODE_WEIGHTS[0]
+        codes = transcript.data[start:stop] @ CELL_WEIGHTS + transcript.test[start:stop] * _TEST_WEIGHT
         present = np.zeros_like(rendered)
         present[codes] = True
         for code in np.flatnonzero(present & ~rendered).tolist():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,11 @@ def test_random_strategies_respect_tsirelson():
         assert rep.total <= CHSH_QUANTUM_MAX + 1e-9
 
 
+def _pair_rows(records):
+    """(N, 9) int8 rows of ((x, y, z), ((a, ta), (b, tb), (c, tc))) pairs."""
+    return np.array([(*inputs, *(bit for out in outputs for bit in out)) for inputs, outputs in records], dtype=np.int8)
+
+
 def test_estimate_behavior_from_pairs():
     records = [
         ((0, 0, 0), ((0, 0), (0, 0), (0, 0))),
@@ -193,7 +199,7 @@ def test_estimate_behavior_from_pairs():
         ((0, 0, 0), ((1, 1), (1, 1), (1, 1))),
         ((1, 2, 2), ((0, 0), (1, 0), (0, 0))),
     ]
-    est = estimate_behavior(records)
+    est = estimate_behavior(_pair_rows(records))
     t = est.behavior.table
     assert t[0, 0, 0, 0, 0, 0, 0, 0, 0] == pytest.approx(2 / 3)
     assert t[0, 0, 0, 1, 1, 1, 1, 1, 1] == pytest.approx(1 / 3)
@@ -213,15 +219,45 @@ def test_estimate_behavior_array_input_matches_pairs():
             rng.integers(2, size=(50, 6)),
         ]
     )
-    pairs = [
-        ((int(r[0]), int(r[1]), int(r[2])), ((int(r[3]), int(r[4])), (int(r[5]), int(r[6])), (int(r[7]), int(r[8]))))
-        for r in rows
-    ]
-    np.testing.assert_allclose(
-        estimate_behavior(rows).behavior.table,
-        estimate_behavior(pairs).behavior.table,
-        atol=0,
-    )
+    # Counted one (inputs, outputs) pair at a time.
+    counts = np.zeros(TABLE_SHAPE)
+    for (x, y, z), outputs in (((r[0], r[1], r[2]), r[3:]) for r in rows.tolist()):
+        counts[(x, y, z, *outputs)] += 1
+    totals = counts.reshape(18, -1).sum(axis=1).reshape(2, 3, 3, 1, 1, 1, 1, 1, 1)
+    expected = np.divide(counts, totals, out=np.zeros(TABLE_SHAPE), where=totals > 0)
+    for array in (rows, rows.astype(np.int8)):
+        est = estimate_behavior(array)
+        np.testing.assert_array_equal(est.counts, counts)
+        np.testing.assert_allclose(est.behavior.table, expected, atol=0)
+
+
+def test_estimate_behavior_rejects_out_of_range_rows():
+    row = np.zeros((1, 9), dtype=np.int8)
+    bad = []
+    for column, value in ((1, 3), (0, 2), (4, 2), (8, -1)):
+        # (y = 3, x = 0) would otherwise count as (x = 1, y = 0).
+        rows = row.copy()
+        rows[0, column] = value
+        bad.append(rows)
+    bad += [row[:, :8], row[0], row.astype(float)]
+    for rows in bad:
+        with pytest.raises(ValueError):
+            estimate_behavior(rows)
+    assert estimate_behavior(row[:0]).counts.sum() == 0
+
+
+def test_estimate_behavior_makes_no_copy_of_the_rows():
+    # One 8-byte code per row and fixed-size buffers; a cast copy of the
+    # rows would add 36 (int32) or 72 (int64) bytes per row, and a code
+    # that bincount has to cast, 8 more.
+    rows = np.random.default_rng(5).integers(2, size=(200_000, 9)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        estimate_behavior(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(rows) < 10, peak
 
 
 def test_estimate_behavior_converges_to_born():
@@ -256,8 +292,7 @@ def test_estimate_behavior_converges_to_born():
 
 
 def test_bell_value_stderr_unsampled_triple_is_inf():
-    records = [((0, 0, 0), ((0, 0), (0, 0), (0, 0)))]
-    est = estimate_behavior(records)
+    est = estimate_behavior(_pair_rows([((0, 0, 0), ((0, 0), (0, 0), (0, 0)))]))
     assert bell_value_stderr(est) == np.inf
 
 

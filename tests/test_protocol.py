@@ -14,8 +14,9 @@ from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_stra
 from flagcka.protocol import (
     BLOCK_ROWS,
     PARALLEL_QUANTUM_MAX,
+    COLUMNS,
+    PARTY_NAMES,
     ProtocolConfig,
-    RoundRecord,
     Transcript,
     alignment_test,
     apply_tamper,
@@ -33,6 +34,7 @@ from flagcka.protocol import (
     _build_strategy,
     _collapse_outcomes,
     _cumulative_tables,
+    _ROUND_TYPES,
     _default_threshold,
     _table_outcomes,
 )
@@ -67,7 +69,7 @@ def test_runs_are_deterministic():
     res2, tr2 = run_protocol(cfg)
     assert res1.keys == res2.keys
     assert res1.stats == res2.stats
-    assert tr1.rounds == tr2.rounds
+    assert np.array_equal(tr1.test, tr2.test) and np.array_equal(tr1.data, tr2.data)
     res3, _ = run_protocol(ProtocolConfig(n_rounds=400, seed=4))
     assert res3.keys != res1.keys
 
@@ -78,16 +80,17 @@ def test_backends_agree_draw_for_draw():
     for seed in (0, 11):
         _, tr_table = run_protocol(ProtocolConfig(n_rounds=300, seed=seed, backend="table"))
         _, tr_collapse = run_protocol(ProtocolConfig(n_rounds=300, seed=seed, backend="collapse"))
-        assert tr_table.rounds == tr_collapse.rounds
+        assert np.array_equal(tr_table.test, tr_collapse.test)
+        assert np.array_equal(tr_table.data, tr_collapse.data)
 
 
 def test_backends_agree_under_noise_and_parallel():
     _, a = run_protocol(ProtocolConfig(n_rounds=200, seed=5, visibility=0.85, bell_threshold=2.0, backend="table"))
     _, b = run_protocol(ProtocolConfig(n_rounds=200, seed=5, visibility=0.85, bell_threshold=2.0, backend="collapse"))
-    assert a.rounds == b.rounds
+    assert np.array_equal(a.test, b.test) and np.array_equal(a.data, b.data)
     _, c = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="table"))
     _, d = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="collapse"))
-    assert c.rounds == d.rounds
+    assert np.array_equal(c.test, d.test) and np.array_equal(c.data, d.data)
 
 
 def _layout_rows(n_rounds, seed, gamma=0.2):
@@ -254,19 +257,36 @@ def test_backends_agree_draw_for_draw_on_random_strategies(seed, visibility, n_r
 
 def test_round_records_use_protocol_inputs():
     tr = run_rounds(ProtocolConfig(n_rounds=300, seed=1))
-    assert len(tr.rounds) == 300
-    saw_test = saw_gen = False
-    for r in tr.rounds:
-        assert all(len(out) == 2 for out in r.outputs)
-        assert all(bit in (0, 1) for out in r.outputs for bit in out)
-        if r.round_type == "generation":
-            assert r.inputs == GENERATION_INPUTS
-            saw_gen = True
-        else:
-            x, y, z = r.inputs
-            assert x in (0, 1) and y in (0, 1) and z in (0, 1)
-            saw_test = True
-    assert saw_test and saw_gen
+    assert tr.test.shape == (300,) and tr.data.shape == (300, len(COLUMNS))
+    assert np.isin(tr.data[:, 3:], (0, 1)).all()
+    assert (tr.data[~tr.test, :3] == GENERATION_INPUTS).all()
+    assert np.isin(tr.data[tr.test, :3], (0, 1)).all()
+    assert tr.test.any() and not tr.test.all()
+
+
+# One round's schedule as (event, party or None).
+_ROUND_EVENTS = (
+    ("distribute", None),
+    *(("receipt", name) for name in PARTY_NAMES),
+    ("round_type", "alice"),
+    *(("input", name) for name in PARTY_NAMES),
+    *(("measure", name) for name in PARTY_NAMES),
+)
+
+
+def _round_events(transcript):
+    """(kind, round index, party or None) per event of every round."""
+    return [(kind, r, party) for r in range(len(transcript.test)) for kind, party in _ROUND_EVENTS]
+
+
+def _round_messages(transcript):
+    """(sender, kind, round index, payload): per round three receipts and
+    the round-type announcement, the messages made during the rounds."""
+    out = []
+    for r, t in enumerate(transcript.test.tolist()):
+        out += [(name, "Receipt", r, None) for name in PARTY_NAMES]
+        out.append(("alice", "RoundTypeAnnounce", r, _ROUND_TYPES[t]))
+    return out
 
 
 def test_per_round_event_schedule():
@@ -274,10 +294,11 @@ def test_per_round_event_schedule():
     # before inputs are chosen, and every measurement happens after all
     # three inputs exist.
     tr = run_rounds(ProtocolConfig(n_rounds=50, seed=2))
+    events = _round_events(tr)
     per_round = 1 + 3 + 1 + 3 + 3  # distribute, receipts, round_type, inputs, measures
-    assert len(tr.events) == 50 * per_round
+    assert len(events) == 50 * per_round
     for r in range(50):
-        chunk = tr.events[r * per_round:(r + 1) * per_round]
+        chunk = events[r * per_round:(r + 1) * per_round]
         kinds = [e[0] for e in chunk]
         assert kinds == ["distribute"] + ["receipt"] * 3 + ["round_type"] + ["input"] * 3 + ["measure"] * 3
         assert all(e[1] == r for e in chunk)
@@ -287,14 +308,25 @@ def test_message_schedule_through_completion():
     cfg = ProtocolConfig(n_rounds=2000, seed=6)
     result, tr = run_protocol(cfg)
     assert result.outcome == "completed"
-    kinds = [m.kind for m in tr.messages]
     # Per-round receipts and announcements first ...
-    assert kinds[:4] == ["Receipt", "Receipt", "Receipt", "RoundTypeAnnounce"]
-    # ... then the deferred flag and test-data announcements, then the XOR.
-    tail = kinds[-7:]
-    assert tail == ["FlagAnnounce"] * 3 + ["TestDataAnnounce"] * 3 + ["XorAnnounce"]
-    senders = [m.sender for m in tr.messages if m.kind == "FlagAnnounce"]
-    assert senders == ["alice", "bob", "carole"]
+    per_round = _round_messages(tr)
+    assert [m[1] for m in per_round[:4]] == ["Receipt", "Receipt", "Receipt", "RoundTypeAnnounce"]
+    # ... then, after the last round, the flag and test-data announcements, then the XOR.
+    kinds = [m.kind for m in tr.announcements]
+    assert kinds == ["FlagAnnounce"] * 3 + ["TestDataAnnounce"] * 3 + ["XorAnnounce"]
+    flags = [m for m in tr.announcements if m.kind == "FlagAnnounce"]
+    assert [m.sender for m in flags] == ["alice", "bob", "carole"]
+    # Payloads are what is announced, held as views of the transcript.
+    for m, col in zip(flags, ("ta", "tb", "tc")):
+        assert np.array_equal(m.payload, tr.data[:, COLUMNS.index(col)])
+        assert np.shares_memory(m.payload, tr.data)
+    test_data = [m.payload for m in tr.announcements if m.kind == "TestDataAnnounce"]
+    assert all(index is test_data[0][0] for index, _ in test_data)
+    assert np.array_equal(test_data[0][0], np.flatnonzero(tr.test))
+    assert [columns for _, columns in test_data] == [
+        tuple(COLUMNS.index(c) for c in party) for party in (("x", "a", "ta"), ("y", "b", "tb"), ("z", "c", "tc"))
+    ]
+    assert tr.announcements[-1].payload == result.k_xor
 
 
 def test_check_flag_agreement_verdicts():
@@ -307,11 +339,9 @@ def test_check_flag_agreement_verdicts():
 
 
 def _synthetic_transcript(rows, kind="flagged"):
-    rounds = [
-        RoundRecord(index=i, round_type=rt, inputs=inputs, outputs=outputs)
-        for i, (rt, inputs, outputs) in enumerate(rows)
-    ]
-    return Transcript(strategy_kind=kind, n_rounds=len(rounds), rounds=rounds)
+    test = np.array([rt == "test" for rt, _, _ in rows], dtype=bool)
+    data = np.array([(*inputs, *(bit for out in outputs for bit in out)) for _, inputs, outputs in rows], dtype=np.int8)
+    return Transcript(kind, test, data)
 
 
 def test_sift_routes_by_flag():
@@ -333,7 +363,7 @@ def test_sift_respects_exclusions():
         ("generation", (0, 2, 2), ((1, 0), (1, 0), (0, 0))),
         ("generation", (0, 2, 2), ((0, 0), (0, 0), (0, 0))),
     ]
-    sift = sift_pair_keys(_synthetic_transcript(rows), exclude_ab=frozenset({0}))
+    sift = sift_pair_keys(_synthetic_transcript(rows), exclude_ab=np.array([0]))
     assert sift.alice_ab == "0"
 
 
@@ -368,7 +398,7 @@ def test_alignment_vacuous_at_fraction_zero():
     res = alignment_test(tr, 0.0, 0.98, np.random.default_rng(0))
     assert res.ok
     assert res.match_rates == {"ab": None, "ac": None}
-    assert res.excluded_ab == frozenset() and res.excluded_ac == frozenset()
+    assert len(res.excluded_ab) == 0 and len(res.excluded_ac) == 0
 
 
 def test_alignment_passes_on_honest_run():
@@ -377,19 +407,16 @@ def test_alignment_passes_on_honest_run():
     assert res.ok
     assert res.match_rates["ab"] == 1.0
     assert res.match_rates["ac"] == 1.0
-    n_ab = sum(1 for r in tr.rounds if r.round_type == "generation" and r.outputs[0][1] == 0)
-    assert len(res.excluded_ab) == math.ceil(0.25 * n_ab)
+    ab_rounds = np.flatnonzero(~tr.test & (tr.data[:, COLUMNS.index("ta")] == 0))
+    assert len(res.excluded_ab) == len(set(res.excluded_ab.tolist())) == math.ceil(0.25 * len(ab_rounds))
+    assert np.isin(res.excluded_ab, ab_rounds).all()
 
 
 def test_alignment_catches_value_corruption():
     tr = run_rounds(ProtocolConfig(n_rounds=400, seed=9))
-    rounds = [
-        replace(r, outputs=((r.outputs[0][0], r.outputs[0][1]), (1 - r.outputs[1][0], r.outputs[1][1]), r.outputs[2]))
-        if r.round_type == "generation"
-        else r
-        for r in tr.rounds
-    ]
-    bad = Transcript(strategy_kind="flagged", n_rounds=tr.n_rounds, rounds=rounds)
+    data = tr.data.copy()
+    data[~tr.test, COLUMNS.index("b")] ^= 1  # Bob's value on every generation round
+    bad = Transcript("flagged", tr.test, data)
     res = alignment_test(bad, 0.3, 0.98, np.random.default_rng(2))
     assert not res.ok
     assert res.match_rates["ab"] == pytest.approx(0.0)
@@ -455,9 +482,9 @@ def test_tamper_validation():
 def test_tamper_does_not_mutate_original():
     cfg = ProtocolConfig(n_rounds=200, seed=14)
     tr = run_rounds(cfg)
-    before = list(tr.rounds)
+    test_before, data_before = tr.test.copy(), tr.data.copy()
     apply_tamper(tr, "flag-constant:0", np.random.default_rng(0))
-    assert tr.rounds == before
+    assert np.array_equal(tr.test, test_before) and np.array_equal(tr.data, data_before)
     assert postprocess(tr, cfg).outcome == "completed"
 
 
@@ -491,7 +518,7 @@ def test_parallel_protocol_completes():
     assert res.outcome == "completed"
     assert res.keys["alice"] == res.keys["bob"] == res.keys["carole"]
     # No flag register: the flag steps are skipped entirely.
-    assert not any(m.kind == "FlagAnnounce" for m in tr.messages)
+    assert not any(m.kind == "FlagAnnounce" for m in tr.announcements)
     assert "p_t0_estimate" not in res.stats
     # Every generation round feeds both pair keys.
     assert res.stats["len_ab"] == res.stats["len_ac"] == res.stats["n_gen"]
@@ -605,8 +632,8 @@ def test_transcript_jsonl_bytes():
 def test_transcript_jsonl_matches_json_dumps():
     tr = run_rounds(ProtocolConfig(n_rounds=400, seed=4, visibility=0.8))
     records = [
-        {"index": r.index, "type": r.round_type, "inputs": list(r.inputs), "outputs": [list(o) for o in r.outputs]}
-        for r in tr.rounds
+        {"index": r, "type": _ROUND_TYPES[t], "inputs": row[:3], "outputs": [row[3:5], row[5:7], row[7:9]]}
+        for r, (t, row) in enumerate(zip(tr.test.tolist(), tr.data.tolist()))
     ]
     assert transcript_to_jsonl(tr).splitlines(keepends=True) == [json.dumps(record) + "\n" for record in records]
 
@@ -626,15 +653,20 @@ def test_flag_flip_tamper_changes_only_bobs_flags():
     assert np.array_equal(tr.data, data_before) and np.array_equal(tr.test, test_before)
 
 
-def test_transcript_from_records_matches_columns():
+def test_transcript_validates_its_arrays():
     tr = run_rounds(ProtocolConfig(n_rounds=200, seed=3))
-    again = Transcript(strategy_kind="flagged", n_rounds=200, rounds=tr.rounds)
-    assert np.array_equal(again.data, tr.data) and np.array_equal(again.test, tr.test)
-    assert again.rounds == tr.rounds
-    with pytest.raises(ValueError):
-        Transcript(strategy_kind="flagged", n_rounds=2, rounds=[replace(r, index=r.index + 1) for r in tr.rounds[:2]])
-    with pytest.raises(ValueError):
-        Transcript(strategy_kind="flagged", n_rounds=1, rounds=[replace(tr.rounds[0], round_type="other")])
+    again = Transcript("flagged", tr.test, tr.data)
+    assert again.test is tr.test and again.data is tr.data and again.announcements == []
+    bad = [
+        (tr.test.astype(np.int8), tr.data),            # test not bool
+        (tr.test[:, None], tr.data),                   # test not 1-D
+        (tr.test, tr.data.astype(np.int64)),           # data not int8
+        (tr.test, tr.data[:, :8]),                     # a column short
+        (tr.test[:-1], tr.data),                       # lengths differ
+    ]
+    for test, data in bad:
+        with pytest.raises(ValueError):
+            Transcript("flagged", test, data)
 
 
 def test_flag_mismatch_abort_reports_where():
@@ -750,3 +782,60 @@ def test_memory_is_flat_in_rounds():
         written = [_traced_peak(lambda: write_transcript_jsonl(tr, sink)) for tr in map(run_rounds, configs)]
     growth_mb = [(peaks[1] - peaks[0]) / 2**20 for peaks in (sampled, written)]
     assert max(growth_mb) <= 2.0, growth_mb
+
+
+def test_postprocess_keeps_no_copy_of_the_transcript():
+    # What postprocess leaves behind (the announcements and the result)
+    # grows with the rounds by the key strings and the test rounds' index
+    # array, 0.3 MB from 1e5 to 2e5 rounds, but not by copies of the
+    # transcript's columns (2.3 MB when each party's test data was copied).
+    kept = []
+    for n_rounds in (100_000, 200_000):
+        config = ProtocolConfig(n_rounds=n_rounds, seed=29)
+        transcript = run_rounds(config)
+        tracemalloc.start()
+        try:
+            result = postprocess(transcript, config)
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert result.outcome == "completed"
+    growth_mb = (kept[1] - kept[0]) / 2**20
+    assert growth_mb <= 1.0, growth_mb
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    kind=hst.sampled_from(["flagged", "parallel"]),
+    visibility=hst.sampled_from([1.0, 0.8]),
+    n_rounds=hst.sampled_from([1, 2, 97, BLOCK_ROWS - 1, BLOCK_ROWS + 1]),
+)
+def test_parsed_jsonl_gives_back_the_arrays(seed, kind, visibility, n_rounds):
+    tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=seed, strategy_kind=kind, visibility=visibility))
+    fh = io.StringIO()
+    write_transcript_jsonl(tr, fh)
+    records = [json.loads(line) for line in fh.getvalue().splitlines()]
+    assert [record["index"] for record in records] == list(range(n_rounds))
+    test = np.array([_ROUND_TYPES.index(record["type"]) for record in records], dtype=bool)
+    data = np.array([record["inputs"] + sum(record["outputs"], []) for record in records], dtype=np.int8)
+    assert np.array_equal(test, tr.test)
+    assert np.array_equal(data, tr.data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    party=hst.integers(0, 2),
+    flipped=hst.sets(hst.integers(0, 599), min_size=1, max_size=20),
+)
+def test_any_flipped_flag_is_a_mismatch_at_the_earliest_flip(seed, party, flipped):
+    config = ProtocolConfig(n_rounds=600, seed=seed)
+    tr = run_rounds(config)
+    data = tr.data.copy()
+    data[sorted(flipped), COLUMNS.index(("ta", "tb", "tc")[party])] ^= 1
+    result = postprocess(Transcript("flagged", tr.test, data), config)
+    assert result.abort_reason == "FlagMismatch"
+    assert result.stats["flag_mismatch_round"] == min(flipped)
+    assert result.stats["flag_mismatch_parties"] == [PARTY_NAMES[party]]
+    assert result.stats["flag_mismatch_count"] == len(flipped)
