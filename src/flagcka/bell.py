@@ -169,15 +169,15 @@ class Behavior:
         dev = max(dev, float(np.ptp(marg_c, axis=(0, 1)).max()))
         return dev
 
-    def validate(self, atol_norm: float = 1e-10, atol_ns: float = 1e-9, atol_range: float = 1e-12) -> "Behavior":
+    def validate(self) -> "Behavior":
         lo, hi = float(self.table.min()), float(self.table.max())
-        if lo < -atol_range or hi > 1.0 + atol_range:
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError(f"behavior entries outside [0, 1]: min {lo}, max {hi}")
         dn = self.normalization_deviation()
-        if dn > atol_norm:
+        if dn > 1e-10:
             raise ValueError(f"behavior not normalized (max deviation {dn:.3e})")
         ds = self.no_signalling_deviation()
-        if ds > atol_ns:
+        if ds > 1e-9:
             raise ValueError(f"behavior signals (max marginal drift {ds:.3e})")
         return self
 
@@ -265,11 +265,11 @@ def _all_flags_mass(table: np.ndarray, x: int, y: int, z: int, t: int) -> float:
     return float(table[x, y, z, :, t, :, t, :, t].sum())
 
 
-def flag_stats(behavior: Behavior, atol: float = 1e-9) -> FlagStats:
+def flag_stats(behavior: Behavior) -> FlagStats:
     """Branch weights read at inputs (0,0,0) after an input-independence check.
 
     Raises when the all-flags-agree mass or any single-party flag
-    marginal drifts with the inputs beyond `atol`: flags that signal
+    marginal drifts with the inputs beyond 1e-9: flags that signal
     have no well-defined branch weights.
     """
     t = behavior.table
@@ -277,14 +277,14 @@ def flag_stats(behavior: Behavior, atol: float = 1e-9) -> FlagStats:
     for ft in (0, 1):
         agree[..., ft] = t[:, :, :, :, ft, :, ft, :, ft].sum(axis=(3, 4, 5))
     agreement = agree.sum(axis=-1)
-    if float(np.ptp(agreement)) > atol:
+    if float(np.ptp(agreement)) > 1e-9:
         raise ValueError(f"flag agreement probability varies with inputs by {np.ptp(agreement):.3e}")
     flag_a = t.sum(axis=(3, 5, 6, 7, 8))  # x,y,z,ta
     flag_b = t.sum(axis=(3, 4, 5, 7, 8))
     flag_c = t.sum(axis=(3, 4, 5, 6, 7))
     for name, marg in (("Alice", flag_a), ("Bob", flag_b), ("Carole", flag_c)):
-        if float(np.ptp(marg, axis=(0, 1, 2)).max()) > atol:
-            raise ValueError(f"{name} flag marginal depends on the inputs beyond {atol}")
+        if float(np.ptp(marg, axis=(0, 1, 2)).max()) > 1e-9:
+            raise ValueError(f"{name} flag marginal depends on the inputs beyond 1e-9")
     return FlagStats(
         p0=float(agree[0, 0, 0, 0]),
         p1=float(agree[0, 0, 0, 1]),

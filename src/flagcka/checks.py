@@ -93,7 +93,7 @@ def _expectation(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", op, rho).real)
 
 
-def check_flag_consistency(strategy: Strategy, tolerance: float = ATOL_IDENTITY) -> CheckReport:
+def check_flag_consistency(strategy: Strategy) -> CheckReport:
     """All flag coarse-graining expectations match a single p_T(t) > 0.
 
     Evaluates, for each t, the expectation of every single-party flag
@@ -117,11 +117,11 @@ def check_flag_consistency(strategy: Strategy, tolerance: float = ATOL_IDENTITY)
         branch_weights[t] = float(np.mean(values))
         residual = max(residual, float(values.max() - values.min()))
         if branch_weights[t] <= 0.0:
-            return _report("flag_consistency", np.inf, tolerance, p_T=branch_weights, reason="vanishing branch weight")
-    return _report("flag_consistency", residual, tolerance, p_T=branch_weights)
+            return _report("flag_consistency", np.inf, ATOL_IDENTITY, p_T=branch_weights, reason="vanishing branch weight")
+    return _report("flag_consistency", residual, ATOL_IDENTITY, p_T=branch_weights)
 
 
-def check_projection_lemma(strategy: Strategy, tolerance: float = ATOL_STATE) -> CheckReport:
+def check_projection_lemma(strategy: Strategy) -> CheckReport:
     """Flag coarse-grainings of any two parties agree on the purified state.
 
     For every t and every input pair, || (P_party1 - P_party2) |psi> ||
@@ -145,15 +145,15 @@ def check_projection_lemma(strategy: Strategy, tolerance: float = ATOL_STATE) ->
     t, n = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     residual = float(gaps[t, n])
     worst = (int(t), _FLAG_KEYS[first[n]], _FLAG_KEYS[second[n]]) if residual > 0.0 else None
-    return _report("projection_lemma", residual, tolerance, worst=repr(worst))
+    return _report("projection_lemma", residual, ATOL_STATE, worst=repr(worst))
 
 
-def _require_projective(strategy: Strategy, tolerance: float = ATOL_IDENTITY):
+def _require_projective(strategy: Strategy):
     for party in range(3):
         for x in range(N_INPUTS[party]):
             for label in OUTCOME_LABELS:
                 e = strategy.measurements[party][x][label]
-                if np.abs(e @ e - e).max() > tolerance:
+                if np.abs(e @ e - e).max() > ATOL_IDENTITY:
                     raise ValueError(
                         f"party {party} input {x} outcome {label} is not projective; "
                         "dilate with qops.naimark_dilation first"
@@ -182,7 +182,7 @@ def _branch_operators(strategy: Strategy, partner: int, t: int):
     return a0, a1, b0, b1, flags, chsh
 
 
-def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0, tolerance: float = ATOL_IDENTITY) -> CheckReport:
+def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0) -> CheckReport:
     """Shifted CHSH block of a branch equals an explicit sum of squares.
 
     With signed flag-t observables A_x, B_y of Alice and the partner and
@@ -207,17 +207,17 @@ def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0, toleran
     rhs = (SQRT2 / 2.0) * sum(flags) - chsh
     residual = float(np.abs(lhs - rhs).max())
     min_eig = float(np.linalg.eigvalsh(lhs)[0])
-    ok = residual <= tolerance and min_eig >= -ATOL_IDENTITY
+    ok = residual <= ATOL_IDENTITY and min_eig >= -ATOL_IDENTITY
     return CheckReport(
         name=f"sos_identity_{pair}_t{t}",
         residual=residual,
-        tolerance=tolerance,
+        tolerance=ATOL_IDENTITY,
         passed=ok,
         details={"min_eigenvalue_lhs": min_eig},
     )
 
 
-def check_weighted_tsirelson(strategy: Strategy, tolerance: float = ATOL_IDENTITY) -> CheckReport:
+def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
     """Each branch block expectation obeys <block_t> <= 2*sqrt(2) p_T(t).
 
     Reports the slack per branch (Alice-Bob at t=0, Alice-Carole at
@@ -233,16 +233,16 @@ def check_weighted_tsirelson(strategy: Strategy, tolerance: float = ATOL_IDENTIT
         value = _expectation(rho, chsh)
         slacks[f"{pair}_t{t}"] = CHSH_QUANTUM_MAX * p_t - value
     residual = max(0.0, *(-s for s in slacks.values()))
-    return _report("weighted_tsirelson", residual, tolerance, slacks=slacks)
+    return _report("weighted_tsirelson", residual, ATOL_IDENTITY, slacks=slacks)
 
 
-def extract_conditional_behavior(strategy: Strategy, t: int, tolerance: float = ATOL_IDENTITY) -> np.ndarray:
+def extract_conditional_behavior(strategy: Strategy, t: int) -> np.ndarray:
     """Branch-conditioned pair behavior p(a, partner | x, w, T = t).
 
     Returns a (2, 2, 2, 2) array over (x, w, a, partner_value), gated on
     all flags agreeing at t and normalized by the branch weight. Raises
-    if the table depends on the spectator party's input beyond the
-    tolerance or if the branch weight vanishes.
+    if the table depends on the spectator party's input beyond
+    ATOL_IDENTITY or if the branch weight vanishes.
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
@@ -259,7 +259,7 @@ def extract_conditional_behavior(strategy: Strategy, t: int, tolerance: float = 
                 out[x, w] = joint
         tables.append(out)
     spread = max(float(np.abs(tables[i] - tables[0]).max()) for i in range(1, len(tables)))
-    if spread > tolerance:
+    if spread > ATOL_IDENTITY:
         raise ValueError(f"conditional behavior depends on the spectator input (drift {spread:.3e})")
     cond = tables[0]
     weight = float(cond[0, 0].sum())
@@ -268,7 +268,7 @@ def extract_conditional_behavior(strategy: Strategy, t: int, tolerance: float = 
     return cond / weight
 
 
-def check_decoupling(strategy: Strategy, t: int = 0, tolerance: float = ATOL_STATE) -> CheckReport:
+def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
     """Alice's generation outcome decouples from the purifier at max violation.
 
     Builds the classical-quantum state of (Alice's value at input 0,
@@ -288,7 +288,7 @@ def check_decoupling(strategy: Strategy, t: int = 0, tolerance: float = ATOL_STA
     blocks = [m.T @ psi.reshape(-1, env).conj() for m in applied]
     weight = float(sum(b.trace().real for b in blocks))
     if weight <= 1e-12:
-        return _report(f"decoupling_t{t}", np.inf, tolerance, reason="vanishing branch weight")
+        return _report(f"decoupling_t{t}", np.inf, ATOL_STATE, reason="vanishing branch weight")
     rho_ae = np.zeros((2 * env, 2 * env), dtype=complex)
     for a, block in enumerate(blocks):
         rho_ae[a * env:(a + 1) * env, a * env:(a + 1) * env] = block / weight
@@ -300,7 +300,7 @@ def check_decoupling(strategy: Strategy, t: int = 0, tolerance: float = ATOL_STA
     return _report(
         f"decoupling_t{t}",
         distance,
-        tolerance,
+        ATOL_STATE,
         conditional_entropy=h_a_given_e,
         branch_weight=weight,
     )

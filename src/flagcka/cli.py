@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -86,27 +87,11 @@ def _simulate(args) -> int:
             config = config_from_json(fh.read())
     else:
         config = ProtocolConfig()
-    overrides = {}
-    if args.rounds is not None:
-        overrides["n_rounds"] = args.rounds
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.threshold is not None:
-        overrides["bell_threshold"] = args.threshold
-    if args.alignment_fraction is not None:
-        overrides["alignment_fraction"] = args.alignment_fraction
-    if args.alignment_floor is not None:
-        overrides["alignment_floor"] = args.alignment_floor
-    if args.strategy is not None:
-        overrides["strategy_kind"] = args.strategy
-    if args.visibility is not None:
-        overrides["visibility"] = args.visibility
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = ProtocolConfig(**{**config.__dict__, **overrides})
+    # Each config flag stores into the ProtocolConfig field of the same name.
+    overrides = {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(ProtocolConfig) if getattr(args, f.name) is not None
+    }
+    config = dataclasses.replace(config, **overrides)
     transcript = run_rounds(config)
     if args.tamper:
         transcript = apply_tamper(transcript, args.tamper, np.random.default_rng([config.seed, 2]))
@@ -221,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the seven-step protocol")
     _add_common(sim)
     sim.add_argument("--config", help="run config JSON file")
-    sim.add_argument("--rounds", type=int)
+    sim.add_argument("--rounds", type=int, dest="n_rounds", metavar="ROUNDS")
     sim.add_argument("--gamma", type=float, help="test round probability")
-    sim.add_argument("--threshold", type=float, help="Bell abort threshold")
+    sim.add_argument("--threshold", type=float, dest="bell_threshold", metavar="THRESHOLD", help="Bell abort threshold")
     sim.add_argument("--alignment-fraction", type=float, dest="alignment_fraction")
     sim.add_argument("--alignment-floor", type=float, dest="alignment_floor")
-    sim.add_argument("--strategy", choices=("flagged", "parallel"))
+    sim.add_argument("--strategy", choices=("flagged", "parallel"), dest="strategy_kind")
     sim.add_argument("--visibility", type=float)
     sim.add_argument("--backend", choices=("table", "collapse"))
     sim.add_argument("--tamper", help="fault injection, e.g. flag-flip:0.01 or flag-constant:0")

@@ -168,10 +168,10 @@ class Transcript:
 
 @dataclass(frozen=True)
 class SiftResult:
-    alice_ab: str
-    partner_ab: str
-    alice_ac: str
-    partner_ac: str
+    alice_ab: np.ndarray                      # uint8 key bits, one per sifted round
+    partner_ab: np.ndarray
+    alice_ac: np.ndarray
+    partner_ac: np.ndarray
     mismatch_ab: int
     mismatch_ac: int
 
@@ -188,7 +188,7 @@ class AlignmentResult:
 class ProtocolResult:
     outcome: str                              # "completed" | "aborted"
     abort_reason: str | None
-    keys: dict                                # party -> bit string
+    keys: dict                                # party -> '0'/'1' string
     k_xor: str
     stats: dict
 
@@ -286,7 +286,7 @@ def _walk_prefixes(party, rows, rho, strategy, inputs, draws, out) -> None:
         group = rows[xs == x]
         family = strategy.measurements[party][x]
         pvals = list(born_probabilities(local, family).values())
-        picked = out[group, party] = select_outcome(pvals, np.cumsum(pvals), draws[group, party])
+        picked = out[group, party] = select_outcome(pvals, draws[group, party])
         if party < 2:
             for o in np.flatnonzero(np.bincount(picked)).tolist():
                 reduced = np.einsum("ki,ibkc->bc", family[OUTCOME_LABELS[o]], rho) / pvals[o]
@@ -339,22 +339,20 @@ def _set_outcomes(rows: np.ndarray, outcomes: np.ndarray) -> None:
 
 
 def _bit_string(bits: np.ndarray) -> str:
-    return (np.asarray(bits, dtype=np.uint8) | 48).tobytes().decode("ascii")
+    """The '0'/'1' text of a bit array, as the completed result holds it."""
+    return (bits | 48).tobytes().decode("ascii")
 
 
 def check_flag_agreement(flags_a, flags_b, flags_c) -> str:
     """Step-4 verdict: 'ok', 'FlagMismatch' or 'FlagConstant'.
 
-    Takes the three announced flag strings, or the three flag columns.
-    Any position where they differ is a mismatch; identical but constant
-    flags mean the source never alternated and the run must abort too.
+    Takes the three announced flag columns. Any position where they
+    differ is a mismatch; identical but constant flags mean the source
+    never alternated and the run must abort too.
     """
-    a, b, c = (
-        np.frombuffer(f.encode(), dtype=np.uint8) if isinstance(f, str) else np.asarray(f)
-        for f in (flags_a, flags_b, flags_c)
-    )
+    a, b, c = (np.asarray(f) for f in (flags_a, flags_b, flags_c))
     if not (len(a) == len(b) == len(c)):
-        raise ValueError("flag strings must have equal length")
+        raise ValueError("flag columns must have equal length")
     if not (np.array_equal(a, b) and np.array_equal(a, c)):
         return "FlagMismatch"
     if len(a) and (a == a[0]).all():
@@ -408,16 +406,16 @@ _ROUTING = {
 
 
 def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, tuple[int, int]]:
-    """Indices of the generation rounds feeding `pair`'s key, in order,
+    """A fresh bool mask of the generation rounds feeding `pair`'s key,
     and its (Alice's, partner's) key-bit columns."""
     routing = _ROUTING[transcript.strategy_kind]
     feeds = ~transcript.test
     if routing.by_flag:
         feeds &= transcript.data[:, _TA] == ("ab", "ac").index(pair)
-    return np.flatnonzero(feeds), routing.key_columns[pair]
+    return feeds, routing.key_columns[pair]
 
 
-def sift_pair_keys(transcript: Transcript, exclude_ab=(), exclude_ac=()) -> SiftResult:
+def sift_pair_keys(transcript: Transcript, exclude_ab=None, exclude_ac=None) -> SiftResult:
     """Step-6 sifting into the two pairwise raw keys.
 
     Rounds and key bits follow the strategy kind's routing: flagged
@@ -426,41 +424,38 @@ def sift_pair_keys(transcript: Transcript, exclude_ab=(), exclude_ac=()) -> Sift
     has no flags and every generation round feeds both keys, first
     output bits for Alice-Bob, second bits for Alice-Carole. Mismatch
     counts compare Alice's bit against the partner's. The exclusions are
-    arrays of round indices, such as AlignmentResult's.
+    arrays of round indices, such as AlignmentResult's; None excludes
+    nothing. The keys are uint8 arrays of 0/1.
     """
     bits = {}
     for pair, exclude in (("ab", exclude_ab), ("ac", exclude_ac)):
-        rows, (alice, partner) = _pair_rounds(transcript, pair)
-        if len(exclude):
-            rows = rows[~np.isin(rows, exclude)]
-        bits[pair] = (transcript.data[rows, alice], transcript.data[rows, partner])
+        feeds, (alice, partner) = _pair_rounds(transcript, pair)
+        if exclude is not None:
+            feeds[exclude] = False
+        # Column first, then the mask: indexing data[feeds, col] would build an index array.
+        bits[pair] = tuple(transcript.data[:, col][feeds].view(np.uint8) for col in (alice, partner))
     (ab_alice, ab_partner), (ac_alice, ac_partner) = bits["ab"], bits["ac"]
     return SiftResult(
-        alice_ab=_bit_string(ab_alice),
-        partner_ab=_bit_string(ab_partner),
-        alice_ac=_bit_string(ac_alice),
-        partner_ac=_bit_string(ac_partner),
+        alice_ab=ab_alice,
+        partner_ab=ab_partner,
+        alice_ac=ac_alice,
+        partner_ac=ac_partner,
         mismatch_ab=int(np.count_nonzero(ab_alice != ab_partner)),
         mismatch_ac=int(np.count_nonzero(ac_alice != ac_partner)),
     )
 
 
-def _xor_strings(u: str, v: str) -> str:
-    return _bit_string(np.frombuffer(u.encode(), dtype=np.uint8) ^ np.frombuffer(v.encode(), dtype=np.uint8))
-
-
-def xor_reconcile(k_ab: str, k_ac: str) -> tuple[str, str]:
-    """Step-7 announcement: truncate to the shorter key, XOR the two.
+def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step-7 announcement: truncate the two bit arrays to the shorter, XOR them.
 
     Returns (k_xor, k_cka) where k_cka is the truncated Alice-Bob key;
     anyone holding the Alice-Carole key recovers k_cka as
-    k_xor XOR k_ac. Raises if both keys are empty.
+    k_xor ^ k_ac. Raises if both keys are empty.
     """
-    if not k_ab and not k_ac:
+    if not len(k_ab) and not len(k_ac):
         raise ValueError("both pair keys are empty; nothing to reconcile")
     m = min(len(k_ab), len(k_ac))
-    k_ab, k_ac = k_ab[:m], k_ac[:m]
-    return _xor_strings(k_ab, k_ac), k_ab
+    return k_ab[:m] ^ k_ac[:m], k_ab[:m]
 
 
 def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -> AlignmentResult:
@@ -478,12 +473,13 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
     excluded = {}
     ok = True
     for pair in ("ab", "ac"):
-        rows, (alice, partner) = _pair_rounds(transcript, pair)
-        k = math.ceil(fraction * len(rows))
+        feeds, (alice, partner) = _pair_rounds(transcript, pair)
+        k = math.ceil(fraction * np.count_nonzero(feeds))
         if k == 0:
             rates[pair] = None
-            excluded[pair] = rows[:0]
+            excluded[pair] = np.empty(0, dtype=np.intp)
             continue
+        rows = np.flatnonzero(feeds)
         sampled = rows[rng.choice(len(rows), size=k, replace=False)]
         data = transcript.data[sampled]
         rates[pair] = int(np.count_nonzero(data[:, alice] == data[:, partner])) / k
@@ -556,23 +552,22 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         return aborted("AlignmentFailure")
 
     sift = sift_pair_keys(transcript, alignment.excluded_ab, alignment.excluded_ac)
-    stats["len_ab"] = len(sift.alice_ab)
-    stats["len_ac"] = len(sift.alice_ac)
+    len_ab, len_ac = len(sift.alice_ab), len(sift.alice_ac)
+    stats["len_ab"], stats["len_ac"] = len_ab, len_ac
     stats["mismatch_ab"] = sift.mismatch_ab
     stats["mismatch_ac"] = sift.mismatch_ac
-    stats["mismatch_rate_ab"] = sift.mismatch_ab / len(sift.alice_ab) if sift.alice_ab else None
-    stats["mismatch_rate_ac"] = sift.mismatch_ac / len(sift.alice_ac) if sift.alice_ac else None
-    if sift.alice_ab or sift.alice_ac:
+    stats["mismatch_rate_ab"] = sift.mismatch_ab / len_ab if len_ab else None
+    stats["mismatch_rate_ac"] = sift.mismatch_ac / len_ac if len_ac else None
+    if len_ab or len_ac:
         k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
     else:
-        k_xor, k_cka = "", ""
-    announce(Message("alice", "XorAnnounce", k_xor))
+        k_xor = k_cka = sift.alice_ab
     m = len(k_cka)
-    keys = {
-        "alice": k_cka,
-        "bob": sift.partner_ab[:m],
-        "carole": _xor_strings(k_xor, sift.partner_ac[:m]),
-    }
+    # Carole recovers the conference key from the announced XOR and her Alice-Carole key.
+    bits = {"alice": k_cka, "bob": sift.partner_ab[:m], "carole": k_xor ^ sift.partner_ac[:m]}
+    keys = {party: _bit_string(b) for party, b in bits.items()}
+    k_xor = _bit_string(k_xor)
+    announce(Message("alice", "XorAnnounce", k_xor))
     stats["key_length"] = m
     stats["sifted_rate"] = m / stats["n_gen"] if stats["n_gen"] else None
     return ProtocolResult(outcome="completed", abort_reason=None, keys=keys, k_xor=k_xor, stats=stats)

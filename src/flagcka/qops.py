@@ -91,18 +91,18 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return np.asarray(op).conj().T
 
 
-def is_hermitian(op: np.ndarray, atol: float = ATOL_OPERATOR) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
-    return op.ndim == 2 and op.shape[0] == op.shape[1] and np.allclose(op, op.conj().T, atol=atol)
+    return op.ndim == 2 and op.shape[0] == op.shape[1] and np.allclose(op, op.conj().T, atol=ATOL_OPERATOR)
 
 
-def assert_density_operator(rho: np.ndarray, atol: float = ATOL_OPERATOR, name: str = "state") -> np.ndarray:
+def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity (eigenvalues >= -1e-10)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, atol=atol):
-        raise ValueError(f"{name} is not Hermitian within {atol}")
+    if not is_hermitian(rho):
+        raise ValueError(f"{name} is not Hermitian within {ATOL_OPERATOR}")
     tr = rho.trace().real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"{name} has trace {tr}, expected 1")
@@ -112,7 +112,7 @@ def assert_density_operator(rho: np.ndarray, atol: float = ATOL_OPERATOR, name: 
     return rho
 
 
-def check_effects_complete(effects: Mapping[object, np.ndarray], atol: float = ATOL_OPERATOR) -> int:
+def check_effects_complete(effects: Mapping[object, np.ndarray]) -> int:
     """Check that the effects sum to the identity; return the dimension."""
     if not effects:
         raise ValueError("measurement family is empty")
@@ -122,7 +122,7 @@ def check_effects_complete(effects: Mapping[object, np.ndarray], atol: float = A
         if m.shape != (dim, dim):
             raise ValueError(f"effect shape {m.shape} does not match dimension {dim}")
     total = sum(mats)
-    if not np.allclose(total, np.eye(dim), atol=atol):
+    if not np.allclose(total, np.eye(dim), atol=ATOL_OPERATOR):
         gap = np.abs(total - np.eye(dim)).max()
         raise ValueError(f"effects do not sum to identity (max deviation {gap:.3e})")
     return dim
@@ -162,11 +162,11 @@ def born_probabilities(rho: np.ndarray, effects: Mapping[object, np.ndarray]) ->
     return probs
 
 
-def select_outcome(pvals: Sequence[float], cum: np.ndarray, draws):
+def select_outcome(pvals: Sequence[float], draws):
     """Indices of the outcomes that uniform draws select from one distribution.
 
     `pvals` are the outcome probabilities in ascending label order and
-    `cum` their cumulative sums. Outcome k is chosen when a draw lands in
+    cum their cumulative sums. Outcome k is chosen when a draw lands in
     [cum[k-1], cum[k]), so a zero-probability outcome has an empty
     interval and is never chosen; a draw in the float dust above cum[-1]
     takes the last outcome of positive probability. `draws` may be a
@@ -177,7 +177,7 @@ def select_outcome(pvals: Sequence[float], cum: np.ndarray, draws):
         raise ValueError(f"draws must lie in [0, 1), got {draws}")
     positive = np.asarray(pvals) > 0.0
     nearest = np.maximum.accumulate(np.where(positive, np.arange(len(positive)), -1))
-    idx = nearest[np.minimum(np.searchsorted(cum, draws, side="right"), len(positive) - 1)]
+    idx = nearest[np.minimum(np.searchsorted(np.cumsum(pvals), draws, side="right"), len(positive) - 1)]
     if (idx < 0).any():
         raise ValueError("selected outcome has zero probability (malformed family)")
     return idx
@@ -196,7 +196,7 @@ def measure_collapse(rho: np.ndarray, projectors: Mapping[object, np.ndarray], d
     probs = outcome_distribution(rho, projectors)
     labels = sorted(probs)
     pvals = [probs[l] for l in labels]
-    label = labels[int(select_outcome(pvals, np.cumsum(pvals), draw))]
+    label = labels[int(select_outcome(pvals, draw))]
     proj = np.asarray(projectors[label], dtype=complex)
     return label, proj @ rho @ proj / probs[label]
 
@@ -241,20 +241,20 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def purify(rho: np.ndarray, cutoff: float = ENTROPY_EIG_CUTOFF) -> np.ndarray:
+def purify(rho: np.ndarray) -> np.ndarray:
     """Purification |psi> = sum_i sqrt(l_i) |v_i>|i> with purifier dim = rank.
 
     Eigenvalues are sorted descending; exact ties are broken by the
     lexicographic order of the phase-fixed eigenvectors (compare real
     then imaginary parts of the first differing component), so the
-    output is deterministic. Eigenvalues at or below `cutoff` are
-    treated as zero. Tracing out the purifier recovers the input.
+    output is deterministic. Eigenvalues at or below ENTROPY_EIG_CUTOFF
+    are treated as zero. Tracing out the purifier recovers the input.
     """
     rho = assert_density_operator(rho, name="purify input")
     vals, vecs = np.linalg.eigh(rho)
     pairs = []
     for i in range(len(vals)):
-        if vals[i] > cutoff:
+        if vals[i] > ENTROPY_EIG_CUTOFF:
             v = _phase_fixed(vecs[:, i])
             key = tuple(x for c in v for x in (round(c.real, 12), round(c.imag, 12)))
             pairs.append((-vals[i], key, v))

@@ -35,6 +35,7 @@ from flagcka.protocol import (
     _collapse_outcomes,
     _cumulative_tables,
     _ROUND_TYPES,
+    _bit_string,
     _default_threshold,
     _table_outcomes,
 )
@@ -264,54 +265,11 @@ def test_round_records_use_protocol_inputs():
     assert tr.test.any() and not tr.test.all()
 
 
-# One round's schedule as (event, party or None).
-_ROUND_EVENTS = (
-    ("distribute", None),
-    *(("receipt", name) for name in PARTY_NAMES),
-    ("round_type", "alice"),
-    *(("input", name) for name in PARTY_NAMES),
-    *(("measure", name) for name in PARTY_NAMES),
-)
-
-
-def _round_events(transcript):
-    """(kind, round index, party or None) per event of every round."""
-    return [(kind, r, party) for r in range(len(transcript.test)) for kind, party in _ROUND_EVENTS]
-
-
-def _round_messages(transcript):
-    """(sender, kind, round index, payload): per round three receipts and
-    the round-type announcement, the messages made during the rounds."""
-    out = []
-    for r, t in enumerate(transcript.test.tolist()):
-        out += [(name, "Receipt", r, None) for name in PARTY_NAMES]
-        out.append(("alice", "RoundTypeAnnounce", r, _ROUND_TYPES[t]))
-    return out
-
-
-def test_per_round_event_schedule():
-    # Devices only ever see (input, state): the round type is announced
-    # before inputs are chosen, and every measurement happens after all
-    # three inputs exist.
-    tr = run_rounds(ProtocolConfig(n_rounds=50, seed=2))
-    events = _round_events(tr)
-    per_round = 1 + 3 + 1 + 3 + 3  # distribute, receipts, round_type, inputs, measures
-    assert len(events) == 50 * per_round
-    for r in range(50):
-        chunk = events[r * per_round:(r + 1) * per_round]
-        kinds = [e[0] for e in chunk]
-        assert kinds == ["distribute"] + ["receipt"] * 3 + ["round_type"] + ["input"] * 3 + ["measure"] * 3
-        assert all(e[1] == r for e in chunk)
-
-
 def test_message_schedule_through_completion():
     cfg = ProtocolConfig(n_rounds=2000, seed=6)
     result, tr = run_protocol(cfg)
     assert result.outcome == "completed"
-    # Per-round receipts and announcements first ...
-    per_round = _round_messages(tr)
-    assert [m[1] for m in per_round[:4]] == ["Receipt", "Receipt", "Receipt", "RoundTypeAnnounce"]
-    # ... then, after the last round, the flag and test-data announcements, then the XOR.
+    # After the last round: the flag and test-data announcements, then the XOR.
     kinds = [m.kind for m in tr.announcements]
     assert kinds == ["FlagAnnounce"] * 3 + ["TestDataAnnounce"] * 3 + ["XorAnnounce"]
     flags = [m for m in tr.announcements if m.kind == "FlagAnnounce"]
@@ -329,13 +287,17 @@ def test_message_schedule_through_completion():
     assert tr.announcements[-1].payload == result.k_xor
 
 
+def _bits(text):
+    return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+
+
 def test_check_flag_agreement_verdicts():
-    assert check_flag_agreement("0101", "0101", "0101") == "ok"
-    assert check_flag_agreement("0101", "0100", "0101") == "FlagMismatch"
-    assert check_flag_agreement("0000", "0000", "0000") == "FlagConstant"
-    assert check_flag_agreement("1111", "1111", "1111") == "FlagConstant"
+    assert check_flag_agreement(_bits("0101"), _bits("0101"), _bits("0101")) == "ok"
+    assert check_flag_agreement(_bits("0101"), _bits("0100"), _bits("0101")) == "FlagMismatch"
+    assert check_flag_agreement(_bits("0000"), _bits("0000"), _bits("0000")) == "FlagConstant"
+    assert check_flag_agreement(_bits("1111"), _bits("1111"), _bits("1111")) == "FlagConstant"
     with pytest.raises(ValueError):
-        check_flag_agreement("01", "011", "01")
+        check_flag_agreement(_bits("01"), _bits("011"), _bits("01"))
 
 
 def _synthetic_transcript(rows, kind="flagged"):
@@ -353,9 +315,10 @@ def test_sift_routes_by_flag():
         ("generation", (0, 2, 2), ((1, 1), (1, 1), (0, 1))),   # ac, mismatch
     ]
     sift = sift_pair_keys(_synthetic_transcript(rows))
-    assert sift.alice_ab == "10" and sift.partner_ab == "11"
-    assert sift.alice_ac == "11" and sift.partner_ac == "10"
+    assert sift.alice_ab.tolist() == [1, 0] and sift.partner_ab.tolist() == [1, 1]
+    assert sift.alice_ac.tolist() == [1, 1] and sift.partner_ac.tolist() == [1, 0]
     assert sift.mismatch_ab == 1 and sift.mismatch_ac == 1
+    assert sift.alice_ab.dtype == sift.partner_ac.dtype == np.uint8
 
 
 def test_sift_respects_exclusions():
@@ -364,7 +327,7 @@ def test_sift_respects_exclusions():
         ("generation", (0, 2, 2), ((0, 0), (0, 0), (0, 0))),
     ]
     sift = sift_pair_keys(_synthetic_transcript(rows), exclude_ab=np.array([0]))
-    assert sift.alice_ab == "0"
+    assert sift.alice_ab.tolist() == [0]
 
 
 def test_sift_parallel_feeds_both_keys():
@@ -374,23 +337,103 @@ def test_sift_parallel_feeds_both_keys():
     ]
     sift = sift_pair_keys(_synthetic_transcript(rows, kind="parallel"))
     # First bits go to Alice-Bob, second bits to Alice-Carole.
-    assert sift.alice_ab == "10" and sift.partner_ab == "10"
-    assert sift.alice_ac == "01" and sift.partner_ac == "01"
+    assert sift.alice_ab.tolist() == [1, 0] and sift.partner_ab.tolist() == [1, 0]
+    assert sift.alice_ac.tolist() == [0, 1] and sift.partner_ac.tolist() == [0, 1]
     assert sift.mismatch_ab == 0 and sift.mismatch_ac == 0
 
 
 def test_xor_reconcile():
-    k_xor, k_cka = xor_reconcile("1010", "0110")
-    assert k_cka == "1010"
-    assert k_xor == "1100"
+    k_xor, k_cka = xor_reconcile(_bits("1010"), _bits("0110"))
+    assert k_cka.tolist() == [1, 0, 1, 0]
+    assert k_xor.tolist() == [1, 1, 0, 0]
     # Carole's side: k_xor XOR k_ac recovers the conference key.
-    recovered = "".join("1" if a != b else "0" for a, b in zip(k_xor, "0110"))
-    assert recovered == k_cka
+    recovered = k_xor ^ _bits("0110")
+    assert np.array_equal(recovered, k_cka)
     # truncation to the shorter key
-    k_xor, k_cka = xor_reconcile("10101", "011")
+    k_xor, k_cka = xor_reconcile(_bits("10101"), _bits("011"))
     assert len(k_xor) == len(k_cka) == 3
     with pytest.raises(ValueError):
-        xor_reconcile("", "")
+        xor_reconcile(_bits(""), _bits(""))
+
+
+# Per strategy kind and pair: the (Alice's, partner's) key-bit columns.
+_KEY_COLUMNS = {"flagged": {"ab": ("a", "b"), "ac": ("a", "c")}, "parallel": {"ab": ("a", "b"), "ac": ("ta", "tc")}}
+
+
+def test_sift_without_exclusions_keeps_every_routed_round():
+    for kind in ("flagged", "parallel"):
+        tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=13, strategy_kind=kind))
+        sift = sift_pair_keys(tr)
+        gen = ~tr.test
+        if kind == "flagged":
+            flag = tr.data[:, COLUMNS.index("ta")]
+            routed = {"ab": gen & (flag == 0), "ac": gen & (flag == 1)}
+        else:
+            routed = {"ab": gen, "ac": gen}
+        for pair, alice_key, partner_key in (("ab", sift.alice_ab, sift.partner_ab), ("ac", sift.alice_ac, sift.partner_ac)):
+            alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[kind][pair])
+            assert np.array_equal(alice_key, tr.data[routed[pair], alice])
+            assert np.array_equal(partner_key, tr.data[routed[pair], partner])
+
+
+def _reference_bit_string(bits):
+    return (np.asarray(bits, dtype=np.uint8) | 48).tobytes().decode("ascii")
+
+
+def _reference_xor_strings(u, v):
+    return _reference_bit_string(np.frombuffer(u.encode(), dtype=np.uint8) ^ np.frombuffer(v.encode(), dtype=np.uint8))
+
+
+def _reference_sift(tr, pair, exclude):
+    """The pair's (Alice's, partner's) key as '0'/'1' strings, routed round by round."""
+    alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[tr.strategy_kind][pair])
+    excluded = set() if exclude is None else set(exclude.tolist())
+    flag = ("ab", "ac").index(pair)
+    rows = [
+        r
+        for r in range(len(tr.test))
+        if not tr.test[r] and (tr.strategy_kind == "parallel" or tr.data[r, COLUMNS.index("ta")] == flag)
+        and r not in excluded
+    ]
+    return _reference_bit_string(tr.data[rows, alice]), _reference_bit_string(tr.data[rows, partner])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    kind=hst.sampled_from(["flagged", "parallel"]),
+    n_rounds=hst.integers(0, 60),
+    exclude_fraction=hst.sampled_from([None, 0.0, 0.3, 1.0]),
+)
+def test_array_keys_match_the_string_reference(seed, kind, n_rounds, exclude_fraction):
+    rng = np.random.default_rng(seed)
+    test = rng.random(n_rounds) < 0.3
+    data = np.empty((n_rounds, len(COLUMNS)), dtype=np.int8)
+    data[:, :3] = np.where(test[:, None], rng.integers(0, 2, (n_rounds, 3)), GENERATION_INPUTS)
+    data[:, 3:] = rng.integers(0, 2, (n_rounds, 6))
+    tr = Transcript(kind, test, data)
+    exclude = {
+        pair: None if exclude_fraction is None else rng.choice(n_rounds, size=int(exclude_fraction * n_rounds), replace=False)
+        for pair in ("ab", "ac")
+    }
+    sift = sift_pair_keys(tr, exclude["ab"], exclude["ac"])
+    (ab_alice, ab_partner), (ac_alice, ac_partner) = (_reference_sift(tr, pair, exclude[pair]) for pair in ("ab", "ac"))
+    assert (_bit_string(sift.alice_ab), _bit_string(sift.partner_ab)) == (ab_alice, ab_partner)
+    assert (_bit_string(sift.alice_ac), _bit_string(sift.partner_ac)) == (ac_alice, ac_partner)
+    assert sift.mismatch_ab == sum(a != b for a, b in zip(ab_alice, ab_partner))
+    assert sift.mismatch_ac == sum(a != b for a, b in zip(ac_alice, ac_partner))
+    if not ab_alice and not ac_alice:
+        with pytest.raises(ValueError):
+            xor_reconcile(sift.alice_ab, sift.alice_ac)
+        return
+    k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
+    m = min(len(ab_alice), len(ac_alice))
+    reference_xor = _reference_xor_strings(ab_alice[:m], ac_alice[:m])
+    assert _bit_string(k_xor) == reference_xor
+    assert _bit_string(k_cka) == ab_alice[:m]
+    # The rendered keys of Bob and of Carole, who recovers hers from the announced XOR.
+    assert _bit_string(sift.partner_ab[:m]) == ab_partner[:m]
+    assert _bit_string(k_xor ^ sift.partner_ac[:m]) == _reference_xor_strings(reference_xor, ac_partner[:m])
 
 
 def test_alignment_vacuous_at_fraction_zero():
@@ -399,6 +442,21 @@ def test_alignment_vacuous_at_fraction_zero():
     assert res.ok
     assert res.match_rates == {"ab": None, "ac": None}
     assert len(res.excluded_ab) == 0 and len(res.excluded_ac) == 0
+
+
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_vacuous_alignment_keeps_no_round_arrays(kind):
+    # At fraction 0 the exclusions are new empty arrays, not views that
+    # pin a pair's index array (0.3-0.6 MB each at 1e5 rounds).
+    tr = run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind))
+    tracemalloc.start()
+    try:
+        res = alignment_test(tr, 0.0, 0.98, np.random.default_rng(0))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(res.excluded_ab) == len(res.excluded_ac) == 0
+    assert kept < 4096, kept
 
 
 def test_alignment_passes_on_honest_run():
@@ -604,7 +662,7 @@ def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
 
     picked = int(_pick(np.cumsum(probs)[None, :], np.array([draw]))[0])
     (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
-    assert picked == 2 * value + flag == select_outcome(probs, np.cumsum(probs), draw) == expected
+    assert picked == 2 * value + flag == select_outcome(probs, draw) == expected
     assert probs[picked] > 0.0
 
 

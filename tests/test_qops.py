@@ -230,11 +230,10 @@ def test_random_density_operator_is_state():
 
 def test_select_outcome_on_arrays_matches_each_draw():
     pvals = [0.5, 0.0, 0.5 - 1e-12, 0.0]
-    cum = np.cumsum(pvals)
     draws = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 1e-13])
-    picked = select_outcome(pvals, cum, draws)
-    assert picked.tolist() == [int(select_outcome(pvals, cum, d)) for d in draws] == [0, 0, 2, 2, 2]
+    picked = select_outcome(pvals, draws)
+    assert picked.tolist() == [int(select_outcome(pvals, d)) for d in draws] == [0, 0, 2, 2, 2]
     with pytest.raises(ValueError):
-        select_outcome(pvals, cum, np.array([0.5, 1.0]))
+        select_outcome(pvals, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        select_outcome([0.0, 0.0], np.zeros(2), 0.5)
+        select_outcome([0.0, 0.0], 0.5)
