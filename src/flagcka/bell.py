@@ -48,8 +48,6 @@ from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy
 __all__ = [
     "CHSH_QUANTUM_MAX",
     "GENERATION_INPUTS",
-    "Scenario",
-    "SCENARIO",
     "Behavior",
     "FlagStats",
     "BellReport",
@@ -123,22 +121,6 @@ BELL_FUNCTIONALS = {
     "flagged": BellFunctional(tuple(_BLOCK_CELLS["flagged"]), _TENSORS["flagged"], 2.0, CHSH_QUANTUM_MAX),
     "parallel": BellFunctional(tuple(_BLOCK_CELLS["parallel"]), _TENSORS["parallel"], 4.0, 2.0 * CHSH_QUANTUM_MAX),
 }
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Shape of the scenario; the constructor rejects anything else."""
-
-    n_inputs: tuple[int, int, int] = N_INPUTS
-    n_values: int = 2
-    n_flags: int = 2
-
-    def __post_init__(self):
-        if self.n_inputs != (2, 3, 3) or self.n_values != 2 or self.n_flags != 2:
-            raise ValueError("only the (2,3,3)-input, four-outcome scenario is supported")
-
-
-SCENARIO = Scenario()
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,11 @@ depend on the block size); row r serves round r:
                measure in that order: the outcome is the first label, in
                ascending order, whose cumulative probability exceeds it
 
-Both device backends read the same rows, so they agree draw for draw.
+The two device backends differ only in how they build the cumulative
+conditional tables these draws sample: `table` reads them off the exact
+behavior, `collapse` fills them by projective collapse of the strategy
+state. Both sample every block with one loop and one rule, so they
+agree draw for draw.
 Post-round sampling (the alignment spot check, Alice-Bob pair before
 Alice-Carole) uses the stream default_rng([seed, 1]), so it is
 insensitive to how the transcript was produced or restored. Two runs
@@ -42,6 +46,7 @@ with the same config are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -56,7 +61,7 @@ from .bell import (
     bell_value_stderr,
     estimate_behavior,
 )
-from .qops import born_probabilities, check_effects_complete, select_outcome
+from .qops import born_probabilities, check_effects_complete
 from .strategies import (
     OUTCOME_LABELS,
     NoiseParams,
@@ -96,11 +101,14 @@ PARALLEL_QUANTUM_MAX = BELL_FUNCTIONALS["parallel"].quantum_max
 COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
 _A, _TA, _B, _TB, _C, _TC = range(3, 9)
 _ROUND_TYPES = ("generation", "test")
-# Rounds drawn, sampled and rendered as JSONL per block, so that the table
-# backend's temporaries are bounded by a block whatever the number of
-# rounds. The collapse backend keeps each round's three collapse draws
-# for its one prefix walk per run.
+# Rounds drawn, sampled and rendered as JSONL per block, so that a run's
+# temporaries are bounded by a block whatever the number of rounds.
 BLOCK_ROWS = 1 << 14
+# The (x, y, z) triples the protocol draws: test rounds' {0, 1}^3, then
+# the generation inputs.
+PROTOCOL_INPUTS = (*itertools.product((0, 1), repeat=3), GENERATION_INPUTS)
+# A conditioning of probability at or below this leaves its table row at zero.
+_P_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,8 @@ class Transcript:
     `test` (N,) bool marks the test rounds and `data` (N, 9) int8 holds
     one row per round in the COLUMNS layout, which estimate_behavior
     reads directly. `announcements` collects the messages of steps 4-7,
-    all made after the last round; their payloads are views of, or
-    indices into, `test` and `data`, not copies.
+    all made after the last round; their payloads hold `test` itself,
+    views of `data` and column indices, not copies.
     """
 
     def __init__(self, strategy_kind: str, test: np.ndarray, data: np.ndarray):
@@ -225,13 +233,13 @@ def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.n
         joint_ab,
         p_a[:, None, :, None],
         out=np.zeros_like(joint_ab),
-        where=p_a[:, None, :, None] > 1e-15,
+        where=p_a[:, None, :, None] > _P_CUTOFF,
     )
     cond_c = np.divide(
         b6,
         joint_ab[:, :, None, :, :, None],
         out=np.zeros_like(b6),
-        where=joint_ab[:, :, None, :, :, None] > 1e-15,
+        where=joint_ab[:, :, None, :, :, None] > _P_CUTOFF,
     )
     cum_a = np.cumsum(p_a, axis=-1)
     cum_b = np.cumsum(cond_b, axis=-1).transpose(0, 2, 1, 3).reshape(-1, 4)
@@ -252,45 +260,51 @@ def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray
     return np.stack((oa, ob, oc), axis=1)
 
 
-def _collapse_outcomes(strategy: Strategy, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome indices (N, 3) by explicit projective collapse, one prefix at a time.
+def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_cumulative_tables`' rows, by explicit projective collapse.
 
     The state a party measures depends only on the inputs and outcomes of
     the parties before it: the prefix (x) for Alice, (x, oa, y) for Bob and
-    (x, oa, y, ob, z) for Carole, at most 2 + 24 + 288 prefixes. The rounds
-    are walked as a tree of the prefixes they reach: each prefix's Born
-    distribution is computed once, and all rounds sharing it select their
-    outcomes from it with `select_outcome`, the rule `measure_collapse`
-    uses. A level of the tree holds the reduced state of the parties still
-    to measure. Alice measures Tr_BC rho; her outcome, of projector P and
-    probability p, leaves rho_BC = Tr_A[(P (x) I) rho] / p, which is Tr_A
-    of the collapsed state (P (x) I) rho (P (x) I) / p since P^2 = P.
-    Bob measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC] / p.
-    Each local (party, input) family is checked complete once.
+    (x, oa, y, ob, z) for Carole. The prefixes of PROTOCOL_INPUTS are
+    walked as a tree, and each prefix's row is the cumulative Born
+    distribution of the state it leaves. A level of the tree holds the
+    reduced state of the parties still to measure. Alice measures
+    Tr_BC rho; her outcome, of projector P, leaves rho_BC proportional to
+    Tr_A[(P (x) I) rho], which is Tr_A of the collapsed state
+    (P (x) I) rho (P (x) I) since P^2 = P. Bob measures Tr_C rho_BC and
+    leaves Carole Tr_B[(P (x) I) rho_BC]. Each reduced state is normalised
+    by its own trace, and only outcomes of probability above _P_CUTOFF
+    are followed; the rows of the others stay zero, as in
+    `_cumulative_tables`. Each local (party, input) family is checked
+    complete once.
     """
     for families in strategy.measurements:
         for family in families.values():
             check_effects_complete(family)
-    out = np.empty(inputs.shape, dtype=np.intp)
-    _walk_prefixes(0, np.arange(len(inputs)), strategy.state, strategy, inputs, draws, out)
-    return out
+    tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
+    _walk_prefixes(0, (), 0, strategy.state, strategy, tables)
+    return tables
 
 
-def _walk_prefixes(party, rows, rho, strategy, inputs, draws, out) -> None:
-    """Fill out[rows, party:] for the rounds `rows`; `rho` is the state of `party` and the parties after it."""
+def _walk_prefixes(party, inputs, row, rho, strategy, tables) -> None:
+    """Fill the rows of `party` and the parties after it below one prefix.
+
+    `inputs` are the earlier parties' inputs, `row` the prefix's index
+    before `party`'s input, and `rho` the state of `party` and the
+    parties after it.
+    """
     d = strategy.party_dims[party]
     rho = rho.reshape(d, rho.shape[0] // d, d, -1)
     local = np.einsum("ijkj->ik", rho)
-    xs = inputs[rows, party]
-    for x in np.flatnonzero(np.bincount(xs)).tolist():
-        group = rows[xs == x]
+    for x in sorted({t[party] for t in PROTOCOL_INPUTS if t[:party] == inputs}):
         family = strategy.measurements[party][x]
-        pvals = list(born_probabilities(local, family).values())
-        picked = out[group, party] = select_outcome(pvals, draws[group, party])
+        pvals = np.array(list(born_probabilities(local, family).values()))
+        tables[party][row * 3 + x] = np.cumsum(pvals)
         if party < 2:
-            for o in np.flatnonzero(np.bincount(picked)).tolist():
-                reduced = np.einsum("ki,ibkc->bc", family[OUTCOME_LABELS[o]], rho) / pvals[o]
-                _walk_prefixes(party + 1, group[picked == o], reduced, strategy, inputs, draws, out)
+            for o in np.flatnonzero(pvals > _P_CUTOFF).tolist():
+                reduced = np.einsum("ki,ibkc->bc", family[OUTCOME_LABELS[o]], rho)
+                next_row = (row * 3 + x) * 4 + o
+                _walk_prefixes(party + 1, (*inputs, x), next_row, reduced / np.trace(reduced).real, strategy, tables)
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:
@@ -303,9 +317,10 @@ def _build_strategy(config: ProtocolConfig) -> Strategy:
 def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Transcript:
     """Steps 1-3: distribute, announce round type, choose inputs, measure.
 
-    See the module docstring for the layout of the draws, which are read
-    BLOCK_ROWS rows at a time. Announcements of flags and test data
-    happen in postprocess.
+    The backend chooses the builder of the cumulative tables, once; each
+    block of BLOCK_ROWS rounds then draws its uniforms (laid out as the
+    module docstring says) and picks its outcomes from those tables.
+    Announcements of flags and test data happen in postprocess.
     """
     strategy = _build_strategy(config) if strategy is None else strategy
     if strategy.kind != config.strategy_kind:
@@ -314,21 +329,13 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
     rng = np.random.default_rng(config.seed)
     test = np.empty(n, dtype=bool)
     data = np.empty((n, len(COLUMNS)), dtype=np.int8)
-    if config.backend == "table":
-        tables = _cumulative_tables(strategy)
-    else:
-        draws = np.empty((n, 3))
+    tables = (_cumulative_tables if config.backend == "table" else _collapse_tables)(strategy)
     for start in range(0, n, BLOCK_ROWS):
         u = rng.random((min(BLOCK_ROWS, n - start), 7))
         block = slice(start, start + len(u))
         test[block] = u[:, 0] < config.gamma
         data[block, :3] = np.where(test[block, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-        if config.backend == "table":
-            _set_outcomes(data[block], _table_outcomes(tables, data[block, :3], u[:, 4:]))
-        else:
-            draws[block] = u[:, 4:]
-    if config.backend == "collapse":
-        _set_outcomes(data, _collapse_outcomes(strategy, data[:, :3], draws))
+        _set_outcomes(data[block], _table_outcomes(tables, data[block, :3], u[:, 4:]))
     return Transcript(strategy.kind, test, data)
 
 
@@ -527,11 +534,10 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         stats["p_t0_estimate"] = n_t0 / len(test)
         stats["p_t1_estimate"] = (len(test) - n_t0) / len(test)
 
-    test_index = np.flatnonzero(test)
     for i, name in enumerate(PARTY_NAMES):
-        # The test rounds' indices, and the party's input, value and flag columns.
-        announce(Message(name, "TestDataAnnounce", (test_index, (i, _A + 2 * i, _TA + 2 * i))))
-    estimate = estimate_behavior(data[test_index])
+        # The test-round mask, and the party's input, value and flag columns.
+        announce(Message(name, "TestDataAnnounce", (test, (i, _A + 2 * i, _TA + 2 * i))))
+    estimate = estimate_behavior(data[test])
     observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold
@@ -610,60 +616,50 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
     return Transcript(transcript.strategy_kind, transcript.test.copy(), data)
 
 
-_CONFIG_KEYS = {
-    "n_rounds",
-    "gamma",
-    "threshold",
-    "alignment_fraction",
-    "alignment_floor",
-    "seed",
-    "strategy",
-    "backend",
-}
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+# The config JSON, in output order: (JSON path, ProtocolConfig field, parser).
+_CONFIG_JSON = (
+    (("n_rounds",), "n_rounds", int),
+    (("gamma",), "gamma", float),
+    (("threshold",), "bell_threshold", _optional_float),
+    (("alignment_fraction",), "alignment_fraction", float),
+    (("alignment_floor",), "alignment_floor", float),
+    (("seed",), "seed", int),
+    (("strategy", "kind"), "strategy_kind", str),
+    (("strategy", "visibility"), "visibility", float),
+    (("backend",), "backend", str),
+)
 
 
 def config_to_json(config: ProtocolConfig) -> str:
-    return json.dumps(
-        {
-            "n_rounds": config.n_rounds,
-            "gamma": config.gamma,
-            "threshold": config.bell_threshold,
-            "alignment_fraction": config.alignment_fraction,
-            "alignment_floor": config.alignment_floor,
-            "seed": config.seed,
-            "strategy": {"kind": config.strategy_kind, "visibility": config.visibility},
-            "backend": config.backend,
-        }
-    )
+    doc = {}
+    for (*parents, key), field, _ in _CONFIG_JSON:
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = getattr(config, field)
+    return json.dumps(doc)
 
 
 def config_from_json(text: str) -> ProtocolConfig:
     doc = json.loads(text)
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {path[0] for path, _, _ in _CONFIG_JSON}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     strategy = doc.get("strategy", {})
-    if not isinstance(strategy, dict) or set(strategy) - {"kind", "visibility"}:
+    strategy_keys = {path[-1] for path, _, _ in _CONFIG_JSON if path[0] == "strategy"}
+    if not isinstance(strategy, dict) or set(strategy) - strategy_keys:
         raise ValueError("config 'strategy' must be an object with keys 'kind' and 'visibility'")
     kwargs = {}
-    if "n_rounds" in doc:
-        kwargs["n_rounds"] = int(doc["n_rounds"])
-    if "gamma" in doc:
-        kwargs["gamma"] = float(doc["gamma"])
-    if "threshold" in doc and doc["threshold"] is not None:
-        kwargs["bell_threshold"] = float(doc["threshold"])
-    if "alignment_fraction" in doc:
-        kwargs["alignment_fraction"] = float(doc["alignment_fraction"])
-    if "alignment_floor" in doc:
-        kwargs["alignment_floor"] = float(doc["alignment_floor"])
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    if "kind" in strategy:
-        kwargs["strategy_kind"] = str(strategy["kind"])
-    if "visibility" in strategy:
-        kwargs["visibility"] = float(strategy["visibility"])
-    if "backend" in doc:
-        kwargs["backend"] = str(doc["backend"])
+    for (*parents, key), field, parse in _CONFIG_JSON:
+        node = doc
+        for parent in parents:
+            node = node.get(parent, {})
+        if key in node:
+            kwargs[field] = parse(node[key])
     return ProtocolConfig(**kwargs)
 
 

@@ -9,7 +9,6 @@ from flagcka.bell import (
     CHSH_QUANTUM_MAX,
     GENERATION_INPUTS,
     Behavior,
-    SCENARIO,
     TABLE_SHAPE,
     behavior_from_json,
     behavior_from_strategy,
@@ -24,6 +23,7 @@ from flagcka.bell import (
 )
 from flagcka.bell import _deterministic_values
 from flagcka.strategies import (
+    N_INPUTS,
     NoiseParams,
     constant_flag_strategy,
     honest_flagged_strategy,
@@ -33,7 +33,7 @@ from flagcka.strategies import (
 
 
 def test_scenario_singleton():
-    assert SCENARIO.n_inputs == (2, 3, 3)
+    assert N_INPUTS == (2, 3, 3)
     assert GENERATION_INPUTS == (0, 2, 2)
 
 

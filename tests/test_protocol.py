@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -31,9 +32,11 @@ from flagcka.protocol import (
     transcript_to_jsonl,
     write_transcript_jsonl,
     xor_reconcile,
+    PROTOCOL_INPUTS,
     _build_strategy,
-    _collapse_outcomes,
+    _collapse_tables,
     _cumulative_tables,
+    _P_CUTOFF,
     _ROUND_TYPES,
     _bit_string,
     _default_threshold,
@@ -122,7 +125,7 @@ def test_memoised_collapse_matches_round_by_round_loop(kind, visibility, seed):
     strategy = _build_strategy(ProtocolConfig(strategy_kind=kind, visibility=visibility))
     inputs, draws = _layout_rows(2000, seed)
     expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), expected)
+    assert np.array_equal(_table_outcomes(_collapse_tables(strategy), inputs, draws), expected)
 
 
 def test_memoised_collapse_matches_loop_on_a_generic_strategy():
@@ -138,7 +141,8 @@ def test_memoised_collapse_matches_loop_on_a_generic_strategy():
     measurements = tuple({x: family() for x in range(N_INPUTS[p])} for p in range(3))
     strategy = Strategy(random_density_operator(64, rng), (4, 4, 4), measurements)
     inputs, draws = _layout_rows(2000, 3)
-    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), _collapse_outcomes_reference(strategy, inputs, draws))
+    outcomes = _table_outcomes(_collapse_tables(strategy), inputs, draws)
+    assert np.array_equal(outcomes, _collapse_outcomes_reference(strategy, inputs, draws))
 
 
 def _unequal_dims_strategy(seed):
@@ -162,7 +166,7 @@ def test_memoised_collapse_matches_loop_with_unequal_local_dims():
     strategy = _unequal_dims_strategy(8)
     inputs, draws = _layout_rows(2000, 4)
     expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_collapse_outcomes(strategy, inputs, draws), expected)
+    assert np.array_equal(_table_outcomes(_collapse_tables(strategy), inputs, draws), expected)
     # Each (party, input) picks exactly the labels of its nonzero projectors.
     for p in range(3):
         for x, family in strategy.measurements[p].items():
@@ -218,15 +222,77 @@ def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
     for x, y, z in triples:
         reachable |= {(x, oa, y) for oa in range(4) if b6[x, y, z, oa].sum() > 1e-12}
         reachable |= {(x, oa, y, ob, z) for oa in range(4) for ob in range(4) if b6[x, y, z, oa, ob].sum() > 1e-12}
-    counts = []
+    assert set(PROTOCOL_INPUTS) == set(triples)
+    # The tables are built before any round is drawn: one distribution per
+    # reachable prefix, however many rounds follow and whichever they reach.
     for n_rounds in (2000, 20000):
         calls.clear()
         transcript = run_rounds(replace(config, n_rounds=n_rounds))
-        assert len(calls) == len(_prefixes(transcript)) <= 2 + 24 + 288
-        counts.append(len(calls))
-    # Ten times the rounds only fills in the few prefixes the shorter run
-    # missed: the count is capped by the reachable set, not by the rounds.
-    assert counts[0] <= counts[1] == len(reachable) < 2 + 24 + 288
+        assert _prefixes(transcript) <= reachable
+        assert len(calls) == len(reachable) < 2 + 24 + 288
+
+
+def _table_rows():
+    """Per party, the table rows of the protocol's inputs: row -> (x, y, z, oa, ob)."""
+    rows = ({}, {}, {})
+    for (x, y, z), oa, ob in itertools.product(PROTOCOL_INPUTS, range(4), range(4)):
+        row_b = (x * 4 + oa) * 3 + y
+        rows[0][x] = rows[1][row_b] = rows[2][(row_b * 4 + ob) * 3 + z] = (x, y, z, oa, ob)
+    return rows
+
+
+_TABLE_STRATEGIES = {
+    **{
+        f"{kind}-{v}": lambda kind=kind, v=v: _build_strategy(ProtocolConfig(strategy_kind=kind, visibility=v))
+        for kind in ("flagged", "parallel")
+        for v in (1.0, 0.9)
+    },
+    **{f"random-{seed}": lambda seed=seed: random_projective_strategy(seed) for seed in (0, 1, 2)},
+    "dims-2-4-3": lambda: _unequal_dims_strategy(8),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
+def test_collapse_tables_match_behavior_tables(name):
+    strategy = _TABLE_STRATEGIES[name]()
+    b6 = behavior_from_strategy(strategy).table.reshape(2, 3, 3, 4, 4, 4)
+    expected = _cumulative_tables(strategy)
+    for party, (collapse, rows) in enumerate(zip(_collapse_tables(strategy), _table_rows())):
+        filled = collapse.any(axis=1)
+        assert np.abs(collapse[filled] - expected[party][filled]).max() <= 1e-12
+        # A row left at zero is of an input the protocol never draws, or
+        # of a conditioning (oa, or oa and ob) at or below the cutoff.
+        for row in np.flatnonzero(~filled).tolist():
+            if row in rows:
+                assert party > 0 and b6[rows[row][: party + 3]].sum() <= _P_CUTOFF
+
+
+def _rare_outcome_strategy(seed, delta):
+    # A product of one projector of each party's input-0 family, mixed with
+    # delta of a random state: most outcomes have probability of order
+    # delta, where a state normalised by its Born probability instead of
+    # its trace is off by a relative error of order 1e-16 / delta. Below
+    # the cutoff, delta is rounding error, and a walk that followed such
+    # outcomes would measure states that are not positive.
+    rng = np.random.default_rng(seed)
+    families = random_projective_strategy(seed).measurements
+    product = families[0][0][(0, 0)]
+    for party in (1, 2):
+        product = np.kron(product, families[party][0][(0, 0)])
+    state = (1 - delta) * product + delta * random_density_operator(64, rng)
+    return Strategy(state, (4, 4, 4), families)
+
+
+@pytest.mark.parametrize("delta", [1e-18, 1e-16, 1e-14, 1e-12, 1e-10])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_backends_agree_on_rare_outcomes(seed, delta):
+    strategy = _rare_outcome_strategy(seed, delta)
+    table, collapse = (
+        run_rounds(ProtocolConfig(n_rounds=2000, seed=seed, bell_threshold=2.0, backend=backend), strategy)
+        for backend in ("table", "collapse")
+    )
+    assert np.array_equal(table.test, collapse.test)
+    assert np.array_equal(table.data, collapse.data)
 
 
 @pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.9), ("parallel", 0.97)])
@@ -279,8 +345,7 @@ def test_message_schedule_through_completion():
         assert np.array_equal(m.payload, tr.data[:, COLUMNS.index(col)])
         assert np.shares_memory(m.payload, tr.data)
     test_data = [m.payload for m in tr.announcements if m.kind == "TestDataAnnounce"]
-    assert all(index is test_data[0][0] for index, _ in test_data)
-    assert np.array_equal(test_data[0][0], np.flatnonzero(tr.test))
+    assert all(rounds is tr.test for rounds, _ in test_data)
     assert [columns for _, columns in test_data] == [
         tuple(COLUMNS.index(c) for c in party) for party in (("x", "a", "ta"), ("y", "b", "tb"), ("z", "c", "tc"))
     ]
@@ -614,6 +679,36 @@ def test_config_json_rejects_unknown_keys():
         config_from_json('{"n_rounds": 100, "rounds": 7}')
 
 
+def test_config_json_text_is_pinned():
+    config = ProtocolConfig(seed=3, strategy_kind="parallel", visibility=0.9, backend="collapse")
+    assert config_to_json(config) == (
+        '{"n_rounds": 1000, "gamma": 0.2, "threshold": null, "alignment_fraction": 0.0, "alignment_floor": 0.98, '
+        '"seed": 3, "strategy": {"kind": "parallel", "visibility": 0.9}, "backend": "collapse"}'
+    )
+    partial = config_from_json('{"threshold": null, "strategy": {"visibility": 0.5}}')
+    assert partial == ProtocolConfig(visibility=0.5)
+
+
+_STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'visibility'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rounds": 7, "n_rounds": 1, "kind": 0}', "unknown config keys: ['kind', 'rounds']"),
+        ('{"strategy": 3}', _STRATEGY_OBJECT),
+        ('{"strategy": {"kind": "flagged", "noise": 0}}', _STRATEGY_OBJECT),
+        ('{"threshold": "high"}', "could not convert string to float: 'high'"),
+        ('{"n_rounds": "1.5"}', "invalid literal for int() with base 10: '1.5'"),
+        ('{"strategy": {"kind": "ghz"}}', "unknown strategy kind 'ghz'"),
+    ],
+)
+def test_config_json_error_messages(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_json(text)
+    assert str(excinfo.value) == message
+
+
 def test_transcript_jsonl():
     tr = run_rounds(ProtocolConfig(n_rounds=40, seed=1))
     lines = transcript_to_jsonl(tr).strip().splitlines()
@@ -831,10 +926,11 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_memory_is_flat_in_rounds():
+@pytest.mark.parametrize("backend", ["table", "collapse"])
+def test_memory_is_flat_in_rounds(backend):
     # Twice the rounds may add the 10 bytes per round a transcript keeps,
     # 1 MB here, but no temporary that grows with the rounds.
-    configs = [ProtocolConfig(n_rounds=n_rounds, seed=29) for n_rounds in (100_000, 200_000)]
+    configs = [ProtocolConfig(n_rounds=n_rounds, seed=29, backend=backend) for n_rounds in (100_000, 200_000)]
     sampled = [_traced_peak(lambda: run_rounds(config)) for config in configs]
     with open(os.devnull, "w") as sink:
         written = [_traced_peak(lambda: write_transcript_jsonl(tr, sink)) for tr in map(run_rounds, configs)]
@@ -844,9 +940,9 @@ def test_memory_is_flat_in_rounds():
 
 def test_postprocess_keeps_no_copy_of_the_transcript():
     # What postprocess leaves behind (the announcements and the result)
-    # grows with the rounds by the key strings and the test rounds' index
-    # array, 0.3 MB from 1e5 to 2e5 rounds, but not by copies of the
-    # transcript's columns (2.3 MB when each party's test data was copied).
+    # grows with the rounds by the key strings, 0.15 MB from 1e5 to 2e5
+    # rounds, but not by copies of the transcript's columns (2.3 MB when
+    # each party's test data was copied, 0.3 MB with an index array).
     kept = []
     for n_rounds in (100_000, 200_000):
         config = ProtocolConfig(n_rounds=n_rounds, seed=29)
