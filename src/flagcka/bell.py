@@ -424,12 +424,32 @@ def behavior_to_json(behavior: Behavior) -> str:
     return json.dumps(doc)
 
 
+# Key of each input triple and of each outcome in behavior JSON, mapped to
+# its offset in a flattened TABLE_SHAPE table.
+_CELL_SIZE = math.prod(TABLE_SHAPE[3:])
+_TRIPLE_OFFSETS = {",".join(map(str, k)): _CELL_SIZE * i for i, k in enumerate(np.ndindex(TABLE_SHAPE[:3]))}
+_OUTCOME_OFFSETS = {" ".join(map(str, k)): i for i, k in enumerate(np.ndindex(TABLE_SHAPE[3:]))}
+
+
 def behavior_from_json(text: str) -> Behavior:
+    """Inverse of `behavior_to_json`. Absent cells are zero; a key that is
+    not one `behavior_to_json` writes raises ValueError."""
     doc = json.loads(text)
-    table = np.zeros(TABLE_SHAPE)
+    if not isinstance(doc, dict):
+        raise ValueError("behavior JSON must be an object keyed by input triple 'x,y,z'")
+    flat = [0.0] * math.prod(TABLE_SHAPE)
     for triple, cell in doc.items():
-        x, y, z = (int(v) for v in triple.split(","))
+        base = _TRIPLE_OFFSETS.get(triple)
+        if base is None:
+            raise ValueError(f"behavior JSON: {triple!r} is not an input triple 'x,y,z' (x in 0..1, y and z in 0..2)")
+        if not isinstance(cell, dict):
+            raise ValueError(f"behavior JSON: cell {triple!r} must be an object keyed by outcome")
         for key, p in cell.items():
-            a, ta, b, tb, c, tc = (int(v) for v in key.split())
-            table[x, y, z, a, ta, b, tb, c, tc] = float(p)
-    return Behavior(table)
+            offset = _OUTCOME_OFFSETS.get(key)
+            if offset is None:
+                raise ValueError(f"behavior JSON: {key!r} in cell {triple!r} is not an outcome 'a ta b tb c tc' of six bits")
+            try:
+                flat[base + offset] = float(p)
+            except TypeError:
+                raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number") from None
+    return Behavior(np.array(flat).reshape(TABLE_SHAPE))

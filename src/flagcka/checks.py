@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import CHSH_QUANTUM_MAX, behavior_from_strategy
-from .qops import SQRT2, identity, partial_trace, tensor, trace_distance, von_neumann_entropy
+from .qops import SQRT2, identity, kron_stack, partial_trace, trace_distance, von_neumann_entropy
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy
 
 __all__ = [
@@ -149,15 +149,16 @@ def check_projection_lemma(strategy: Strategy) -> CheckReport:
 
 
 def _require_projective(strategy: Strategy):
-    for party in range(3):
-        for x in range(N_INPUTS[party]):
-            for label in OUTCOME_LABELS:
-                e = strategy.measurements[party][x][label]
-                if np.abs(e @ e - e).max() > ATOL_IDENTITY:
-                    raise ValueError(
-                        f"party {party} input {x} outcome {label} is not projective; "
-                        "dilate with qops.naimark_dilation first"
-                    )
+    for party, families in enumerate(strategy.measurements):
+        keys = [(x, label) for x in range(N_INPUTS[party]) for label in OUTCOME_LABELS]
+        e = np.stack([families[x][label] for x, label in keys])
+        bad = np.abs(e @ e - e).max(axis=(1, 2)) > ATOL_IDENTITY
+        if bad.any():
+            x, label = keys[int(np.argmax(bad))]
+            raise ValueError(
+                f"party {party} input {x} outcome {label} is not projective; "
+                "dilate with qops.naimark_dilation first"
+            )
 
 
 def _branch_operators(strategy: Strategy, partner: int, t: int):
@@ -175,8 +176,8 @@ def _branch_operators(strategy: Strategy, partner: int, t: int):
         return np.stack(signed + [strategy.flag_projector(party, x, t) for x in (0, 1)])
 
     # The Kronecker product of stacks embeds each operator of a stack at once.
-    a0, a1, *alice_flags = tensor(local(0), identity(strategy.party_dims[partner])[None])
-    b0, b1, *partner_flags = tensor(identity(strategy.party_dims[0])[None], local(partner))
+    a0, a1, *alice_flags = kron_stack(local(0), identity(strategy.party_dims[partner]))
+    b0, b1, *partner_flags = kron_stack(identity(strategy.party_dims[0]), local(partner))
     flags = alice_flags + partner_flags
     chsh = a0 @ (b0 + b1) + a1 @ (b0 - b1)
     return a0, a1, b0, b1, flags, chsh

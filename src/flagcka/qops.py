@@ -23,6 +23,7 @@ __all__ = [
     "phi_plus",
     "projector",
     "tensor",
+    "kron_stack",
     "dagger",
     "identity",
     "is_hermitian",
@@ -85,6 +86,21 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each pair of matrices of two broadcastable stacks.
+
+    The last two axes of `a` and `b` are matrices, the leading axes
+    broadcast. Each entry is one product a[..., i, j] * b[..., k, l], the
+    product `np.kron` takes, so every result matrix equals `np.kron` of its
+    pair bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
@@ -233,40 +249,31 @@ def permute_subsystems(op: np.ndarray, dims: Sequence[int], perm: Sequence[int])
     return op.reshape(dims + dims).transpose(axes).reshape(full, full)
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    # Global phase chosen so the first non-negligible component is real positive.
-    for x in vec:
-        if abs(x) > 1e-12:
-            return vec * (abs(x) / x)
-    return vec
-
-
 def purify(rho: np.ndarray) -> np.ndarray:
     """Purification |psi> = sum_i sqrt(l_i) |v_i>|i> with purifier dim = rank.
 
     Eigenvalues are sorted descending; exact ties are broken by the
     lexicographic order of the phase-fixed eigenvectors (compare real
-    then imaginary parts of the first differing component), so the
-    output is deterministic. Eigenvalues at or below ENTROPY_EIG_CUTOFF
-    are treated as zero. Tracing out the purifier recovers the input.
+    then imaginary parts of the first differing component, each rounded
+    to 12 decimals), so the output is deterministic. Each eigenvector's
+    global phase makes its first component of modulus above 1e-12 real
+    positive. Eigenvalues at or below ENTROPY_EIG_CUTOFF are treated as
+    zero. Tracing out the purifier recovers the input.
     """
     rho = assert_density_operator(rho, name="purify input")
     vals, vecs = np.linalg.eigh(rho)
-    pairs = []
-    for i in range(len(vals)):
-        if vals[i] > ENTROPY_EIG_CUTOFF:
-            v = _phase_fixed(vecs[:, i])
-            key = tuple(x for c in v for x in (round(c.real, 12), round(c.imag, 12)))
-            pairs.append((-vals[i], key, v))
-    pairs.sort(key=lambda t: (t[0], t[1]))
-    rank = len(pairs)
+    kept = vals > ENTROPY_EIG_CUTOFF
+    vals, vecs = vals[kept], vecs[:, kept]
+    rank = len(vals)
     if rank == 0:
         raise ValueError("state has no eigenvalue above the cutoff")
-    dim = rho.shape[0]
-    psi = np.zeros((dim, rank), dtype=complex)
-    for j, (neg, _, v) in enumerate(pairs):
-        psi[:, j] = math.sqrt(-neg) * v
-    psi = psi.ravel()
+    first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(rank)]
+    vecs = vecs * (np.abs(first) / first)
+    # Row j of parts is eigenvector j as (re, im) of each component in turn.
+    # np.lexsort reads its last key first: -eigenvalue, then the parts.
+    parts = np.round(np.ascontiguousarray(vecs.T).view(float), 12)
+    order = np.lexsort([*parts.T[::-1], -vals])
+    psi = (np.sqrt(vals[order]) * vecs[:, order]).ravel()
     return psi / np.linalg.norm(psi)
 
 

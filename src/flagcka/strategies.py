@@ -24,6 +24,7 @@ from .qops import (
     basis_ket,
     check_effects_complete,
     identity,
+    kron_stack,
     permute_subsystems,
     phi_plus,
     plus_ket,
@@ -143,21 +144,27 @@ def depolarize(rho: np.ndarray, visibility: float) -> np.ndarray:
     return visibility * rho + (1.0 - visibility) * np.eye(d) / d
 
 
+def _value_projectors(observables) -> np.ndarray:
+    """(inputs, 2, 2, 2) array: the value-a projector of each input's observable."""
+    return np.array([[value[0], value[1]] for value in map(binary_observable_effects, observables)])
+
+
+def _families(effects: np.ndarray) -> dict:
+    """Per-input dicts of label -> effect, views of an (inputs, 2, 2, d, d) array."""
+    return {x: {label: effects[(x, *label)] for label in OUTCOME_LABELS} for x in range(len(effects))}
+
+
+# Flag-t projector |t><t| of the flag register, stacked over t.
+_FLAG_PROJECTORS = np.array([projector(basis_ket(2, t)) for t in (0, 1)])
+
+
 def _flagged_measurements() -> tuple[dict, ...]:
     # Party space = qubit (x) flag qubit. The value observable acts on the
     # qubit, the flag is always read in the computational basis.
-    out = []
-    for observables in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES):
-        families = {}
-        for x, obs in enumerate(observables):
-            value = binary_observable_effects(obs)
-            families[x] = {
-                (a, t): tensor(value[a], projector(basis_ket(2, t)))
-                for a in (0, 1)
-                for t in (0, 1)
-            }
-        out.append(families)
-    return tuple(out)
+    return tuple(
+        _families(kron_stack(_value_projectors(observables)[:, :, None], _FLAG_PROJECTORS))
+        for observables in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES)
+    )
 
 
 def _flagged_branch(t: int, visibility: float) -> np.ndarray:
@@ -222,15 +229,8 @@ def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     rho = permute_subsystems(rho, [2] * 6, [0, 3, 1, 5, 2, 4])
 
     def families(observables):
-        fams = {}
-        for x, obs in enumerate(observables):
-            value = binary_observable_effects(obs)
-            fams[x] = {
-                (o1, o2): tensor(value[o1], value[o2])
-                for o1 in (0, 1)
-                for o2 in (0, 1)
-            }
-        return fams
+        value = _value_projectors(observables)
+        return _families(kron_stack(value[:, :, None], value[:, None, :]))
 
     meas = (
         families(ALICE_OBSERVABLES),
@@ -254,20 +254,11 @@ def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) ->
     rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
     meas = []
     for party in range(3):
-        rotations = {t: random_unitary(2, rng) for t in (0, 1)}
-        observables = ALICE_OBSERVABLES if party == 0 else PARTNER_OBSERVABLES
-        families = {}
-        for x, obs in enumerate(observables):
-            value = binary_observable_effects(obs)
-            families[x] = {
-                (a, t): tensor(
-                    rotations[t] @ value[a] @ rotations[t].conj().T,
-                    projector(basis_ket(2, t)),
-                )
-                for a in (0, 1)
-                for t in (0, 1)
-            }
-        meas.append(families)
+        rotations = np.array([random_unitary(2, rng) for _ in (0, 1)])
+        value = _value_projectors(ALICE_OBSERVABLES if party == 0 else PARTNER_OBSERVABLES)
+        # Axes (x, a, t): value projector a of input x rotated by U_t, as (U V) U^H.
+        rotated = (rotations @ value[:, :, None]) @ rotations.conj().swapaxes(-1, -2)
+        meas.append(_families(kron_stack(rotated, _FLAG_PROJECTORS)))
     return Strategy(state=rho, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
 
 

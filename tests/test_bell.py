@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flagcka.bell import (
     BELL_FUNCTIONALS,
@@ -302,6 +304,46 @@ def test_behavior_json_roundtrip():
     back = behavior_from_json(blob)
     np.testing.assert_allclose(back.table, b.table, atol=1e-12)
     assert bell_value(back).total == pytest.approx(bell_value(b).total, abs=1e-9)
+
+
+def test_behavior_json_roundtrip_is_exact():
+    b = behavior_from_strategy(random_projective_strategy(3, NoiseParams(visibility=0.93)))
+    np.testing.assert_array_equal(behavior_from_json(behavior_to_json(b)).table, b.table)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # Negative indices used to wrap around to z=2 and outcome bit 1.
+        ('{"0,0,-1": {"0 0 0 0 0 -1": 0.25}}', "'0,0,-1'"),
+        ('{"0,0,0": {"0 0 0 0 0 -1": 1.0}}', "'0 0 0 0 0 -1'"),
+        ('{"0,0,9": {"0 0 0 0 0 0": 1.0}}', "'0,0,9'"),
+        ('{"0,0": {}}', "'0,0'"),
+        ('{"0, 0, 0": {}}', "'0, 0, 0'"),
+        ('{"0,0,0": {"0 0 0 0 0 2": 1.0}}', "'0 0 0 0 0 2'"),
+        ('{"0,0,0": {"0 0 0 0 0": 1.0}}', "'0 0 0 0 0'"),
+        ('[0.5, 0.5]', "not an object|must be an object"),
+        ('{"0,0,0": [1.0]}', "'0,0,0'"),
+        ('{"0,0,0": {"0 0 0 0 0 0": [1.0]}}', "not a number"),
+    ],
+)
+def test_behavior_from_json_rejects_keys_it_cannot_place(text, named):
+    with pytest.raises(ValueError, match=named):
+        behavior_from_json(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(alice=hst.integers(0, 15), bob=hst.integers(0, 63), carole=hst.integers(0, 63))
+def test_deterministic_behaviors_respect_the_enumerated_local_bound(alice, bob, carole):
+    # One of the 16 * 64 * 64 deterministic assignments: index i's base-4
+    # digits are the outcomes o = 2 * value + flag per input, first input first.
+    def outputs(index, n_inputs):
+        digits = np.unravel_index(index, (4,) * n_inputs)
+        return {i: (int(o) >> 1, int(o) & 1) for i, o in enumerate(digits)}
+
+    b = deterministic_behavior(outputs(alice, 2), outputs(bob, 3), outputs(carole, 3))
+    assert bell_value(b).total <= local_bound_bruteforce()[0]
+    assert parallel_bell_value(b).total <= BELL_FUNCTIONALS["parallel"].local_bound
 
 
 def _chsh(joint):

@@ -14,6 +14,7 @@ from flagcka.checks import (
     reports_to_json,
     run_check_suite,
 )
+from flagcka.checks import _branch_operators
 from flagcka.qops import (
     basis_ket,
     identity,
@@ -418,6 +419,51 @@ def test_local_checks_match_kronecker_reference(case):
     for key, slack in slacks.items():
         assert r.details["slacks"][key] == pytest.approx(slack, abs=tol), key
     assert r.residual == pytest.approx(max(0.0, *(-v for v in slacks.values())), abs=tol)
+
+
+def _ref_stacked_branch_operators(strategy, partner, t):
+    # `_branch_operators` as first written: each party's stack embedded by
+    # one `tensor` call with the other party's identity.
+    def local(party):
+        fams = [strategy.measurements[party][x] for x in (0, 1)]
+        signed = [fam[(0, t)] - fam[(1, t)] for fam in fams]
+        return np.stack(signed + [strategy.flag_projector(party, x, t) for x in (0, 1)])
+
+    a0, a1, *alice_flags = tensor(local(0), identity(strategy.party_dims[partner])[None])
+    b0, b1, *partner_flags = tensor(identity(strategy.party_dims[0])[None], local(partner))
+    return a0, a1, b0, b1, alice_flags + partner_flags, a0 @ (b0 + b1) + a1 @ (b0 - b1)
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_branch_operators_match_tensor_reference(case):
+    s = _REFERENCE_CASES[case]()
+    for partner in (1, 2):
+        for t in (0, 1):
+            a0, a1, b0, b1, flags, chsh = _branch_operators(s, partner, t)
+            ref = _ref_stacked_branch_operators(s, partner, t)
+            assert len(flags) == len(ref[4]) == 4
+            for k, (g, r) in enumerate(zip((a0, a1, b0, b1, *flags, chsh), (*ref[:4], *ref[4], ref[5]))):
+                np.testing.assert_allclose(g, r, rtol=0, atol=0, err_msg=f"operator {k}, partner {partner}, t={t}")
+
+
+def test_sos_names_the_first_non_projective_effect():
+    # Two smeared families: (party 1, input 2) comes before (party 2, input 0)
+    # in the (party, input, label) order, so it is the one named.
+    honest = honest_flagged_strategy()
+    meas = [dict(m) for m in honest.measurements]
+    for party, x in ((2, 0), (1, 2)):
+        meas[party][x] = {label: 0.5 * e + 0.125 * identity(4) for label, e in meas[party][x].items()}
+    s = Strategy(state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+    with pytest.raises(ValueError, match=r"^party 1 input 2 outcome \(0, 0\) is not projective"):
+        check_sos_identity(s, "ab", 0)
+    # Within the family the first bad label is named: (1, 0), ahead of (1, 1).
+    meas = [dict(m) for m in honest.measurements]
+    fam = dict(meas[1][2])
+    fam[(1, 0)], fam[(1, 1)] = fam[(1, 0)] + 0.5 * fam[(1, 1)], 0.5 * fam[(1, 1)]
+    meas[1][2] = fam
+    s = Strategy(state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+    with pytest.raises(ValueError, match=r"^party 1 input 2 outcome \(1, 0\) is not projective"):
+        check_sos_identity(s, "ac", 1)
 
 
 def test_generic_reference_cases_are_not_trivial():

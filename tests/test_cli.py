@@ -162,6 +162,19 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"0,0,-1": {"0 0 0 0 0 -1": 0.25}}', '{"0,0,9": {"0 0 0 0 0 0": 1.0}}', "[1, 2]"],
+)
+def test_rates_rejects_behavior_keys_it_cannot_place(tmp_path, capsys, text):
+    path = tmp_path / "behavior.json"
+    path.write_text(text)
+    assert main(["rates", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: behavior JSON" in captured.err
+
+
 def test_bad_config_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"gamma": 2.0}))

@@ -176,6 +176,43 @@ def test_purify_pure_state_env_is_trivial():
     np.testing.assert_allclose(np.abs(psi), np.abs(plus_ket()), atol=1e-12)
 
 
+def _ref_purify(rho):
+    # Purify as first written: one tuple key per eigenvector, built with
+    # round(), sorted with the eigenvalue. Pins purify's np.lexsort ranking.
+    vals, vecs = np.linalg.eigh(rho)
+    pairs = []
+    for i in range(len(vals)):
+        if vals[i] > 1e-12:
+            v = vecs[:, i]
+            x = next(c for c in v if abs(c) > 1e-12)
+            v = v * (abs(x) / x)
+            key = tuple(part for c in v for part in (round(c.real, 12), round(c.imag, 12)))
+            pairs.append((-vals[i], key, v))
+    pairs.sort(key=lambda p: (p[0], p[1]))
+    psi = np.zeros((rho.shape[0], len(pairs)), dtype=complex)
+    for j, (neg, _, v) in enumerate(pairs):
+        psi[:, j] = np.sqrt(-neg) * v
+    psi = psi.ravel()
+    return psi / np.linalg.norm(psi)
+
+
+def _purify_cases():
+    from flagcka.strategies import honest_flagged_strategy
+
+    # The honest state has a 2-fold tied top eigenvalue, identity(4)/4 is all ties.
+    yield "honest", honest_flagged_strategy().state
+    yield "maximally_mixed", identity(4) / 4
+    for seed in range(5):
+        yield f"random_{seed}", random_density_operator(6, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name, rho", list(_purify_cases()))
+def test_purify_matches_tuple_key_reference(name, rho):
+    psi, ref = purify(rho), _ref_purify(rho)
+    assert psi.shape == ref.shape
+    np.testing.assert_allclose(psi, ref, rtol=0, atol=0)
+
+
 def test_von_neumann_entropy_values():
     assert von_neumann_entropy(projector(basis_ket(2, 0))) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(identity(2) / 2) == pytest.approx(1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagcka.qops import identity, partial_trace, phi_plus, plus_ket, projector, tensor
+from flagcka.qops import basis_ket, identity, partial_trace, phi_plus, plus_ket, projector, random_unitary, tensor
 from flagcka.strategies import (
     ALICE_OBSERVABLES,
     NoiseParams,
@@ -188,3 +188,66 @@ def test_strategy_json_roundtrip():
                         s.measurements[party][x][label],
                         atol=1e-15,
                     )
+
+
+# Reference builders: the measurement families as first written, one
+# `tensor` call per effect. The builders make each party's effects as one
+# stacked array; these pin that every effect is the same to the last bit.
+
+
+def _ref_flagged_families(observables, rotations=None):
+    families = {}
+    for x, obs in enumerate(observables):
+        value = binary_observable_effects(obs)
+        families[x] = {}
+        for a in (0, 1):
+            for t in (0, 1):
+                v = value[a] if rotations is None else rotations[t] @ value[a] @ rotations[t].conj().T
+                families[x][(a, t)] = tensor(v, projector(basis_ket(2, t)))
+    return families
+
+
+def _ref_parallel_families(observables):
+    families = {}
+    for x, obs in enumerate(observables):
+        value = binary_observable_effects(obs)
+        families[x] = {(o1, o2): tensor(value[o1], value[o2]) for o1 in (0, 1) for o2 in (0, 1)}
+    return families
+
+
+def _ref_random_measurements(seed):
+    rng = np.random.default_rng(seed)
+    meas = []
+    for party in range(3):
+        rotations = {t: random_unitary(2, rng) for t in (0, 1)}
+        meas.append(_ref_flagged_families(ALICE_OBSERVABLES if party == 0 else PARTNER_OBSERVABLES, rotations))
+    return meas
+
+
+def _ref_measurements(kind):
+    ref = _ref_flagged_families if kind == "flagged" else _ref_parallel_families
+    return [ref(ALICE_OBSERVABLES), ref(PARTNER_OBSERVABLES), ref(PARTNER_OBSERVABLES)]
+
+
+_BUILDER_CASES = {
+    **{
+        f"{kind}_v{v}": (lambda kind=kind, build=build, v=v: (build(NoiseParams(visibility=v)), _ref_measurements(kind)))
+        for kind, build in (("flagged", honest_flagged_strategy), ("parallel", honest_parallel_strategy))
+        for v in (1.0, 0.9)
+    },
+    **{
+        f"random_{seed}": (lambda seed=seed: (random_projective_strategy(seed), _ref_random_measurements(seed)))
+        for seed in range(5)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+def test_stacked_builders_match_tensor_reference(case):
+    s, ref = _BUILDER_CASES[case]()
+    for party in range(3):
+        assert list(s.measurements[party]) == list(ref[party])
+        for x, effects in ref[party].items():
+            assert list(s.measurements[party][x]) == list(effects) == list(OUTCOME_LABELS)
+            for label, e in effects.items():
+                np.testing.assert_allclose(s.measurements[party][x][label], e, rtol=0, atol=0)
