@@ -202,32 +202,20 @@ class ParallelBellReport:
 
 
 def behavior_from_strategy(strategy: Strategy) -> Behavior:
-    """Born-rule behavior of a strategy, validated."""
+    """Born-rule behavior of a strategy, validated.
+
+    p(alpha, beta, gamma | x, y, z) = Tr[rho (A (x) B (x) C)] for every
+    input triple at once: one contraction of the state with each party's
+    effects stacked as (inputs, outcomes, d, d).
+    """
     da, db, dc = strategy.party_dims
     rho = strategy.state.reshape(da, db, dc, da, db, dc)
-    stacks = []
-    for party, d in enumerate(strategy.party_dims):
-        per_input = []
-        for x in range(N_INPUTS[party]):
-            fam = strategy.measurements[party][x]
-            per_input.append(np.stack([fam[label] for label in OUTCOME_LABELS]))
-        stacks.append(per_input)
-    table = np.empty(TABLE_SHAPE, dtype=float)
-    flat = table.reshape(2, 3, 3, 4, 4, 4)
-    for x in range(2):
-        for y in range(3):
-            for z in range(3):
-                # p(alpha,beta,gamma) = Tr[rho (A (x) B (x) C)]
-                p = np.einsum(
-                    "abcdef,ida,jeb,kfc->ijk",
-                    rho,
-                    stacks[0][x],
-                    stacks[1][y],
-                    stacks[2][z],
-                    optimize=True,
-                )
-                flat[x, y, z] = p.real
-    return Behavior(table).validate()
+    alice, bob, carole = (
+        np.array([[strategy.measurements[party][x][label] for label in OUTCOME_LABELS] for x in range(N_INPUTS[party])])
+        for party in range(3)
+    )
+    p = np.einsum("abcdef,xida,yjeb,zkfc->xyzijk", rho, alice, bob, carole, optimize=True)
+    return Behavior(np.ascontiguousarray(p.real).reshape(TABLE_SHAPE)).validate()
 
 
 def deterministic_behavior(alice: dict, bob: dict, carole: dict) -> Behavior:

@@ -9,6 +9,7 @@ is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -68,11 +69,11 @@ def _emit(doc, args, csv_text=None):
         for key, value in _flatten(data):
             writer.writerow([key, value])
         text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    # The newline is written on its own: text + "\n" would copy the whole text.
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _add_common(sub):

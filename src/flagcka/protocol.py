@@ -103,12 +103,17 @@ _A, _TA, _B, _TB, _C, _TC = range(3, 9)
 _ROUND_TYPES = ("generation", "test")
 # Rounds drawn, sampled and rendered as JSONL per block, so that a run's
 # temporaries are bounded by a block whatever the number of rounds.
-BLOCK_ROWS = 1 << 14
+BLOCK_ROWS = 1 << 12
 # The (x, y, z) triples the protocol draws: test rounds' {0, 1}^3, then
 # the generation inputs.
 PROTOCOL_INPUTS = (*itertools.product((0, 1), repeat=3), GENERATION_INPUTS)
 # A conditioning of probability at or below this leaves its table row at zero.
 _P_CUTOFF = 1e-15
+# The COLUMNS row of each cell of a C-ordered TABLE_SHAPE table, the inverse
+# of row @ CELL_WEIGHTS, and the cell weights of the outcome indices
+# o = 2*value + flag of Alice, Bob and Carole.
+_CELL_ROWS = np.ascontiguousarray(np.indices(TABLE_SHAPE, dtype=np.int8).reshape(len(TABLE_SHAPE), -1).T)
+_OUTCOME_WEIGHTS = CELL_WEIGHTS[_TA::2]
 
 
 @dataclass(frozen=True)
@@ -201,20 +206,27 @@ class ProtocolResult:
     stats: dict
 
 
-def _pick(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome index per row of cumulative distributions `cum` (N, 4).
+def _pick(cols: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome index per draw, from the cumulative distributions of the
+    table rows `rows`; `cols` (4, R) holds each row's four edges as one
+    column.
 
     Bins are the label intervals in ascending order: outcome i is chosen
-    when the draw lands in [cum[i-1], cum[i]), so a zero-width bin is
-    never chosen. A draw in the float dust above the last edge takes the
+    when the draw lands in [edge i-1, edge i), so a zero-width bin is
+    never chosen. The outcome is the number of leading edges the draw
+    has passed, which is the first edge above it even on a row that is
+    not monotone. A draw in the float dust above every edge takes the
     last positive-width bin among 1-3, else bin 0.
     """
-    below = draws[:, None] < cum
-    idx = below.argmax(axis=1)
-    dust = ~below.any(axis=1)
-    if dust.any():
-        rising = cum[dust, 1:] > cum[dust, :-1]
-        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
+    passed = draws >= cols[0].take(rows)
+    idx = passed.view(np.uint8).copy()
+    for edges in cols[1:]:
+        passed &= draws >= edges.take(rows)
+        idx += passed
+    if passed.any():
+        cum = cols[:, rows[passed]].T
+        rising = cum[:, 1:] > cum[:, :-1]
+        idx[passed] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
     return idx
 
 
@@ -251,12 +263,13 @@ def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray
     """Outcome indices (N, 3) picked from the `_cumulative_tables` rows the
     inputs and earlier outcomes select. Given the same draws this
     reproduces the explicit-collapse outcomes."""
-    cum_a, cum_b, cum_c = tables
-    x, y, z = inputs.astype(np.intp).T
-    oa = _pick(cum_a[x], draws[:, 0])
+    cols_a, cols_b, cols_c = (np.ascontiguousarray(table.T) for table in tables)
+    x, y, z = np.ascontiguousarray(inputs.T, dtype=np.intp)
+    draw_a, draw_b, draw_c = np.ascontiguousarray(draws.T)
+    oa = _pick(cols_a, x, draw_a)
     row_b = (x * 4 + oa) * 3 + y
-    ob = _pick(cum_b[row_b], draws[:, 1])
-    oc = _pick(cum_c[(row_b * 4 + ob) * 3 + z], draws[:, 2])
+    ob = _pick(cols_b, row_b, draw_b)
+    oc = _pick(cols_c, (row_b * 4 + ob) * 3 + z, draw_c)
     return np.stack((oa, ob, oc), axis=1)
 
 
@@ -334,15 +347,11 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
         u = rng.random((min(BLOCK_ROWS, n - start), 7))
         block = slice(start, start + len(u))
         test[block] = u[:, 0] < config.gamma
-        data[block, :3] = np.where(test[block, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-        _set_outcomes(data[block], _table_outcomes(tables, data[block, :3], u[:, 4:]))
+        inputs = np.where(test[block, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
+        outcomes = _table_outcomes(tables, inputs, u[:, 4:])
+        cells = inputs @ CELL_WEIGHTS[:3] + outcomes @ _OUTCOME_WEIGHTS
+        _CELL_ROWS.take(cells, axis=0, out=data[block])
     return Transcript(strategy.kind, test, data)
-
-
-def _set_outcomes(rows: np.ndarray, outcomes: np.ndarray) -> None:
-    """Write outcome indices o = 2*value + flag into the (value, flag) columns of `rows`."""
-    rows[:, _A::2] = outcomes >> 1
-    rows[:, _TA::2] = outcomes & 1
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -668,38 +677,84 @@ def config_from_json(text: str) -> ProtocolConfig:
 _CODE_SHAPE = (2, *TABLE_SHAPE)
 _TEST_WEIGHT = np.int32(math.prod(TABLE_SHAPE))
 _LINE_HEAD = '{"index": 0'
+_INDEX_KEY = np.frombuffer(_LINE_HEAD[:-1].encode(), dtype=np.uint8)
 
 
-def _line_tail(code: int) -> str:
-    """The JSONL line of a (round type, row) code, after its index."""
-    t, x, y, z, a, ta, b, tb, c, tc = (int(v) for v in np.unravel_index(code, _CODE_SHAPE))
-    line = json.dumps({"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]})
-    return line[len(_LINE_HEAD):] + "\n"
+def _add_tails(tails: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """`tails` with the text after the index of each of `codes`' lines
+    filled in as NUL-padded bytes, widened to the longest tail so far."""
+    texts = [
+        json.dumps({"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]})
+        .encode()[len(_LINE_HEAD) :]
+        + b"\n"
+        for t, x, y, z, a, ta, b, tb, c, tc in zip(*(field.tolist() for field in np.unravel_index(codes, _CODE_SHAPE)))
+    ]
+    width = max(tails.shape[1], *map(len, texts))
+    if width > tails.shape[1]:
+        tails = np.pad(tails, ((0, 0), (0, width - tails.shape[1])))
+    for code, text in zip(codes.tolist(), texts):
+        tails[code, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return tails
+
+
+def _digit_runs(start: int, stop: int):
+    """(lo, hi, digits): the runs of [start, stop) whose indices have the same number of digits."""
+    while start < stop:
+        digits = len(str(start))
+        hi = min(stop, 10**digits)
+        yield start, hi, digits
+        start = hi
+
+
+def _index_digits(lo: int, hi: int, digits: int) -> np.ndarray:
+    """(hi - lo, digits) uint8: the ASCII digits of the indices lo..hi-1,
+    which all have `digits` digits."""
+    out = np.empty((digits, hi - lo), dtype=np.uint8)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    for place in out[::-1]:
+        quotient = index // np.uint64(10)
+        np.subtract(index, quotient * np.uint64(10), out=place, casting="unsafe")
+        index = quotient
+    out += ord("0")
+    return out.T
 
 
 def _jsonl_blocks(transcript: Transcript):
     """The JSONL text of a transcript, BLOCK_ROWS lines at a time.
 
     A line depends on the round only through its index and its (round
-    type, row) code, of which there are 1152, so each code's line is
-    rendered by json.dumps once per run, the first time a block holds it,
-    and reused after the index.
+    type, row) code. There are 2304 code slots (_CODE_SHAPE), of which
+    576 are reachable: each code's text after the index is rendered by
+    json.dumps once per run, the first time a block holds it, into a byte
+    table of NUL-padded rows. A block is laid out as fixed-width uint8
+    rows, one per line: the index key, the index digits and the code's
+    tail bytes. It is joined through the rows' S-dtype view, which drops
+    each row's trailing NULs.
     """
     n = len(transcript.test)
     if n == 0:
         yield "\n"
         return
-    tails = [None] * int(np.prod(_CODE_SHAPE))
+    tails = np.zeros((math.prod(_CODE_SHAPE), 0), dtype=np.uint8)
     rendered = np.zeros(len(tails), dtype=bool)
+    head = len(_INDEX_KEY)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         codes = transcript.data[start:stop] @ CELL_WEIGHTS + transcript.test[start:stop] * _TEST_WEIGHT
         present = np.zeros_like(rendered)
         present[codes] = True
-        for code in np.flatnonzero(present & ~rendered).tolist():
-            tails[code] = _line_tail(code)
-        rendered |= present
-        yield "".join([f'{{"index": {i}{tails[k]}' for i, k in zip(range(start, stop), codes.tolist())])
+        new = np.flatnonzero(present & ~rendered)
+        if len(new):
+            tails = _add_tails(tails, new)
+            rendered[new] = True
+        lines = []
+        for lo, hi, digits in _digit_runs(start, stop):
+            rows = np.empty((hi - lo, head + digits + tails.shape[1]), dtype=np.uint8)
+            rows[:, :head] = _INDEX_KEY
+            rows[:, head : head + digits] = _index_digits(lo, hi, digits)
+            rows[:, head + digits :] = tails.take(codes[lo - start : hi - start], axis=0)
+            lines += rows.view(f"S{rows.shape[1]}").ravel().tolist()
+        yield b"".join(lines).decode("ascii")
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:

@@ -275,7 +275,7 @@ def test_estimate_behavior_converges_to_born():
             for z in range(3):
                 p = behavior.table[x, y, z].ravel()
                 outcomes = rng.choice(p.size, size=n_per, p=p / p.sum())
-                rows = np.empty((n_per, 9), dtype=np.int64)
+                rows = np.empty((n_per, 9), dtype=np.int8)
                 rows[:, 0] = x
                 rows[:, 1] = y
                 rows[:, 2] = z

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy
+from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
 from flagcka.protocol import (
     BLOCK_ROWS,
     PARALLEL_QUANTUM_MAX,
@@ -36,6 +36,7 @@ from flagcka.protocol import (
     _build_strategy,
     _collapse_tables,
     _cumulative_tables,
+    _CODE_SHAPE,
     _P_CUTOFF,
     _ROUND_TYPES,
     _bit_string,
@@ -247,9 +248,30 @@ _TABLE_STRATEGIES = {
         for kind in ("flagged", "parallel")
         for v in (1.0, 0.9)
     },
-    **{f"random-{seed}": lambda seed=seed: random_projective_strategy(seed) for seed in (0, 1, 2)},
+    **{f"random-{seed}": lambda seed=seed: random_projective_strategy(seed) for seed in range(5)},
     "dims-2-4-3": lambda: _unequal_dims_strategy(8),
 }
+
+
+def _behavior_table_per_triple(strategy):
+    """The Born table Tr[rho (A (x) B (x) C)], one contraction per input triple."""
+    da, db, dc = strategy.party_dims
+    rho = strategy.state.reshape(da, db, dc, da, db, dc)
+    stacks = [
+        [np.stack([strategy.measurements[p][x][label] for label in OUTCOME_LABELS]) for x in range(N_INPUTS[p])]
+        for p in range(3)
+    ]
+    table = np.empty((2, 3, 3, 4, 4, 4))
+    for x, y, z in itertools.product(range(2), range(3), range(3)):
+        p = np.einsum("abcdef,ida,jeb,kfc->ijk", rho, stacks[0][x], stacks[1][y], stacks[2][z], optimize=True)
+        table[x, y, z] = p.real
+    return table.reshape(TABLE_SHAPE)
+
+
+@pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
+def test_stacked_behavior_matches_per_triple_contractions(name):
+    strategy = _TABLE_STRATEGIES[name]()
+    assert np.array_equal(behavior_from_strategy(strategy).table, _behavior_table_per_triple(strategy))
 
 
 @pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
@@ -755,7 +777,7 @@ def _diagonal_family():
 def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
     from flagcka.protocol import _pick
 
-    picked = int(_pick(np.cumsum(probs)[None, :], np.array([draw]))[0])
+    picked = int(_pick(np.cumsum(probs)[:, None], np.array([0]), np.array([draw]))[0])
     (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
     assert picked == 2 * value + flag == select_outcome(probs, draw) == expected
     assert probs[picked] > 0.0
@@ -766,7 +788,49 @@ def test_pick_is_row_wise():
 
     cum = np.cumsum([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5 - 1e-12, 0.0, 0.0]], axis=1)
     draws = np.array([0.5, 0.0, 1.0 - 1e-13])
-    assert _pick(cum, draws).tolist() == [2, 1, 1]
+    assert _pick(np.ascontiguousarray(cum.T), np.arange(3), draws).tolist() == [2, 1, 1]
+
+
+def _argmax_pick(cum, draws):
+    """Reference pick over rows of cumulative distributions `cum` (N, 4):
+    the first edge above the draw, by argmax, with _pick's dust rule."""
+    below = draws[:, None] < cum
+    idx = below.argmax(axis=1)
+    dust = ~below.any(axis=1)
+    if dust.any():
+        rising = cum[dust, 1:] > cum[dust, :-1]
+        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
+    return idx
+
+
+# Bin widths with zero-width bins, shared edges, rows that fall short of 1
+# (dust above the last edge) and entries down to -1e-12, which
+# Behavior.validate admits and which make a row's edges non-monotone.
+_BIN_WIDTHS = hst.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0 / 3.0, 1.0, 1e-12, -1e-12, 0.5 - 1e-12, 1.0 - 1e-12])
+_DRAWS = hst.one_of(
+    hst.floats(0.0, 1.0, exclude_max=True),
+    hst.sampled_from([0.0, 1e-12, 0.25, 1.0 / 3.0, 0.5, 1.0 - 1e-12, 1.0 - 1e-13, 1.0 - 2.0**-53]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=1, max_size=6),
+    picks=hst.lists(hst.tuples(hst.integers(0, 5), _DRAWS), min_size=1, max_size=20),
+)
+def test_pick_counts_passed_edges_as_argmax_does(widths, picks):
+    from flagcka.protocol import _pick
+
+    cum = np.cumsum(widths, axis=1)
+    rows = np.array([r % len(cum) for r, _ in picks])
+    draws = np.array([d for _, d in picks])
+    # Every edge of every row as a draw, and the floats just below and above it.
+    edges = cum.ravel()
+    near = np.concatenate((np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)))
+    keep = (near >= 0.0) & (near < 1.0)
+    rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
+    draws = np.concatenate((draws, near[keep]))
+    assert np.array_equal(_pick(np.ascontiguousarray(cum.T), rows, draws), _argmax_pick(cum[rows], draws))
 
 
 def test_transcript_jsonl_bytes():
@@ -782,6 +846,22 @@ def test_transcript_jsonl_bytes():
     )
 
 
+def test_jsonl_renders_every_code_slot_as_json_dumps():
+    # Every (round type, row) code slot. The first block holds test rounds
+    # only, so the longer generation lines arrive in a later block; then
+    # every slot comes back in reverse code order.
+    slots = list(itertools.product(*map(range, _CODE_SHAPE)))
+    assert len(slots) == 2304
+    generation, test = slots[:1152], slots[1152:]
+    order = test * math.ceil(BLOCK_ROWS / len(test)) + generation + slots[::-1]
+    rows = [(_ROUND_TYPES[t], row[:3], [row[3:5], row[5:7], row[7:9]]) for t, *row in order]
+    expected = "".join(
+        json.dumps({"index": r, "type": t, "inputs": inputs, "outputs": outputs}) + "\n"
+        for r, (t, inputs, outputs) in enumerate(rows)
+    )
+    assert transcript_to_jsonl(_synthetic_transcript(rows)) == expected
+
+
 def test_transcript_jsonl_matches_json_dumps():
     tr = run_rounds(ProtocolConfig(n_rounds=400, seed=4, visibility=0.8))
     records = [
@@ -789,6 +869,20 @@ def test_transcript_jsonl_matches_json_dumps():
         for r, (t, row) in enumerate(zip(tr.test.tolist(), tr.data.tolist()))
     ]
     assert transcript_to_jsonl(tr).splitlines(keepends=True) == [json.dumps(record) + "\n" for record in records]
+
+
+def test_transcript_text_across_digit_and_block_boundaries():
+    # The rounds cross every digit boundary up to 10^5, that one inside a
+    # block, and end three rounds into a block.
+    n_rounds = (10**5 // BLOCK_ROWS + 1) * BLOCK_ROWS + 3
+    assert 10**5 % BLOCK_ROWS
+    tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=4, strategy_kind="parallel", visibility=0.8))
+    expected = "".join(
+        json.dumps({"index": r, "type": _ROUND_TYPES[t], "inputs": row[:3], "outputs": [row[3:5], row[5:7], row[7:9]]})
+        + "\n"
+        for r, (t, row) in enumerate(zip(tr.test.tolist(), tr.data.tolist()))
+    )
+    assert transcript_to_jsonl(tr) == expected
 
 
 def test_flag_flip_tamper_changes_only_bobs_flags():
