@@ -986,7 +986,12 @@ def _one_block_rounds(config):
     return test, np.column_stack((inputs, bits)).astype(np.int8)
 
 
-@pytest.mark.parametrize("n_rounds", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+# Run lengths at and across block boundaries: one block, then the 2^14-row
+# sizes the blocks once had, which now span four and twelve blocks.
+_BLOCK_SPANS = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7, 16383, 16384, 16385, 49159]
+
+
+@pytest.mark.parametrize("n_rounds", _BLOCK_SPANS)
 @pytest.mark.parametrize("backend", ["table", "collapse"])
 def test_block_draws_match_one_block(backend, n_rounds):
     config = ProtocolConfig(n_rounds=n_rounds, seed=17, visibility=0.9, backend=backend)
@@ -996,7 +1001,7 @@ def test_block_draws_match_one_block(backend, n_rounds):
     assert np.array_equal(transcript.data, data)
 
 
-@pytest.mark.parametrize("n_rounds", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("n_rounds", [1, *_BLOCK_SPANS[1:]])
 def test_written_jsonl_matches_joined_text(n_rounds):
     tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=23, visibility=0.8))
     fh = io.StringIO()
