@@ -46,6 +46,7 @@ with the same config are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -61,8 +62,9 @@ from .bell import (
     bell_value_stderr,
     estimate_behavior,
 )
-from .qops import born_probabilities, check_effects_complete
+from .qops import born_rows, check_effects_complete
 from .strategies import (
+    N_INPUTS,
     OUTCOME_LABELS,
     NoiseParams,
     Strategy,
@@ -279,45 +281,42 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
     The state a party measures depends only on the inputs and outcomes of
     the parties before it: the prefix (x) for Alice, (x, oa, y) for Bob and
     (x, oa, y, ob, z) for Carole. The prefixes of PROTOCOL_INPUTS are
-    walked as a tree, and each prefix's row is the cumulative Born
-    distribution of the state it leaves. A level of the tree holds the
-    reduced state of the parties still to measure. Alice measures
-    Tr_BC rho; her outcome, of projector P, leaves rho_BC proportional to
-    Tr_A[(P (x) I) rho], which is Tr_A of the collapsed state
-    (P (x) I) rho (P (x) I) since P^2 = P. Bob measures Tr_C rho_BC and
-    leaves Carole Tr_B[(P (x) I) rho_BC]. Each reduced state is normalised
-    by its own trace, and only outcomes of probability above _P_CUTOFF
-    are followed; the rows of the others stay zero, as in
-    `_cumulative_tables`. Each local (party, input) family is checked
-    complete once.
+    built one party at a time. A level holds, per followed prefix, the
+    reduced state of the parties still to measure, its table row before
+    the party's input and the inputs so far; every (prefix, input) row is
+    the cumulative Born distribution of the prefix's local state, all in
+    one `born_rows` call. Alice measures Tr_BC rho; her outcome, of
+    projector P, leaves rho_BC proportional to Tr_A[(P (x) I) rho], which
+    is Tr_A of the collapsed state (P (x) I) rho (P (x) I) since P^2 = P.
+    Bob measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC]. Each
+    reduced state is normalised by its own trace, and only outcomes of
+    probability above _P_CUTOFF are followed; the rows of the others stay
+    zero, as in `_cumulative_tables`. Each party's families are checked
+    complete once, stacked.
     """
-    for families in strategy.measurements:
-        for family in families.values():
-            check_effects_complete(family)
+    stacks = [check_effects_complete([families[x] for x in sorted(families)]) for families in strategy.measurements]
+    protocol_inputs = np.array(PROTOCOL_INPUTS)
     tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
-    _walk_prefixes(0, (), 0, strategy.state, strategy, tables)
-    return tables
-
-
-def _walk_prefixes(party, inputs, row, rho, strategy, tables) -> None:
-    """Fill the rows of `party` and the parties after it below one prefix.
-
-    `inputs` are the earlier parties' inputs, `row` the prefix's index
-    before `party`'s input, and `rho` the state of `party` and the
-    parties after it.
-    """
-    d = strategy.party_dims[party]
-    rho = rho.reshape(d, rho.shape[0] // d, d, -1)
-    local = np.einsum("ijkj->ik", rho)
-    for x in sorted({t[party] for t in PROTOCOL_INPUTS if t[:party] == inputs}):
-        family = strategy.measurements[party][x]
-        pvals = np.array(list(born_probabilities(local, family).values()))
-        tables[party][row * 3 + x] = np.cumsum(pvals)
+    rhos, rows, seen = strategy.state[None], np.zeros(1, dtype=np.intp), np.zeros((1, 0), dtype=np.intp)
+    for party, (d, stack, table) in enumerate(zip(strategy.party_dims, stacks, tables)):
+        rhos = rhos.reshape(len(rhos), d, rhos.shape[1] // d, d, -1)
+        # The (prefix, input) pairs: the inputs that follow each prefix's in PROTOCOL_INPUTS.
+        prefix, triple = np.nonzero((seen[:, None, :] == protocol_inputs[:, :party]).all(axis=2))
+        drawn = np.zeros((len(rhos), N_INPUTS[party]), dtype=bool)
+        drawn[prefix, protocol_inputs[triple, party]] = True
+        prefix, x = np.nonzero(drawn)
+        probs = born_rows(np.einsum("nijkj->nik", rhos)[prefix], stack[x], OUTCOME_LABELS)
+        table[rows[prefix] * 3 + x] = np.cumsum(probs, axis=1)
         if party < 2:
-            for o in np.flatnonzero(pvals > _P_CUTOFF).tolist():
-                reduced = np.einsum("ki,ibkc->bc", family[OUTCOME_LABELS[o]], rho)
-                next_row = (row * 3 + x) * 4 + o
-                _walk_prefixes(party + 1, (*inputs, x), next_row, reduced / np.trace(reduced).real, strategy, tables)
+            pair, o = np.nonzero(probs > _P_CUTOFF)
+            prefix, x = prefix[pair], x[pair]
+            # Contracted for every (prefix, input, outcome) and then picked,
+            # so that no prefix's state is copied once per followed outcome.
+            reduced = np.einsum("xoki,nibkc->nxobc", stack, rhos)[prefix, x, o]
+            rhos = reduced / np.trace(reduced, axis1=1, axis2=2).real[:, None, None]
+            rows = (rows[prefix] * 3 + x) * 4 + o
+            seen = np.column_stack((seen[prefix], x))
+    return tables
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:
@@ -680,20 +679,24 @@ _LINE_HEAD = '{"index": 0'
 _INDEX_KEY = np.frombuffer(_LINE_HEAD[:-1].encode(), dtype=np.uint8)
 
 
-def _add_tails(tails: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """`tails` with the text after the index of each of `codes`' lines
-    filled in as NUL-padded bytes, widened to the longest tail so far."""
-    texts = [
-        json.dumps({"index": 0, "type": _ROUND_TYPES[t], "inputs": [x, y, z], "outputs": [[a, ta], [b, tb], [c, tc]]})
-        .encode()[len(_LINE_HEAD) :]
-        + b"\n"
-        for t, x, y, z, a, ta, b, tb, c, tc in zip(*(field.tolist() for field in np.unravel_index(codes, _CODE_SHAPE)))
-    ]
-    width = max(tails.shape[1], *map(len, texts))
-    if width > tails.shape[1]:
-        tails = np.pad(tails, ((0, 0), (0, width - tails.shape[1])))
-    for code, text in zip(codes.tolist(), texts):
-        tails[code, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+@functools.cache
+def _line_tails() -> np.ndarray:
+    """(2304, W) uint8: per code, the text after its line's index as
+    NUL-padded bytes, ending in a newline.
+
+    Each half is the json.dumps line of its round type with every digit
+    0, plus the code's nine COLUMNS values at the line's nine digits.
+    """
+    docs = ({"index": 0, "type": t, "inputs": [0] * 3, "outputs": [[0, 0]] * 3} for t in _ROUND_TYPES)
+    lines = [json.dumps(doc).encode()[len(_LINE_HEAD) :] + b"\n" for doc in docs]
+    width = max(map(len, lines))
+    tails = np.empty((len(lines), len(_CELL_ROWS), width), dtype=np.uint8)
+    for half, line in zip(tails, lines):
+        template = np.frombuffer(line.ljust(width, b"\0"), dtype=np.uint8)
+        half[:] = template
+        half[:, template == ord("0")] += _CELL_ROWS.view(np.uint8)
+    tails = tails.reshape(-1, width)
+    tails.flags.writeable = False
     return tails
 
 
@@ -723,30 +726,22 @@ def _jsonl_blocks(transcript: Transcript):
     """The JSONL text of a transcript, BLOCK_ROWS lines at a time.
 
     A line depends on the round only through its index and its (round
-    type, row) code. There are 2304 code slots (_CODE_SHAPE), of which
-    576 are reachable: each code's text after the index is rendered by
-    json.dumps once per run, the first time a block holds it, into a byte
-    table of NUL-padded rows. A block is laid out as fixed-width uint8
-    rows, one per line: the index key, the index digits and the code's
-    tail bytes. It is joined through the rows' S-dtype view, which drops
-    each row's trailing NULs.
+    type, row) code, one of 2304 slots (_CODE_SHAPE). The text after the
+    index of every code is one row of the `_line_tails` byte table, built
+    once per process from the two round types' json.dumps lines. A block
+    is laid out as fixed-width uint8 rows, one per line: the index key,
+    the index digits and the code's tail bytes. It is joined through the
+    rows' S-dtype view, which drops each row's trailing NULs.
     """
     n = len(transcript.test)
     if n == 0:
         yield "\n"
         return
-    tails = np.zeros((math.prod(_CODE_SHAPE), 0), dtype=np.uint8)
-    rendered = np.zeros(len(tails), dtype=bool)
+    tails = _line_tails()
     head = len(_INDEX_KEY)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         codes = transcript.data[start:stop] @ CELL_WEIGHTS + transcript.test[start:stop] * _TEST_WEIGHT
-        present = np.zeros_like(rendered)
-        present[codes] = True
-        new = np.flatnonzero(present & ~rendered)
-        if len(new):
-            tails = _add_tails(tails, new)
-            rendered[new] = True
         lines = []
         for lo, hi, digits in _digit_runs(start, stop):
             rows = np.empty((hi - lo, head + digits + tails.shape[1]), dtype=np.uint8)

@@ -8,6 +8,7 @@ package have dimension at most 128, so nothing here attempts sparsity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping, Sequence
 from functools import reduce
@@ -30,7 +31,7 @@ __all__ = [
     "assert_density_operator",
     "check_effects_complete",
     "outcome_distribution",
-    "born_probabilities",
+    "born_rows",
     "select_outcome",
     "measure_collapse",
     "partial_trace",
@@ -128,53 +129,62 @@ def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
     return rho
 
 
-def check_effects_complete(effects: Mapping[object, np.ndarray]) -> int:
-    """Check that the effects sum to the identity; return the dimension."""
-    if not effects:
+def check_effects_complete(families: Sequence[Mapping[object, np.ndarray]]) -> np.ndarray:
+    """Check that each family's effects sum to the identity; return the
+    (F, L, d, d) stack of the F families' effects, labels in ascending order.
+
+    Every effect must be d x d; one `np.allclose` checks the F sums.
+    """
+    if not families or not all(families):
         raise ValueError("measurement family is empty")
-    mats = [np.asarray(m, dtype=complex) for m in effects.values()]
-    dim = mats[0].shape[0]
-    for m in mats:
+    mats = [[np.asarray(effects[label], dtype=complex) for label in sorted(effects)] for effects in families]
+    dim = mats[0][0].shape[0]
+    for m in itertools.chain.from_iterable(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"effect shape {m.shape} does not match dimension {dim}")
-    total = sum(mats)
+    stack = np.array(mats)
+    total = stack.sum(axis=1)
     if not np.allclose(total, np.eye(dim), atol=ATOL_OPERATOR):
         gap = np.abs(total - np.eye(dim)).max()
         raise ValueError(f"effects do not sum to identity (max deviation {gap:.3e})")
-    return dim
+    return stack
 
 
 def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) -> dict:
     """Born-rule outcome distribution p(label) = Tr(E_label rho).
 
-    The family must be complete. Probabilities are clipped to [0, 1];
-    anything below -1e-12 or a total off from 1 by more than 1e-10
-    signals a malformed input and raises.
+    The family must be complete. This is `born_rows` on one row, so
+    probabilities are clipped to [0, 1], and anything below -1e-12 or a
+    total off from 1 by more than 1e-10 signals a malformed input and
+    raises.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = check_effects_complete(effects)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape} does not match effects ({dim})")
-    return born_probabilities(rho, effects)
+    stack = check_effects_complete([effects])
+    if rho.shape != stack.shape[-2:]:
+        raise ValueError(f"state dimension {rho.shape} does not match effects ({stack.shape[-1]})")
+    labels = sorted(effects)
+    return dict(zip(labels, born_rows(rho[None], stack, labels)[0].tolist()))
 
 
-def born_probabilities(rho: np.ndarray, effects: Mapping[object, np.ndarray]) -> dict:
-    """`outcome_distribution` for a family already checked complete.
+def born_rows(rhos: np.ndarray, effects: np.ndarray, labels: Sequence) -> np.ndarray:
+    """(K, L) Born probabilities Tr(E rho) of K states, each with its own family.
 
-    Callers that measure many states with one family check it once with
-    `check_effects_complete` and call this per state. The per-state checks
-    stay: a probability below -1e-12 or a total off from 1 by more than
-    1e-10 raises.
+    `rhos` is (K, d, d), `effects` (K, L, d, d) with the families' effects
+    in the order of the L `labels`, which only name outcomes in errors.
+    Each row is checked as one distribution: a probability below -1e-12
+    raises, the rest are clipped to [0, 1], and a row total off from 1 by
+    more than 1e-10 raises.
     """
-    probs = {}
-    for label in sorted(effects):
-        p = np.einsum("ij,ji->", np.asarray(effects[label], dtype=complex), rho).real
-        if p < -ATOL_OPERATOR:
-            raise ValueError(f"negative probability {p:.3e} for outcome {label}")
-        probs[label] = float(min(max(p, 0.0), 1.0))
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+    probs = np.einsum("klij,kji->kl", effects, rhos).real
+    negative = np.argwhere(probs < -ATOL_OPERATOR)
+    if len(negative):
+        row, col = negative[0]
+        raise ValueError(f"negative probability {probs[row, col]:.3e} for outcome {labels[col]}")
+    probs = np.clip(probs, 0.0, 1.0)
+    totals = probs.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-10)
+    if len(off):
+        raise ValueError(f"outcome probabilities sum to {totals[off[0]]}, expected 1")
     return probs
 
 
@@ -301,7 +311,7 @@ def naimark_dilation(effects: Mapping[object, np.ndarray]):
     order. Useful for feeding non-projective families into checks that
     require projective measurements.
     """
-    dim = check_effects_complete(effects)
+    dim = check_effects_complete([effects]).shape[-1]
     labels = sorted(effects)
     n = len(labels)
     v = np.zeros((dim, n, dim), dtype=complex)

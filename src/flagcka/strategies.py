@@ -105,7 +105,7 @@ class Strategy:
             for x, effects in families.items():
                 if sorted(effects) != list(OUTCOME_LABELS):
                     raise ValueError(f"party {party} input {x} must define all four outcome labels")
-                check_effects_complete(effects)
+            check_effects_complete([families[x] for x in sorted(families)])
 
     def effect(self, party: int, x: int, label: tuple[int, int]) -> np.ndarray:
         """The effect embedded into the full space (identity elsewhere)."""
@@ -128,11 +128,7 @@ class Strategy:
 
 def binary_observable_effects(obs: np.ndarray) -> dict[int, np.ndarray]:
     """Eigenprojectors {a: (I + (-1)^a O)/2} of a +-1-valued observable."""
-    obs = np.asarray(obs, dtype=complex)
-    if not np.allclose(obs @ obs, np.eye(obs.shape[0]), atol=1e-12):
-        raise ValueError("observable must square to the identity")
-    eye = np.eye(obs.shape[0], dtype=complex)
-    return {0: (eye + obs) / 2.0, 1: (eye - obs) / 2.0}
+    return dict(enumerate(_value_projectors([obs])[0]))
 
 
 def depolarize(rho: np.ndarray, visibility: float) -> np.ndarray:
@@ -145,8 +141,13 @@ def depolarize(rho: np.ndarray, visibility: float) -> np.ndarray:
 
 
 def _value_projectors(observables) -> np.ndarray:
-    """(inputs, 2, 2, 2) array: the value-a projector of each input's observable."""
-    return np.array([[value[0], value[1]] for value in map(binary_observable_effects, observables)])
+    """(inputs, 2, d, d) array: the value-a projector (I + (-1)^a O)/2 of
+    each input's observable O, all checked to square to the identity."""
+    obs = np.array(observables, dtype=complex)
+    eye = np.eye(obs.shape[-1], dtype=complex)
+    if not np.allclose(obs @ obs, eye, atol=1e-12):
+        raise ValueError("observable must square to the identity")
+    return np.stack(((eye + obs) / 2.0, (eye - obs) / 2.0), axis=1)
 
 
 def _families(effects: np.ndarray) -> dict:

@@ -191,16 +191,28 @@ def test_collapse_measures_reduced_local_states(monkeypatch):
     monkeypatch.setattr(strategies, "tensor", forbidden)
     monkeypatch.setattr(qops, "tensor", forbidden)
     shapes = []
-    original = protocol.born_probabilities
+    original = protocol.born_rows
 
-    def recording(rho, family):
-        shapes.append((rho.shape, next(iter(family.values())).shape))
-        return original(rho, family)
+    def recording(rhos, effects, labels):
+        # One (state, effect) shape pair per row: (d, d) each.
+        shapes.extend([(rhos.shape[1:], effects.shape[2:])] * len(rhos))
+        return original(rhos, effects, labels)
 
-    monkeypatch.setattr(protocol, "born_probabilities", recording)
+    monkeypatch.setattr(protocol, "born_rows", recording)
     run_rounds(ProtocolConfig(n_rounds=2000, seed=2, backend="collapse"), strategy)
     assert shapes and all(state == effect for state, effect in shapes)
     assert {state for state, _ in shapes} == {(d, d) for d in strategy.party_dims}
+
+
+@pytest.mark.parametrize("party, x", [(party, x) for party in range(3) for x in range(N_INPUTS[party])])
+def test_collapse_tables_check_each_family(party, x):
+    # A family spoiled after the strategy was built is caught by the
+    # walk's own stacked check, at any (party, input).
+    strategy = _build_strategy(ProtocolConfig())
+    family = strategy.measurements[party][x]
+    family[(0, 1)] = 1.01 * family[(0, 1)]
+    with pytest.raises(ValueError, match="effects do not sum to identity \\(max deviation"):
+        _collapse_tables(strategy)
 
 
 def _prefixes(transcript):
@@ -213,8 +225,11 @@ def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
     import flagcka.protocol as protocol
 
     calls = []
-    original = protocol.born_probabilities
-    monkeypatch.setattr(protocol, "born_probabilities", lambda rho, family: calls.append(1) or original(rho, family))
+    original = protocol.born_rows
+    # One entry per Born row: one distribution of one state.
+    monkeypatch.setattr(
+        protocol, "born_rows", lambda rhos, effects, labels: calls.extend([1] * len(rhos)) or original(rhos, effects, labels)
+    )
     config = ProtocolConfig(n_rounds=2000, seed=0, backend="collapse")
     # Prefixes with positive probability under the protocol's input support.
     b6 = behavior_from_strategy(_build_strategy(config)).table.reshape(2, 3, 3, 4, 4, 4)

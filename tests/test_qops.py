@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from flagcka.qops import (
     basis_ket,
+    born_rows,
     check_effects_complete,
     dagger,
     identity,
@@ -62,7 +65,7 @@ def test_outcome_distribution_born_rule():
     # |+> measured in the computational basis: both outcomes 1/2.
     rho = projector(plus_ket())
     effects = {0: projector(basis_ket(2, 0)), 1: projector(basis_ket(2, 1))}
-    assert check_effects_complete(effects) == 2
+    assert check_effects_complete([effects]).shape == (1, 2, 2, 2)
     dist = outcome_distribution(rho, effects)
     assert dist[0] == pytest.approx(0.5)
     assert dist[1] == pytest.approx(0.5)
@@ -238,7 +241,7 @@ def test_naimark_dilation_preserves_statistics():
     for angle in (2 * np.pi / 3, 4 * np.pi / 3):
         kets.append(np.array([np.cos(angle / 2), np.sin(angle / 2)]))
     effects = {k: 2.0 / 3.0 * projector(ket) for k, ket in enumerate(kets)}
-    assert check_effects_complete(effects) == 2
+    assert check_effects_complete([effects]).shape == (1, 3, 2, 2)
     original = outcome_distribution(rho, effects)
 
     isometry, dilated = naimark_dilation(effects)
@@ -274,3 +277,49 @@ def test_select_outcome_on_arrays_matches_each_draw():
         select_outcome(pvals, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         select_outcome([0.0, 0.0], 0.5)
+
+
+def _computational_family():
+    return np.array([projector(basis_ket(2, 0)), projector(basis_ket(2, 1)), np.zeros((2, 2)), np.zeros((2, 2))])
+
+
+# One bad row each: effects, on the state |0><0|, that give outcome 1 a
+# probability of -1e-9, or that sum to 1 + 1e-9 on it.
+_BAD_BORN_ROWS = {
+    "negative": np.array([np.diag([1 + 1e-9, 0]), np.diag([-1e-9, 0]), np.diag([0, 1]), np.zeros((2, 2))]),
+    "total": np.array([np.diag([0.5 + 1e-9, 0]), np.diag([0.5, 1]), np.zeros((2, 2)), np.zeros((2, 2))]),
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_BORN_ROWS))
+@pytest.mark.parametrize("bad_row", [1, 4, 8])
+def test_born_rows_checks_each_row_as_outcome_distribution_does(fault, bad_row):
+    rng = np.random.default_rng(bad_row)
+    rhos = np.array([random_density_operator(2, rng) for _ in range(9)])
+    effects = np.repeat(_computational_family()[None], 9, axis=0).astype(complex)
+    labels = (0, 1, 2, 3)
+    good = born_rows(rhos, effects, labels)
+    family = dict(enumerate(_computational_family()))
+    for rho, row in zip(rhos, good):
+        np.testing.assert_allclose(row, list(outcome_distribution(rho, family).values()), atol=1e-15)
+    rhos[bad_row] = projector(basis_ket(2, 0))
+    effects[bad_row] = _BAD_BORN_ROWS[fault]
+    with pytest.raises(ValueError) as reference:
+        outcome_distribution(rhos[bad_row], dict(enumerate(effects[bad_row])))
+    assert ("negative probability" if fault == "negative" else "sum to") in str(reference.value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+        born_rows(rhos, effects, labels)
+
+
+def test_check_effects_complete_checks_every_family():
+    family = dict(enumerate(_computational_family()))
+    stack = check_effects_complete([family] * 5)
+    assert stack.shape == (5, 4, 2, 2)
+    assert np.array_equal(stack[3], _computational_family())
+    for bad in range(5):
+        families = [family] * 5
+        families[bad] = {**family, 1: 1.01 * family[1]}
+        with pytest.raises(ValueError, match="max deviation 1.000e-02"):
+            check_effects_complete(families)
+    with pytest.raises(ValueError, match="does not match dimension"):
+        check_effects_complete([family, {**family, 3: np.zeros((3, 3))}])

@@ -4,10 +4,12 @@ import pytest
 from flagcka.qops import basis_ket, identity, partial_trace, phi_plus, plus_ket, projector, random_unitary, tensor
 from flagcka.strategies import (
     ALICE_OBSERVABLES,
+    N_INPUTS,
     NoiseParams,
     OUTCOME_LABELS,
     PARTNER_OBSERVABLES,
     Strategy,
+    _value_projectors,
     binary_observable_effects,
     constant_flag_strategy,
     depolarize,
@@ -251,3 +253,29 @@ def test_stacked_builders_match_tensor_reference(case):
             assert list(s.measurements[party][x]) == list(effects) == list(OUTCOME_LABELS)
             for label, e in effects.items():
                 np.testing.assert_allclose(s.measurements[party][x][label], e, rtol=0, atol=0)
+
+
+_FAMILY_SLOTS = [(party, x) for party in range(3) for x in range(N_INPUTS[party])]
+
+
+@pytest.mark.parametrize("party, x", _FAMILY_SLOTS)
+def test_one_incomplete_family_fails_the_strategy(party, x):
+    # Each party's families are checked complete together; a bad family
+    # at any (party, input) must still be caught.
+    honest = honest_flagged_strategy()
+    measurements = tuple({y: dict(family) for y, family in families.items()} for families in honest.measurements)
+    measurements[party][x][(1, 1)] = 1.01 * measurements[party][x][(1, 1)]
+    with pytest.raises(ValueError, match="effects do not sum to identity \\(max deviation"):
+        Strategy(honest.state, honest.party_dims, measurements)
+
+
+@pytest.mark.parametrize("bad", range(3))
+def test_one_non_involution_fails_the_value_projectors(bad):
+    observables = list(PARTNER_OBSERVABLES)
+    observables[bad] = 1.01 * observables[bad]
+    with pytest.raises(ValueError, match="observable must square to the identity"):
+        _value_projectors(observables)
+    stacked = _value_projectors(PARTNER_OBSERVABLES)
+    for obs, value in zip(PARTNER_OBSERVABLES, stacked):
+        effects = binary_observable_effects(obs)
+        assert np.array_equal(value[0], effects[0]) and np.array_equal(value[1], effects[1])
