@@ -73,6 +73,10 @@ TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
 # Weights of a round's nine columns (x, y, z, a, ta, b, tb, c, tc) in the
 # flat index of its cell of a C-ordered TABLE_SHAPE table.
 CELL_WEIGHTS = np.array([math.prod(TABLE_SHAPE[k + 1:]) for k in range(len(TABLE_SHAPE))], dtype=np.int32)
+_N_CELLS = math.prod(TABLE_SHAPE)
+# Cells counted per bincount call, which copies cells of a narrower type
+# than intp: 512 KB at a time.
+_COUNT_ROWS = 1 << 16
 
 # Per kind and block, the table cells read by CHSH term (x, w, a, b) at
 # spectator input s, one entry per table axis: a term letter, a fixed
@@ -346,24 +350,36 @@ class BehaviorEstimate:
         return self.counts.reshape(2, 3, 3, -1).sum(axis=-1)
 
 
-def estimate_behavior(rows: np.ndarray) -> BehaviorEstimate:
-    """Empirical conditional frequencies from an (N, 9) integer array.
+def estimate_behavior(rows: np.ndarray | None = None, *, cells: np.ndarray | None = None) -> BehaviorEstimate:
+    """Empirical conditional frequencies of sampled rounds.
 
-    Each row is one round in the columns (x, y, z, a, ta, b, tb, c, tc),
-    counted at its cell's flat index: one code per row is the only
-    temporary that grows with N. Cells of input triples that never occur
-    are left at zero and the triple is reported in missing_inputs.
+    The rounds come as exactly one of `rows`, an (N, 9) integer array
+    with one round per row in the columns (x, y, z, a, ta, b, tb, c, tc),
+    or `cells`, a 1-D integer array of each round's cell: its flat index
+    in a C-ordered TABLE_SHAPE table, row @ CELL_WEIGHTS. Rows are checked
+    column by column and turned into cells, the only temporary that grows
+    with N; cells are counted _COUNT_ROWS at a time. Cells of input
+    triples that never occur are left at zero and the triple is reported
+    in missing_inputs.
     """
-    if not np.issubdtype(rows.dtype, np.integer) or rows.ndim != 2 or rows.shape[1] != len(TABLE_SHAPE):
-        raise ValueError(f"rows must be an integer array of shape (N, 9), got {rows.dtype} of shape {rows.shape}")
-    counts = np.zeros(TABLE_SHAPE, dtype=np.int64)
-    if len(rows):
-        if (rows.min(axis=0) < 0).any() or (rows.max(axis=0) >= TABLE_SHAPE).any():
+    if (rows is None) == (cells is None):
+        raise ValueError("give exactly one of rows and cells")
+    if rows is not None:
+        if not np.issubdtype(rows.dtype, np.integer) or rows.ndim != 2 or rows.shape[1] != len(TABLE_SHAPE):
+            raise ValueError(f"rows must be an integer array of shape (N, 9), got {rows.dtype} of shape {rows.shape}")
+        if len(rows) and ((rows.min(axis=0) < 0).any() or (rows.max(axis=0) >= TABLE_SHAPE).any()):
             raise ValueError(f"row values must lie below {TABLE_SHAPE} column by column")
         # einsum, unlike matmul, casts the rows in buffered chunks, not as a
-        # whole copy; intp codes are what bincount reads without a copy.
-        codes = np.einsum("ij,j->i", rows, CELL_WEIGHTS, dtype=np.intp)
-        counts = np.bincount(codes, minlength=counts.size).reshape(TABLE_SHAPE)
+        # whole copy; intp cells are what bincount reads without a copy.
+        cells = np.einsum("ij,j->i", rows, CELL_WEIGHTS, dtype=np.intp)
+    elif not np.issubdtype(cells.dtype, np.integer) or cells.ndim != 1:
+        raise ValueError(f"cells must be a 1-D integer array, got {cells.dtype} of shape {cells.shape}")
+    elif len(cells) and (cells.min() < 0 or cells.max() >= _N_CELLS):
+        raise ValueError(f"cells must lie in [0, {_N_CELLS})")
+    counts = np.zeros(_N_CELLS, dtype=np.int64)
+    for start in range(0, len(cells), _COUNT_ROWS):
+        counts += np.bincount(cells[start : start + _COUNT_ROWS], minlength=_N_CELLS)
+    counts = counts.reshape(TABLE_SHAPE)
     totals = counts.reshape(2, 3, 3, -1).sum(axis=-1)
     table = np.zeros(TABLE_SHAPE)
     nz = totals > 0

@@ -98,7 +98,7 @@ def _simulate(args) -> int:
         transcript = apply_tamper(transcript, args.tamper, np.random.default_rng([config.seed, 2]))
     result = postprocess(transcript, config)
     if args.transcript:
-        with open(args.transcript, "w") as fh:
+        with open(args.transcript, "wb") as fh:
             write_transcript_jsonl(transcript, fh)
     if args.keys_dir and result.outcome == "completed":
         import os

@@ -42,6 +42,14 @@ Post-round sampling (the alignment spot check, Alice-Bob pair before
 Alice-Carole) uses the stream default_rng([seed, 1]), so it is
 insensitive to how the transcript was produced or restored. Two runs
 with the same config are bit-identical.
+
+A transcript stores each round as one uint16 code, the flat index of its
+(round type, row) cell: row @ CELL_WEIGHTS + 1152 * test, one of 2304
+slots. Every step after sampling reads a round only through its code:
+the flags and key bits are per-COLUMNS tables over the slots, each
+strategy kind's routing is a table per pair of the slots that feed the
+pair's key (_ROUTES), the Bell estimate counts the test rounds' cells,
+and the JSONL writer copies each code's line bytes from one table.
 """
 
 from __future__ import annotations
@@ -99,23 +107,58 @@ __all__ = [
 PARTY_NAMES = ("alice", "bob", "carole")
 ABORT_REASONS = ("FlagMismatch", "FlagConstant", "BellBelowThreshold", "AlignmentFailure")
 PARALLEL_QUANTUM_MAX = BELL_FUNCTIONALS["parallel"].quantum_max
-# Columns of Transcript.data: inputs, then (value, flag) per party.
+# A round's row: inputs, then (value, flag) per party.
 COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
-_A, _TA, _B, _TB, _C, _TC = range(3, 9)
 _ROUND_TYPES = ("generation", "test")
-# Rounds drawn, sampled and rendered as JSONL per block, so that a run's
-# temporaries are bounded by a block whatever the number of rounds.
+# Rounds drawn, sampled and selected per block, and JSONL lines rendered
+# per block, so that a run's temporaries are bounded by a block whatever
+# the number of rounds. A JSONL block's three buffers, about 100 KB each,
+# stay below glibc's default 128 KB mmap threshold, so the heap reuses
+# them; at 4096 lines each is mapped and faulted in afresh, which cost
+# up to 40% of the writer's time.
 BLOCK_ROWS = 1 << 12
+_JSONL_ROWS = 1 << 10
 # The (x, y, z) triples the protocol draws: test rounds' {0, 1}^3, then
 # the generation inputs.
 PROTOCOL_INPUTS = (*itertools.product((0, 1), repeat=3), GENERATION_INPUTS)
 # A conditioning of probability at or below this leaves its table row at zero.
 _P_CUTOFF = 1e-15
+# A round's code is the flat index of its (round type, row) cell in a
+# C-ordered _CODE_SHAPE array: row @ CELL_WEIGHTS + test * _TEST_WEIGHT.
+_CODE_SHAPE = (2, *TABLE_SHAPE)
+_N_CODES = math.prod(_CODE_SHAPE)
+_TEST_WEIGHT = _N_CODES // 2
 # The COLUMNS row of each cell of a C-ordered TABLE_SHAPE table, the inverse
-# of row @ CELL_WEIGHTS, and the cell weights of the outcome indices
-# o = 2*value + flag of Alice, Bob and Carole.
+# of row @ CELL_WEIGHTS, and the cell weights of Alice's, Bob's and
+# Carole's flags, which are also those of their outcome indices
+# o = 2*value + flag.
 _CELL_ROWS = np.ascontiguousarray(np.indices(TABLE_SHAPE, dtype=np.int8).reshape(len(TABLE_SHAPE), -1).T)
-_OUTCOME_WEIGHTS = CELL_WEIGHTS[_TA::2]
+_OUTCOME_WEIGHTS = CELL_WEIGHTS[COLUMNS.index("ta") :: 2]
+# The generation inputs as a (3, 1) column.
+_GENERATION_COLUMN = np.array(GENERATION_INPUTS)[:, None]
+# Per COLUMNS entry, its value in every code: (9, _N_CODES) uint8.
+_CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
+# Per party, the COLUMNS of its input, value and flag.
+_PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
+# Per strategy kind and pair: the flag on which a generation round feeds
+# the pair's key (None: every generation round does), and the COLUMNS of
+# Alice's and the partner's key bit.
+_ROUTES = {
+    "flagged": {"ab": (0, "a", "b"), "ac": (1, "a", "c")},
+    "parallel": {"ab": (None, "a", "b"), "ac": (None, "ta", "tc")},
+}
+
+
+def _route_tables(flag, alice: str, partner: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per code: whether the round feeds the pair's key (bool), and
+    Alice's and the partner's key bit (uint8)."""
+    feeds = np.arange(_N_CODES) < _TEST_WEIGHT
+    if flag is not None:
+        feeds &= _CODE_COLUMNS[COLUMNS.index("ta")] == flag
+    return feeds, _CODE_COLUMNS[COLUMNS.index(alice)], _CODE_COLUMNS[COLUMNS.index(partner)]
+
+
+_ROUTE_TABLES = {kind: {pair: _route_tables(*route) for pair, route in routes.items()} for kind, routes in _ROUTES.items()}
 
 
 @dataclass(frozen=True)
@@ -160,24 +203,25 @@ class Message:
 
 
 class Transcript:
-    """A run's public record: its rounds as two arrays, and the announcements.
+    """A run's public record: one code per round, and the announcements.
 
-    `test` (N,) bool marks the test rounds and `data` (N, 9) int8 holds
-    one row per round in the COLUMNS layout, which estimate_behavior
-    reads directly. `announcements` collects the messages of steps 4-7,
-    all made after the last round; their payloads hold `test` itself,
-    views of `data` and column indices, not copies.
+    `codes` (N,) uint16 holds each round's code, row @ CELL_WEIGHTS +
+    test * 1152 with `row` the round's nine COLUMNS values and `test` its
+    round type: the flat index of its cell in a C-ordered _CODE_SHAPE
+    array, one of 2304 slots. Every later step reads a round through
+    tables over these slots, so a code at or above 2304 is rejected here.
+    `announcements` collects the messages of steps 4-7, all made after
+    the last round; the flag and test-data announcements hold `codes`
+    itself and the COLUMNS they announce, not copies.
     """
 
-    def __init__(self, strategy_kind: str, test: np.ndarray, data: np.ndarray):
-        if test.dtype != bool or test.ndim != 1:
-            raise ValueError(f"test must be a 1-D bool array, got {test.dtype} of shape {test.shape}")
-        shape = (len(test), len(COLUMNS))
-        if data.dtype != np.int8 or data.shape != shape:
-            raise ValueError(f"data must be an int8 array of shape {shape}, got {data.dtype} of shape {data.shape}")
+    def __init__(self, strategy_kind: str, codes: np.ndarray):
+        if codes.dtype != np.uint16 or codes.ndim != 1:
+            raise ValueError(f"codes must be a 1-D uint16 array, got {codes.dtype} of shape {codes.shape}")
+        if len(codes) and codes.max() >= _N_CODES:
+            raise ValueError(f"codes must lie below {_N_CODES}, got {codes.max()}")
         self.strategy_kind = strategy_kind
-        self.test = test
-        self.data = data
+        self.codes = codes
         self.announcements: list[Message] = []
 
 
@@ -264,7 +308,9 @@ def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.n
 def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome indices (N, 3) picked from the `_cumulative_tables` rows the
     inputs and earlier outcomes select. Given the same draws this
-    reproduces the explicit-collapse outcomes."""
+    reproduces the explicit-collapse outcomes. Inputs and draws are read,
+    and the outcomes returned, as (N, 3) views of (3, N) arrays, copied
+    only if they are laid out otherwise."""
     cols_a, cols_b, cols_c = (np.ascontiguousarray(table.T) for table in tables)
     x, y, z = np.ascontiguousarray(inputs.T, dtype=np.intp)
     draw_a, draw_b, draw_c = np.ascontiguousarray(draws.T)
@@ -272,7 +318,7 @@ def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray
     row_b = (x * 4 + oa) * 3 + y
     ob = _pick(cols_b, row_b, draw_b)
     oc = _pick(cols_c, (row_b * 4 + ob) * 3 + z, draw_c)
-    return np.stack((oa, ob, oc), axis=1)
+    return np.stack((oa, ob, oc)).T
 
 
 def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,26 +377,26 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
 
     The backend chooses the builder of the cumulative tables, once; each
     block of BLOCK_ROWS rounds then draws its uniforms (laid out as the
-    module docstring says) and picks its outcomes from those tables.
-    Announcements of flags and test data happen in postprocess.
+    module docstring says), picks its outcomes from those tables and
+    stores each round's code. Announcements of flags and test data
+    happen in postprocess.
     """
     strategy = _build_strategy(config) if strategy is None else strategy
     if strategy.kind != config.strategy_kind:
         raise ValueError(f"strategy kind {strategy.kind!r} does not match config {config.strategy_kind!r}")
     n = config.n_rounds
     rng = np.random.default_rng(config.seed)
-    test = np.empty(n, dtype=bool)
-    data = np.empty((n, len(COLUMNS)), dtype=np.int8)
+    codes = np.empty(n, dtype=np.uint16)
     tables = (_cumulative_tables if config.backend == "table" else _collapse_tables)(strategy)
     for start in range(0, n, BLOCK_ROWS):
-        u = rng.random((min(BLOCK_ROWS, n - start), 7))
-        block = slice(start, start + len(u))
-        test[block] = u[:, 0] < config.gamma
-        inputs = np.where(test[block, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-        outcomes = _table_outcomes(tables, inputs, u[:, 4:])
-        cells = inputs @ CELL_WEIGHTS[:3] + outcomes @ _OUTCOME_WEIGHTS
-        _CELL_ROWS.take(cells, axis=0, out=data[block])
-    return Transcript(strategy.kind, test, data)
+        # The block's uniforms column by column: (7, R), each row contiguous.
+        u = np.ascontiguousarray(rng.random((min(BLOCK_ROWS, n - start), 7)).T)
+        test = u[0] < config.gamma
+        inputs = np.where(test, u[1:4] < 0.5, _GENERATION_COLUMN)
+        outcomes = _table_outcomes(tables, inputs.T, u[4:].T)
+        cells = CELL_WEIGHTS[:3] @ inputs + _OUTCOME_WEIGHTS @ outcomes.T
+        codes[start : start + len(test)] = cells + test * _TEST_WEIGHT
+    return Transcript(strategy.kind, codes)
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -405,50 +451,40 @@ def _bell_score(estimate, kind: str) -> tuple[float, dict]:
     }
 
 
-@dataclass(frozen=True)
-class _Routing:
-    """Per strategy kind: which generation rounds feed each pairwise key
-    and which output columns hold the key bits."""
-
-    by_flag: bool      # flags are announced and checked; Alice's flag 0 feeds "ab", 1 feeds "ac"
-    key_columns: dict  # pair -> (Alice's column, partner's column)
-
-
-_ROUTING = {
-    "flagged": _Routing(True, {"ab": (_A, _B), "ac": (_A, _C)}),
-    "parallel": _Routing(False, {"ab": (_A, _B), "ac": (_TA, _TC)}),
-}
+def _select(mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """codes[mask], BLOCK_ROWS rounds at a time. Unlike a boolean index,
+    compress does not branch on every round; its index array of the
+    selected rounds stays within a block."""
+    blocks = range(0, len(codes), BLOCK_ROWS)
+    return np.concatenate([codes[:0], *(np.compress(mask[s : s + BLOCK_ROWS], codes[s : s + BLOCK_ROWS]) for s in blocks)])
 
 
-def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, tuple[int, int]]:
+def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A fresh bool mask of the generation rounds feeding `pair`'s key,
-    and its (Alice's, partner's) key-bit columns."""
-    routing = _ROUTING[transcript.strategy_kind]
-    feeds = ~transcript.test
-    if routing.by_flag:
-        feeds &= transcript.data[:, _TA] == ("ab", "ac").index(pair)
-    return feeds, routing.key_columns[pair]
+    and the code tables of Alice's and the partner's key bit."""
+    feeds, alice, partner = _ROUTE_TABLES[transcript.strategy_kind][pair]
+    return feeds[transcript.codes], alice, partner
 
 
 def sift_pair_keys(transcript: Transcript, exclude_ab=None, exclude_ac=None) -> SiftResult:
     """Step-6 sifting into the two pairwise raw keys.
 
-    Rounds and key bits follow the strategy kind's routing: flagged
-    strategies route generation rounds by the (verified common) flag,
-    Alice-Bob on flag 0, Alice-Carole on flag 1; the two-pair strategy
-    has no flags and every generation round feeds both keys, first
-    output bits for Alice-Bob, second bits for Alice-Carole. Mismatch
-    counts compare Alice's bit against the partner's. The exclusions are
-    arrays of round indices, such as AlignmentResult's; None excludes
-    nothing. The keys are uint8 arrays of 0/1.
+    Rounds and key bits follow the strategy kind's routing tables:
+    flagged strategies route generation rounds by the (verified common)
+    flag, Alice-Bob on flag 0, Alice-Carole on flag 1; the two-pair
+    strategy has no flags and every generation round feeds both keys,
+    first output bits for Alice-Bob, second bits for Alice-Carole.
+    Mismatch counts compare Alice's bit against the partner's. The
+    exclusions are arrays of round indices, such as AlignmentResult's;
+    None excludes nothing. The keys are uint8 arrays of 0/1.
     """
     bits = {}
     for pair, exclude in (("ab", exclude_ab), ("ac", exclude_ac)):
-        feeds, (alice, partner) = _pair_rounds(transcript, pair)
+        feeds, alice, partner = _pair_rounds(transcript, pair)
         if exclude is not None:
             feeds[exclude] = False
-        # Column first, then the mask: indexing data[feeds, col] would build an index array.
-        bits[pair] = tuple(transcript.data[:, col][feeds].view(np.uint8) for col in (alice, partner))
+        codes = _select(feeds, transcript.codes)
+        bits[pair] = alice[codes], partner[codes]
     (ab_alice, ab_partner), (ac_alice, ac_partner) = bits["ab"], bits["ac"]
     return SiftResult(
         alice_ab=ab_alice,
@@ -488,7 +524,7 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
     excluded = {}
     ok = True
     for pair in ("ab", "ac"):
-        feeds, (alice, partner) = _pair_rounds(transcript, pair)
+        feeds, alice, partner = _pair_rounds(transcript, pair)
         k = math.ceil(fraction * np.count_nonzero(feeds))
         if k == 0:
             rates[pair] = None
@@ -496,8 +532,8 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
             continue
         rows = np.flatnonzero(feeds)
         sampled = rows[rng.choice(len(rows), size=k, replace=False)]
-        data = transcript.data[sampled]
-        rates[pair] = int(np.count_nonzero(data[:, alice] == data[:, partner])) / k
+        codes = transcript.codes[sampled]
+        rates[pair] = int(np.count_nonzero(alice[codes] == partner[codes])) / k
         excluded[pair] = sampled
         if rates[pair] < floor:
             ok = False
@@ -512,14 +548,28 @@ def _default_threshold(kind: str, n_test: int) -> float:
     return min(max(hi * (1.0 - 10.0 / math.sqrt(n_test)), lo), hi)
 
 
+def _flag_step(codes: np.ndarray) -> tuple[str, dict]:
+    """Step-4 verdict on the flags a flagged run's codes carry, and its
+    stats. The three flag columns it looks up are freed on return."""
+    flags = [_CODE_COLUMNS[columns[2]][codes] for columns in _PARTY_COLUMNS]
+    verdict = check_flag_agreement(*flags)
+    if verdict != "ok":
+        return verdict, _flag_abort_stats(verdict, flags)
+    n_t0 = len(codes) - int(np.count_nonzero(flags[0]))
+    return verdict, {"p_t0_estimate": n_t0 / len(codes), "p_t1_estimate": (len(codes) - n_t0) / len(codes)}
+
+
 def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResult:
     """Steps 4-7 on a finished transcript: announcements, checks, keys."""
-    test, data = transcript.test, transcript.data
-    n_test = int(np.count_nonzero(test))
+    codes = transcript.codes
+    # The test rounds' cells, row @ CELL_WEIGHTS: their announced data.
+    cells = _select(codes >= _TEST_WEIGHT, codes)
+    cells -= _TEST_WEIGHT
+    n_test = len(cells)
     stats = {
-        "n_rounds": len(test),
+        "n_rounds": len(codes),
         "n_test": n_test,
-        "n_gen": len(test) - n_test,
+        "n_gen": len(codes) - n_test,
         "strategy_kind": transcript.strategy_kind,
         "backend": config.backend,
     }
@@ -529,23 +579,18 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         announce(Message("alice", "AbortNotice", reason))
         return ProtocolResult(outcome="aborted", abort_reason=reason, keys={}, k_xor="", stats=stats)
 
-    routing = _ROUTING[transcript.strategy_kind]
-    if routing.by_flag:
-        flags = [data[:, col] for col in (_TA, _TB, _TC)]
-        for name, party_flags in zip(PARTY_NAMES, flags):
-            announce(Message(name, "FlagAnnounce", party_flags))
-        verdict = check_flag_agreement(*flags)
+    if transcript.strategy_kind == "flagged":
+        for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
+            announce(Message(name, "FlagAnnounce", (codes, columns[2])))
+        verdict, flag_stats = _flag_step(codes)
+        stats.update(flag_stats)
         if verdict != "ok":
-            stats.update(_flag_abort_stats(verdict, flags))
             return aborted(verdict)
-        n_t0 = int(np.count_nonzero(flags[0] == 0))
-        stats["p_t0_estimate"] = n_t0 / len(test)
-        stats["p_t1_estimate"] = (len(test) - n_t0) / len(test)
 
-    for i, name in enumerate(PARTY_NAMES):
-        # The test-round mask, and the party's input, value and flag columns.
-        announce(Message(name, "TestDataAnnounce", (test, (i, _A + 2 * i, _TA + 2 * i))))
-    estimate = estimate_behavior(data[test])
+    for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
+        # The codes, and the party's input, value and flag columns of the test rounds.
+        announce(Message(name, "TestDataAnnounce", (codes, columns)))
+    estimate = estimate_behavior(cells=cells)
     observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold
@@ -604,7 +649,7 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
     if transcript.strategy_kind != "flagged":
         raise ValueError("tampering with flags requires a flagged strategy")
     kind, _, arg = spec.partition(":")
-    data = transcript.data.copy()
+    codes = transcript.codes.copy()
     if kind == "flag-flip":
         try:
             rate = float(arg)
@@ -612,16 +657,18 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
             raise ValueError(f"bad tamper rate {arg!r}") from None
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"tamper rate must be in (0, 1], got {rate}")
-        n_flip = math.ceil(rate * len(data))
-        data[rng.choice(len(data), size=n_flip, replace=False), _TB] ^= 1
+        n_flip = math.ceil(rate * len(codes))
+        codes[rng.choice(len(codes), size=n_flip, replace=False)] ^= np.uint16(_OUTCOME_WEIGHTS[1])
     elif kind == "flag-constant":
         t = int(arg) if arg else 0
         if t not in (0, 1):
             raise ValueError(f"tamper flag value must be 0 or 1, got {arg!r}")
-        data[:, _TA::2] = t
+        flags = np.uint16(_OUTCOME_WEIGHTS.sum())
+        codes &= ~flags
+        codes |= flags * t
     else:
         raise ValueError(f"unknown tamper kind {kind!r}")
-    return Transcript(transcript.strategy_kind, transcript.test.copy(), data)
+    return Transcript(transcript.strategy_kind, codes)
 
 
 def _optional_float(value) -> float | None:
@@ -671,94 +718,94 @@ def config_from_json(text: str) -> ProtocolConfig:
     return ProtocolConfig(**kwargs)
 
 
-# Per row code: the flat index of the round's (round type, row) cell in a
-# C-ordered (2, *TABLE_SHAPE) array, row @ CELL_WEIGHTS + test * _TEST_WEIGHT.
-_CODE_SHAPE = (2, *TABLE_SHAPE)
-_TEST_WEIGHT = np.int32(math.prod(TABLE_SHAPE))
 _LINE_HEAD = '{"index": 0'
 _INDEX_KEY = np.frombuffer(_LINE_HEAD[:-1].encode(), dtype=np.uint8)
 
 
 @functools.cache
-def _line_tails() -> np.ndarray:
-    """(2304, W) uint8: per code, the text after its line's index as
-    NUL-padded bytes, ending in a newline.
+def _line_rows(digits: int) -> np.ndarray:
+    """(2304, W) uint8: per code, its JSONL line with a NUL slot for an
+    index of up to `digits` digits, NUL-padded to a common width.
 
-    Each half is the json.dumps line of its round type with every digit
-    0, plus the code's nine COLUMNS values at the line's nine digits.
+    A row is the index key, the slot, and the text after the index: the
+    json.dumps line of the code's round type with every digit 0, plus the
+    code's nine COLUMNS values at the line's nine digits, ending in a
+    newline.
     """
     docs = ({"index": 0, "type": t, "inputs": [0] * 3, "outputs": [[0, 0]] * 3} for t in _ROUND_TYPES)
-    lines = [json.dumps(doc).encode()[len(_LINE_HEAD) :] + b"\n" for doc in docs]
-    width = max(map(len, lines))
-    tails = np.empty((len(lines), len(_CELL_ROWS), width), dtype=np.uint8)
-    for half, line in zip(tails, lines):
-        template = np.frombuffer(line.ljust(width, b"\0"), dtype=np.uint8)
+    tails = [json.dumps(doc).encode()[len(_LINE_HEAD) :] + b"\n" for doc in docs]
+    width = max(map(len, tails))
+    head = len(_INDEX_KEY) + digits
+    rows = np.zeros((len(tails), len(_CELL_ROWS), head + width), dtype=np.uint8)
+    rows[..., : len(_INDEX_KEY)] = _INDEX_KEY
+    for half, tail in zip(rows[..., head:], tails):
+        template = np.frombuffer(tail.ljust(width, b"\0"), dtype=np.uint8)
         half[:] = template
         half[:, template == ord("0")] += _CELL_ROWS.view(np.uint8)
-    tails = tails.reshape(-1, width)
-    tails.flags.writeable = False
-    return tails
+    rows = rows.reshape(-1, head + width)
+    rows.flags.writeable = False
+    return rows
 
 
-def _digit_runs(start: int, stop: int):
-    """(lo, hi, digits): the runs of [start, stop) whose indices have the same number of digits."""
-    while start < stop:
-        digits = len(str(start))
-        hi = min(stop, 10**digits)
-        yield start, hi, digits
-        start = hi
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """(10000, 4) uint8: the ASCII digits of 0000 to 9999."""
+    return np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
 
 
-def _index_digits(lo: int, hi: int, digits: int) -> np.ndarray:
-    """(hi - lo, digits) uint8: the ASCII digits of the indices lo..hi-1,
-    which all have `digits` digits."""
-    out = np.empty((digits, hi - lo), dtype=np.uint8)
-    index = np.arange(lo, hi, dtype=np.uint64)
-    for place in out[::-1]:
-        quotient = index // np.uint64(10)
-        np.subtract(index, quotient * np.uint64(10), out=place, casting="unsafe")
-        index = quotient
-    out += ord("0")
-    return out.T
+def _write_index_digits(slots: np.ndarray, start: int) -> None:
+    """Right-align the ASCII digits of the indices start, start + 1, ...
+    in the rows of the uint8 array `slots`, leaving the rest of each row.
+
+    The indices go in pieces that share their number of digits and all
+    but their last four: the last four are a slice of `_four_digits`,
+    the others one string broadcast down the piece.
+    """
+    table = _four_digits()
+    stop = start + len(slots)
+    lo = start
+    while lo < stop:
+        digits = len(str(lo))
+        hi = min(stop, (lo // 10_000 + 1) * 10_000, 10**digits)
+        low = min(digits, 4)
+        piece = slots[lo - start : hi - start]
+        piece[:, -low:] = table[lo % 10_000 : (hi - 1) % 10_000 + 1, 4 - low :]
+        if digits > 4:
+            piece[:, -digits:-4] = np.frombuffer(str(lo // 10_000).encode(), dtype=np.uint8)
+        lo = hi
 
 
 def _jsonl_blocks(transcript: Transcript):
-    """The JSONL text of a transcript, BLOCK_ROWS lines at a time.
+    """The JSONL bytes of a transcript, _JSONL_ROWS lines at a time.
 
-    A line depends on the round only through its index and its (round
-    type, row) code, one of 2304 slots (_CODE_SHAPE). The text after the
-    index of every code is one row of the `_line_tails` byte table, built
-    once per process from the two round types' json.dumps lines. A block
-    is laid out as fixed-width uint8 rows, one per line: the index key,
-    the index digits and the code's tail bytes. It is joined through the
-    rows' S-dtype view, which drops each row's trailing NULs.
+    A line depends on the round only through its index and its code. A
+    block takes each round's row of the `_line_rows` table, built once
+    per process and index width from the two round types' json.dumps
+    lines, writes the index digits at the end of the row's index slot,
+    and drops every NUL of the slots and the padding from the block's
+    bytes. No Python code runs per line.
     """
-    n = len(transcript.test)
+    n = len(transcript.codes)
     if n == 0:
-        yield "\n"
+        yield b"\n"
         return
-    tails = _line_tails()
-    head = len(_INDEX_KEY)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        codes = transcript.data[start:stop] @ CELL_WEIGHTS + transcript.test[start:stop] * _TEST_WEIGHT
-        lines = []
-        for lo, hi, digits in _digit_runs(start, stop):
-            rows = np.empty((hi - lo, head + digits + tails.shape[1]), dtype=np.uint8)
-            rows[:, :head] = _INDEX_KEY
-            rows[:, head : head + digits] = _index_digits(lo, hi, digits)
-            rows[:, head + digits :] = tails.take(codes[lo - start : hi - start], axis=0)
-            lines += rows.view(f"S{rows.shape[1]}").ravel().tolist()
-        yield b"".join(lines).decode("ascii")
+    width = len(str(n - 1))
+    table = _line_rows(width)
+    slot = slice(len(_INDEX_KEY), len(_INDEX_KEY) + width)
+    for start in range(0, n, _JSONL_ROWS):
+        rows = table.take(transcript.codes[start : start + _JSONL_ROWS], axis=0)
+        _write_index_digits(rows[:, slot], start)
+        yield rows.tobytes().replace(b"\0", b"")
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
     """One line per round: json.dumps of {"index", "type", "inputs", "outputs"}."""
-    return "".join(_jsonl_blocks(transcript))
+    return b"".join(_jsonl_blocks(transcript)).decode("ascii")
 
 
 def write_transcript_jsonl(transcript: Transcript, fh) -> None:
-    """Write transcript_to_jsonl's text to the text file `fh`, one block at a time."""
+    """Write transcript_to_jsonl's text, ASCII-encoded, to the binary file
+    `fh`, one block at a time."""
     for block in _jsonl_blocks(transcript):
         fh.write(block)
 

@@ -154,9 +154,9 @@ def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) 
     """Born-rule outcome distribution p(label) = Tr(E_label rho).
 
     The family must be complete. This is `born_rows` on one row, so
-    probabilities are clipped to [0, 1], and anything below -1e-12 or a
-    total off from 1 by more than 1e-10 signals a malformed input and
-    raises.
+    probabilities are clipped to [0, 1], and a probability that is not
+    finite or is below -1e-12, or a total off from 1 by more than 1e-10,
+    signals a malformed input and raises.
     """
     rho = np.asarray(rho, dtype=complex)
     stack = check_effects_complete([effects])
@@ -171,11 +171,16 @@ def born_rows(rhos: np.ndarray, effects: np.ndarray, labels: Sequence) -> np.nda
 
     `rhos` is (K, d, d), `effects` (K, L, d, d) with the families' effects
     in the order of the L `labels`, which only name outcomes in errors.
-    Each row is checked as one distribution: a probability below -1e-12
-    raises, the rest are clipped to [0, 1], and a row total off from 1 by
-    more than 1e-10 raises.
+    Each row is checked as one distribution: a probability that is not
+    finite or is below -1e-12 raises, the rest are clipped to [0, 1], and
+    a row total off from 1 by more than 1e-10 raises.
     """
     probs = np.einsum("klij,kji->kl", effects, rhos).real
+    # NaN passes every comparison below, and +inf would be clipped to 1.
+    nonfinite = np.argwhere(~np.isfinite(probs))
+    if len(nonfinite):
+        row, col = nonfinite[0]
+        raise ValueError(f"non-finite probability {probs[row, col]} for outcome {labels[col]}")
     negative = np.argwhere(probs < -ATOL_OPERATOR)
     if len(negative):
         row, col = negative[0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from flagcka.bell import (
     BELL_FUNCTIONALS,
+    CELL_WEIGHTS,
     CHSH_QUANTUM_MAX,
     GENERATION_INPUTS,
     Behavior,
@@ -246,6 +247,22 @@ def test_estimate_behavior_rejects_out_of_range_rows():
         with pytest.raises(ValueError):
             estimate_behavior(rows)
     assert estimate_behavior(row[:0]).counts.sum() == 0
+
+
+def test_estimate_behavior_counts_cells_as_it_counts_rows():
+    rng = np.random.default_rng(29)
+    rows = np.column_stack([rng.integers(n, size=200) for n in TABLE_SHAPE]).astype(np.int8)
+    cells = (rows.astype(np.intp) @ CELL_WEIGHTS).astype(np.uint16)
+    est = estimate_behavior(cells=cells)
+    np.testing.assert_array_equal(est.counts, estimate_behavior(rows).counts)
+    np.testing.assert_array_equal(est.behavior.table, estimate_behavior(rows).behavior.table)
+    assert estimate_behavior(cells=cells[:0]).counts.sum() == 0
+    for bad in (cells.astype(float), cells[:, None], np.array([1152], dtype=np.uint16), np.array([-1])):
+        with pytest.raises(ValueError):
+            estimate_behavior(cells=bad)
+    for args, kwargs in (((), {}), ((rows,), {"cells": cells})):
+        with pytest.raises(ValueError, match="exactly one of rows and cells"):
+            estimate_behavior(*args, **kwargs)
 
 
 def test_estimate_behavior_makes_no_copy_of_the_rows():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
+from flagcka.bell import CELL_WEIGHTS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
 from flagcka.protocol import (
     BLOCK_ROWS,
     PARALLEL_QUANTUM_MAX,
@@ -36,15 +36,30 @@ from flagcka.protocol import (
     _build_strategy,
     _collapse_tables,
     _cumulative_tables,
+    _CELL_ROWS,
     _CODE_SHAPE,
     _P_CUTOFF,
     _ROUND_TYPES,
     _bit_string,
     _default_threshold,
     _table_outcomes,
+    _write_index_digits,
 )
 from flagcka.qops import measure_collapse, projector, random_density_operator, random_unitary, select_outcome
 from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, Strategy, random_projective_strategy
+
+
+def _rounds(transcript):
+    """A transcript's codes decoded: the (N,) bool test mask and the
+    (N, 9) int8 COLUMNS rows."""
+    test, cells = np.divmod(transcript.codes, len(_CELL_ROWS))
+    return test.astype(bool), _CELL_ROWS[cells]
+
+
+def _transcript(kind, test, data):
+    """The transcript whose codes decode to `test` and `data`."""
+    codes = np.asarray(data, dtype=np.intp) @ CELL_WEIGHTS + np.asarray(test) * len(_CELL_ROWS)
+    return Transcript(kind, codes.astype(np.uint16))
 
 
 def test_config_validation():
@@ -74,7 +89,8 @@ def test_runs_are_deterministic():
     res2, tr2 = run_protocol(cfg)
     assert res1.keys == res2.keys
     assert res1.stats == res2.stats
-    assert np.array_equal(tr1.test, tr2.test) and np.array_equal(tr1.data, tr2.data)
+    (test1, data1), (test2, data2) = _rounds(tr1), _rounds(tr2)
+    assert np.array_equal(test1, test2) and np.array_equal(data1, data2)
     res3, _ = run_protocol(ProtocolConfig(n_rounds=400, seed=4))
     assert res3.keys != res1.keys
 
@@ -85,17 +101,20 @@ def test_backends_agree_draw_for_draw():
     for seed in (0, 11):
         _, tr_table = run_protocol(ProtocolConfig(n_rounds=300, seed=seed, backend="table"))
         _, tr_collapse = run_protocol(ProtocolConfig(n_rounds=300, seed=seed, backend="collapse"))
-        assert np.array_equal(tr_table.test, tr_collapse.test)
-        assert np.array_equal(tr_table.data, tr_collapse.data)
+        (test_table, data_table), (test_collapse, data_collapse) = _rounds(tr_table), _rounds(tr_collapse)
+        assert np.array_equal(test_table, test_collapse)
+        assert np.array_equal(data_table, data_collapse)
 
 
 def test_backends_agree_under_noise_and_parallel():
     _, a = run_protocol(ProtocolConfig(n_rounds=200, seed=5, visibility=0.85, bell_threshold=2.0, backend="table"))
     _, b = run_protocol(ProtocolConfig(n_rounds=200, seed=5, visibility=0.85, bell_threshold=2.0, backend="collapse"))
-    assert np.array_equal(a.test, b.test) and np.array_equal(a.data, b.data)
+    (test_a, data_a), (test_b, data_b) = _rounds(a), _rounds(b)
+    assert np.array_equal(test_a, test_b) and np.array_equal(data_a, data_b)
     _, c = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="table"))
     _, d = run_protocol(ProtocolConfig(n_rounds=200, seed=5, strategy_kind="parallel", backend="collapse"))
-    assert np.array_equal(c.test, d.test) and np.array_equal(c.data, d.data)
+    (test_c, data_c), (test_d, data_d) = _rounds(c), _rounds(d)
+    assert np.array_equal(test_c, test_d) and np.array_equal(data_c, data_d)
 
 
 def _layout_rows(n_rounds, seed, gamma=0.2):
@@ -216,8 +235,9 @@ def test_collapse_tables_check_each_family(party, x):
 
 
 def _prefixes(transcript):
-    x, y, z = transcript.data[:, :3].T.tolist()
-    oa, ob, _ = (2 * transcript.data[:, 3:9:2] + transcript.data[:, 4:9:2]).T.tolist()
+    _, data = _rounds(transcript)
+    x, y, z = data[:, :3].T.tolist()
+    oa, ob, _ = (2 * data[:, 3:9:2] + data[:, 4:9:2]).T.tolist()
     return set(zip(x)) | set(zip(x, oa, y)) | set(zip(x, oa, y, ob, z))
 
 
@@ -328,8 +348,9 @@ def test_backends_agree_on_rare_outcomes(seed, delta):
         run_rounds(ProtocolConfig(n_rounds=2000, seed=seed, bell_threshold=2.0, backend=backend), strategy)
         for backend in ("table", "collapse")
     )
-    assert np.array_equal(table.test, collapse.test)
-    assert np.array_equal(table.data, collapse.data)
+    (test_table, data_table), (test_collapse, data_collapse) = _rounds(table), _rounds(collapse)
+    assert np.array_equal(test_table, test_collapse)
+    assert np.array_equal(data_table, data_collapse)
 
 
 @pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.9), ("parallel", 0.97)])
@@ -338,8 +359,9 @@ def test_backends_agree_draw_for_draw_at_scale(kind, visibility):
         run_rounds(ProtocolConfig(n_rounds=20000, seed=31, strategy_kind=kind, visibility=visibility, backend=backend))
         for backend in ("table", "collapse")
     )
-    assert np.array_equal(table.test, collapse.test)
-    assert np.array_equal(table.data, collapse.data)
+    (test_table, data_table), (test_collapse, data_collapse) = _rounds(table), _rounds(collapse)
+    assert np.array_equal(test_table, test_collapse)
+    assert np.array_equal(data_table, data_collapse)
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -355,17 +377,19 @@ def test_backends_agree_draw_for_draw_on_random_strategies(seed, visibility, n_r
         run_rounds(ProtocolConfig(n_rounds=n_rounds, gamma=gamma, seed=seed, backend=backend), strategy)
         for backend in ("table", "collapse")
     )
-    assert np.array_equal(table.test, collapse.test)
-    assert np.array_equal(table.data, collapse.data)
+    (test_table, data_table), (test_collapse, data_collapse) = _rounds(table), _rounds(collapse)
+    assert np.array_equal(test_table, test_collapse)
+    assert np.array_equal(data_table, data_collapse)
 
 
 def test_round_records_use_protocol_inputs():
     tr = run_rounds(ProtocolConfig(n_rounds=300, seed=1))
-    assert tr.test.shape == (300,) and tr.data.shape == (300, len(COLUMNS))
-    assert np.isin(tr.data[:, 3:], (0, 1)).all()
-    assert (tr.data[~tr.test, :3] == GENERATION_INPUTS).all()
-    assert np.isin(tr.data[tr.test, :3], (0, 1)).all()
-    assert tr.test.any() and not tr.test.all()
+    test, data = _rounds(tr)
+    assert test.shape == (300,) and data.shape == (300, len(COLUMNS))
+    assert np.isin(data[:, 3:], (0, 1)).all()
+    assert (data[~test, :3] == GENERATION_INPUTS).all()
+    assert np.isin(data[test, :3], (0, 1)).all()
+    assert test.any() and not test.all()
 
 
 def test_message_schedule_through_completion():
@@ -377,12 +401,14 @@ def test_message_schedule_through_completion():
     assert kinds == ["FlagAnnounce"] * 3 + ["TestDataAnnounce"] * 3 + ["XorAnnounce"]
     flags = [m for m in tr.announcements if m.kind == "FlagAnnounce"]
     assert [m.sender for m in flags] == ["alice", "bob", "carole"]
-    # Payloads are what is announced, held as views of the transcript.
+    # Payloads hold the transcript's codes and the column announced, not copies.
+    _, data = _rounds(tr)
     for m, col in zip(flags, ("ta", "tb", "tc")):
-        assert np.array_equal(m.payload, tr.data[:, COLUMNS.index(col)])
-        assert np.shares_memory(m.payload, tr.data)
+        codes, column = m.payload
+        assert np.array_equal(_rounds(Transcript("flagged", codes))[1][:, column], data[:, COLUMNS.index(col)])
+        assert np.shares_memory(codes, tr.codes)
     test_data = [m.payload for m in tr.announcements if m.kind == "TestDataAnnounce"]
-    assert all(rounds is tr.test for rounds, _ in test_data)
+    assert all(codes is tr.codes for codes, _ in test_data)
     assert [columns for _, columns in test_data] == [
         tuple(COLUMNS.index(c) for c in party) for party in (("x", "a", "ta"), ("y", "b", "tb"), ("z", "c", "tc"))
     ]
@@ -405,7 +431,7 @@ def test_check_flag_agreement_verdicts():
 def _synthetic_transcript(rows, kind="flagged"):
     test = np.array([rt == "test" for rt, _, _ in rows], dtype=bool)
     data = np.array([(*inputs, *(bit for out in outputs for bit in out)) for _, inputs, outputs in rows], dtype=np.int8)
-    return Transcript(kind, test, data)
+    return _transcript(kind, test, data.reshape(len(rows), len(COLUMNS)))
 
 
 def test_sift_routes_by_flag():
@@ -466,16 +492,17 @@ def test_sift_without_exclusions_keeps_every_routed_round():
     for kind in ("flagged", "parallel"):
         tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=13, strategy_kind=kind))
         sift = sift_pair_keys(tr)
-        gen = ~tr.test
+        test, data = _rounds(tr)
+        gen = ~test
         if kind == "flagged":
-            flag = tr.data[:, COLUMNS.index("ta")]
+            flag = data[:, COLUMNS.index("ta")]
             routed = {"ab": gen & (flag == 0), "ac": gen & (flag == 1)}
         else:
             routed = {"ab": gen, "ac": gen}
         for pair, alice_key, partner_key in (("ab", sift.alice_ab, sift.partner_ab), ("ac", sift.alice_ac, sift.partner_ac)):
             alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[kind][pair])
-            assert np.array_equal(alice_key, tr.data[routed[pair], alice])
-            assert np.array_equal(partner_key, tr.data[routed[pair], partner])
+            assert np.array_equal(alice_key, data[routed[pair], alice])
+            assert np.array_equal(partner_key, data[routed[pair], partner])
 
 
 def _reference_bit_string(bits):
@@ -491,13 +518,14 @@ def _reference_sift(tr, pair, exclude):
     alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[tr.strategy_kind][pair])
     excluded = set() if exclude is None else set(exclude.tolist())
     flag = ("ab", "ac").index(pair)
+    test, data = _rounds(tr)
     rows = [
         r
-        for r in range(len(tr.test))
-        if not tr.test[r] and (tr.strategy_kind == "parallel" or tr.data[r, COLUMNS.index("ta")] == flag)
+        for r in range(len(test))
+        if not test[r] and (tr.strategy_kind == "parallel" or data[r, COLUMNS.index("ta")] == flag)
         and r not in excluded
     ]
-    return _reference_bit_string(tr.data[rows, alice]), _reference_bit_string(tr.data[rows, partner])
+    return _reference_bit_string(data[rows, alice]), _reference_bit_string(data[rows, partner])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -513,7 +541,7 @@ def test_array_keys_match_the_string_reference(seed, kind, n_rounds, exclude_fra
     data = np.empty((n_rounds, len(COLUMNS)), dtype=np.int8)
     data[:, :3] = np.where(test[:, None], rng.integers(0, 2, (n_rounds, 3)), GENERATION_INPUTS)
     data[:, 3:] = rng.integers(0, 2, (n_rounds, 6))
-    tr = Transcript(kind, test, data)
+    tr = _transcript(kind, test, data)
     exclude = {
         pair: None if exclude_fraction is None else rng.choice(n_rounds, size=int(exclude_fraction * n_rounds), replace=False)
         for pair in ("ab", "ac")
@@ -567,16 +595,17 @@ def test_alignment_passes_on_honest_run():
     assert res.ok
     assert res.match_rates["ab"] == 1.0
     assert res.match_rates["ac"] == 1.0
-    ab_rounds = np.flatnonzero(~tr.test & (tr.data[:, COLUMNS.index("ta")] == 0))
+    test, data = _rounds(tr)
+    ab_rounds = np.flatnonzero(~test & (data[:, COLUMNS.index("ta")] == 0))
     assert len(res.excluded_ab) == len(set(res.excluded_ab.tolist())) == math.ceil(0.25 * len(ab_rounds))
     assert np.isin(res.excluded_ab, ab_rounds).all()
 
 
 def test_alignment_catches_value_corruption():
     tr = run_rounds(ProtocolConfig(n_rounds=400, seed=9))
-    data = tr.data.copy()
-    data[~tr.test, COLUMNS.index("b")] ^= 1  # Bob's value on every generation round
-    bad = Transcript("flagged", tr.test, data)
+    test, data = _rounds(tr)
+    data[~test, COLUMNS.index("b")] ^= 1  # Bob's value on every generation round
+    bad = _transcript("flagged", test, data)
     res = alignment_test(bad, 0.3, 0.98, np.random.default_rng(2))
     assert not res.ok
     assert res.match_rates["ab"] == pytest.approx(0.0)
@@ -642,9 +671,10 @@ def test_tamper_validation():
 def test_tamper_does_not_mutate_original():
     cfg = ProtocolConfig(n_rounds=200, seed=14)
     tr = run_rounds(cfg)
-    test_before, data_before = tr.test.copy(), tr.data.copy()
+    test_before, data_before = _rounds(tr)
     apply_tamper(tr, "flag-constant:0", np.random.default_rng(0))
-    assert np.array_equal(tr.test, test_before) and np.array_equal(tr.data, data_before)
+    test_after, data_after = _rounds(tr)
+    assert np.array_equal(test_after, test_before) and np.array_equal(data_after, data_before)
     assert postprocess(tr, cfg).outcome == "completed"
 
 
@@ -881,7 +911,7 @@ def test_transcript_jsonl_matches_json_dumps():
     tr = run_rounds(ProtocolConfig(n_rounds=400, seed=4, visibility=0.8))
     records = [
         {"index": r, "type": _ROUND_TYPES[t], "inputs": row[:3], "outputs": [row[3:5], row[5:7], row[7:9]]}
-        for r, (t, row) in enumerate(zip(tr.test.tolist(), tr.data.tolist()))
+        for r, (t, row) in enumerate(zip(*(a.tolist() for a in _rounds(tr))))
     ]
     assert transcript_to_jsonl(tr).splitlines(keepends=True) == [json.dumps(record) + "\n" for record in records]
 
@@ -895,45 +925,81 @@ def test_transcript_text_across_digit_and_block_boundaries():
     expected = "".join(
         json.dumps({"index": r, "type": _ROUND_TYPES[t], "inputs": row[:3], "outputs": [row[3:5], row[5:7], row[7:9]]})
         + "\n"
-        for r, (t, row) in enumerate(zip(tr.test.tolist(), tr.data.tolist()))
+        for r, (t, row) in enumerate(zip(*(a.tolist() for a in _rounds(tr))))
     )
     assert transcript_to_jsonl(tr) == expected
 
 
-def test_flag_flip_tamper_changes_only_bobs_flags():
-    from flagcka.protocol import COLUMNS
+@pytest.mark.parametrize("start, count", [(0, 10_123), (9_990, 20), (99_999_990, 20_011), (123_456_789_995, 10)])
+def test_index_digits_match_str(start, count):
+    # Pieces cross every group of four digits and every change in the
+    # number of digits, up to indices no transcript test reaches.
+    width = len(str(start + count - 1))
+    slots = np.zeros((count, width), dtype=np.uint8)
+    _write_index_digits(slots, start)
+    assert [row.tobytes().lstrip(b"\0").decode() for row in slots] == [str(i) for i in range(start, start + count)]
 
+
+def test_flag_flip_tamper_changes_only_bobs_flags():
     tr = run_rounds(ProtocolConfig(n_rounds=1000, seed=13))
-    data_before, test_before = tr.data.copy(), tr.test.copy()
+    test_before, data_before = _rounds(tr)
     tb = COLUMNS.index("tb")
     for rate in (0.001, 0.05, 0.333, 1.0):
         bad = apply_tamper(tr, f"flag-flip:{rate}", np.random.default_rng(0))
-        changed = bad.data != tr.data
+        bad_test, bad_data = _rounds(bad)
+        changed = bad_data != data_before
         assert np.count_nonzero(changed[:, tb]) == math.ceil(rate * 1000)
         assert not np.delete(changed, tb, axis=1).any()
-        assert np.array_equal(bad.test, tr.test)
-    assert np.array_equal(tr.data, data_before) and np.array_equal(tr.test, test_before)
+        assert np.array_equal(bad_test, test_before)
+    test_after, data_after = _rounds(tr)
+    assert np.array_equal(data_after, data_before) and np.array_equal(test_after, test_before)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    spec=hst.sampled_from(["flag-flip:0.001", "flag-flip:0.3", "flag-flip:1.0", "flag-constant:0", "flag-constant:1"]),
+)
+def test_tamper_code_toggles_flip_the_decoded_flag_columns(seed, spec):
+    tr = run_rounds(ProtocolConfig(n_rounds=300, seed=seed % 1000))
+    test, data = _rounds(tr)
+    kind, _, arg = spec.partition(":")
+    if kind == "flag-flip":
+        rounds = np.random.default_rng(seed).choice(len(data), size=math.ceil(float(arg) * len(data)), replace=False)
+        data[rounds, COLUMNS.index("tb")] ^= 1
+    else:
+        data[:, [COLUMNS.index(c) for c in ("ta", "tb", "tc")]] = int(arg)
+    bad_test, bad_data = _rounds(apply_tamper(tr, spec, np.random.default_rng(seed)))
+    assert np.array_equal(bad_test, test)
+    assert np.array_equal(bad_data, data)
 
 
 def test_transcript_validates_its_arrays():
     tr = run_rounds(ProtocolConfig(n_rounds=200, seed=3))
-    again = Transcript("flagged", tr.test, tr.data)
-    assert again.test is tr.test and again.data is tr.data and again.announcements == []
+    again = Transcript("flagged", tr.codes)
+    assert again.codes is tr.codes and again.announcements == []
     bad = [
-        (tr.test.astype(np.int8), tr.data),            # test not bool
-        (tr.test[:, None], tr.data),                   # test not 1-D
-        (tr.test, tr.data.astype(np.int64)),           # data not int8
-        (tr.test, tr.data[:, :8]),                     # a column short
-        (tr.test[:-1], tr.data),                       # lengths differ
+        tr.codes.astype(np.int16),                     # not uint16
+        tr.codes.astype(np.int64),                     # not uint16
+        tr.codes[:, None],                             # not 1-D
     ]
-    for test, data in bad:
+    for codes in bad:
         with pytest.raises(ValueError):
-            Transcript("flagged", test, data)
+            Transcript("flagged", codes)
+
+
+@pytest.mark.parametrize("code", [2304, 65535])
+def test_transcript_rejects_codes_beyond_the_slots(code):
+    # Every code below 2304 names a line; a code at or above it would
+    # render as another code's line or read past the tail table.
+    assert Transcript("flagged", np.array([2303], dtype=np.uint16)).codes.tolist() == [2303]
+    with pytest.raises(ValueError, match="codes must lie below 2304"):
+        Transcript("flagged", np.array([code], dtype=np.uint16))
+    with pytest.raises(ValueError, match="codes must lie below 2304"):
+        Transcript("flagged", np.array([0, code, 5], dtype=np.uint16))
 
 
 def test_flag_mismatch_abort_reports_where():
-    from flagcka.protocol import COLUMNS
-
     cfg = ProtocolConfig(n_rounds=1000, seed=13)
     tr = run_rounds(cfg)
     tb = COLUMNS.index("tb")
@@ -941,7 +1007,7 @@ def test_flag_mismatch_abort_reports_where():
         bad = apply_tamper(tr, f"flag-flip:{rate}", np.random.default_rng(0))
         res = postprocess(bad, cfg)
         assert res.abort_reason == "FlagMismatch"
-        flipped = np.flatnonzero(bad.data[:, tb] != tr.data[:, tb])
+        flipped = np.flatnonzero(_rounds(bad)[1][:, tb] != _rounds(tr)[1][:, tb])
         assert res.stats["flag_mismatch_round"] == flipped[0]
         assert res.stats["flag_mismatch_parties"] == ["bob"]
         assert res.stats["flag_mismatch_count"] == len(flipped) == math.ceil(rate * 1000)
@@ -950,13 +1016,11 @@ def test_flag_mismatch_abort_reports_where():
 
 
 def test_flag_mismatch_names_the_odd_party_out():
-    from flagcka.protocol import COLUMNS
-
     cfg = ProtocolConfig(n_rounds=500, seed=3)
-    tr = run_rounds(cfg)
+    test, data = _rounds(run_rounds(cfg))
     ta = COLUMNS.index("ta")
-    tr.data[[7, 40], ta] ^= 1
-    res = postprocess(tr, cfg)
+    data[[7, 40], ta] ^= 1
+    res = postprocess(_transcript("flagged", test, data), cfg)
     assert res.abort_reason == "FlagMismatch"
     assert res.stats["flag_mismatch_round"] == 7
     assert res.stats["flag_mismatch_parties"] == ["alice"]
@@ -992,7 +1056,7 @@ def test_pooled_bell_estimate_spread():
 
 
 def _one_block_rounds(config):
-    """run_rounds' (test, data) with all uniforms drawn as one block."""
+    """run_rounds' decoded (test, data) with all uniforms drawn as one block."""
     u = np.random.default_rng(config.seed).random((config.n_rounds, 7))
     test = u[:, 0] < config.gamma
     inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
@@ -1010,24 +1074,25 @@ _BLOCK_SPANS = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7, 
 @pytest.mark.parametrize("backend", ["table", "collapse"])
 def test_block_draws_match_one_block(backend, n_rounds):
     config = ProtocolConfig(n_rounds=n_rounds, seed=17, visibility=0.9, backend=backend)
-    transcript = run_rounds(config)
+    transcript_test, transcript_data = _rounds(run_rounds(config))
     test, data = _one_block_rounds(config)
-    assert np.array_equal(transcript.test, test)
-    assert np.array_equal(transcript.data, data)
+    assert np.array_equal(transcript_test, test)
+    assert np.array_equal(transcript_data, data)
 
 
 @pytest.mark.parametrize("n_rounds", [1, *_BLOCK_SPANS[1:]])
 def test_written_jsonl_matches_joined_text(n_rounds):
     tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=23, visibility=0.8))
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write_transcript_jsonl(tr, fh)
     text = transcript_to_jsonl(tr)
-    assert fh.getvalue() == text
+    assert fh.getvalue() == text.encode("ascii")
     assert text.count("\n") == n_rounds and text.endswith("\n")
     lines = text.splitlines(keepends=True)
+    test, data = _rounds(tr)
     for r in (0, n_rounds // 2, n_rounds - 1):
-        record = {"index": r, "type": ("generation", "test")[int(tr.test[r])], "inputs": tr.data[r, :3].tolist()}
-        record["outputs"] = tr.data[r, 3:].reshape(3, 2).tolist()
+        record = {"index": r, "type": ("generation", "test")[int(test[r])], "inputs": data[r, :3].tolist()}
+        record["outputs"] = data[r, 3:].reshape(3, 2).tolist()
         assert lines[r] == json.dumps(record) + "\n"
 
 
@@ -1042,21 +1107,39 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("backend", ["table", "collapse"])
 def test_memory_is_flat_in_rounds(backend):
-    # Twice the rounds may add the 10 bytes per round a transcript keeps,
-    # 1 MB here, but no temporary that grows with the rounds.
+    # Twice the rounds may add the 2 bytes per round a transcript keeps,
+    # 0.2 MB here, but no temporary that grows with the rounds.
     configs = [ProtocolConfig(n_rounds=n_rounds, seed=29, backend=backend) for n_rounds in (100_000, 200_000)]
     sampled = [_traced_peak(lambda: run_rounds(config)) for config in configs]
-    with open(os.devnull, "w") as sink:
+    with open(os.devnull, "wb") as sink:
         written = [_traced_peak(lambda: write_transcript_jsonl(tr, sink)) for tr in map(run_rounds, configs)]
     growth_mb = [(peaks[1] - peaks[0]) / 2**20 for peaks in (sampled, written)]
     assert max(growth_mb) <= 2.0, growth_mb
 
 
+def test_transcript_keeps_two_bytes_per_round():
+    # One uint16 code per round, and nothing else that grows with the
+    # rounds. A first run fills the one-time caches, 0.75 MB, which would
+    # otherwise count against the smaller run.
+    run_rounds(ProtocolConfig(n_rounds=1000, seed=29))
+    kept = []
+    for n_rounds in (100_000, 200_000):
+        tracemalloc.start()
+        try:
+            transcript = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=29))
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert transcript.codes.nbytes == 2 * n_rounds
+    assert (kept[1] - kept[0]) / 100_000 <= 2.2, kept
+
+
 def test_postprocess_keeps_no_copy_of_the_transcript():
     # What postprocess leaves behind (the announcements and the result)
     # grows with the rounds by the key strings, 0.15 MB from 1e5 to 2e5
-    # rounds, but not by copies of the transcript's columns (2.3 MB when
-    # each party's test data was copied, 0.3 MB with an index array).
+    # rounds, but not by copies of the codes or of columns decoded from
+    # them: 0.2 MB for the codes, 0.29 MB for the three flag columns,
+    # 0.1 MB for a test mask.
     kept = []
     for n_rounds in (100_000, 200_000):
         config = ProtocolConfig(n_rounds=n_rounds, seed=29)
@@ -1069,7 +1152,7 @@ def test_postprocess_keeps_no_copy_of_the_transcript():
             tracemalloc.stop()
         assert result.outcome == "completed"
     growth_mb = (kept[1] - kept[0]) / 2**20
-    assert growth_mb <= 1.0, growth_mb
+    assert growth_mb <= 0.2, growth_mb
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -1081,14 +1164,15 @@ def test_postprocess_keeps_no_copy_of_the_transcript():
 )
 def test_parsed_jsonl_gives_back_the_arrays(seed, kind, visibility, n_rounds):
     tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=seed, strategy_kind=kind, visibility=visibility))
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write_transcript_jsonl(tr, fh)
     records = [json.loads(line) for line in fh.getvalue().splitlines()]
     assert [record["index"] for record in records] == list(range(n_rounds))
     test = np.array([_ROUND_TYPES.index(record["type"]) for record in records], dtype=bool)
     data = np.array([record["inputs"] + sum(record["outputs"], []) for record in records], dtype=np.int8)
-    assert np.array_equal(test, tr.test)
-    assert np.array_equal(data, tr.data)
+    tr_test, tr_data = _rounds(tr)
+    assert np.array_equal(test, tr_test)
+    assert np.array_equal(data, tr_data)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -1099,10 +1183,9 @@ def test_parsed_jsonl_gives_back_the_arrays(seed, kind, visibility, n_rounds):
 )
 def test_any_flipped_flag_is_a_mismatch_at_the_earliest_flip(seed, party, flipped):
     config = ProtocolConfig(n_rounds=600, seed=seed)
-    tr = run_rounds(config)
-    data = tr.data.copy()
+    test, data = _rounds(run_rounds(config))
     data[sorted(flipped), COLUMNS.index(("ta", "tb", "tc")[party])] ^= 1
-    result = postprocess(Transcript("flagged", tr.test, data), config)
+    result = postprocess(_transcript("flagged", test, data), config)
     assert result.abort_reason == "FlagMismatch"
     assert result.stats["flag_mismatch_round"] == min(flipped)
     assert result.stats["flag_mismatch_parties"] == [PARTY_NAMES[party]]

@@ -323,3 +323,19 @@ def test_check_effects_complete_checks_every_family():
             check_effects_complete(families)
     with pytest.raises(ValueError, match="does not match dimension"):
         check_effects_complete([family, {**family, 3: np.zeros((3, 3))}])
+
+
+def test_born_rows_rejects_nan():
+    # NaN compares false with both the -1e-12 bound and the 1e-10 total
+    # bound, so only an explicit finiteness check stops it, in a state
+    # or in an effect.
+    family = {0: projector(basis_ket(2, 0)), 1: projector(basis_ket(2, 1))}
+    effects = np.stack(list(family.values()))[None]
+    nan_state = np.full((2, 2), np.nan, dtype=complex)
+    message = "^non-finite probability nan for outcome 0$"
+    with pytest.raises(ValueError, match=message):
+        born_rows(nan_state[None], effects, (0, 1))
+    with pytest.raises(ValueError, match=message):
+        outcome_distribution(nan_state, family)
+    with pytest.raises(ValueError, match=message):
+        born_rows(family[0][None], effects * np.nan, (0, 1))
