@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qops import SQRT2
-from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy
+from .strategies import Strategy
 
 __all__ = [
     "CHSH_QUANTUM_MAX",
@@ -214,10 +214,7 @@ def behavior_from_strategy(strategy: Strategy) -> Behavior:
     """
     da, db, dc = strategy.party_dims
     rho = strategy.state.reshape(da, db, dc, da, db, dc)
-    alice, bob, carole = (
-        np.array([[strategy.measurements[party][x][label] for label in OUTCOME_LABELS] for x in range(N_INPUTS[party])])
-        for party in range(3)
-    )
+    alice, bob, carole = strategy.effect_stacks
     p = np.einsum("abcdef,xida,yjeb,zkfc->xyzijk", rho, alice, bob, carole, optimize=True)
     return Behavior(np.ascontiguousarray(p.real).reshape(TABLE_SHAPE)).validate()
 

@@ -19,6 +19,10 @@ a tolerance. The checks are:
   decoupling          at the maximal violation Alice's generation
                       outcome is uniform and product with the purifying
                       system, so H(A|E) = 1
+
+The first four are kernels over a stack of strategies that share a state,
+with each party's effects as a (K, inputs, 4, d, d) array. One strategy is
+a stack of one; `check_random_strategies` runs `verify`'s random ones.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import CHSH_QUANTUM_MAX, behavior_from_strategy
-from .qops import SQRT2, identity, kron_stack, partial_trace, trace_distance, von_neumann_entropy
-from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy
+from .qops import ATOL_OPERATOR, SQRT2, identity, kron_stack, partial_trace, sum_deviation, trace_distance, von_neumann_entropy
+from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
 
 __all__ = [
     "CheckReport",
@@ -42,6 +46,7 @@ __all__ = [
     "extract_conditional_behavior",
     "check_decoupling",
     "run_check_suite",
+    "check_random_strategies",
     "reports_to_json",
 ]
 
@@ -49,10 +54,14 @@ ATOL_IDENTITY = 1e-10
 ATOL_STATE = 1e-10
 
 _PAIRS = (("ab", 1), ("ac", 2))
+# Strategies per kernel call in `check_random_strategies`: each adds ~0.13 MB
+# to the kernels' peak, and a chunk of 8 is only ~10% faster than one of 4.
+VERIFY_CHUNK = 4
 
 # The (party, input) keys of the flag projectors, and the index pairs of
 # keys of different parties, in itertools.combinations order.
 _FLAG_KEYS = [(party, x) for party in range(3) for x in range(N_INPUTS[party])]
+_EFFECT_KEYS = [(party, x, label) for party, x in _FLAG_KEYS for label in OUTCOME_LABELS]
 _CROSS_PAIRS = np.array(
     [(i, j) for i, j in itertools.combinations(range(len(_FLAG_KEYS)), 2) if _FLAG_KEYS[i][0] != _FLAG_KEYS[j][0]]
 ).T
@@ -67,30 +76,53 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _report(name: str, residual: float, tolerance: float, **details) -> CheckReport:
-    return CheckReport(
-        name=name,
-        residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-        details=details,
-    )
+def _report(name: str, residual: float, tolerance: float, holds: bool = True, **details) -> CheckReport:
+    return CheckReport(name, float(residual), float(tolerance), bool(residual <= tolerance and holds), details)
 
 
-def _flag_stack(strategy: Strategy, party: int, t: int) -> np.ndarray:
-    """[I, P_0, P_1, ...]: the local identity, then the flag-t projector per input."""
-    projs = [strategy.flag_projector(party, x, t) for x in range(N_INPUTS[party])]
-    return np.stack([identity(strategy.party_dims[party]), *projs])
+class _MemberError(ValueError):
+    """ValueError(message, member): an invalid check input of one member of a stack."""
+    def __str__(self):
+        return self.args[0]
+
+
+def _one(strategy: Strategy) -> tuple:
+    """A strategy's effect stacks as a stack of one member."""
+    return tuple(stack[None] for stack in strategy.effect_stacks)
+
+
+def _flag_projectors(effects: np.ndarray) -> np.ndarray:
+    """(K, inputs, 4, d, d) effects -> (K, t, inputs, d, d) projectors M_(0,t)|x + M_(1,t)|x."""
+    return (effects[:, :, :2] + effects[:, :, 2:]).swapaxes(1, 2)
 
 
 def _apply_local(ops: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
     """Each operator of a stack applied to one subsystem axis of a state
-    tensor; the stack axis comes first, the state's axes keep their order."""
-    return np.moveaxis(np.tensordot(ops, psi, axes=(-1, axis)), 1, axis + 1)
+    tensor; the stack axes come first, the state's axes keep their order."""
+    lead = ops.ndim - 2
+    return np.moveaxis(np.tensordot(ops, psi, axes=(-1, axis)), lead, lead + axis)
 
 
-def _expectation(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", op, rho).real)
+def _flag_consistency(state: np.ndarray, effects: tuple) -> list[CheckReport]:
+    k, dims = len(effects[0]), [e.shape[-1] for e in effects]
+    # Per party, member and t, the stack [I, P_0, P_1, ...]: the local
+    # identity, then the flag-t projector per input.
+    sa, sb, sc = (
+        np.concatenate([np.broadcast_to(np.eye(d), (k, 2, 1, d, d)), _flag_projectors(e)], axis=2)
+        for e, d in zip(effects, dims)
+    )
+    # Contract the state with Alice's stacks, then Bob's, then Carole's.
+    path = ["einsum_path", (0, 3), (0, 2), (0, 1)]
+    table = np.einsum("mtuai,mtvbj,mtwck,ijkabc->mtuvw", sa, sb, sc, state.reshape(dims * 2), optimize=path)
+    values = np.ascontiguousarray(table.real.reshape(k, 2, -1)[:, :, 1:])
+    reports = []
+    for weights, spread in zip(values.mean(axis=2).tolist(), np.ptp(values, axis=2).max(axis=1).tolist()):
+        # A vanishing branch weight ends the check at its branch.
+        cut = next((t + 1 for t in (0, 1) if weights[t] <= 0.0), 0)
+        why = {"reason": "vanishing branch weight"} if cut else {}
+        p_t = dict(enumerate(weights[:cut or 2]))
+        reports.append(_report("flag_consistency", np.inf if cut else spread, ATOL_IDENTITY, p_T=p_t, **why))
+    return reports
 
 
 def check_flag_consistency(strategy: Strategy) -> CheckReport:
@@ -106,19 +138,30 @@ def check_flag_consistency(strategy: Strategy) -> CheckReport:
     (u, v, w) is Tr[(S_u (x) S_v (x) S_w) rho], and every entry but
     (0, 0, 0) = Tr rho is one of the single, pair or triple products.
     """
-    rho = strategy.state.reshape(strategy.party_dims * 2)
-    residual = 0.0
-    branch_weights = {}
-    for t in (0, 1):
-        sa, sb, sc = (_flag_stack(strategy, party, t) for party in range(3))
-        # Contract the state with Alice's stack, then Bob's, then Carole's.
-        table = np.einsum("uai,vbj,wck,ijkabc->uvw", sa, sb, sc, rho, optimize=["einsum_path", (0, 3), (0, 2), (0, 1)])
-        values = table.real.ravel()[1:]
-        branch_weights[t] = float(np.mean(values))
-        residual = max(residual, float(values.max() - values.min()))
-        if branch_weights[t] <= 0.0:
-            return _report("flag_consistency", np.inf, ATOL_IDENTITY, p_T=branch_weights, reason="vanishing branch weight")
-    return _report("flag_consistency", residual, ATOL_IDENTITY, p_T=branch_weights)
+    return _flag_consistency(strategy.state, _one(strategy))[0]
+
+
+def _projection_lemma(psi: np.ndarray, effects: tuple) -> list[CheckReport]:
+    k = len(effects[0])
+    psi = psi.reshape(*(e.shape[-1] for e in effects), -1)
+    # rows[party][k, t, x] is the flattened P|psi> of the party's flag-t projector at input x.
+    rows = [_apply_local(_flag_projectors(e), psi, party).reshape(k, 2, e.shape[1], -1) for party, e in enumerate(effects)]
+    # gaps[k, t, n] is ||(P_i - P_j)|psi>|| at flag t for the n-th pair (i, j):
+    # each key of Alice, then of Bob, against every key of the later parties.
+    gaps = []
+    for p in (0, 1):
+        parts = (rows[p][:, :, :, None] - np.concatenate(rows[p + 1:], axis=2)[:, :, None]).view(float)
+        gaps.append(np.sqrt(np.einsum("...i,...i->...", parts, parts)).reshape(k, 2, -1))
+    gaps = np.concatenate(gaps, axis=2).reshape(k, -1)
+    first, second = _CROSS_PAIRS
+    reports = []
+    # The first largest gap, in the order t, then pair, is the worst one.
+    for member, worst in zip(gaps, np.argmax(gaps, axis=1).tolist()):
+        t, n = divmod(worst, len(first))
+        residual = float(member[worst])
+        worst = (t, _FLAG_KEYS[first[n]], _FLAG_KEYS[second[n]]) if residual > 0.0 else None
+        reports.append(_report("projection_lemma", residual, ATOL_STATE, worst=repr(worst)))
+    return reports
 
 
 def check_projection_lemma(strategy: Strategy) -> CheckReport:
@@ -130,57 +173,29 @@ def check_projection_lemma(strategy: Strategy) -> CheckReport:
     applied to its party's axis of the (party, party, party, purifier)
     tensor of |psi>.
     """
-    psi = strategy.purification.reshape(*strategy.party_dims, -1)
-    first, second = _CROSS_PAIRS
-
-    def projected(party):
-        # Row (t, x) is the flattened P|psi> for the party's flag-t projector at input x.
-        ops = np.stack([strategy.flag_projector(party, x, t) for t in (0, 1) for x in range(N_INPUTS[party])])
-        return _apply_local(ops, psi, party).reshape(2, N_INPUTS[party], -1)
-
-    rows = np.concatenate([projected(party) for party in range(3)], axis=1)
-    # gaps[t, n] is ||(P_i - P_j)|psi>|| at flag t for the n-th pair (i, j).
-    gaps = np.linalg.norm(rows[:, first] - rows[:, second], axis=-1)
-    # The first largest gap, in the order t, then pair, is the worst one.
-    t, n = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    residual = float(gaps[t, n])
-    worst = (int(t), _FLAG_KEYS[first[n]], _FLAG_KEYS[second[n]]) if residual > 0.0 else None
-    return _report("projection_lemma", residual, ATOL_STATE, worst=repr(worst))
+    return _projection_lemma(strategy.purification, _one(strategy))[0]
 
 
-def _require_projective(strategy: Strategy):
-    for party, families in enumerate(strategy.measurements):
-        keys = [(x, label) for x in range(N_INPUTS[party]) for label in OUTCOME_LABELS]
-        e = np.stack([families[x][label] for x, label in keys])
-        bad = np.abs(e @ e - e).max(axis=(1, 2)) > ATOL_IDENTITY
-        if bad.any():
-            x, label = keys[int(np.argmax(bad))]
-            raise ValueError(
-                f"party {party} input {x} outcome {label} is not projective; "
-                "dilate with qops.naimark_dilation first"
-            )
-
-
-def _branch_operators(strategy: Strategy, partner: int, t: int):
-    """Signed observables, flag projectors and CHSH block of one branch.
+def _branch_operators(effects: tuple, partner: int, t: int):
+    """Signed observables, flag projectors and CHSH block of one branch,
+    each with the stack's member axis first.
 
     All act on the (Alice, partner) space. The operator on the full space
     is each of them tensored with the spectator's identity, so entry
     deviations, eigenvalues and expectations on the reduced state of
     (Alice, partner) are those of the full operators.
     """
-    def local(party):
+    def local(e):
         # Signed observables A_0, A_1, then flag projectors P_0, P_1.
-        fams = [strategy.measurements[party][x] for x in (0, 1)]
-        signed = [fam[(0, t)] - fam[(1, t)] for fam in fams]
-        return np.stack(signed + [strategy.flag_projector(party, x, t) for x in (0, 1)])
+        e = e[:, :2]
+        return np.concatenate([e[:, :, t] - e[:, :, 2 + t], e[:, :, t] + e[:, :, 2 + t]], axis=1)
 
     # The Kronecker product of stacks embeds each operator of a stack at once.
-    a0, a1, *alice_flags = kron_stack(local(0), identity(strategy.party_dims[partner]))
-    b0, b1, *partner_flags = kron_stack(identity(strategy.party_dims[0]), local(partner))
-    flags = alice_flags + partner_flags
+    alice = kron_stack(local(effects[0]), identity(effects[partner].shape[-1]))
+    other = kron_stack(identity(effects[0].shape[-1]), local(effects[partner]))
+    a0, a1, b0, b1 = alice[:, 0], alice[:, 1], other[:, 0], other[:, 1]
     chsh = a0 @ (b0 + b1) + a1 @ (b0 - b1)
-    return a0, a1, b0, b1, flags, chsh
+    return a0, a1, b0, b1, np.concatenate([alice[:, 2:], other[:, 2:]], axis=1), chsh
 
 
 def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0) -> CheckReport:
@@ -197,25 +212,51 @@ def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0) -> Chec
     Both are evaluated on the (Alice, partner) space, which leaves them
     unchanged (see `_branch_operators`).
     """
-    if pair not in ("ab", "ac"):
-        raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
-    _require_projective(strategy)
-    partner = 1 if pair == "ab" else 2
-    a0, a1, b0, b1, flags, chsh = _branch_operators(strategy, partner, t)
-    s1 = a0 + a1 - SQRT2 * b0
-    s2 = a0 - a1 - SQRT2 * b1
-    lhs = (SQRT2 / 4.0) * (s1 @ s1 + s2 @ s2)
-    rhs = (SQRT2 / 2.0) * sum(flags) - chsh
-    residual = float(np.abs(lhs - rhs).max())
-    min_eig = float(np.linalg.eigvalsh(lhs)[0])
-    ok = residual <= ATOL_IDENTITY and min_eig >= -ATOL_IDENTITY
-    return CheckReport(
-        name=f"sos_identity_{pair}_t{t}",
-        residual=residual,
-        tolerance=ATOL_IDENTITY,
-        passed=ok,
-        details={"min_eigenvalue_lhs": min_eig},
-    )
+    if pair not in ("ab", "ac") or t not in (0, 1):
+        raise ValueError(f"pair must be 'ab' or 'ac' and t 0 or 1, got {pair!r}, {t!r}")
+    return _branch_checks(strategy.state, _one(strategy), [(pair, t)], False)[0][0]
+
+
+def _branch_checks(state: np.ndarray, effects: tuple, sos: list, tsirelson: bool) -> list[list[CheckReport]]:
+    """The columns of SOS reports of the (pair, t) branches in `sos`, then
+    the weighted Tsirelson column; each branch's operators are built once
+    for both checks. SOS needs projective effects: the first member, then
+    the first (party, input, label), with an effect that is not raises."""
+    if sos:
+        bad = np.concatenate(
+            [(np.abs(e @ e - e).max(axis=(-2, -1)) > ATOL_IDENTITY).reshape(len(e), -1) for e in effects], axis=1
+        )
+        if bad.any():
+            member, n = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            party, x, label = _EFFECT_KEYS[n]
+            message = f"party {party} input {x} outcome {label} is not projective; dilate with qops.naimark_dilation first"
+            raise _MemberError(message, member)
+    columns, slacks = [], {}
+    for (pair, partner), t in itertools.product(_PAIRS, (0, 1)):
+        # The Tsirelson branches are Alice-Bob at t=0 and Alice-Carole at t=1.
+        tsirelson_branch = tsirelson and t == partner - 1
+        if not ((pair, t) in sos or tsirelson_branch):
+            continue
+        a0, a1, b0, b1, flags, chsh = _branch_operators(effects, partner, t)
+        if (pair, t) in sos:
+            s1 = a0 + a1 - SQRT2 * b0
+            s2 = a0 - a1 - SQRT2 * b1
+            lhs = (SQRT2 / 4.0) * (s1 @ s1 + s2 @ s2)
+            rhs = (SQRT2 / 2.0) * flags.sum(axis=1) - chsh
+            columns.append([
+                _report(f"sos_identity_{pair}_t{t}", r, ATOL_IDENTITY, m >= -ATOL_IDENTITY, min_eigenvalue_lhs=m)
+                for r, m in zip(np.abs(lhs - rhs).max(axis=(-2, -1)).tolist(), np.linalg.eigvalsh(lhs)[:, 0].tolist())
+            ])
+        if tsirelson_branch:
+            rho = partial_trace(state, [e.shape[-1] for e in effects], [0, partner])
+            p_t = np.einsum("kfij,ji->kf", flags, rho).real.mean(axis=1)
+            slacks[f"{pair}_t{t}"] = (CHSH_QUANTUM_MAX * p_t - np.einsum("kij,ji->k", chsh, rho).real).tolist()
+    if tsirelson:
+        members = [dict(zip(slacks, values)) for values in zip(*slacks.values())]
+        columns.append(
+            [_report("weighted_tsirelson", max(0.0, *(-s for s in m.values())), ATOL_IDENTITY, slacks=m) for m in members]
+        )
+    return columns
 
 
 def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
@@ -226,15 +267,7 @@ def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
     hold. A maximally violating strategy saturates with zero slack.
     Expectations are taken in the reduced state of Alice and the partner.
     """
-    slacks = {}
-    for (pair, partner), t in zip(_PAIRS, (0, 1)):
-        _, _, _, _, flags, chsh = _branch_operators(strategy, partner, t)
-        rho = partial_trace(strategy.state, strategy.party_dims, [0, partner])
-        p_t = float(np.mean([_expectation(rho, f) for f in flags]))
-        value = _expectation(rho, chsh)
-        slacks[f"{pair}_t{t}"] = CHSH_QUANTUM_MAX * p_t - value
-    residual = max(0.0, *(-s for s in slacks.values()))
-    return _report("weighted_tsirelson", residual, ATOL_IDENTITY, slacks=slacks)
+    return _branch_checks(strategy.state, _one(strategy), [], True)[0][0]
 
 
 def extract_conditional_behavior(strategy: Strategy, t: int) -> np.ndarray:
@@ -307,23 +340,44 @@ def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
     )
 
 
+def _stack_checks(base: Strategy, effects: tuple, suite: str) -> list[CheckReport]:
+    """The reports of one suite but decoupling, member by member, from one
+    kernel call per check; the members share `base`'s state."""
+    if suite not in ("sos", "lemma", "tsirelson", "decoupling", "all"):
+        raise ValueError(f"unknown check suite {suite!r}")
+    columns = []
+    if suite in ("lemma", "all"):
+        columns += [_flag_consistency(base.state, effects), _projection_lemma(base.purification, effects)]
+    sos = list(itertools.product(("ab", "ac"), (0, 1))) if suite in ("sos", "all") else []
+    columns += _branch_checks(base.state, effects, sos, suite in ("tsirelson", "all"))
+    return [report for member in zip(*columns) for report in member]
+
+
 def run_check_suite(strategy: Strategy, suite: str = "all") -> list[CheckReport]:
     """Run one named suite ('sos', 'lemma', 'tsirelson', 'decoupling', 'all')."""
-    reports = []
-    if suite in ("lemma", "all"):
-        reports.append(check_flag_consistency(strategy))
-        reports.append(check_projection_lemma(strategy))
-    if suite in ("sos", "all"):
-        for pair in ("ab", "ac"):
-            for t in (0, 1):
-                reports.append(check_sos_identity(strategy, pair, t))
-    if suite in ("tsirelson", "all"):
-        reports.append(check_weighted_tsirelson(strategy))
+    reports = _stack_checks(strategy, _one(strategy), suite)
     if suite in ("decoupling", "all"):
-        for t in (0, 1):
-            reports.append(check_decoupling(strategy, t))
-    if not reports:
-        raise ValueError(f"unknown check suite {suite!r}")
+        reports += [check_decoupling(strategy, t) for t in (0, 1)]
+    return reports
+
+
+def check_random_strategies(base: Strategy, seeds, suite: str = "all") -> list[CheckReport]:
+    """`run_check_suite(random_projective_strategy(seed), suite)` for every seed,
+    joined, but with `base`'s state (checked and purified once) and without
+    decoupling, a property of the maximal violation only. Per VERIFY_CHUNK seeds
+    the effects are built and checked once, and each check is one kernel call.
+    An invalid member raises a ValueError naming its seed."""
+    seeds, reports = list(seeds), []
+    for chunk in (seeds[start:start + VERIFY_CHUNK] for start in range(0, len(seeds), VERIFY_CHUNK)):
+        effects = random_projective_effects(chunk)
+        gaps = np.max([sum_deviation(e).max(axis=1) for e in effects], axis=0)
+        try:
+            if not (gaps <= ATOL_OPERATOR).all():
+                member = int(np.argmin(gaps <= ATOL_OPERATOR))
+                raise _MemberError(f"effects do not sum to identity (max deviation {gaps[member]:.3e})", member)
+            reports += _stack_checks(base, effects, suite)
+        except _MemberError as exc:
+            raise ValueError(f"random strategy seed {chunk[exc.args[1]]}: {exc}") from None
     return reports
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bell import BELL_FUNCTIONALS, CHSH_QUANTUM_MAX, behavior_from_json, local_bound_bruteforce
-from .checks import check_decoupling, reports_to_json, run_check_suite
+from .checks import check_decoupling, check_random_strategies, reports_to_json, run_check_suite
 from .protocol import (
     ProtocolConfig,
     apply_tamper,
@@ -31,10 +31,11 @@ from .protocol import (
     write_transcript_jsonl,
 )
 from .rates import BoundMethod, curve_to_csv, no_flag_reference_rate, rate_report, robustness_curve
-from .strategies import honest_flagged_strategy, random_projective_strategy
+from .strategies import honest_flagged_strategy
 
 _METHODS = {"minH": "min_entropy_analytic", "vn": "von_neumann_analytic"}
 _MODES = {"one-score": "one_score", "two-scores": "two_scores"}
+_SLICE = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,9 +70,9 @@ def _emit(doc, args, csv_text=None):
         for key, value in _flatten(data):
             writer.writerow([key, value])
         text = buf.getvalue()
-    # The newline is written on its own: text + "\n" would copy the whole text.
+    # 1 MiB slices, then the newline: the file never encodes a whole copy of the text.
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        fh.writelines(text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
         if not text.endswith("\n"):
             fh.write("\n")
 
@@ -160,15 +161,10 @@ def _verify(args) -> int:
     if args.seeds < 0:
         print("verify: error: --seeds must be at least 0", file=sys.stderr)
         return 1
-    reports = run_check_suite(honest_flagged_strategy(), args.suite)
-    # Decoupling is a property of the maximal violation only, so it runs on
-    # the honest strategy and not on the randomized ones.
-    suites = ("lemma", "sos", "tsirelson") if args.suite == "all" else (args.suite,)
-    if args.suite != "decoupling":
-        for seed in range(args.seed, args.seed + args.seeds):
-            strategy = random_projective_strategy(seed)
-            for suite in suites:
-                reports.extend(run_check_suite(strategy, suite))
+    honest = honest_flagged_strategy()
+    reports = run_check_suite(honest, args.suite)
+    # The random strategies share the honest strategy's state.
+    reports += check_random_strategies(honest, range(args.seed, args.seed + args.seeds), args.suite)
     _emit(reports_to_json(reports), args)
     failed = [r for r in reports if not r.passed]
     for r in failed:

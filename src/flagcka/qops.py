@@ -30,6 +30,7 @@ __all__ = [
     "is_hermitian",
     "assert_density_operator",
     "check_effects_complete",
+    "sum_deviation",
     "outcome_distribution",
     "born_rows",
     "select_outcome",
@@ -41,6 +42,7 @@ __all__ = [
     "trace_distance",
     "naimark_dilation",
     "random_unitary",
+    "haar_unitaries",
     "random_density_operator",
 ]
 
@@ -110,11 +112,11 @@ def dagger(op: np.ndarray) -> np.ndarray:
 
 def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
-    return op.ndim == 2 and op.shape[0] == op.shape[1] and np.allclose(op, op.conj().T, atol=ATOL_OPERATOR)
+    return op.ndim == 2 and op.shape[0] == op.shape[1] and np.abs(op - op.conj().T).max(initial=0.0) <= ATOL_OPERATOR
 
 
-def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (eigenvalues >= -1e-10)."""
+def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
+    """Validate Hermiticity and unit trace; the caller checks the spectrum."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {rho.shape}")
@@ -123,6 +125,12 @@ def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
     tr = rho.trace().real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"{name} has trace {tr}, expected 1")
+    return rho
+
+
+def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity (eigenvalues >= -1e-10)."""
+    rho = _check_state(rho, name)
     lo = np.linalg.eigvalsh(rho)[0]
     if lo < -ATOL_EIG:
         raise ValueError(f"{name} has negative eigenvalue {lo}")
@@ -133,7 +141,7 @@ def check_effects_complete(families: Sequence[Mapping[object, np.ndarray]]) -> n
     """Check that each family's effects sum to the identity; return the
     (F, L, d, d) stack of the F families' effects, labels in ascending order.
 
-    Every effect must be d x d; one `np.allclose` checks the F sums.
+    Every effect must be d x d, each sum the identity within ATOL_OPERATOR.
     """
     if not families or not all(families):
         raise ValueError("measurement family is empty")
@@ -143,11 +151,16 @@ def check_effects_complete(families: Sequence[Mapping[object, np.ndarray]]) -> n
         if m.shape != (dim, dim):
             raise ValueError(f"effect shape {m.shape} does not match dimension {dim}")
     stack = np.array(mats)
-    total = stack.sum(axis=1)
-    if not np.allclose(total, np.eye(dim), atol=ATOL_OPERATOR):
-        gap = np.abs(total - np.eye(dim)).max()
+    gap = sum_deviation(stack).max()
+    # Written so that a NaN deviation fails too.
+    if not gap <= ATOL_OPERATOR:
         raise ValueError(f"effects do not sum to identity (max deviation {gap:.3e})")
     return stack
+
+
+def sum_deviation(stack: np.ndarray) -> np.ndarray:
+    """(..., L, d, d) -> (...): each family's largest entry deviation from I."""
+    return np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
 
 
 def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) -> dict:
@@ -275,8 +288,10 @@ def purify(rho: np.ndarray) -> np.ndarray:
     positive. Eigenvalues at or below ENTROPY_EIG_CUTOFF are treated as
     zero. Tracing out the purifier recovers the input.
     """
-    rho = assert_density_operator(rho, name="purify input")
+    rho = _check_state(rho, "purify input")
     vals, vecs = np.linalg.eigh(rho)
+    if vals[0] < -ATOL_EIG:
+        raise ValueError(f"purify input has negative eigenvalue {vals[0]}")
     kept = vals > ENTROPY_EIG_CUTOFF
     vals, vecs = vals[kept], vecs[:, kept]
     rank = len(vals)
@@ -333,10 +348,14 @@ def naimark_dilation(effects: Mapping[object, np.ndarray]):
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., d, d) stack of complex Gaussian matrices."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_density_operator(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

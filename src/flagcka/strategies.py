@@ -23,6 +23,7 @@ from .qops import (
     assert_density_operator,
     basis_ket,
     check_effects_complete,
+    haar_unitaries,
     identity,
     kron_stack,
     permute_subsystems,
@@ -30,7 +31,6 @@ from .qops import (
     plus_ket,
     projector,
     purify,
-    random_unitary,
     tensor,
 )
 
@@ -47,6 +47,7 @@ __all__ = [
     "constant_flag_strategy",
     "honest_parallel_strategy",
     "random_projective_strategy",
+    "random_projective_effects",
     "strategy_to_json",
     "strategy_from_json",
 ]
@@ -82,13 +83,15 @@ class Strategy:
     measurements[party][x] maps each outcome label (a two-bit tuple) to a
     positive effect on that party's local space; each family sums to the
     local identity. kind is "flagged" (labels are (value, flag)) or
-    "parallel" (labels are the two per-pair value bits).
+    "parallel" (labels are the two per-pair value bits). effect_stacks are
+    the checked (inputs, 4, d, d) effects per party in OUTCOME_LABELS order.
     """
 
     state: np.ndarray
     party_dims: tuple[int, ...]
     measurements: tuple[dict, ...]
     kind: str = "flagged"
+    effect_stacks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("flagged", "parallel"):
@@ -99,13 +102,16 @@ class Strategy:
         assert_density_operator(self.state, name="strategy state")
         if self.state.shape != (dim, dim):
             raise ValueError(f"state dimension {self.state.shape} does not match party_dims {self.party_dims}")
+        stacks = []
         for party, families in enumerate(self.measurements):
             if sorted(families) != list(range(N_INPUTS[party])):
                 raise ValueError(f"party {party} must define inputs 0..{N_INPUTS[party] - 1}")
             for x, effects in families.items():
                 if sorted(effects) != list(OUTCOME_LABELS):
                     raise ValueError(f"party {party} input {x} must define all four outcome labels")
-            check_effects_complete([families[x] for x in sorted(families)])
+            stacks.append(check_effects_complete([families[x] for x in sorted(families)]))
+            stacks[-1].flags.writeable = False
+        object.__setattr__(self, "effect_stacks", tuple(stacks))
 
     def effect(self, party: int, x: int, label: tuple[int, int]) -> np.ndarray:
         """The effect embedded into the full space (identity elsewhere)."""
@@ -142,10 +148,10 @@ def depolarize(rho: np.ndarray, visibility: float) -> np.ndarray:
 
 def _value_projectors(observables) -> np.ndarray:
     """(inputs, 2, d, d) array: the value-a projector (I + (-1)^a O)/2 of
-    each input's observable O, all checked to square to the identity."""
+    each input's observable O, each checked to square to I within 1e-12."""
     obs = np.array(observables, dtype=complex)
     eye = np.eye(obs.shape[-1], dtype=complex)
-    if not np.allclose(obs @ obs, eye, atol=1e-12):
+    if not np.abs(obs @ obs - eye).max() <= 1e-12:
         raise ValueError("observable must square to the identity")
     return np.stack(((eye + obs) / 2.0, (eye - obs) / 2.0), axis=1)
 
@@ -251,16 +257,24 @@ def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) ->
     p_T(0) = p_T(1) = 1/2 while the Bell value wanders below the quantum
     maximum. Deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
     rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
-    meas = []
-    for party in range(3):
-        rotations = np.array([random_unitary(2, rng) for _ in (0, 1)])
-        value = _value_projectors(ALICE_OBSERVABLES if party == 0 else PARTNER_OBSERVABLES)
-        # Axes (x, a, t): value projector a of input x rotated by U_t, as (U V) U^H.
-        rotated = (rotations @ value[:, :, None]) @ rotations.conj().swapaxes(-1, -2)
-        meas.append(_families(kron_stack(rotated, _FLAG_PROJECTORS)))
-    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+    meas = tuple(_families(stack[0].reshape(-1, 2, 2, 4, 4)) for stack in random_projective_effects([seed]))
+    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=meas, kind="flagged")
+
+
+def random_projective_effects(seeds) -> tuple[np.ndarray, ...]:
+    """Per party, the (K, inputs, 4, 4, 4) effects of `random_projective_strategy`
+    for each of K seeds, labels in OUTCOME_LABELS order. Each seed makes one
+    draw, the numbers of one `random_unitary(2, rng)` per party and flag sector,
+    and one QR makes all unitaries U; value projector V becomes (U V) U^H."""
+    z = np.reshape([np.random.default_rng(s).standard_normal((3, 2, 2, 2, 2)) for s in seeds], (-1, 3, 2, 2, 2, 2))
+    rotations = haar_unitaries(z[:, :, :, 0] + 1j * z[:, :, :, 1])[:, :, None, None]
+    stacks = []
+    for party, observables in enumerate((ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES)):
+        u = rotations[:, party]
+        rotated = (u @ _value_projectors(observables)[:, :, None]) @ u.conj().swapaxes(-1, -2)
+        stacks.append(kron_stack(rotated, _FLAG_PROJECTORS).reshape(len(z), len(observables), 4, 4, 4))
+    return tuple(stacks)
 
 
 def _matrix_to_json(m: np.ndarray) -> list:

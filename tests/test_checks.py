@@ -3,8 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import flagcka.checks as checks_module
 from flagcka.checks import (
+    VERIFY_CHUNK,
+    check_random_strategies,
     check_decoupling,
     check_flag_consistency,
     check_projection_lemma,
@@ -14,7 +19,7 @@ from flagcka.checks import (
     reports_to_json,
     run_check_suite,
 )
-from flagcka.checks import _branch_operators
+from flagcka.checks import _branch_operators, _one
 from flagcka.qops import (
     basis_ket,
     identity,
@@ -439,7 +444,7 @@ def test_branch_operators_match_tensor_reference(case):
     s = _REFERENCE_CASES[case]()
     for partner in (1, 2):
         for t in (0, 1):
-            a0, a1, b0, b1, flags, chsh = _branch_operators(s, partner, t)
+            a0, a1, b0, b1, flags, chsh = (op[0] for op in _branch_operators(_one(s), partner, t))
             ref = _ref_stacked_branch_operators(s, partner, t)
             assert len(flags) == len(ref[4]) == 4
             for k, (g, r) in enumerate(zip((a0, a1, b0, b1, *flags, chsh), (*ref[:4], *ref[4], ref[5]))):
@@ -491,3 +496,139 @@ def test_purification_is_computed_once_per_strategy(monkeypatch):
     assert len(calls) == 1
     assert all(r.passed for r in reports)
     assert not s.purification.flags.writeable
+
+
+# Stacked checks: `check_random_strategies` against one strategy at a time.
+
+_STACK_SUITES = ("all", "sos", "lemma", "tsirelson")
+
+
+def _assert_same_reports(got, want):
+    # Names, order and verdicts exactly; every number within 1e-15; the
+    # projection lemma's worst pair only where the gap is not float dust.
+    assert [r.name for r in got] == [r.name for r in want]
+    assert [r.passed for r in got] == [r.passed for r in want]
+    for g, w in zip(got, want):
+        assert g.tolerance == w.tolerance
+        assert abs(g.residual - w.residual) <= 1e-15, (w.name, g.residual, w.residual)
+        assert g.details.keys() == w.details.keys()
+        for key, value in w.details.items():
+            if isinstance(value, dict):
+                assert g.details[key].keys() == value.keys()
+                for k, v in value.items():
+                    assert abs(g.details[key][k] - v) <= 1e-15, (w.name, key, k)
+            elif isinstance(value, float):
+                assert abs(g.details[key] - value) <= 1e-15, (w.name, key)
+            elif key != "worst" or w.residual >= 1e-15:
+                assert g.details[key] == value, (w.name, key)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    seeds=hst.one_of(
+        hst.lists(hst.integers(0, 2**63 - 1), min_size=0, max_size=2 * VERIFY_CHUNK + 3),
+        hst.integers(0, 10**6).flatmap(
+            lambda first: hst.sampled_from([1, VERIFY_CHUNK, VERIFY_CHUNK + 1, 2 * VERIFY_CHUNK + 3]).map(
+                lambda n: list(range(first, first + n))
+            )
+        ),
+    ),
+    suite=hst.sampled_from(_STACK_SUITES),
+)
+def test_stacked_reports_equal_one_strategy_at_a_time(seeds, suite):
+    got = check_random_strategies(honest_flagged_strategy(), seeds, suite)
+    # Decoupling is a property of the maximal violation only: left out.
+    want = [
+        r for seed in seeds for r in run_check_suite(random_projective_strategy(seed), suite)
+        if not r.name.startswith("decoupling")
+    ]
+    _assert_same_reports(got, want)
+
+
+def test_stacked_reports_leave_out_decoupling():
+    assert check_random_strategies(honest_flagged_strategy(), range(3), "decoupling") == []
+    with pytest.raises(ValueError, match="unknown check suite"):
+        check_random_strategies(honest_flagged_strategy(), range(3), "everything")
+
+
+def test_stacked_checks_share_the_base_state():
+    # A noisy base state is what the random strategies of that noise have.
+    noise = NoiseParams(visibility=0.8)
+    base = honest_flagged_strategy(noise)
+    got = check_random_strategies(base, [3, 4], "all")
+    want = [r for seed in (3, 4) for r in run_check_suite(random_projective_strategy(seed, noise), "all")[:7]]
+    _assert_same_reports(got, want)
+
+
+def _spoil(monkeypatch, bad_seeds, fault):
+    # Wrap the stack builder so that every seed in bad_seeds gets Carole's
+    # input-1 family spoiled: scaled off the identity by 1e-9, or smeared
+    # into a complete but not projective family.
+    real = checks_module.random_projective_effects
+
+    def spoiled(chunk):
+        stacks = [stack.copy() for stack in real(chunk)]
+        for k, seed in enumerate(chunk):
+            if seed in bad_seeds:
+                family = stacks[2][k, 1]
+                if fault == "incomplete":
+                    family[3] *= 1 + 1e-9
+                else:
+                    family[:] = 0.5 * family + 0.125 * identity(4)
+        return tuple(stacks)
+
+    monkeypatch.setattr(checks_module, "random_projective_effects", spoiled)
+
+
+@pytest.mark.parametrize("member", [0, VERIFY_CHUNK - 2, VERIFY_CHUNK + 2])
+@pytest.mark.parametrize("fault", ["incomplete", "non_projective"])
+def test_invalid_stack_member_names_its_seed(monkeypatch, member, fault):
+    seeds = list(range(500, 500 + 2 * VERIFY_CHUNK + 3))
+    # Later bad members, in the same chunk and in the last one: the first
+    # bad member is named.
+    _spoil(monkeypatch, {seeds[member], seeds[member + 1], seeds[-1]}, fault)
+    message = (
+        r"effects do not sum to identity \(max deviation"
+        if fault == "incomplete"
+        else r"party 2 input 1 outcome \(0, 0\) is not projective"
+    )
+    for suite in ("all", "sos"):
+        with pytest.raises(ValueError, match=f"^random strategy seed {seeds[member]}: {message}"):
+            check_random_strategies(honest_flagged_strategy(), seeds, suite)
+    if fault == "non_projective":
+        # As for one strategy, only SOS needs projective effects.
+        reports = check_random_strategies(honest_flagged_strategy(), seeds, "lemma")
+        assert len(reports) == 2 * len(seeds)
+    else:
+        with pytest.raises(ValueError, match=f"^random strategy seed {seeds[member]}: {message}"):
+            check_random_strategies(honest_flagged_strategy(), seeds, "lemma")
+
+
+def test_strategy_effect_stacks_are_the_checked_families():
+    s = random_projective_strategy(11)
+    for party, stack in enumerate(s.effect_stacks):
+        assert not stack.flags.writeable
+        assert stack.shape == (N_INPUTS[party], 4, 4, 4)
+        for x in range(N_INPUTS[party]):
+            for n, label in enumerate(OUTCOME_LABELS):
+                assert np.array_equal(stack[x, n], s.measurements[party][x][label])
+
+
+@pytest.mark.parametrize("suite", _STACK_SUITES)
+def test_stack_of_generic_members_equals_each_member_alone(suite):
+    # Random projective members agree on much (p_T = 1/2, zero gaps); the
+    # generic ones differ in every check, so a kernel that mixes members up
+    # fails here.
+    base = _generic_strategy(0)
+    members = [Strategy(base.state, base.party_dims, _generic_strategy(seed).measurements) for seed in range(1, 6)]
+    effects = tuple(np.stack([m.effect_stacks[party] for m in members]) for party in range(3))
+    want = [r for m in members for r in run_check_suite(m, suite) if not r.name.startswith("decoupling")]
+    if suite in ("all", "lemma"):
+        assert len({r.residual for r in want if r.name == "flag_consistency"}) == len(members)
+    _assert_same_reports(checks_module._stack_checks(base, effects, suite), want)
+
+
+def test_sos_identity_rejects_unknown_branches():
+    for pair, t in (("bc", 0), ("ab", 2), ("ac", -1)):
+        with pytest.raises(ValueError, match="^pair must be 'ab' or 'ac' and t 0 or 1"):
+            check_sos_identity(honest_flagged_strategy(), pair, t)

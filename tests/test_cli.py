@@ -1,11 +1,15 @@
+import argparse
 import csv
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from flagcka.bell import behavior_from_strategy, behavior_to_json
-from flagcka.cli import main
+from flagcka.checks import VERIFY_CHUNK
+from flagcka.cli import _SLICE, _emit, main
 from flagcka.strategies import NoiseParams, honest_flagged_strategy
 
 
@@ -210,3 +214,68 @@ def test_verify_report_order(suite, capsys):
     else:
         expected = 4 * _SUITE_NAMES[suite]
     assert names == expected
+
+
+def _same_json_reports(got, want):
+    # Names, order and verdicts exactly; numbers within 1e-15; the worst
+    # projection-lemma pair only where the gap is not float dust.
+    assert [r["name"] for r in got] == [r["name"] for r in want]
+    assert [r["passed"] for r in got] == [r["passed"] for r in want]
+    for g, w in zip(got, want):
+        assert abs(g["residual"] - w["residual"]) <= 1e-15, w["name"]
+        for key, value in w["details"].items():
+            if isinstance(value, dict):
+                assert all(abs(g["details"][key][k] - v) <= 1e-15 for k, v in value.items()), (w["name"], key)
+            elif isinstance(value, float):
+                assert abs(g["details"][key] - value) <= 1e-15, (w["name"], key)
+            elif key != "worst" or w["residual"] >= 1e-15:
+                assert g["details"][key] == value, (w["name"], key)
+
+
+def test_verify_equals_its_two_halves(capsys):
+    # The halves cut the chunks of random strategies at other places.
+    n = 2 * VERIFY_CHUNK + 3
+
+    def random_reports(seed, seeds):
+        assert main(["verify", "--suite", "all", "--seeds", str(seeds), "--seed", str(seed)]) == 0
+        return json.loads(capsys.readouterr().out)[9:]
+
+    whole = random_reports(40, n)
+    assert len(whole) == 7 * n
+    first = VERIFY_CHUNK + 1
+    _same_json_reports(random_reports(40, first) + random_reports(40 + first, n - first), whole)
+
+
+def test_verify_names_the_seed_of_an_invalid_strategy(monkeypatch, capsys):
+    import flagcka.checks as checks_module
+
+    real = checks_module.random_projective_effects
+
+    def spoiled(chunk):
+        stacks = [stack.copy() for stack in real(chunk)]
+        if 12 in chunk:
+            stacks[0][list(chunk).index(12), 1, 2] *= 1 + 1e-9
+        return tuple(stacks)
+
+    monkeypatch.setattr(checks_module, "random_projective_effects", spoiled)
+    assert main(["verify", "--seeds", "20", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify: error: random strategy seed 12: effects do not sum to identity" in captured.err
+
+
+def test_emit_writes_the_text_in_bounded_slices(tmp_path, monkeypatch):
+    text = json.dumps({"key": "x" * (3 * _SLICE + 5)})
+    _emit(text, argparse.Namespace(format="json", output=str(tmp_path / "out.json")))
+    assert (tmp_path / "out.json").read_text() == text + "\n"
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    _emit(text, argparse.Namespace(format="json", output=None))
+    assert sys.stdout.getvalue() == text + "\n"
+    assert max(sizes) == _SLICE and sum(sizes) == len(text) + 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagcka.qops import (
+    assert_density_operator,
     basis_ket,
     born_rows,
     check_effects_complete,
@@ -22,6 +23,7 @@ from flagcka.qops import (
     random_density_operator,
     random_unitary,
     select_outcome,
+    sum_deviation,
     tensor,
     trace_distance,
     von_neumann_entropy,
@@ -283,11 +285,19 @@ def _computational_family():
     return np.array([projector(basis_ket(2, 0)), projector(basis_ket(2, 1)), np.zeros((2, 2)), np.zeros((2, 2))])
 
 
-# One bad row each: effects, on the state |0><0|, that give outcome 1 a
-# probability of -1e-9, or that sum to 1 + 1e-9 on it.
+# One bad row each, as (state, effects): complete effects that give outcome
+# 1 of |0><0| a probability of -1e-9, or whose probabilities on a state of
+# trace 1 + 1e-9 sum to 1 + 1e-9. (Effects that sum to 1 + 1e-9 would stop
+# at the completeness check of `outcome_distribution` first.)
 _BAD_BORN_ROWS = {
-    "negative": np.array([np.diag([1 + 1e-9, 0]), np.diag([-1e-9, 0]), np.diag([0, 1]), np.zeros((2, 2))]),
-    "total": np.array([np.diag([0.5 + 1e-9, 0]), np.diag([0.5, 1]), np.zeros((2, 2)), np.zeros((2, 2))]),
+    "negative": (
+        np.diag([1.0, 0]),
+        np.array([np.diag([1 + 1e-9, 0]), np.diag([-1e-9, 0]), np.diag([0, 1]), np.zeros((2, 2))]),
+    ),
+    "total": (
+        np.diag([1 + 1e-9, 0]),
+        np.array([np.diag([0.5, 0]), np.diag([0.5, 1]), np.zeros((2, 2)), np.zeros((2, 2))]),
+    ),
 }
 
 
@@ -302,11 +312,10 @@ def test_born_rows_checks_each_row_as_outcome_distribution_does(fault, bad_row):
     family = dict(enumerate(_computational_family()))
     for rho, row in zip(rhos, good):
         np.testing.assert_allclose(row, list(outcome_distribution(rho, family).values()), atol=1e-15)
-    rhos[bad_row] = projector(basis_ket(2, 0))
-    effects[bad_row] = _BAD_BORN_ROWS[fault]
+    rhos[bad_row], effects[bad_row] = _BAD_BORN_ROWS[fault]
     with pytest.raises(ValueError) as reference:
         outcome_distribution(rhos[bad_row], dict(enumerate(effects[bad_row])))
-    assert ("negative probability" if fault == "negative" else "sum to") in str(reference.value)
+    assert ("negative probability" if fault == "negative" else "probabilities sum to") in str(reference.value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
         born_rows(rhos, effects, labels)
 
@@ -339,3 +348,53 @@ def test_born_rows_rejects_nan():
         outcome_distribution(nan_state, family)
     with pytest.raises(ValueError, match=message):
         born_rows(family[0][None], effects * np.nan, (0, 1))
+
+
+# The 1e-12 checks compare the largest absolute deviation with 1e-12.
+# np.allclose, which they used before, adds rtol * |reference| = 1e-5 on
+# each entry of size 1, so every deviation below passed it.
+
+
+def test_effects_off_the_identity_by_4e_6_are_incomplete():
+    family = {0: np.diag([1.0, 0.0]), 1: np.diag([4e-6, 1.0])}
+    with pytest.raises(ValueError, match=r"^effects do not sum to identity \(max deviation 4\.000e-06\)$"):
+        check_effects_complete([family])
+    check_effects_complete([{0: np.diag([1.0, 0.0]), 1: np.diag([1e-13, 1.0])}])
+
+
+def test_is_hermitian_sees_an_off_diagonal_gap_of_3e_6():
+    assert not is_hermitian(np.array([[1.0, 0.5], [0.5 + 3e-6, 0.0]]))
+    assert is_hermitian(np.array([[1.0, 0.5], [0.5 + 1e-13, 0.0]]))
+    assert not is_hermitian(np.array([[np.nan]]))
+    assert is_hermitian(np.zeros((0, 0)))
+    rho = np.array([[0.5, 0.25], [0.25 + 3e-6, 0.5]])
+    with pytest.raises(ValueError, match="^state is not Hermitian"):
+        assert_density_operator(rho)
+    with pytest.raises(ValueError, match="^purify input is not Hermitian"):
+        purify(rho)
+
+
+def test_sum_deviation_is_per_family():
+    good = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    stack = np.array([[good, good], [good, good + np.diag([0.0, 2e-9])[None]]])
+    np.testing.assert_allclose(sum_deviation(stack), [[0.0, 0.0], [0.0, 4e-9]], rtol=1e-6, atol=0)
+
+
+def test_purify_takes_positivity_from_its_own_eigh(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    rho = random_density_operator(4, np.random.default_rng(3))
+    psi = purify(rho)
+    assert calls == []
+    mat = psi.reshape(4, -1)
+    np.testing.assert_allclose(mat @ dagger(mat), rho, atol=1e-10)
+    # The threshold and the message are those of assert_density_operator.
+    negative = np.diag([0.5 + 1e-9, 0.5, -1e-9]).astype(complex)
+    with pytest.raises(ValueError) as reference:
+        assert_density_operator(negative, name="purify input")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+        purify(negative)
+    assert purify(np.diag([0.5 + 1e-11, 0.5, -1e-11])).size == 3 * 2
+    with pytest.raises(ValueError, match="^purify input has trace"):
+        purify(0.5 * rho)

@@ -15,6 +15,7 @@ from flagcka.strategies import (
     depolarize,
     honest_flagged_strategy,
     honest_parallel_strategy,
+    random_projective_effects,
     random_projective_strategy,
     strategy_from_json,
     strategy_to_json,
@@ -279,3 +280,28 @@ def test_one_non_involution_fails_the_value_projectors(bad):
     for obs, value in zip(PARTNER_OBSERVABLES, stacked):
         effects = binary_observable_effects(obs)
         assert np.array_equal(value[0], effects[0]) and np.array_equal(value[1], effects[1])
+
+
+def test_observable_squared_off_by_8e_6_is_rejected():
+    # The square is (1 + 8e-6) I: np.allclose's default rtol let it pass.
+    with pytest.raises(ValueError, match="observable must square to the identity"):
+        binary_observable_effects(np.sqrt(1 + 8e-6) * ALICE_OBSERVABLES[0])
+
+
+def test_family_off_the_identity_by_4e_6_fails_the_strategy():
+    honest = honest_flagged_strategy()
+    measurements = tuple({y: dict(family) for y, family in families.items()} for families in honest.measurements)
+    # Alice's (1, 1) effect at input 0 is |1><1| (x) |1><1|, diagonal entry 3.
+    measurements[0][0][(1, 1)] = measurements[0][0][(1, 1)] + 4e-6 * projector(basis_ket(4, 3))
+    with pytest.raises(ValueError, match=r"effects do not sum to identity \(max deviation 4\.000e-06\)"):
+        Strategy(honest.state, honest.party_dims, measurements)
+
+
+@pytest.mark.parametrize("seeds", [[], [0], [5, 1, 5], list(range(100, 113))])
+def test_random_effects_stack_each_seeds_strategy(seeds):
+    stacks = random_projective_effects(seeds)
+    assert [stack.shape for stack in stacks] == [(len(seeds), n, 4, 4, 4) for n in N_INPUTS]
+    for k, seed in enumerate(seeds):
+        s = random_projective_strategy(seed)
+        for party in range(3):
+            assert np.array_equal(stacks[party][k], s.effect_stacks[party])
