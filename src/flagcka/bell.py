@@ -214,7 +214,7 @@ def behavior_from_strategy(strategy: Strategy) -> Behavior:
     """
     da, db, dc = strategy.party_dims
     rho = strategy.state.reshape(da, db, dc, da, db, dc)
-    alice, bob, carole = strategy.effect_stacks
+    alice, bob, carole = strategy.effects
     p = np.einsum("abcdef,xida,yjeb,zkfc->xyzijk", rho, alice, bob, carole, optimize=True)
     return Behavior(np.ascontiguousarray(p.real).reshape(TABLE_SHAPE)).validate()
 

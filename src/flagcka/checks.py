@@ -87,8 +87,8 @@ class _MemberError(ValueError):
 
 
 def _one(strategy: Strategy) -> tuple:
-    """A strategy's effect stacks as a stack of one member."""
-    return tuple(stack[None] for stack in strategy.effect_stacks)
+    """A strategy's effects as a stack of one member."""
+    return tuple(stack[None] for stack in strategy.effects)
 
 
 def _flag_projectors(effects: np.ndarray) -> np.ndarray:
@@ -229,7 +229,7 @@ def _branch_checks(state: np.ndarray, effects: tuple, sos: list, tsirelson: bool
         if bad.any():
             member, n = np.unravel_index(int(np.argmax(bad)), bad.shape)
             party, x, label = _EFFECT_KEYS[n]
-            message = f"party {party} input {x} outcome {label} is not projective; dilate with qops.naimark_dilation first"
+            message = f"party {party} input {x} outcome {label} is not projective"
             raise _MemberError(message, member)
     columns, slacks = [], {}
     for (pair, partner), t in itertools.product(_PAIRS, (0, 1)):
@@ -315,7 +315,8 @@ def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
         raise ValueError(f"branch must be 0 or 1, got {t}")
     psi = strategy.purification.reshape(*strategy.party_dims, -1)
     env = psi.shape[-1]
-    effects = np.stack([strategy.measurements[0][0][(a, t)] for a in (0, 1)])
+    # Alice's input-0 effects of labels (0, t) and (1, t).
+    effects = strategy.effects[0][0, [t, 2 + t]]
     # Purifier-side subnormalized state Tr_parties[(M (x) 1)|psi><psi|], with
     # M applied to Alice's axis of the (party, party, party, purifier) tensor.
     applied = _apply_local(effects, psi, 0).reshape(2, -1, env)

@@ -70,7 +70,7 @@ from .bell import (
     bell_value_stderr,
     estimate_behavior,
 )
-from .qops import born_rows, check_effects_complete
+from .qops import born_rows
 from .strategies import (
     N_INPUTS,
     OUTCOME_LABELS,
@@ -337,14 +337,13 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
     Bob measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC]. Each
     reduced state is normalised by its own trace, and only outcomes of
     probability above _P_CUTOFF are followed; the rows of the others stay
-    zero, as in `_cumulative_tables`. Each party's families are checked
-    complete once, stacked.
+    zero, as in `_cumulative_tables`. The effects are the strategy's own
+    stacks, checked complete when it was built.
     """
-    stacks = [check_effects_complete([families[x] for x in sorted(families)]) for families in strategy.measurements]
     protocol_inputs = np.array(PROTOCOL_INPUTS)
     tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
     rhos, rows, seen = strategy.state[None], np.zeros(1, dtype=np.intp), np.zeros((1, 0), dtype=np.intp)
-    for party, (d, stack, table) in enumerate(zip(strategy.party_dims, stacks, tables)):
+    for party, (d, stack, table) in enumerate(zip(strategy.party_dims, strategy.effects, tables)):
         rhos = rhos.reshape(len(rhos), d, rhos.shape[1] // d, d, -1)
         # The (prefix, input) pairs: the inputs that follow each prefix's in PROTOCOL_INPUTS.
         prefix, triple = np.nonzero((seen[:, None, :] == protocol_inputs[:, :party]).all(axis=2))

@@ -2,13 +2,13 @@
 
 Everything works on dense complex numpy arrays. Pure states are unit
 vectors, mixed states are density matrices, measurements are families of
-positive effects keyed by outcome label. All Hilbert spaces in this
-package have dimension at most 128, so nothing here attempts sparsity.
+positive effects, stacked as arrays or keyed by outcome label. All
+Hilbert spaces in this package have dimension at most 128, so nothing
+here attempts sparsity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping, Sequence
 from functools import reduce
@@ -40,8 +40,6 @@ __all__ = [
     "purify",
     "von_neumann_entropy",
     "trace_distance",
-    "naimark_dilation",
-    "random_unitary",
     "haar_unitaries",
     "random_density_operator",
 ]
@@ -137,20 +135,14 @@ def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
     return rho
 
 
-def check_effects_complete(families: Sequence[Mapping[object, np.ndarray]]) -> np.ndarray:
-    """Check that each family's effects sum to the identity; return the
-    (F, L, d, d) stack of the F families' effects, labels in ascending order.
-
-    Every effect must be d x d, each sum the identity within ATOL_OPERATOR.
-    """
-    if not families or not all(families):
-        raise ValueError("measurement family is empty")
-    mats = [[np.asarray(effects[label], dtype=complex) for label in sorted(effects)] for effects in families]
-    dim = mats[0][0].shape[0]
-    for m in itertools.chain.from_iterable(mats):
-        if m.shape != (dim, dim):
-            raise ValueError(f"effect shape {m.shape} does not match dimension {dim}")
-    stack = np.array(mats)
+def check_effects_complete(stack) -> np.ndarray:
+    """Check that each family of an (..., L, d, d) stack of effects sums to
+    the identity within ATOL_OPERATOR; return the stack as a complex array."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim < 3 or 0 in stack.shape[-3:]:
+        raise ValueError(f"measurement family is empty or not a stack of matrices (shape {stack.shape})")
+    if stack.shape[-2] != stack.shape[-1]:
+        raise ValueError(f"effects must be square, got shape {stack.shape[-2:]}")
     gap = sum_deviation(stack).max()
     # Written so that a NaN deviation fails too.
     if not gap <= ATOL_OPERATOR:
@@ -172,10 +164,10 @@ def outcome_distribution(rho: np.ndarray, effects: Mapping[object, np.ndarray]) 
     signals a malformed input and raises.
     """
     rho = np.asarray(rho, dtype=complex)
-    stack = check_effects_complete([effects])
+    labels = sorted(effects)
+    stack = check_effects_complete([[effects[label] for label in labels]])
     if rho.shape != stack.shape[-2:]:
         raise ValueError(f"state dimension {rho.shape} does not match effects ({stack.shape[-1]})")
-    labels = sorted(effects)
     return dict(zip(labels, born_rows(rho[None], stack, labels)[0].tolist()))
 
 
@@ -320,35 +312,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def naimark_dilation(effects: Mapping[object, np.ndarray]):
-    """Dilate a POVM to projectors on H (x) C^n.
-
-    Returns (V, projectors) where V = sum_i sqrt(E_i) (x) |i> is an
-    isometry from H into H (x) C^n and projectors maps each label to
-    I (x) |i><i|, so that V^dag P_i V = E_i. Labels index i in ascending
-    order. Useful for feeding non-projective families into checks that
-    require projective measurements.
-    """
-    dim = check_effects_complete([effects]).shape[-1]
-    labels = sorted(effects)
-    n = len(labels)
-    v = np.zeros((dim, n, dim), dtype=complex)
-    for i, label in enumerate(labels):
-        e = np.asarray(effects[label], dtype=complex)
-        w, u = np.linalg.eigh(e)
-        if w[0] < -ATOL_EIG:
-            raise ValueError(f"effect {label} is not positive semidefinite")
-        v[:, i, :] = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    v = v.reshape(dim * n, dim)
-    projs = {label: tensor(identity(dim), projector(basis_ket(n, i))) for i, label in enumerate(labels)}
-    return v, projs
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ register at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +25,6 @@ from .qops import (
     basis_ket,
     check_effects_complete,
     haar_unitaries,
-    identity,
     kron_stack,
     permute_subsystems,
     phi_plus,
@@ -78,51 +78,42 @@ class NoiseParams:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Shared state plus per-party, per-input measurement families.
+    """Shared state plus one stack of effects per party.
 
-    measurements[party][x] maps each outcome label (a two-bit tuple) to a
-    positive effect on that party's local space; each family sums to the
-    local identity. kind is "flagged" (labels are (value, flag)) or
-    "parallel" (labels are the two per-pair value bits). effect_stacks are
-    the checked (inputs, 4, d, d) effects per party in OUTCOME_LABELS order.
+    effects[party] is an (inputs, 4, d, d) array: per input, the four
+    positive effects of that party's family in OUTCOME_LABELS order, each
+    family summing to the local identity. kind is "flagged" (labels are
+    (value, flag)) or "parallel" (labels are the two per-pair value bits).
+    The state and the stacks are checked once and kept as read-only copies.
     """
 
     state: np.ndarray
-    party_dims: tuple[int, ...]
-    measurements: tuple[dict, ...]
+    effects: tuple
     kind: str = "flagged"
-    effect_stacks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("flagged", "parallel"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if len(self.party_dims) != 3 or len(self.measurements) != 3:
+        if len(self.effects) != 3:
             raise ValueError("strategy needs exactly three parties")
-        dim = int(np.prod(self.party_dims))
-        assert_density_operator(self.state, name="strategy state")
-        if self.state.shape != (dim, dim):
-            raise ValueError(f"state dimension {self.state.shape} does not match party_dims {self.party_dims}")
-        stacks = []
-        for party, families in enumerate(self.measurements):
-            if sorted(families) != list(range(N_INPUTS[party])):
-                raise ValueError(f"party {party} must define inputs 0..{N_INPUTS[party] - 1}")
-            for x, effects in families.items():
-                if sorted(effects) != list(OUTCOME_LABELS):
-                    raise ValueError(f"party {party} input {x} must define all four outcome labels")
-            stacks.append(check_effects_complete([families[x] for x in sorted(families)]))
-            stacks[-1].flags.writeable = False
-        object.__setattr__(self, "effect_stacks", tuple(stacks))
+        stacks = tuple(np.array(stack, dtype=complex) for stack in self.effects)
+        for party, stack in enumerate(stacks):
+            if stack.ndim != 4 or stack.shape[:2] != (N_INPUTS[party], len(OUTCOME_LABELS)):
+                raise ValueError(f"party {party} effects must be ({N_INPUTS[party]}, 4, d, d), got shape {stack.shape}")
+            check_effects_complete(stack)
+        object.__setattr__(self, "effects", stacks)
+        state = assert_density_operator(np.array(self.state, dtype=complex), name="strategy state")
+        dim = math.prod(self.party_dims)
+        if state.shape != (dim, dim):
+            raise ValueError(f"state dimension {state.shape} does not match party_dims {self.party_dims}")
+        object.__setattr__(self, "state", state)
+        for array in (state, *stacks):
+            array.flags.writeable = False
 
-    def effect(self, party: int, x: int, label: tuple[int, int]) -> np.ndarray:
-        """The effect embedded into the full space (identity elsewhere)."""
-        ops = [identity(d) for d in self.party_dims]
-        ops[party] = self.measurements[party][x][label]
-        return tensor(*ops)
-
-    def flag_projector(self, party: int, x: int, t: int) -> np.ndarray:
-        """Local coarse-graining sum_a M_{(a,t)|x} for one party."""
-        family = self.measurements[party][x]
-        return family[(0, t)] + family[(1, t)]
+    @property
+    def party_dims(self) -> tuple[int, ...]:
+        """Each party's local dimension, read off its effects."""
+        return tuple(stack.shape[-1] for stack in self.effects)
 
     @cached_property
     def purification(self) -> np.ndarray:
@@ -156,20 +147,15 @@ def _value_projectors(observables) -> np.ndarray:
     return np.stack(((eye + obs) / 2.0, (eye - obs) / 2.0), axis=1)
 
 
-def _families(effects: np.ndarray) -> dict:
-    """Per-input dicts of label -> effect, views of an (inputs, 2, 2, d, d) array."""
-    return {x: {label: effects[(x, *label)] for label in OUTCOME_LABELS} for x in range(len(effects))}
-
-
 # Flag-t projector |t><t| of the flag register, stacked over t.
 _FLAG_PROJECTORS = np.array([projector(basis_ket(2, t)) for t in (0, 1)])
 
 
-def _flagged_measurements() -> tuple[dict, ...]:
+def _flagged_effects() -> tuple[np.ndarray, ...]:
     # Party space = qubit (x) flag qubit. The value observable acts on the
     # qubit, the flag is always read in the computational basis.
     return tuple(
-        _families(kron_stack(_value_projectors(observables)[:, :, None], _FLAG_PROJECTORS))
+        kron_stack(_value_projectors(observables)[:, :, None], _FLAG_PROJECTORS).reshape(-1, 4, 4, 4)
         for observables in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES)
     )
 
@@ -209,7 +195,7 @@ def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     inputs and sigma_Z on the generation input.
     """
     rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
-    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=_flagged_measurements(), kind="flagged")
+    return Strategy(rho, _flagged_effects(), "flagged")
 
 
 def constant_flag_strategy(t: int = 0, noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -217,7 +203,7 @@ def constant_flag_strategy(t: int = 0, noise: NoiseParams = NoiseParams()) -> St
     if t not in (0, 1):
         raise ValueError(f"flag value must be 0 or 1, got {t}")
     rho = _flagged_branch(t, noise.visibility)
-    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=_flagged_measurements(), kind="flagged")
+    return Strategy(rho, _flagged_effects(), "flagged")
 
 
 def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -235,16 +221,11 @@ def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     rho = tensor(pair, spectator, pair, spectator)
     rho = permute_subsystems(rho, [2] * 6, [0, 3, 1, 5, 2, 4])
 
-    def families(observables):
+    def stack(observables):
         value = _value_projectors(observables)
-        return _families(kron_stack(value[:, :, None], value[:, None, :]))
+        return kron_stack(value[:, :, None], value[:, None, :]).reshape(-1, 4, 4, 4)
 
-    meas = (
-        families(ALICE_OBSERVABLES),
-        families(PARTNER_OBSERVABLES),
-        families(PARTNER_OBSERVABLES),
-    )
-    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=meas, kind="parallel")
+    return Strategy(rho, (stack(ALICE_OBSERVABLES), stack(PARTNER_OBSERVABLES), stack(PARTNER_OBSERVABLES)), "parallel")
 
 
 def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -258,15 +239,15 @@ def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) ->
     maximum. Deterministic for a given seed.
     """
     rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
-    meas = tuple(_families(stack[0].reshape(-1, 2, 2, 4, 4)) for stack in random_projective_effects([seed]))
-    return Strategy(state=rho, party_dims=(4, 4, 4), measurements=meas, kind="flagged")
+    return Strategy(rho, tuple(stack[0] for stack in random_projective_effects([seed])), "flagged")
 
 
 def random_projective_effects(seeds) -> tuple[np.ndarray, ...]:
     """Per party, the (K, inputs, 4, 4, 4) effects of `random_projective_strategy`
     for each of K seeds, labels in OUTCOME_LABELS order. Each seed makes one
-    draw, the numbers of one `random_unitary(2, rng)` per party and flag sector,
-    and one QR makes all unitaries U; value projector V becomes (U V) U^H."""
+    draw: per party and flag sector, the real and then the imaginary part of
+    a 2 x 2 complex Gaussian matrix. One QR (`haar_unitaries`) makes all
+    unitaries U; value projector V becomes (U V) U^H."""
     z = np.reshape([np.random.default_rng(s).standard_normal((3, 2, 2, 2, 2)) for s in seeds], (-1, 3, 2, 2, 2, 2))
     rotations = haar_unitaries(z[:, :, :, 0] + 1j * z[:, :, :, 1])[:, :, None, None]
     stacks = []
@@ -277,45 +258,58 @@ def random_projective_effects(seeds) -> tuple[np.ndarray, ...]:
     return tuple(stacks)
 
 
+# JSON keys of OUTCOME_LABELS.
+_LABEL_KEYS = tuple(f"{a},{t}" for a, t in OUTCOME_LABELS)
+
+
 def _matrix_to_json(m: np.ndarray) -> list:
     # Row-major nested lists of [re, im] pairs.
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be [re, im] pairs of numbers ({exc})") from None
 
 
 def strategy_to_json(strategy: Strategy) -> str:
+    """JSON text of a strategy; each input's effects keyed by label "a,t"."""
     doc = {
         "kind": strategy.kind,
         "party_dims": list(strategy.party_dims),
         "state": _matrix_to_json(strategy.state),
         "measurements": [
-            {
-                str(x): {f"{a},{t}": _matrix_to_json(m) for (a, t), m in effects.items()}
-                for x, effects in families.items()
-            }
-            for families in strategy.measurements
+            {str(x): {key: _matrix_to_json(m) for key, m in zip(_LABEL_KEYS, family)} for x, family in enumerate(stack)}
+            for stack in strategy.effects
         ],
     }
     return json.dumps(doc)
 
 
 def strategy_from_json(text: str) -> Strategy:
+    """The strategy `strategy_to_json` wrote. Input from elsewhere is checked:
+    a missing key, an input or label key other than the format's, or
+    party_dims that contradict the effects raise ValueError."""
     doc = json.loads(text)
-    meas = []
-    for families in doc["measurements"]:
-        fams = {}
-        for x, effects in families.items():
-            fams[int(x)] = {
-                tuple(int(b) for b in label.split(",")): _matrix_from_json(m)
-                for label, m in effects.items()
-            }
-        meas.append(fams)
-    return Strategy(
-        state=_matrix_from_json(doc["state"]),
-        party_dims=tuple(doc["party_dims"]),
-        measurements=tuple(meas),
-        kind=doc["kind"],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("strategy JSON must be an object")
+    missing = [key for key in ("kind", "party_dims", "state", "measurements") if key not in doc]
+    if missing:
+        raise ValueError(f"strategy JSON lacks {missing}")
+    if not isinstance(doc["measurements"], list) or len(doc["measurements"]) != 3:
+        raise ValueError("strategy needs exactly three parties")
+    effects = []
+    for party, families in enumerate(doc["measurements"]):
+        inputs = [str(x) for x in range(N_INPUTS[party])]
+        if not isinstance(families, dict) or sorted(families) != inputs:
+            raise ValueError(f"party {party} must define exactly the inputs {inputs}")
+        for x in inputs:
+            if not isinstance(families[x], dict) or sorted(families[x]) != list(_LABEL_KEYS):
+                raise ValueError(f"party {party} input {x} must define exactly the labels {list(_LABEL_KEYS)}")
+        effects.append([[_matrix_from_json(families[x][key]) for key in _LABEL_KEYS] for x in inputs])
+    strategy = Strategy(_matrix_from_json(doc["state"]), tuple(effects), doc["kind"])
+    if doc["party_dims"] != list(strategy.party_dims):
+        raise ValueError(f"party_dims {doc['party_dims']} contradict the effects' {list(strategy.party_dims)}")
+    return strategy

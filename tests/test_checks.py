@@ -22,13 +22,13 @@ from flagcka.checks import (
 from flagcka.checks import _branch_operators, _one
 from flagcka.qops import (
     basis_ket,
+    haar_unitaries,
     identity,
     partial_trace,
     plus_ket,
     projector,
     purify,
     random_density_operator,
-    random_unitary,
     tensor,
     trace_distance,
     von_neumann_entropy,
@@ -40,10 +40,26 @@ from flagcka.strategies import (
     Strategy,
     constant_flag_strategy,
     honest_flagged_strategy,
+    random_projective_effects,
     random_projective_strategy,
 )
 
 SQRT2 = np.sqrt(2.0)
+
+
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def _family(strategy, party, x):
+    """One (party, input) family of a strategy as a dict label -> effect."""
+    return dict(zip(OUTCOME_LABELS, strategy.effects[party][x]))
+
+
+def _copied_effects(strategy):
+    """Writable copies of a strategy's effect stacks, to build a variant from."""
+    return [np.array(stack) for stack in strategy.effects]
 
 
 def test_full_suite_passes_on_honest():
@@ -70,12 +86,7 @@ def _independent_flag_strategy() -> Strategy:
     # Every qubit, flags included, is |+>: the three flags are uniform
     # and independent, so coarse-grainings of different parties disagree.
     ket = tensor(*([plus_ket()] * 6)).ravel()
-    return Strategy(
-        state=projector(ket),
-        party_dims=(4, 4, 4),
-        measurements=honest_flagged_strategy().measurements,
-        kind="flagged",
-    )
+    return Strategy(state=projector(ket), effects=honest_flagged_strategy().effects, kind="flagged")
 
 
 def test_flag_consistency_catches_independent_flags():
@@ -115,16 +126,9 @@ def test_sos_identity_holds_under_noise():
 
 def test_sos_identity_rejects_povm():
     honest = honest_flagged_strategy()
-    meas = [dict(m) for m in honest.measurements]
-    meas[0] = dict(meas[0])
-    smeared = {
-        label: 0.5 * e + 0.125 * identity(4)
-        for label, e in meas[0][0].items()
-    }
-    meas[0][0] = smeared
-    povm_strategy = Strategy(
-        state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged"
-    )
+    effects = _copied_effects(honest)
+    effects[0][0] = 0.5 * effects[0][0] + 0.125 * identity(4)
+    povm_strategy = Strategy(state=honest.state, effects=tuple(effects), kind="flagged")
     with pytest.raises(ValueError, match="not projective"):
         check_sos_identity(povm_strategy, "ab", 0)
 
@@ -162,12 +166,11 @@ def test_extract_conditional_behavior_raises_on_spectator_drift():
     # Rotate Carole's flag basis at input 1 only: the t = 0 gate then
     # passes different mass depending on her input.
     honest = honest_flagged_strategy()
-    meas = [dict(m) for m in honest.measurements]
-    meas[2] = dict(meas[2])
+    effects = _copied_effects(honest)
     value = {0: projector(np.array([1.0, 1.0]) / SQRT2), 1: projector(np.array([1.0, -1.0]) / SQRT2)}
     flag = {0: projector(plus_ket()), 1: projector(np.array([1.0, -1.0]) / SQRT2)}
-    meas[2][1] = {(c, t): tensor(value[c], flag[t]) for c in (0, 1) for t in (0, 1)}
-    tampered = Strategy(state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+    effects[2][1] = [tensor(value[c], flag[t]) for c, t in OUTCOME_LABELS]
+    tampered = Strategy(state=honest.state, effects=tuple(effects), kind="flagged")
     with pytest.raises(ValueError, match="spectator"):
         extract_conditional_behavior(tampered, 0)
 
@@ -202,7 +205,7 @@ def test_decoupling_classical_copy_attack():
                 identity(2), identity(2),
             )
             rho += p @ honest.state @ p
-    dephased = Strategy(state=rho, party_dims=(4, 4, 4), measurements=honest.measurements, kind="flagged")
+    dephased = Strategy(state=rho, effects=honest.effects, kind="flagged")
     r = check_decoupling(dephased, 0)
     assert not r.passed
     assert r.residual > 0.4
@@ -220,7 +223,7 @@ def _decoupling_embedded(strategy, t):
     dim = strategy.state.shape[0]
     psi_mat = strategy.purification.reshape(dim, -1)
     env = psi_mat.shape[1]
-    blocks = [psi_mat.T @ strategy.effect(0, 0, (a, t)).T @ psi_mat.conj() for a in (0, 1)]
+    blocks = [psi_mat.T @ _ref_effect(strategy, 0, 0, (a, t)).T @ psi_mat.conj() for a in (0, 1)]
     weight = float(sum(b.trace().real for b in blocks))
     rho_ae = np.zeros((2 * env, 2 * env), dtype=complex)
     for a, block in enumerate(blocks):
@@ -239,13 +242,11 @@ def test_decoupling_matches_embedded_effect():
 
     def family(d):
         u = random_unitary(d, rng)
-        effects = [projector(u[:, i]) for i in range(d)] + [np.zeros((d, d), dtype=complex)] * (4 - d)
-        return dict(zip(OUTCOME_LABELS, effects))
+        return [projector(u[:, i]) for i in range(d)] + [np.zeros((d, d), dtype=complex)] * (4 - d)
 
     generic = Strategy(
         random_density_operator(24, rng),
-        dims,
-        tuple({x: family(d) for x in range(N_INPUTS[p])} for p, d in enumerate(dims)),
+        tuple(np.array([family(d) for x in range(N_INPUTS[p])]) for p, d in enumerate(dims)),
     )
     strategies = [
         honest_flagged_strategy(),
@@ -302,8 +303,19 @@ def _embedded(strategy, party, op):
     return tensor(*ops)
 
 
+def _ref_effect(strategy, party, x, label):
+    """The effect embedded into the full space (identity elsewhere)."""
+    return _embedded(strategy, party, _family(strategy, party, x)[label])
+
+
+def _local_flag_projector(strategy, party, x, t):
+    """Local coarse-graining sum_a M_{(a,t)|x} for one party."""
+    family = _family(strategy, party, x)
+    return family[(0, t)] + family[(1, t)]
+
+
 def _ref_flag_projector(strategy, party, x, t):
-    return _embedded(strategy, party, strategy.flag_projector(party, x, t))
+    return _embedded(strategy, party, _local_flag_projector(strategy, party, x, t))
 
 
 def _ref_expectation(rho, op):
@@ -344,7 +356,7 @@ def _ref_projection_lemma(strategy):
 
 def _ref_branch_operators(strategy, partner, t):
     def signed(party, x):
-        fam = strategy.measurements[party][x]
+        fam = _family(strategy, party, x)
         return _embedded(strategy, party, fam[(0, t)] - fam[(1, t)])
 
     a0, a1, b0, b1 = signed(0, 0), signed(0, 1), signed(partner, 0), signed(partner, 1)
@@ -375,16 +387,14 @@ def _generic_strategy(seed):
     # the columns of a random unitary: no flag structure at all, so every
     # check sees nonzero residuals that the reference must reproduce.
     rng = np.random.default_rng(seed)
-    meas = []
+    effects = []
     for party in range(3):
-        families = {}
+        families = []
         for x in range(N_INPUTS[party]):
             u = random_unitary(4, rng)
-            families[x] = {label: projector(u[:, k]) for k, label in enumerate(OUTCOME_LABELS)}
-        meas.append(families)
-    return Strategy(
-        state=random_density_operator(64, rng), party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged"
-    )
+            families.append([projector(u[:, k]) for k in range(len(OUTCOME_LABELS))])
+        effects.append(np.array(families))
+    return Strategy(state=random_density_operator(64, rng), effects=tuple(effects), kind="flagged")
 
 
 _REFERENCE_CASES = {
@@ -430,9 +440,9 @@ def _ref_stacked_branch_operators(strategy, partner, t):
     # `_branch_operators` as first written: each party's stack embedded by
     # one `tensor` call with the other party's identity.
     def local(party):
-        fams = [strategy.measurements[party][x] for x in (0, 1)]
+        fams = [_family(strategy, party, x) for x in (0, 1)]
         signed = [fam[(0, t)] - fam[(1, t)] for fam in fams]
-        return np.stack(signed + [strategy.flag_projector(party, x, t) for x in (0, 1)])
+        return np.stack(signed + [_local_flag_projector(strategy, party, x, t) for x in (0, 1)])
 
     a0, a1, *alice_flags = tensor(local(0), identity(strategy.party_dims[partner])[None])
     b0, b1, *partner_flags = tensor(identity(strategy.party_dims[0])[None], local(partner))
@@ -455,18 +465,17 @@ def test_sos_names_the_first_non_projective_effect():
     # Two smeared families: (party 1, input 2) comes before (party 2, input 0)
     # in the (party, input, label) order, so it is the one named.
     honest = honest_flagged_strategy()
-    meas = [dict(m) for m in honest.measurements]
+    effects = _copied_effects(honest)
     for party, x in ((2, 0), (1, 2)):
-        meas[party][x] = {label: 0.5 * e + 0.125 * identity(4) for label, e in meas[party][x].items()}
-    s = Strategy(state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+        effects[party][x] = 0.5 * effects[party][x] + 0.125 * identity(4)
+    s = Strategy(state=honest.state, effects=tuple(effects), kind="flagged")
     with pytest.raises(ValueError, match=r"^party 1 input 2 outcome \(0, 0\) is not projective"):
         check_sos_identity(s, "ab", 0)
     # Within the family the first bad label is named: (1, 0), ahead of (1, 1).
-    meas = [dict(m) for m in honest.measurements]
-    fam = dict(meas[1][2])
-    fam[(1, 0)], fam[(1, 1)] = fam[(1, 0)] + 0.5 * fam[(1, 1)], 0.5 * fam[(1, 1)]
-    meas[1][2] = fam
-    s = Strategy(state=honest.state, party_dims=(4, 4, 4), measurements=tuple(meas), kind="flagged")
+    effects = _copied_effects(honest)
+    fam = effects[1][2]  # labels (0, 0), (0, 1), (1, 0), (1, 1)
+    fam[2], fam[3] = fam[2] + 0.5 * fam[3], 0.5 * fam[3]
+    s = Strategy(state=honest.state, effects=tuple(effects), kind="flagged")
     with pytest.raises(ValueError, match=r"^party 1 input 2 outcome \(1, 0\) is not projective"):
         check_sos_identity(s, "ac", 1)
 
@@ -606,12 +615,11 @@ def test_invalid_stack_member_names_its_seed(monkeypatch, member, fault):
 
 def test_strategy_effect_stacks_are_the_checked_families():
     s = random_projective_strategy(11)
-    for party, stack in enumerate(s.effect_stacks):
+    built = random_projective_effects([11])
+    for party, stack in enumerate(s.effects):
         assert not stack.flags.writeable
         assert stack.shape == (N_INPUTS[party], 4, 4, 4)
-        for x in range(N_INPUTS[party]):
-            for n, label in enumerate(OUTCOME_LABELS):
-                assert np.array_equal(stack[x, n], s.measurements[party][x][label])
+        assert np.array_equal(stack, built[party][0])
 
 
 @pytest.mark.parametrize("suite", _STACK_SUITES)
@@ -620,8 +628,8 @@ def test_stack_of_generic_members_equals_each_member_alone(suite):
     # generic ones differ in every check, so a kernel that mixes members up
     # fails here.
     base = _generic_strategy(0)
-    members = [Strategy(base.state, base.party_dims, _generic_strategy(seed).measurements) for seed in range(1, 6)]
-    effects = tuple(np.stack([m.effect_stacks[party] for m in members]) for party in range(3))
+    members = [Strategy(base.state, _generic_strategy(seed).effects) for seed in range(1, 6)]
+    effects = tuple(np.stack([m.effects[party] for m in members]) for party in range(3))
     want = [r for m in members for r in run_check_suite(m, suite) if not r.name.startswith("decoupling")]
     if suite in ("all", "lemma"):
         assert len({r.residual for r in want if r.name == "flag_consistency"}) == len(members)

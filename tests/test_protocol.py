@@ -45,8 +45,18 @@ from flagcka.protocol import (
     _table_outcomes,
     _write_index_digits,
 )
-from flagcka.qops import measure_collapse, projector, random_density_operator, random_unitary, select_outcome
+from flagcka.qops import haar_unitaries, measure_collapse, projector, random_density_operator, select_outcome, tensor
 from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, Strategy, random_projective_strategy
+
+
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def _family(strategy, party, x):
+    """One (party, input) family of a strategy as a dict label -> effect."""
+    return dict(zip(OUTCOME_LABELS, strategy.effects[party][x]))
 
 
 def _rounds(transcript):
@@ -126,8 +136,13 @@ def _layout_rows(n_rounds, seed, gamma=0.2):
 
 def _collapse_outcomes_reference(strategy, inputs, draws):
     """Round by round: each party measures the state its predecessors left with measure_collapse."""
+    def embedded(p, effect):
+        ops = [np.eye(d) for d in strategy.party_dims]
+        ops[p] = effect
+        return tensor(*ops)
+
     effects = [
-        [{label: strategy.effect(p, x, label) for label in strategy.measurements[p][x]} for x in range(N_INPUTS[p])]
+        [{label: embedded(p, e) for label, e in _family(strategy, p, x).items()} for x in range(N_INPUTS[p])]
         for p in range(3)
     ]
     out = np.empty(inputs.shape, dtype=np.intp)
@@ -156,10 +171,10 @@ def test_memoised_collapse_matches_loop_on_a_generic_strategy():
 
     def family():
         u = random_unitary(4, rng)
-        return {label: projector(u[:, i]) for i, label in enumerate(OUTCOME_LABELS)}
+        return [projector(u[:, i]) for i in range(len(OUTCOME_LABELS))]
 
-    measurements = tuple({x: family() for x in range(N_INPUTS[p])} for p in range(3))
-    strategy = Strategy(random_density_operator(64, rng), (4, 4, 4), measurements)
+    effects = tuple(np.array([family() for x in range(N_INPUTS[p])]) for p in range(3))
+    strategy = Strategy(random_density_operator(64, rng), effects)
     inputs, draws = _layout_rows(2000, 3)
     outcomes = _table_outcomes(_collapse_tables(strategy), inputs, draws)
     assert np.array_equal(outcomes, _collapse_outcomes_reference(strategy, inputs, draws))
@@ -176,10 +191,10 @@ def _unequal_dims_strategy(seed):
     def family(d):
         u = random_unitary(d, rng)
         effects = [projector(u[:, i]) for i in range(d)] + [np.zeros((d, d), dtype=complex)] * (4 - d)
-        return {label: effects[i] for label, i in zip(OUTCOME_LABELS, rng.permutation(4))}
+        return [effects[i] for i in rng.permutation(4)]
 
-    measurements = tuple({x: family(d) for x in range(N_INPUTS[p])} for p, d in enumerate(dims))
-    return Strategy(random_density_operator(int(np.prod(dims)), rng), dims, measurements)
+    effects = tuple(np.array([family(d) for x in range(N_INPUTS[p])]) for p, d in enumerate(dims))
+    return Strategy(random_density_operator(int(np.prod(dims)), rng), effects)
 
 
 def test_memoised_collapse_matches_loop_with_unequal_local_dims():
@@ -189,8 +204,8 @@ def test_memoised_collapse_matches_loop_with_unequal_local_dims():
     assert np.array_equal(_table_outcomes(_collapse_tables(strategy), inputs, draws), expected)
     # Each (party, input) picks exactly the labels of its nonzero projectors.
     for p in range(3):
-        for x, family in strategy.measurements[p].items():
-            nonzero = {o for o, label in enumerate(OUTCOME_LABELS) if np.any(family[label])}
+        for x, family in enumerate(strategy.effects[p]):
+            nonzero = {o for o, effect in enumerate(family) if np.any(effect)}
             assert set(expected[inputs[:, p] == x, p].tolist()) == nonzero
 
 
@@ -206,7 +221,6 @@ def test_collapse_measures_reduced_local_states(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the collapse path embedded an operator")
 
-    monkeypatch.setattr(Strategy, "effect", forbidden)
     monkeypatch.setattr(strategies, "tensor", forbidden)
     monkeypatch.setattr(qops, "tensor", forbidden)
     shapes = []
@@ -225,13 +239,34 @@ def test_collapse_measures_reduced_local_states(monkeypatch):
 
 @pytest.mark.parametrize("party, x", [(party, x) for party in range(3) for x in range(N_INPUTS[party])])
 def test_collapse_tables_check_each_family(party, x):
-    # A family spoiled after the strategy was built is caught by the
-    # walk's own stacked check, at any (party, input).
+    # No family can be spoiled after the strategy was built, at any (party,
+    # input): its stack is read-only, and a strategy built from a spoiled
+    # copy is refused.
     strategy = _build_strategy(ProtocolConfig())
-    family = strategy.measurements[party][x]
-    family[(0, 1)] = 1.01 * family[(0, 1)]
+    family = strategy.effects[party][x]
+    with pytest.raises(ValueError, match="read-only"):
+        family[1] = 1.01 * family[1]  # label (0, 1)
+    effects = [np.array(stack) for stack in strategy.effects]
+    effects[party][x, 1] = 1.01 * effects[party][x, 1]
     with pytest.raises(ValueError, match="effects do not sum to identity \\(max deviation"):
-        _collapse_tables(strategy)
+        Strategy(strategy.state, tuple(effects))
+
+
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_backends_read_the_strategy_not_the_callers_arrays(kind):
+    # Swapping two labels' effects keeps a family complete; done to the
+    # arrays the strategy was built from, neither backend may see it.
+    honest = _build_strategy(ProtocolConfig(strategy_kind=kind))
+    state, effects = np.array(honest.state), [np.array(stack) for stack in honest.effects]
+    strategy = Strategy(state, tuple(effects), kind)
+    effects[1][2, [0, 1]] = effects[1][2, [1, 0]]
+    state[:] = np.eye(64) / 64
+    # Rows the walk leaves at zero are of inputs the protocol never draws.
+    tables = zip(_collapse_tables(strategy), _cumulative_tables(strategy), _cumulative_tables(honest))
+    for collapse, table, reference in tables:
+        filled = collapse.any(axis=1)
+        assert filled.any() and np.abs(collapse[filled] - table[filled]).max() <= 1e-12
+        assert np.array_equal(table, reference)
 
 
 def _prefixes(transcript):
@@ -292,13 +327,10 @@ def _behavior_table_per_triple(strategy):
     """The Born table Tr[rho (A (x) B (x) C)], one contraction per input triple."""
     da, db, dc = strategy.party_dims
     rho = strategy.state.reshape(da, db, dc, da, db, dc)
-    stacks = [
-        [np.stack([strategy.measurements[p][x][label] for label in OUTCOME_LABELS]) for x in range(N_INPUTS[p])]
-        for p in range(3)
-    ]
+    alice, bob, carole = strategy.effects
     table = np.empty((2, 3, 3, 4, 4, 4))
     for x, y, z in itertools.product(range(2), range(3), range(3)):
-        p = np.einsum("abcdef,ida,jeb,kfc->ijk", rho, stacks[0][x], stacks[1][y], stacks[2][z], optimize=True)
+        p = np.einsum("abcdef,ida,jeb,kfc->ijk", rho, alice[x], bob[y], carole[z], optimize=True)
         table[x, y, z] = p.real
     return table.reshape(TABLE_SHAPE)
 
@@ -332,12 +364,12 @@ def _rare_outcome_strategy(seed, delta):
     # the cutoff, delta is rounding error, and a walk that followed such
     # outcomes would measure states that are not positive.
     rng = np.random.default_rng(seed)
-    families = random_projective_strategy(seed).measurements
-    product = families[0][0][(0, 0)]
+    effects = random_projective_strategy(seed).effects
+    product = effects[0][0, 0]  # label (0, 0)
     for party in (1, 2):
-        product = np.kron(product, families[party][0][(0, 0)])
+        product = np.kron(product, effects[party][0, 0])
     state = (1 - delta) * product + delta * random_density_operator(64, rng)
-    return Strategy(state, (4, 4, 4), families)
+    return Strategy(state, effects)
 
 
 @pytest.mark.parametrize("delta", [1e-18, 1e-16, 1e-14, 1e-12, 1e-10])

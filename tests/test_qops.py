@@ -9,10 +9,10 @@ from flagcka.qops import (
     born_rows,
     check_effects_complete,
     dagger,
+    haar_unitaries,
     identity,
     is_hermitian,
     measure_collapse,
-    naimark_dilation,
     outcome_distribution,
     partial_trace,
     permute_subsystems,
@@ -21,7 +21,6 @@ from flagcka.qops import (
     projector,
     purify,
     random_density_operator,
-    random_unitary,
     select_outcome,
     sum_deviation,
     tensor,
@@ -67,7 +66,7 @@ def test_outcome_distribution_born_rule():
     # |+> measured in the computational basis: both outcomes 1/2.
     rho = projector(plus_ket())
     effects = {0: projector(basis_ket(2, 0)), 1: projector(basis_ket(2, 1))}
-    assert check_effects_complete([effects]).shape == (1, 2, 2, 2)
+    assert check_effects_complete([[effects[0], effects[1]]]).shape == (1, 2, 2, 2)
     dist = outcome_distribution(rho, effects)
     assert dist[0] == pytest.approx(0.5)
     assert dist[1] == pytest.approx(0.5)
@@ -235,24 +234,9 @@ def test_trace_distance():
     assert trace_distance(r0, identity(2) / 2) == pytest.approx(0.5)
 
 
-def test_naimark_dilation_preserves_statistics():
-    rng = np.random.default_rng(11)
-    rho = random_density_operator(2, rng)
-    # A three-outcome qubit POVM (trine), not projective.
-    kets = [basis_ket(2, 0)]
-    for angle in (2 * np.pi / 3, 4 * np.pi / 3):
-        kets.append(np.array([np.cos(angle / 2), np.sin(angle / 2)]))
-    effects = {k: 2.0 / 3.0 * projector(ket) for k, ket in enumerate(kets)}
-    assert check_effects_complete([effects]).shape == (1, 3, 2, 2)
-    original = outcome_distribution(rho, effects)
-
-    isometry, dilated = naimark_dilation(effects)
-    big_rho = isometry @ rho @ dagger(isometry)
-    lifted = outcome_distribution(big_rho, dilated)
-    for k in effects:
-        assert lifted[k] == pytest.approx(original[k], abs=1e-10)
-        proj = dilated[k]
-        np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
 def test_random_unitary_is_unitary():
@@ -321,17 +305,22 @@ def test_born_rows_checks_each_row_as_outcome_distribution_does(fault, bad_row):
 
 
 def test_check_effects_complete_checks_every_family():
-    family = dict(enumerate(_computational_family()))
+    family = np.array(_computational_family())
     stack = check_effects_complete([family] * 5)
     assert stack.shape == (5, 4, 2, 2)
     assert np.array_equal(stack[3], _computational_family())
     for bad in range(5):
-        families = [family] * 5
-        families[bad] = {**family, 1: 1.01 * family[1]}
+        families = np.array([family] * 5)
+        families[bad, 1] = 1.01 * family[1]
         with pytest.raises(ValueError, match="max deviation 1.000e-02"):
             check_effects_complete(families)
-    with pytest.raises(ValueError, match="does not match dimension"):
-        check_effects_complete([family, {**family, 3: np.zeros((3, 3))}])
+    with pytest.raises(ValueError, match="effects must be square, got shape \\(2, 3\\)"):
+        check_effects_complete(np.zeros((2, 4, 2, 3)))
+    with pytest.raises(ValueError, match="measurement family is empty"):
+        check_effects_complete(np.zeros((2, 0, 2, 2)))
+    # Effects of different dimensions make no stack: numpy refuses the ragged list.
+    with pytest.raises(ValueError):
+        check_effects_complete([[*family[:3], np.zeros((3, 3))]])
 
 
 def test_born_rows_rejects_nan():
@@ -358,8 +347,8 @@ def test_born_rows_rejects_nan():
 def test_effects_off_the_identity_by_4e_6_are_incomplete():
     family = {0: np.diag([1.0, 0.0]), 1: np.diag([4e-6, 1.0])}
     with pytest.raises(ValueError, match=r"^effects do not sum to identity \(max deviation 4\.000e-06\)$"):
-        check_effects_complete([family])
-    check_effects_complete([{0: np.diag([1.0, 0.0]), 1: np.diag([1e-13, 1.0])}])
+        check_effects_complete([list(family.values())])
+    check_effects_complete([[np.diag([1.0, 0.0]), np.diag([1e-13, 1.0])]])
 
 
 def test_is_hermitian_sees_an_off_diagonal_gap_of_3e_6():

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from flagcka.qops import basis_ket, identity, partial_trace, phi_plus, plus_ket, projector, random_unitary, tensor
+from flagcka.qops import basis_ket, haar_unitaries, identity, partial_trace, phi_plus, plus_ket, projector, tensor
 from flagcka.strategies import (
     ALICE_OBSERVABLES,
     N_INPUTS,
@@ -22,6 +24,17 @@ from flagcka.strategies import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    return haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def _flag_projector(strategy, party, x, t):
+    """Local coarse-graining sum_a M_{(a,t)|x} of one party's family."""
+    family = dict(zip(OUTCOME_LABELS, strategy.effects[party][x]))
+    return family[(0, t)] + family[(1, t)]
 
 
 def test_observables_square_to_identity():
@@ -90,8 +103,7 @@ def test_honest_measurements_are_projective_and_complete():
         n_inputs = (2, 3, 3)[party]
         for x in range(n_inputs):
             total = np.zeros((4, 4), dtype=complex)
-            for label in OUTCOME_LABELS:
-                e = s.measurements[party][x][label]
+            for e in s.effects[party][x]:
                 np.testing.assert_allclose(e @ e, e, atol=1e-12)
                 total += e
             np.testing.assert_allclose(total, identity(4), atol=1e-12)
@@ -99,9 +111,10 @@ def test_honest_measurements_are_projective_and_complete():
 
 def test_flag_projector_sums_effects():
     s = honest_flagged_strategy()
-    pi0 = s.flag_projector(1, 2, 0)
-    expected = s.measurements[1][2][(0, 0)] + s.measurements[1][2][(1, 0)]
+    pi0 = _flag_projector(s, 1, 2, 0)
+    expected = s.effects[1][2, OUTCOME_LABELS.index((0, 0))] + s.effects[1][2, OUTCOME_LABELS.index((1, 0))]
     np.testing.assert_allclose(pi0, expected, atol=1e-15)
+    np.testing.assert_allclose(pi0, tensor(identity(2), projector(basis_ket(2, 0))), atol=1e-15)
 
 
 def test_constant_flag_strategy_sits_in_one_sector():
@@ -133,18 +146,11 @@ def test_parallel_strategy_structure():
 def test_strategy_validation_rejects_garbage():
     s = honest_flagged_strategy()
     with pytest.raises(ValueError):
-        Strategy(
-            state=np.eye(64) / 63.9,  # trace != 1
-            party_dims=s.party_dims,
-            measurements=s.measurements,
-            kind=s.kind,
-        )
-    bad_meas = [dict(m) for m in s.measurements]
-    bad_meas[0] = dict(bad_meas[0])
-    bad_meas[0][0] = dict(bad_meas[0][0])
-    bad_meas[0][0][(0, 0)] = np.eye(4) * 0.5  # breaks completeness
+        Strategy(state=np.eye(64) / 63.9, effects=s.effects, kind=s.kind)  # trace != 1
+    bad_effects = [np.array(e) for e in s.effects]
+    bad_effects[0][0, OUTCOME_LABELS.index((0, 0))] = np.eye(4) * 0.5  # breaks completeness
     with pytest.raises(ValueError):
-        Strategy(state=s.state, party_dims=s.party_dims, measurements=tuple(bad_meas), kind=s.kind)
+        Strategy(state=s.state, effects=tuple(bad_effects), kind=s.kind)
 
 
 def test_random_projective_strategy_keeps_flag_sectors():
@@ -156,10 +162,10 @@ def test_random_projective_strategy_keeps_flag_sectors():
         flags = partial_trace(s.state, dims, keep=(1, 3, 5))
         np.testing.assert_allclose(np.diag(flags).real, [0.5, 0, 0, 0, 0, 0, 0, 0.5], atol=1e-10)
         for party in range(3):
-            for x, effects in s.measurements[party].items():
-                total = sum(effects.values())
+            for effects in s.effects[party]:
+                total = sum(effects)
                 np.testing.assert_allclose(total, identity(4), atol=1e-10)
-                for e in effects.values():
+                for e in effects:
                     np.testing.assert_allclose(e @ e, e, atol=1e-10)
 
 
@@ -169,9 +175,9 @@ def test_random_projective_strategy_is_seeded():
     b = random_projective_strategy(42)
     c = random_projective_strategy(43)
     np.testing.assert_allclose(a.state, b.state, atol=0)
-    key = (0, 0)
-    np.testing.assert_allclose(a.measurements[0][0][key], b.measurements[0][0][key], atol=0)
-    assert not np.allclose(a.measurements[0][0][key], c.measurements[0][0][key])
+    key = OUTCOME_LABELS.index((0, 0))
+    np.testing.assert_allclose(a.effects[0][0, key], b.effects[0][0, key], atol=0)
+    assert not np.allclose(a.effects[0][0, key], c.effects[0][0, key])
 
 
 def test_strategy_json_roundtrip():
@@ -183,14 +189,8 @@ def test_strategy_json_roundtrip():
         assert back.party_dims == s.party_dims
         np.testing.assert_allclose(back.state, s.state, atol=1e-15)
         for party in range(3):
-            assert set(back.measurements[party]) == set(s.measurements[party])
-            for x in s.measurements[party]:
-                for label in s.measurements[party][x]:
-                    np.testing.assert_allclose(
-                        back.measurements[party][x][label],
-                        s.measurements[party][x][label],
-                        atol=1e-15,
-                    )
+            assert back.effects[party].shape == s.effects[party].shape
+            np.testing.assert_allclose(back.effects[party], s.effects[party], atol=1e-15)
 
 
 # Reference builders: the measurement families as first written, one
@@ -249,11 +249,11 @@ _BUILDER_CASES = {
 def test_stacked_builders_match_tensor_reference(case):
     s, ref = _BUILDER_CASES[case]()
     for party in range(3):
-        assert list(s.measurements[party]) == list(ref[party])
+        assert list(range(len(s.effects[party]))) == list(ref[party])
         for x, effects in ref[party].items():
-            assert list(s.measurements[party][x]) == list(effects) == list(OUTCOME_LABELS)
-            for label, e in effects.items():
-                np.testing.assert_allclose(s.measurements[party][x][label], e, rtol=0, atol=0)
+            assert s.effects[party].shape[1] == len(effects) and list(effects) == list(OUTCOME_LABELS)
+            for n, e in enumerate(effects.values()):
+                np.testing.assert_allclose(s.effects[party][x, n], e, rtol=0, atol=0)
 
 
 _FAMILY_SLOTS = [(party, x) for party in range(3) for x in range(N_INPUTS[party])]
@@ -264,10 +264,10 @@ def test_one_incomplete_family_fails_the_strategy(party, x):
     # Each party's families are checked complete together; a bad family
     # at any (party, input) must still be caught.
     honest = honest_flagged_strategy()
-    measurements = tuple({y: dict(family) for y, family in families.items()} for families in honest.measurements)
-    measurements[party][x][(1, 1)] = 1.01 * measurements[party][x][(1, 1)]
+    effects = [np.array(stack) for stack in honest.effects]
+    effects[party][x, 3] = 1.01 * effects[party][x, 3]  # label (1, 1)
     with pytest.raises(ValueError, match="effects do not sum to identity \\(max deviation"):
-        Strategy(honest.state, honest.party_dims, measurements)
+        Strategy(honest.state, tuple(effects))
 
 
 @pytest.mark.parametrize("bad", range(3))
@@ -290,11 +290,11 @@ def test_observable_squared_off_by_8e_6_is_rejected():
 
 def test_family_off_the_identity_by_4e_6_fails_the_strategy():
     honest = honest_flagged_strategy()
-    measurements = tuple({y: dict(family) for y, family in families.items()} for families in honest.measurements)
+    effects = [np.array(stack) for stack in honest.effects]
     # Alice's (1, 1) effect at input 0 is |1><1| (x) |1><1|, diagonal entry 3.
-    measurements[0][0][(1, 1)] = measurements[0][0][(1, 1)] + 4e-6 * projector(basis_ket(4, 3))
+    effects[0][0, 3] = effects[0][0, 3] + 4e-6 * projector(basis_ket(4, 3))
     with pytest.raises(ValueError, match=r"effects do not sum to identity \(max deviation 4\.000e-06\)"):
-        Strategy(honest.state, honest.party_dims, measurements)
+        Strategy(honest.state, tuple(effects))
 
 
 @pytest.mark.parametrize("seeds", [[], [0], [5, 1, 5], list(range(100, 113))])
@@ -304,4 +304,86 @@ def test_random_effects_stack_each_seeds_strategy(seeds):
     for k, seed in enumerate(seeds):
         s = random_projective_strategy(seed)
         for party in range(3):
-            assert np.array_equal(stacks[party][k], s.effect_stacks[party])
+            assert np.array_equal(stacks[party][k], s.effects[party])
+
+
+def test_strategy_arrays_are_read_only():
+    s = honest_flagged_strategy()
+    for party in range(3):
+        with pytest.raises(ValueError, match="read-only"):
+            s.effects[party][0, 0] = s.effects[party][0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        s.state[0, 0] = 0.0
+    # What the purification was computed from cannot change under it.
+    psi = s.purification
+    assert not psi.flags.writeable
+    assert np.array_equal(s.purification, psi)
+
+
+def test_strategy_copies_what_the_caller_passed():
+    honest = honest_flagged_strategy()
+    state, effects = np.array(honest.state), [np.array(stack) for stack in honest.effects]
+    s = Strategy(state, tuple(effects))
+    # Swapping two labels keeps each family complete; the strategy must not see it.
+    effects[1][2, [0, 1]] = effects[1][2, [1, 0]]
+    state[:] = np.eye(64) / 64
+    assert all(np.array_equal(a, b) for a, b in zip(s.effects, honest.effects))
+    assert np.array_equal(s.state, honest.state)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((3, 4, 4, 4), "party 0 effects must be \\(2, 4, d, d\\), got shape \\(3, 4, 4, 4\\)"),
+        ((2, 3, 4, 4), "party 0 effects must be \\(2, 4, d, d\\)"),
+        ((2, 4, 4), "party 0 effects must be \\(2, 4, d, d\\)"),
+        ((2, 4, 4, 3), "effects must be square, got shape \\(4, 3\\)"),
+    ],
+)
+def test_effect_stack_of_the_wrong_shape_is_rejected(shape, message):
+    honest = honest_flagged_strategy()
+    with pytest.raises(ValueError, match=message):
+        Strategy(honest.state, (np.zeros(shape), *honest.effects[1:]))
+
+
+def test_local_dimensions_that_disagree_with_the_state_are_rejected():
+    honest = honest_flagged_strategy()
+    # Carole's effects of dimension 2 make 4 * 4 * 2 = 32 against a 64 x 64 state.
+    carole = np.broadcast_to(np.eye(2) / 4, (3, 4, 2, 2))
+    with pytest.raises(ValueError, match="does not match party_dims \\(4, 4, 2\\)"):
+        Strategy(honest.state, (*honest.effects[:2], carole))
+
+
+def _edited_json(edit):
+    doc = json.loads(strategy_to_json(honest_flagged_strategy()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("state"), "lacks \\['state'\\]"),
+        (lambda doc: doc.pop("measurements"), "lacks \\['measurements'\\]"),
+        (lambda doc: doc.pop("kind"), "lacks \\['kind'\\]"),
+        (lambda doc: doc.update(party_dims=[2, 8, 4]), "party_dims \\[2, 8, 4\\] contradict"),
+        (lambda doc: doc["measurements"][0].pop("1"), "party 0 must define exactly the inputs"),
+        (lambda doc: doc["measurements"][1].update({"3": doc["measurements"][1]["0"]}), "party 1 must define exactly the inputs"),
+        (lambda doc: doc["measurements"][2]["2"].pop("1,1"), "party 2 input 2 must define exactly the labels"),
+        (lambda doc: doc["measurements"][2]["0"].update({"2,0": doc["measurements"][2]["0"]["0,0"]}), "party 2 input 0"),
+        (lambda doc: doc["measurements"].pop(), "exactly three parties"),
+        (lambda doc: doc["state"][0].__setitem__(0, 0.5), "matrix entries must be \\[re, im\\] pairs"),
+        (lambda doc: doc["measurements"][0]["1"]["0,1"][2].__setitem__(1, ["0", 0]), "matrix entries must be"),
+    ],
+)
+def test_strategy_json_from_elsewhere_is_checked(edit, message):
+    with pytest.raises(ValueError, match=message):
+        strategy_from_json(_edited_json(edit))
+
+
+def test_strategy_json_text_is_keyed_by_input_and_label():
+    doc = json.loads(strategy_to_json(honest_parallel_strategy()))
+    assert list(doc) == ["kind", "party_dims", "state", "measurements"]
+    assert [list(families) for families in doc["measurements"]] == [["0", "1"], ["0", "1", "2"], ["0", "1", "2"]]
+    for families in doc["measurements"]:
+        assert all(list(effects) == ["0,0", "0,1", "1,0", "1,1"] for effects in families.values())
