@@ -195,13 +195,7 @@ def _info(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flagcka", description="Flag-based conference key agreement toolkit")
-    parser.add_argument("--version", action="version", version=f"flagcka {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sim = sub.add_parser("simulate", help="run the seven-step protocol")
-    _add_common(sim)
+def _simulate_args(sim):
     sim.add_argument("--config", help="run config JSON file")
     sim.add_argument("--rounds", type=int, dest="n_rounds", metavar="ROUNDS")
     sim.add_argument("--gamma", type=float, help="test round probability")
@@ -215,41 +209,62 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--transcript", help="write per-round records as JSON lines")
     sim.add_argument("--keys-dir", dest="keys_dir", help="write one key file per party")
     # No --seed means the config file's seed (or the config default), not 0.
-    sim.set_defaults(func=_simulate, seed=None)
+    sim.set_defaults(seed=None)
 
-    rates = sub.add_parser("rates", help="asymptotic rate report for a behavior")
-    _add_common(rates)
+
+def _rates_args(rates):
     rates.add_argument("behavior", help="behavior JSON file")
     rates.add_argument("--method", choices=tuple(_METHODS), default="vn")
     rates.add_argument("--mode", choices=tuple(_MODES), default="two-scores")
-    rates.set_defaults(func=_rates)
 
-    curve = sub.add_parser("curve", help="entropy bound vs Bell value")
-    _add_common(curve)
+
+def _curve_args(curve):
     curve.add_argument("--method", choices=tuple(_METHODS), default="vn")
     curve.add_argument("--mode", choices=tuple(_MODES), default="two-scores")
     curve.add_argument("--points", type=int, default=101)
-    curve.set_defaults(func=_curve)
 
-    lb = sub.add_parser("local-bound", help="exact classical maximum by enumeration")
-    _add_common(lb)
-    lb.set_defaults(func=_local_bound)
 
-    verify = sub.add_parser("verify", help="run the proof check suites")
-    _add_common(verify)
+def _verify_args(verify):
     verify.add_argument("--suite", choices=("sos", "lemma", "tsirelson", "decoupling", "all"), default="all")
     verify.add_argument("--seeds", type=int, default=5, help="number of randomized strategies")
-    verify.set_defaults(func=_verify)
 
-    info = sub.add_parser("info", help="scenario facts and reference constants")
-    _add_common(info)
-    info.set_defaults(func=_info)
+
+# name -> (handler, help, adds the command's own arguments after _add_common)
+_COMMANDS = {
+    "simulate": (_simulate, "run the seven-step protocol", _simulate_args),
+    "rates": (_rates, "asymptotic rate report for a behavior", _rates_args),
+    "curve": (_curve, "entropy bound vs Bell value", _curve_args),
+    "local-bound": (_local_bound, "exact classical maximum by enumeration", lambda sub: None),
+    "verify": (_verify, "run the proof check suites", _verify_args),
+    "info": (_info, "scenario facts and reference constants", lambda sub: None),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    A command's own parse is the same either way: `main` builds only the
+    command its first argument names, because building all six costs
+    more than most commands' own work.
+    """
+    parser = _Parser(prog="flagcka", description="Flag-based conference key agreement toolkit")
+    parser.add_argument("--version", action="version", version=f"flagcka {__version__}")
+    # The full choice list as metavar keeps the top-level usage line the
+    # same; the full parser keeps the default so errors name "command".
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name, (func, help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            cmd = sub.add_parser(name, help=help_text)
+            _add_common(cmd)
+            add_arguments(cmd)
+            cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

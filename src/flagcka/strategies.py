@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .qops import (
+    ATOL_OPERATOR,
     PAULI_X,
     PAULI_Z,
     SQRT2,
@@ -84,7 +85,8 @@ class Strategy:
     positive effects of that party's family in OUTCOME_LABELS order, each
     family summing to the local identity. kind is "flagged" (labels are
     (value, flag)) or "parallel" (labels are the two per-pair value bits).
-    The state and the stacks are checked once and kept as read-only copies.
+    The state and the stacks are checked once (shapes, completeness, each
+    effect Hermitian and positive) and kept as read-only copies.
     """
 
     state: np.ndarray
@@ -101,6 +103,7 @@ class Strategy:
             if stack.ndim != 4 or stack.shape[:2] != (N_INPUTS[party], len(OUTCOME_LABELS)):
                 raise ValueError(f"party {party} effects must be ({N_INPUTS[party]}, 4, d, d), got shape {stack.shape}")
             check_effects_complete(stack)
+            _check_effects_positive(party, stack)
         object.__setattr__(self, "effects", stacks)
         state = assert_density_operator(np.array(self.state, dtype=complex), name="strategy state")
         dim = math.prod(self.party_dims)
@@ -121,6 +124,21 @@ class Strategy:
         psi = purify(self.state)
         psi.flags.writeable = False
         return psi
+
+
+def _check_effects_positive(party: int, stack: np.ndarray) -> None:
+    """Raise unless every effect of one party's (inputs, 4, d, d) stack is
+    Hermitian with no eigenvalue below -ATOL_OPERATOR (one eigvalsh call)."""
+    skew = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(stack)[..., 0]
+    bad = np.argwhere((skew > ATOL_OPERATOR) | (lowest < -ATOL_OPERATOR))
+    if bad.size:
+        x, k = bad[0]
+        if skew[x, k] > ATOL_OPERATOR:
+            why = f"is not Hermitian (deviation {skew[x, k]:.3e})"
+        else:
+            why = f"is not positive (eigenvalue {lowest[x, k]:.3e})"
+        raise ValueError(f"party {party} input {x} label {OUTCOME_LABELS[k]}: effect {why}")
 
 
 def binary_observable_effects(obs: np.ndarray) -> dict[int, np.ndarray]:

@@ -9,7 +9,8 @@ import pytest
 
 from flagcka.bell import behavior_from_strategy, behavior_to_json
 from flagcka.checks import VERIFY_CHUNK
-from flagcka.cli import _SLICE, _emit, main
+from flagcka import __version__, cli
+from flagcka.cli import _COMMANDS, _SLICE, _emit, build_parser, main
 from flagcka.strategies import NoiseParams, honest_flagged_strategy
 
 
@@ -279,3 +280,110 @@ def test_emit_writes_the_text_in_bounded_slices(tmp_path, monkeypatch):
     _emit(text, argparse.Namespace(format="json", output=None))
     assert sys.stdout.getvalue() == text + "\n"
     assert max(sizes) == _SLICE and sum(sizes) == len(text) + 1
+
+
+# Per command: argv lists on the defaults and with every option of the command.
+_PARSES = [
+    ["simulate"],
+    [
+        "simulate", "--seed", "3", "--output", "o.json", "--format", "csv", "--config", "c.json", "--rounds", "10",
+        "--gamma", "0.3", "--threshold", "2.5", "--alignment-fraction", "0.1", "--alignment-floor", "0.2",
+        "--strategy", "parallel", "--visibility", "0.9", "--backend", "collapse", "--tamper", "flag-flip:0.01",
+        "--transcript", "t.jsonl", "--keys-dir", "keys",
+    ],
+    ["rates", "b.json"],
+    ["rates", "b.json", "--method", "minH", "--mode", "one-score", "--seed", "2", "--format", "csv"],
+    ["curve"],
+    ["curve", "--method", "minH", "--mode", "one-score", "--points", "7", "--output", "c.csv", "--format", "csv"],
+    ["local-bound"],
+    ["local-bound", "--seed", "1", "--output", "lb.json", "--format", "csv"],
+    ["verify"],
+    ["verify", "--suite", "lemma", "--seeds", "9", "--seed", "4", "--format", "csv"],
+    ["info"],
+    ["info", "--seed", "8", "--output", "i.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSES, ids=" ".join)
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    one = build_parser(argv[0]).parse_args(argv)
+    assert vars(one) == vars(build_parser().parse_args(argv))
+    assert one.func is _COMMANDS[argv[0]][0]
+
+
+def test_simulate_seed_defaults_to_none_in_the_one_command_parser():
+    assert build_parser("simulate").parse_args(["simulate"]).seed is None
+    assert build_parser("verify").parse_args(["verify"]).seed == 0
+
+
+def _parse_output(parser, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_prints_the_same_help(command, capsys):
+    result = _parse_output(build_parser(command), [command, "--help"], capsys)
+    assert result == _parse_output(build_parser(), [command, "--help"], capsys)
+    assert result[0] == 0 and result[1].startswith(f"usage: flagcka {command} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rounds", "many"],
+        ["verify", "--suite", "everything"],
+        ["curve", "--method", "exact"],
+        ["rates"],
+        # Reported by the top-level parser, whose usage line names every command.
+        ["info", "--bogus"],
+        ["local-bound", "extra"],
+    ],
+    ids=" ".join,
+)
+def test_one_command_parser_reports_the_same_usage_error(argv, capsys):
+    result = _parse_output(build_parser(argv[0]), argv, capsys)
+    assert result == _parse_output(build_parser(), argv, capsys)
+    assert result[0] == 1 and result[1] == ""
+    assert "usage: flagcka" in result[2] and "error:" in result[2]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1 and capsys.readouterr().err == result[2]
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["flagcka", "local-bound", "--format", "csv"])
+    assert main() == 0
+    assert "max_value,2.0" in capsys.readouterr().out.splitlines()
+
+
+def test_main_builds_only_the_parser_of_the_command_it_runs(monkeypatch, capsys):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert main(["info"]) == 0
+    assert built == ["flagcka", "flagcka info"]
+
+
+def test_top_level_help_version_and_unknown_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert err.value.code == 0
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ") and line.split()[0] in _COMMANDS]
+    assert listed == ["simulate", "rates", "curve", "local-bound", "verify", "info"]
+    assert "{simulate,rates,curve,local-bound,verify,info}" in out
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0 and capsys.readouterr().out == f"flagcka {__version__}\n"
+    with pytest.raises(SystemExit) as err:
+        main(["frobnicate"])
+    assert err.value.code == 1
+    assert "argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err

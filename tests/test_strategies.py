@@ -354,6 +354,14 @@ def test_local_dimensions_that_disagree_with_the_state_are_rejected():
         Strategy(honest.state, (*honest.effects[:2], carole))
 
 
+def _not_positive(doc):
+    """+I/2 on label (0, 0) and -I/2 on (1, 1) of Carole's input 1: still complete."""
+    families = doc["measurements"][2]["1"]
+    for i in range(len(families["0,0"])):
+        families["0,0"][i][i][0] += 0.5
+        families["1,1"][i][i][0] -= 0.5
+
+
 def _edited_json(edit):
     doc = json.loads(strategy_to_json(honest_flagged_strategy()))
     edit(doc)
@@ -374,6 +382,7 @@ def _edited_json(edit):
         (lambda doc: doc["measurements"].pop(), "exactly three parties"),
         (lambda doc: doc["state"][0].__setitem__(0, 0.5), "matrix entries must be \\[re, im\\] pairs"),
         (lambda doc: doc["measurements"][0]["1"]["0,1"][2].__setitem__(1, ["0", 0]), "matrix entries must be"),
+        (_not_positive, "party 2 input 1 label \\(1, 1\\): effect is not positive"),
     ],
 )
 def test_strategy_json_from_elsewhere_is_checked(edit, message):
@@ -387,3 +396,35 @@ def test_strategy_json_text_is_keyed_by_input_and_label():
     assert [list(families) for families in doc["measurements"]] == [["0", "1"], ["0", "1", "2"], ["0", "1", "2"]]
     for families in doc["measurements"]:
         assert all(list(effects) == ["0,0", "0,1", "1,0", "1,1"] for effects in families.values())
+
+
+def _alice_moved(x, to, away, delta):
+    """The honest strategy's state and effects, with delta moved from one
+    label of Alice's input x to another: every family still sums to I."""
+    honest = honest_flagged_strategy()
+    alice = np.array(honest.effects[0])
+    alice[x, to] += delta
+    alice[x, away] -= delta
+    return honest.state, (alice, *honest.effects[1:])
+
+
+_EYE = np.eye(4)
+_UPPER = np.triu(np.ones((4, 4)), 1)
+
+
+@pytest.mark.parametrize(
+    "x, to, away, delta, message",
+    [
+        (0, 0, 3, _EYE / 2, "party 0 input 0 label \\(1, 1\\): effect is not positive \\(eigenvalue -5.000e-01\\)"),
+        (1, 1, 0, 1e-11 * _EYE, "party 0 input 1 label \\(0, 0\\): effect is not positive"),
+        # eigvalsh reads one triangle only: this shift leaves the lower one alone.
+        (1, 2, 1, 1e-3 * _UPPER, "party 0 input 1 label \\(0, 1\\): effect is not Hermitian"),
+    ],
+)
+def test_effects_that_are_not_positive_are_rejected(x, to, away, delta, message):
+    with pytest.raises(ValueError, match=message):
+        Strategy(*_alice_moved(x, to, away, delta))
+
+
+def test_effects_negative_within_the_tolerance_are_accepted():
+    Strategy(*_alice_moved(1, 1, 0, 1e-13 * _EYE))
