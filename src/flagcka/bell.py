@@ -4,25 +4,21 @@ Alice chooses from two inputs, Bob and Carole from three; every party
 outputs a pair of bits. A behavior is the full conditional table
 p(outputs | inputs), stored dense with axes (x, y, z, a, ta, b, tb, c, tc).
 
-Each strategy kind's Bell functional is a sum of two CHSH blocks, and it
-is stored once: BELL_FUNCTIONALS[kind].coeffs is a tensor of shape
-(2, *TABLE_SHAPE) whose slice k holds block k's coefficient on every cell
-of the table. A block's value is the full contraction of its slice with
-the table; the functional is linear in the behavior. Term (x, w, a, b) of
-a block, with x Alice's input, w the partner's input and a, b the two
-bits compared, carries the CHSH sign (-1)^(a + b + x*w):
-
-  flagged   ab_t0    Alice's and Bob's values on cells where all three
-                     flags read 0; Carole's value is summed out
-            ac_t1    Alice's and Carole's values, all three flags 1
-  parallel  pair_ab  Alice's and Bob's first bits; the rest summed out
-            pair_ac  Alice's and Carole's second bits
-
-Cells with disagreeing flags carry no coefficient in the flagged tensor,
-so that mass can only lower the value. The same tensors give the values
-(bell_value, parallel_bell_value), the standard error of an estimate
-(bell_value_stderr) and the local bound by enumeration
-(local_bound_bruteforce).
+Each strategy kind's Bell functional is a sum of two CHSH blocks, one per
+pairwise key, Alice-Bob and Alice-Carole. `_BLOCK_CELLS` is the one table
+of the cells each block reads, and so of which rounds and bits feed each
+key: flagged blocks gate on all three flags reading 0 (ab_t0) or 1
+(ac_t1) and compare the values, parallel blocks (pair_ab, pair_ac)
+compare the first or the second bits. Term (x, w, a, b) of a block, with
+x Alice's input, w the partner's and a, b the two bits compared, carries
+the CHSH sign (-1)^(a + b + x*w). Its readers: BELL_FUNCTIONALS[kind].coeffs,
+a (2, *TABLE_SHAPE) tensor whose slice k holds block k's coefficient on
+every cell (the values, bell_value_stderr and local_bound_bruteforce
+contract it); the branch weights of flag_stats and bell_value;
+protocol's route tables; rates.conditional_entropy_classical; and the
+branches of checks, extract_conditional_behavior included. Cells with
+disagreeing flags carry no coefficient, so that mass can only lower the
+value.
 
 Each block pools over the third party's (the spectator's) test inputs:
 a term reads the cells at spectator input 0 and at 1, with half its sign
@@ -80,7 +76,9 @@ _COUNT_ROWS = 1 << 16
 
 # Per kind and block, the table cells read by CHSH term (x, w, a, b) at
 # spectator input s, one entry per table axis: a term letter, a fixed
-# index, or ":" to sum out.
+# index, or ":" to sum out. The partner's input axis "w" is its party
+# index, the fixed indices are the flags the block gates on, and the "a"
+# and "b" axes hold Alice's and the partner's key bit.
 _BLOCK_CELLS = {
     "flagged": {
         "ab_t0": ("x", "w", "s", "a", 0, "b", 0, ":", 0),
@@ -91,6 +89,24 @@ _BLOCK_CELLS = {
         "pair_ac": ("x", "s", "w", ":", "a", ":", ":", ":", "b"),
     },
 }
+# Per kind, pair ("ab", "ac") -> its block's cells; per flagged branch t,
+# the cells of the block that gates Alice's flag (axis 4) on t.
+_PAIR_CELLS = {kind: {"a" + "abc"[c.index("w")]: c for c in blocks.values()} for kind, blocks in _BLOCK_CELLS.items()}
+_BRANCH_CELLS = {cells[4]: cells for cells in _BLOCK_CELLS["flagged"].values()}
+
+
+def _gate(cells: tuple) -> tuple:
+    """A block's index on the outcome axes (a, ta, b, tb, c, tc): its
+    fixed flags, every other axis whole."""
+    return tuple(v if isinstance(v, int) else slice(None) for v in cells[3:])
+
+
+def _pair_joint(table: np.ndarray, cells: tuple) -> np.ndarray:
+    """p(a, b | x, y, z) on a block's cells: a (2, 3, 3, 2, 2) array over
+    the inputs and Alice's and the partner's key bit, the block's other
+    bits summed out."""
+    kept = [v for v in cells[3:] if not isinstance(v, int)]
+    return table[(..., *_gate(cells))].sum(axis=tuple(3 + i for i, v in enumerate(kept) if v == ":"))
 
 
 def _chsh_tensors() -> dict:
@@ -232,10 +248,6 @@ def deterministic_behavior(alice: dict, bob: dict, carole: dict) -> Behavior:
     return Behavior(table)
 
 
-def _all_flags_mass(table: np.ndarray, x: int, y: int, z: int, t: int) -> float:
-    return float(table[x, y, z, :, t, :, t, :, t].sum())
-
-
 def flag_stats(behavior: Behavior) -> FlagStats:
     """Branch weights read at inputs (0,0,0) after an input-independence check.
 
@@ -244,9 +256,8 @@ def flag_stats(behavior: Behavior) -> FlagStats:
     have no well-defined branch weights.
     """
     t = behavior.table
-    agree = np.empty((2, 3, 3, 2))
-    for ft in (0, 1):
-        agree[..., ft] = t[:, :, :, :, ft, :, ft, :, ft].sum(axis=(3, 4, 5))
+    # Per input triple and branch, the mass of the branch block's cells.
+    agree = np.stack([t[(..., *_gate(cells))].sum(axis=(3, 4, 5)) for cells in _BRANCH_CELLS.values()], axis=-1)
     agreement = agree.sum(axis=-1)
     if float(np.ptp(agreement)) > 1e-9:
         raise ValueError(f"flag agreement probability varies with inputs by {np.ptp(agreement):.3e}")
@@ -271,8 +282,7 @@ def bell_value(behavior: Behavior) -> BellReport:
     """
     t = behavior.table
     ab, ac = BELL_FUNCTIONALS["flagged"].block_values(t).tolist()
-    p0 = _all_flags_mass(t, 0, 0, 0, 0)
-    p1 = _all_flags_mass(t, 0, 0, 0, 1)
+    p0, p1 = (float(t[(0, 0, 0, *_gate(cells))].sum()) for cells in _BRANCH_CELLS.values())
     return BellReport(
         chsh_ab_t0=ab,
         chsh_ac_t1=ac,
@@ -406,30 +416,22 @@ def bell_value_stderr(estimate: BehaviorEstimate, kind: str = "flagged") -> floa
     return math.sqrt(float((np.maximum(second - mean * mean, 0.0)[used] / totals[used]).sum()))
 
 
-def behavior_to_json(behavior: Behavior) -> str:
-    doc = {}
-    t = behavior.table
-    for x in range(2):
-        for y in range(3):
-            for z in range(3):
-                cell = {}
-                for a in (0, 1):
-                    for ta in (0, 1):
-                        for b in (0, 1):
-                            for tb in (0, 1):
-                                for c in (0, 1):
-                                    for tc in (0, 1):
-                                        key = f"{a} {ta} {b} {tb} {c} {tc}"
-                                        cell[key] = float(t[x, y, z, a, ta, b, tb, c, tc])
-                doc[f"{x},{y},{z}"] = cell
-    return json.dumps(doc)
-
-
 # Key of each input triple and of each outcome in behavior JSON, mapped to
 # its offset in a flattened TABLE_SHAPE table.
 _CELL_SIZE = math.prod(TABLE_SHAPE[3:])
 _TRIPLE_OFFSETS = {",".join(map(str, k)): _CELL_SIZE * i for i, k in enumerate(np.ndindex(TABLE_SHAPE[:3]))}
 _OUTCOME_OFFSETS = {" ".join(map(str, k)): i for i, k in enumerate(np.ndindex(TABLE_SHAPE[3:]))}
+
+
+def behavior_to_json(behavior: Behavior) -> str:
+    """The table as an object keyed by input triple 'x,y,z', each an object
+    keyed by outcome 'a ta b tb c tc', both in C order."""
+    flat = behavior.table.ravel().tolist()
+    doc = {
+        triple: {key: flat[base + offset] for key, offset in _OUTCOME_OFFSETS.items()}
+        for triple, base in _TRIPLE_OFFSETS.items()
+    }
+    return json.dumps(doc)
 
 
 def behavior_from_json(text: str) -> Behavior:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import CHSH_QUANTUM_MAX, behavior_from_strategy
+from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _pair_joint, behavior_from_strategy
 from .qops import ATOL_OPERATOR, SQRT2, identity, kron_stack, partial_trace, sum_deviation, trace_distance, von_neumann_entropy
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
 
@@ -53,7 +53,6 @@ __all__ = [
 ATOL_IDENTITY = 1e-10
 ATOL_STATE = 1e-10
 
-_PAIRS = (("ab", 1), ("ac", 2))
 # Strategies per kernel call in `check_random_strategies`: each adds ~0.13 MB
 # to the kernels' peak, and a chunk of 8 is only ~10% faster than one of 4.
 VERIFY_CHUNK = 4
@@ -212,7 +211,7 @@ def check_sos_identity(strategy: Strategy, pair: str = "ab", t: int = 0) -> Chec
     Both are evaluated on the (Alice, partner) space, which leaves them
     unchanged (see `_branch_operators`).
     """
-    if pair not in ("ab", "ac") or t not in (0, 1):
+    if pair not in _PAIR_CELLS["flagged"] or t not in (0, 1):
         raise ValueError(f"pair must be 'ab' or 'ac' and t 0 or 1, got {pair!r}, {t!r}")
     return _branch_checks(strategy.state, _one(strategy), [(pair, t)], False)[0][0]
 
@@ -232,11 +231,12 @@ def _branch_checks(state: np.ndarray, effects: tuple, sos: list, tsirelson: bool
             message = f"party {party} input {x} outcome {label} is not projective"
             raise _MemberError(message, member)
     columns, slacks = [], {}
-    for (pair, partner), t in itertools.product(_PAIRS, (0, 1)):
-        # The Tsirelson branches are Alice-Bob at t=0 and Alice-Carole at t=1.
-        tsirelson_branch = tsirelson and t == partner - 1
+    for (pair, cells), t in itertools.product(_PAIR_CELLS["flagged"].items(), (0, 1)):
+        # The Tsirelson branches are the blocks: each pair at the flag its block gates on.
+        tsirelson_branch = tsirelson and _BRANCH_CELLS[t] is cells
         if not ((pair, t) in sos or tsirelson_branch):
             continue
+        partner = cells.index("w")
         a0, a1, b0, b1, flags, chsh = _branch_operators(effects, partner, t)
         if (pair, t) in sos:
             s1 = a0 + a1 - SQRT2 * b0
@@ -273,26 +273,18 @@ def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
 def extract_conditional_behavior(strategy: Strategy, t: int) -> np.ndarray:
     """Branch-conditioned pair behavior p(a, partner | x, w, T = t).
 
-    Returns a (2, 2, 2, 2) array over (x, w, a, partner_value), gated on
-    all flags agreeing at t and normalized by the branch weight. Raises
-    if the table depends on the spectator party's input beyond
-    ATOL_IDENTITY or if the branch weight vanishes.
+    Returns a (2, 2, 2, 2) array over (x, w, a, partner_value), read from
+    the cells of branch t's block (all flags t) and normalized by the
+    branch weight. Raises if the table depends on the spectator party's
+    input beyond ATOL_IDENTITY or if the branch weight vanishes.
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
-    table = behavior_from_strategy(strategy).table
-    spectator_axis = 2 if t == 0 else 1
-    tables = []
-    for spec_input in range(N_INPUTS[spectator_axis]):
-        out = np.empty((2, 2, 2, 2))
-        for x in (0, 1):
-            for w in (0, 1):
-                idx = (x, w, spec_input) if t == 0 else (x, spec_input, w)
-                cell = table[idx][:, t, :, t, :, t]
-                joint = cell.sum(axis=2) if t == 0 else cell.sum(axis=1)
-                out[x, w] = joint
-        tables.append(out)
-    spread = max(float(np.abs(tables[i] - tables[0]).max()) for i in range(1, len(tables)))
+    cells = _BRANCH_CELLS[t]
+    # Per spectator input s, the table over (x, w, a, partner_value) at test inputs w.
+    joint = _pair_joint(behavior_from_strategy(strategy).table, cells)
+    tables = joint.transpose(cells.index("s"), 0, cells.index("w"), 3, 4)[:, :, :2]
+    spread = float(np.abs(tables[1:] - tables[0]).max())
     if spread > ATOL_IDENTITY:
         raise ValueError(f"conditional behavior depends on the spectator input (drift {spread:.3e})")
     cond = tables[0]
@@ -349,7 +341,7 @@ def _stack_checks(base: Strategy, effects: tuple, suite: str) -> list[CheckRepor
     columns = []
     if suite in ("lemma", "all"):
         columns += [_flag_consistency(base.state, effects), _projection_lemma(base.purification, effects)]
-    sos = list(itertools.product(("ab", "ac"), (0, 1))) if suite in ("sos", "all") else []
+    sos = list(itertools.product(_PAIR_CELLS["flagged"], (0, 1))) if suite in ("sos", "all") else []
     columns += _branch_checks(base.state, effects, sos, suite in ("tsirelson", "all"))
     return [report for member in zip(*columns) for report in member]
 

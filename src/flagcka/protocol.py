@@ -48,8 +48,10 @@ A transcript stores each round as one uint16 code, the flat index of its
 slots. Every step after sampling reads a round only through its code:
 the flags and key bits are per-COLUMNS tables over the slots, each
 strategy kind's routing is a table per pair of the slots that feed the
-pair's key (_ROUTES), the Bell estimate counts the test rounds' cells,
-and the JSONL writer copies each code's line bytes from one table.
+pair's key, read off the pair's block in bell._BLOCK_CELLS (the one table
+of which rounds and bits feed each key; its readers are listed in bell),
+the Bell estimate counts the test rounds' cells, and the JSONL writer
+copies each code's line bytes from one table.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .bell import (
     CELL_WEIGHTS,
     GENERATION_INPUTS,
     TABLE_SHAPE,
+    _PAIR_CELLS,
     bell_value_stderr,
     estimate_behavior,
 )
@@ -140,25 +143,20 @@ _GENERATION_COLUMN = np.array(GENERATION_INPUTS)[:, None]
 _CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
 # Per party, the COLUMNS of its input, value and flag.
 _PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
-# Per strategy kind and pair: the flag on which a generation round feeds
-# the pair's key (None: every generation round does), and the COLUMNS of
-# Alice's and the partner's key bit.
-_ROUTES = {
-    "flagged": {"ab": (0, "a", "b"), "ac": (1, "a", "c")},
-    "parallel": {"ab": (None, "a", "b"), "ac": (None, "ta", "tc")},
-}
 
 
-def _route_tables(flag, alice: str, partner: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per code: whether the round feeds the pair's key (bool), and
-    Alice's and the partner's key bit (uint8)."""
+def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per code: whether the round feeds the key of a block's pair (bool),
+    and Alice's and the partner's key bit (uint8). A generation round feeds
+    it if the block gates Alice's flag, checked in step 4, on the round's."""
     feeds = np.arange(_N_CODES) < _TEST_WEIGHT
-    if flag is not None:
+    flag = cells[COLUMNS.index("ta")]
+    if isinstance(flag, int):
         feeds &= _CODE_COLUMNS[COLUMNS.index("ta")] == flag
-    return feeds, _CODE_COLUMNS[COLUMNS.index(alice)], _CODE_COLUMNS[COLUMNS.index(partner)]
+    return feeds, _CODE_COLUMNS[cells.index("a")], _CODE_COLUMNS[cells.index("b")]
 
 
-_ROUTE_TABLES = {kind: {pair: _route_tables(*route) for pair, route in routes.items()} for kind, routes in _ROUTES.items()}
+_ROUTE_TABLES = {kind: {pair: _route_tables(cells) for pair, cells in pairs.items()} for kind, pairs in _PAIR_CELLS.items()}
 
 
 @dataclass(frozen=True)
@@ -515,10 +513,13 @@ def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -
     rounds are sampled (Alice-Bob first, then Alice-Carole, consuming
     draws in that order), their key bits compared in public, and the
     sampled rounds excluded from key material. fraction 0 passes
-    vacuously.
+    vacuously, without looking up either pair's rounds.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    if fraction == 0.0:
+        empty = np.empty(0, dtype=np.intp)
+        return AlignmentResult(ok=True, match_rates=dict.fromkeys(("ab", "ac")), excluded_ab=empty, excluded_ac=empty.copy())
     rates = {}
     excluded = {}
     ok = True

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, Behavior, BellReport, bell_value, flag_stats
+from .bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, _BRANCH_CELLS, Behavior, BellReport, _pair_joint, bell_value, flag_stats
 
 __all__ = [
     "BOUND_METHODS",
@@ -108,16 +108,14 @@ def chsh_von_neumann_bound(score: float) -> float:
 def conditional_entropy_classical(behavior: Behavior, t: int) -> float:
     """H(value_A | value_partner) in branch t at the generation inputs.
 
-    The partner is Bob for t = 0 and Carole for t = 1. The joint
-    distribution is read from the generation input triple, gated on all
-    flags agreeing at t, and normalized by the branch weight; a
-    vanishing weight raises.
+    The partner and the cells are those of branch t's block (Bob for
+    t = 0, Carole for t = 1; all flags t). The joint distribution is read
+    from the generation input triple and normalized by the branch weight;
+    a vanishing weight raises.
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
-    x, y, z = GENERATION_INPUTS
-    cell = behavior.table[x, y, z, :, t, :, t, :, t]  # axes (a, b, c)
-    joint = cell.sum(axis=2) if t == 0 else cell.sum(axis=1)
+    joint = _pair_joint(behavior.table, _BRANCH_CELLS[t])[GENERATION_INPUTS]
     weight = float(joint.sum())
     if weight <= 1e-12:
         raise ValueError(f"flag branch {t} has no weight at the generation inputs")
@@ -145,9 +143,12 @@ def branch_scores(report: BellReport, p0: float, p1: float, mode: str) -> tuple[
             raise ValueError("normalized branch values undefined; cannot use two_scores")
         return (_normalize_score(report.normalized_ab), _normalize_score(report.normalized_ac))
     s = report.total
-    floor0 = (s - CHSH_QUANTUM_MAX * p1) / p0
-    floor1 = (s - CHSH_QUANTUM_MAX * p0) / p1
-    return (_normalize_score(floor0), _normalize_score(floor1))
+    return (_normalize_score(_one_score_floor(s, p0, p1)), _normalize_score(_one_score_floor(s, p1, p0)))
+
+
+def _one_score_floor(s: float, p_t: float, p_other: float) -> float:
+    """one_score's floor on a branch of weight p_t: (s - 2*sqrt(2)*p_other) / p_t."""
+    return (s - CHSH_QUANTUM_MAX * p_other) / p_t
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,7 @@ def robustness_curve(scores, method: BoundMethod = BoundMethod()) -> list[tuple[
         s = float(s)
         if s < 2.0 - 1e-12 or s > CHSH_QUANTUM_MAX + 1e-9:
             raise ValueError(f"total Bell value {s} outside [2, 2*sqrt(2)]")
-        if method.score_mode == "two_scores":
-            eff = s
-        else:
-            eff = max(2.0, (s - CHSH_QUANTUM_MAX * 0.5) / 0.5)
-        out.append((s, method.bound(eff)))
+        out.append((s, method.bound(s if method.score_mode == "two_scores" else _one_score_floor(s, 0.5, 0.5))))
     return out
 
 

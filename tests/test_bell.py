@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,43 @@ def test_behavior_json_roundtrip():
     back = behavior_from_json(blob)
     np.testing.assert_allclose(back.table, b.table, atol=1e-12)
     assert bell_value(back).total == pytest.approx(bell_value(b).total, abs=1e-9)
+
+
+def _loop_behavior_json(behavior):
+    """The six-loop writer that behavior_to_json replaced, kept as the
+    reference for its text."""
+    doc = {}
+    t = behavior.table
+    for x in range(2):
+        for y in range(3):
+            for z in range(3):
+                cell = {}
+                for a in (0, 1):
+                    for ta in (0, 1):
+                        for b in (0, 1):
+                            for tb in (0, 1):
+                                for c in (0, 1):
+                                    for tc in (0, 1):
+                                        key = f"{a} {ta} {b} {tb} {c} {tc}"
+                                        cell[key] = float(t[x, y, z, a, ta, b, tb, c, tc])
+                doc[f"{x},{y},{z}"] = cell
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_behavior_json_text_matches_the_loop_writer(seed):
+    # Random tables, with exact zeros, negative zero, ones, and subnormal
+    # and tiny values in random cells: every float's repr and every key's
+    # place must be the loop writer's.
+    rng = np.random.default_rng(seed)
+    table = rng.random(TABLE_SHAPE) * 10.0 ** rng.integers(-20, 1, TABLE_SHAPE)
+    specials = np.array([0.0, -0.0, 1.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0])
+    spots = rng.choice(table.size, size=60, replace=False)
+    table.ravel()[spots] = specials[rng.integers(0, len(specials), len(spots))]
+    b = Behavior(table)
+    assert behavior_to_json(b) == _loop_behavior_json(b)
+    honest = behavior_from_strategy(honest_flagged_strategy(NoiseParams(visibility=0.97)))
+    assert behavior_to_json(honest) == _loop_behavior_json(honest)
 
 
 def test_behavior_json_roundtrip_is_exact():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import flagcka.checks as checks_module
+from flagcka.bell import behavior_from_strategy
 from flagcka.checks import (
     VERIFY_CHUNK,
     check_random_strategies,
@@ -160,6 +161,22 @@ def test_extract_conditional_behavior_honest():
                     for b in (0, 1):
                         expected = (1.0 + ((-1.0) ** (a + b + x * w)) / SQRT2) / 4.0
                         assert cond[x, w, a, b] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extract_conditional_behavior_reads_each_branch_slice(seed):
+    strategy = random_projective_strategy(seed)
+    table = behavior_from_strategy(strategy).table
+    for t in (0, 1):
+        expected = np.empty((2, 2, 2, 2))
+        for x in (0, 1):
+            for w in (0, 1):
+                if t == 0:  # Alice and Bob at Bob's input w, Carole at input 0 and summed out
+                    expected[x, w] = table[x, w, 0, :, 0, :, 0, :, 0].sum(axis=2)
+                else:  # Alice and Carole at Carole's input w, Bob at input 0 and summed out
+                    expected[x, w] = table[x, 0, w, :, 1, :, 1, :, 1].sum(axis=1)
+        expected /= expected[0, 0].sum()
+        np.testing.assert_array_equal(extract_conditional_behavior(strategy, t), expected)
 
 
 def test_extract_conditional_behavior_raises_on_spectator_drift():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from flagcka.bell import CELL_WEIGHTS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
+from flagcka.bell import _BLOCK_CELLS
 from flagcka.protocol import (
     BLOCK_ROWS,
     PARALLEL_QUANTUM_MAX,
@@ -40,6 +41,7 @@ from flagcka.protocol import (
     _CODE_SHAPE,
     _P_CUTOFF,
     _ROUND_TYPES,
+    _ROUTE_TABLES,
     _bit_string,
     _default_threshold,
     _table_outcomes,
@@ -520,6 +522,37 @@ def test_xor_reconcile():
 _KEY_COLUMNS = {"flagged": {"ab": ("a", "b"), "ac": ("a", "c")}, "parallel": {"ab": ("a", "b"), "ac": ("ta", "tc")}}
 
 
+def test_route_tables_read_each_pairs_bell_block():
+    # protocol's routing is read off bell's block table: per kind and pair,
+    # the generation codes marked are exactly those whose cells the pair's
+    # block gates, once step 4 has made every flag Alice's, and the key
+    # bits are the block's "a" and "b" columns.
+    codes = np.arange(2 * len(_CELL_ROWS))
+    test, rows = codes >= len(_CELL_ROWS), _CELL_ROWS[codes % len(_CELL_ROWS)]
+    common = rows.copy()
+    common[:, [COLUMNS.index("tb"), COLUMNS.index("tc")]] = rows[:, [COLUMNS.index("ta")]]
+    for kind, blocks in _BLOCK_CELLS.items():
+        pairs = dict(zip(("ab", "ac"), blocks.values()))
+        assert list(_ROUTE_TABLES[kind]) == list(pairs)
+        for pair, cells in pairs.items():
+            feeds, alice, partner = _ROUTE_TABLES[kind][pair]
+            gated = np.ones(len(codes), dtype=bool)
+            for axis, value in enumerate(cells):
+                if isinstance(value, int):
+                    gated &= common[:, axis] == value
+            assert feeds.dtype == bool and np.array_equal(feeds, ~test & gated)
+            assert alice.dtype == partner.dtype == np.uint8
+            assert np.array_equal(alice, rows[:, cells.index("a")])
+            assert np.array_equal(partner, rows[:, cells.index("b")])
+            # The block's partner, bits and flags are the ones the protocol routes:
+            # Alice-Bob on flag 0, Alice-Carole on flag 1, or every round.
+            assert cells.index("w") == PARTY_NAMES.index({"b": "bob", "c": "carole"}[pair[1]])
+            assert [COLUMNS[cells.index(v)] for v in "ab"] == list(_KEY_COLUMNS[kind][pair])
+            fixed = {COLUMNS[axis]: v for axis, v in enumerate(cells) if isinstance(v, int)}
+            t = ("ab", "ac").index(pair)
+            assert fixed == ({"ta": t, "tb": t, "tc": t} if kind == "flagged" else {})
+
+
 def test_sift_without_exclusions_keeps_every_routed_round():
     for kind in ("flagged", "parallel"):
         tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=13, strategy_kind=kind))
@@ -609,16 +642,25 @@ def test_alignment_vacuous_at_fraction_zero():
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
 def test_vacuous_alignment_keeps_no_round_arrays(kind):
     # At fraction 0 the exclusions are new empty arrays, not views that
-    # pin a pair's index array (0.3-0.6 MB each at 1e5 rounds).
+    # pin a pair's index array (0.3-0.6 MB each at 1e5 rounds), and no
+    # pair's N-byte mask of rounds is looked up only to be counted (a
+    # 0.26 MB peak at 1e5 rounds when it was).
     tr = run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     tracemalloc.start()
     try:
-        res = alignment_test(tr, 0.0, 0.98, np.random.default_rng(0))
-        kept = tracemalloc.get_traced_memory()[0]
+        res = alignment_test(tr, 0.0, 0.98, rng)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert res.ok and res.match_rates == {"ab": None, "ac": None}
     assert len(res.excluded_ab) == len(res.excluded_ac) == 0
+    assert res.excluded_ab.dtype == res.excluded_ac.dtype == np.intp
+    assert res.excluded_ab is not res.excluded_ac
+    assert rng.bit_generator.state == state
     assert kept < 4096, kept
+    assert peak < 64 * 1024, peak
 
 
 def test_alignment_passes_on_honest_run():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flagcka.bell import CHSH_QUANTUM_MAX, behavior_from_strategy, bell_value, flag_stats
+from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy, bell_value, flag_stats
 from flagcka.rates import (
     BOUND_METHODS,
     SCORE_MODES,
@@ -18,7 +18,7 @@ from flagcka.rates import (
     rate_report,
     robustness_curve,
 )
-from flagcka.strategies import NoiseParams, honest_flagged_strategy
+from flagcka.strategies import NoiseParams, honest_flagged_strategy, random_projective_strategy
 
 # Frozen reference values, computed once with 60-digit mpmath arithmetic:
 #   1 - log2(1 + sqrt(2 - 2.5^2/4))      = 0.26756769267675204545...
@@ -109,6 +109,24 @@ def test_conditional_entropy_under_noise():
     expected = binary_entropy((1.0 - v) / 2.0)
     assert conditional_entropy_classical(b, 0) == pytest.approx(expected, abs=1e-9)
     assert conditional_entropy_classical(b, 1) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_conditional_entropy_reads_each_branch_slice(seed):
+    # Random projective strategies leave Alice and her partner correlated
+    # differently in the two branches, so a swapped branch, partner or
+    # gate changes the value.
+    b = behavior_from_strategy(random_projective_strategy(seed, NoiseParams(visibility=0.9)))
+    x, y, z = GENERATION_INPUTS
+    slices = {
+        0: b.table[x, y, z, :, 0, :, 0, :, 0].sum(axis=2),  # (a, b), all flags 0, Carole summed out
+        1: b.table[x, y, z, :, 1, :, 1, :, 1].sum(axis=1),  # (a, c), all flags 1, Bob summed out
+    }
+    for t, joint in slices.items():
+        joint = joint / joint.sum()
+        h_joint = -sum(p * math.log2(p) for p in joint.ravel() if p > 1e-15)
+        h_partner = -sum(p * math.log2(p) for p in joint.sum(axis=0) if p > 1e-15)
+        assert conditional_entropy_classical(b, t) == pytest.approx(h_joint - h_partner, abs=1e-12)
 
 
 def test_branch_scores_two_scores_honest():
