@@ -12,11 +12,11 @@ One run proceeds in seven steps:
   4. flags are announced; the run aborts if they differ anywhere
      (FlagMismatch) or if the common string is constant (FlagConstant)
   5. test-round data is announced, the Bell value estimated and compared
-     against the threshold (BellBelowThreshold on failure); optionally a
-     fraction of generation rounds is sacrificed to an alignment check
-     (AlignmentFailure below the floor)
-  6. generation rounds are sifted into the Alice-Bob key (flag 0) and
-     the Alice-Carole key (flag 1)
+     against the threshold (BellBelowThreshold on failure)
+  6. generation rounds are sifted, once, into the Alice-Bob key (the
+     rounds the flag-0 block gates) and the Alice-Carole key (flag 1);
+     optionally a fraction of each sifted key is sampled, compared in
+     public and dropped (AlignmentFailure below the floor)
   7. Alice announces the XOR of her two sifted keys so Carole can
      recover the Alice-Bob string as the conference key
 
@@ -148,11 +148,12 @@ _PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
 def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per code: whether the round feeds the key of a block's pair (bool),
     and Alice's and the partner's key bit (uint8). A generation round feeds
-    it if the block gates Alice's flag, checked in step 4, on the round's."""
+    it if every flag the block fixes has the block's value: the table marks
+    exactly the block's generation cells."""
     feeds = np.arange(_N_CODES) < _TEST_WEIGHT
-    flag = cells[COLUMNS.index("ta")]
-    if isinstance(flag, int):
-        feeds &= _CODE_COLUMNS[COLUMNS.index("ta")] == flag
+    for column, value in zip(_CODE_COLUMNS, cells):
+        if isinstance(value, int):
+            feeds &= column == value
     return feeds, _CODE_COLUMNS[cells.index("a")], _CODE_COLUMNS[cells.index("b")]
 
 
@@ -237,8 +238,7 @@ class SiftResult:
 class AlignmentResult:
     ok: bool
     match_rates: dict
-    excluded_ab: np.ndarray                   # indices of the rounds sampled, excluded from the key
-    excluded_ac: np.ndarray
+    kept: SiftResult                          # the keys without the sampled bits
 
 
 @dataclass(frozen=True)
@@ -448,49 +448,37 @@ def _bell_score(estimate, kind: str) -> tuple[float, dict]:
     }
 
 
-def _select(mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """codes[mask], BLOCK_ROWS rounds at a time. Unlike a boolean index,
-    compress does not branch on every round; its index array of the
-    selected rounds stays within a block."""
-    blocks = range(0, len(codes), BLOCK_ROWS)
-    return np.concatenate([codes[:0], *(np.compress(mask[s : s + BLOCK_ROWS], codes[s : s + BLOCK_ROWS]) for s in blocks)])
+def _select(codes: np.ndarray, keep) -> np.ndarray:
+    """The codes the bool masks `keep(block)` mark, BLOCK_ROWS rounds at a
+    time. Unlike a boolean index, compress does not branch on every round,
+    and neither a mask nor compress's index array spans more than a block."""
+    blocks = (codes[s : s + BLOCK_ROWS] for s in range(0, len(codes), BLOCK_ROWS))
+    return np.concatenate([codes[:0], *(np.compress(keep(block), block) for block in blocks)])
 
 
-def _pair_rounds(transcript: Transcript, pair: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A fresh bool mask of the generation rounds feeding `pair`'s key,
-    and the code tables of Alice's and the partner's key bit."""
-    feeds, alice, partner = _ROUTE_TABLES[transcript.strategy_kind][pair]
-    return feeds[transcript.codes], alice, partner
+def _sift_result(keys: list) -> SiftResult:
+    """The SiftResult of the two pairs' (Alice's, partner's) key arrays,
+    Alice-Bob first, with their mismatch counts."""
+    mismatches = (int(np.count_nonzero(alice != partner)) for alice, partner in keys)
+    return SiftResult(*keys[0], *keys[1], *mismatches)
 
 
-def sift_pair_keys(transcript: Transcript, exclude_ab=None, exclude_ac=None) -> SiftResult:
+def sift_pair_keys(transcript: Transcript) -> SiftResult:
     """Step-6 sifting into the two pairwise raw keys.
 
-    Rounds and key bits follow the strategy kind's routing tables:
-    flagged strategies route generation rounds by the (verified common)
-    flag, Alice-Bob on flag 0, Alice-Carole on flag 1; the two-pair
-    strategy has no flags and every generation round feeds both keys,
-    first output bits for Alice-Bob, second bits for Alice-Carole.
-    Mismatch counts compare Alice's bit against the partner's. The
-    exclusions are arrays of round indices, such as AlignmentResult's;
-    None excludes nothing. The keys are uint8 arrays of 0/1.
+    The one selection of each pair's rounds: rounds and key bits follow
+    the strategy kind's routing tables. Flagged strategies route a
+    generation round by its flags, Alice-Bob when all three read 0,
+    Alice-Carole when all read 1; the two-pair strategy has no flags and
+    every generation round feeds both keys, first output bits for
+    Alice-Bob, second bits for Alice-Carole. Mismatch counts compare
+    Alice's bit against the partner's. The keys are uint8 arrays of 0/1.
     """
-    bits = {}
-    for pair, exclude in (("ab", exclude_ab), ("ac", exclude_ac)):
-        feeds, alice, partner = _pair_rounds(transcript, pair)
-        if exclude is not None:
-            feeds[exclude] = False
-        codes = _select(feeds, transcript.codes)
-        bits[pair] = alice[codes], partner[codes]
-    (ab_alice, ab_partner), (ac_alice, ac_partner) = bits["ab"], bits["ac"]
-    return SiftResult(
-        alice_ab=ab_alice,
-        partner_ab=ab_partner,
-        alice_ac=ac_alice,
-        partner_ac=ac_partner,
-        mismatch_ab=int(np.count_nonzero(ab_alice != ab_partner)),
-        mismatch_ac=int(np.count_nonzero(ac_alice != ac_partner)),
-    )
+    keys = []
+    for feeds, alice, partner in _ROUTE_TABLES[transcript.strategy_kind].values():
+        codes = _select(transcript.codes, feeds.take)
+        keys.append((alice[codes], partner[codes]))
+    return _sift_result(keys)
 
 
 def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,38 +494,31 @@ def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.nd
     return k_ab[:m] ^ k_ac[:m], k_ab[:m]
 
 
-def alignment_test(transcript: Transcript, fraction: float, floor: float, rng) -> AlignmentResult:
-    """Optional step-5 spot check on matched generation rounds.
+def alignment_test(sift: SiftResult, fraction: float, floor: float, rng) -> AlignmentResult:
+    """Optional spot check on the sifted keys, before the XOR.
 
-    For each pair, ceil(fraction * n_pair) of that pair's generation
-    rounds are sampled (Alice-Bob first, then Alice-Carole, consuming
-    draws in that order), their key bits compared in public, and the
-    sampled rounds excluded from key material. fraction 0 passes
-    vacuously, without looking up either pair's rounds.
+    For each pair, ceil(fraction * n_pair) positions of the pair's sifted
+    key are sampled (Alice-Bob first, then Alice-Carole, consuming draws
+    in that order), Alice's and the partner's bits there compared in
+    public, and the sampled bits dropped from both keys. The result holds
+    the kept keys; fraction 0 passes vacuously and keeps `sift` itself.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    rates = dict.fromkeys(("ab", "ac"))
     if fraction == 0.0:
-        empty = np.empty(0, dtype=np.intp)
-        return AlignmentResult(ok=True, match_rates=dict.fromkeys(("ab", "ac")), excluded_ab=empty, excluded_ac=empty.copy())
-    rates = {}
-    excluded = {}
-    ok = True
-    for pair in ("ab", "ac"):
-        feeds, alice, partner = _pair_rounds(transcript, pair)
-        k = math.ceil(fraction * np.count_nonzero(feeds))
-        if k == 0:
-            rates[pair] = None
-            excluded[pair] = np.empty(0, dtype=np.intp)
-            continue
-        rows = np.flatnonzero(feeds)
-        sampled = rows[rng.choice(len(rows), size=k, replace=False)]
-        codes = transcript.codes[sampled]
-        rates[pair] = int(np.count_nonzero(alice[codes] == partner[codes])) / k
-        excluded[pair] = sampled
-        if rates[pair] < floor:
-            ok = False
-    return AlignmentResult(ok=ok, match_rates=rates, excluded_ab=excluded["ab"], excluded_ac=excluded["ac"])
+        return AlignmentResult(ok=True, match_rates=rates, kept=sift)
+    keys = []
+    for pair in rates:
+        alice, partner = getattr(sift, "alice_" + pair), getattr(sift, "partner_" + pair)
+        k = math.ceil(fraction * len(alice))
+        if k:
+            sampled = rng.choice(len(alice), size=k, replace=False)
+            rates[pair] = int(np.count_nonzero(alice[sampled] == partner[sampled])) / k
+            alice, partner = np.delete(alice, sampled), np.delete(partner, sampled)
+        keys.append((alice, partner))
+    ok = all(rate >= floor for rate in rates.values() if rate is not None)
+    return AlignmentResult(ok=ok, match_rates=rates, kept=_sift_result(keys))
 
 
 def _default_threshold(kind: str, n_test: int) -> float:
@@ -550,20 +531,21 @@ def _default_threshold(kind: str, n_test: int) -> float:
 
 def _flag_step(codes: np.ndarray) -> tuple[str, dict]:
     """Step-4 verdict on the flags a flagged run's codes carry, and its
-    stats. The three flag columns it looks up are freed on return."""
+    stats; with no rounds the branch weights are None. The three flag
+    columns it looks up are freed on return."""
     flags = [_CODE_COLUMNS[columns[2]][codes] for columns in _PARTY_COLUMNS]
     verdict = check_flag_agreement(*flags)
     if verdict != "ok":
         return verdict, _flag_abort_stats(verdict, flags)
-    n_t0 = len(codes) - int(np.count_nonzero(flags[0]))
-    return verdict, {"p_t0_estimate": n_t0 / len(codes), "p_t1_estimate": (len(codes) - n_t0) / len(codes)}
+    n, n_t1 = len(codes), int(np.count_nonzero(flags[0]))
+    return verdict, {"p_t0_estimate": (n - n_t1) / n if n else None, "p_t1_estimate": n_t1 / n if n else None}
 
 
 def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResult:
     """Steps 4-7 on a finished transcript: announcements, checks, keys."""
     codes = transcript.codes
     # The test rounds' cells, row @ CELL_WEIGHTS: their announced data.
-    cells = _select(codes >= _TEST_WEIGHT, codes)
+    cells = _select(codes, lambda block: block >= _TEST_WEIGHT)
     cells -= _TEST_WEIGHT
     n_test = len(cells)
     stats = {
@@ -604,13 +586,14 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     if observed < threshold:
         return aborted("BellBelowThreshold")
 
+    sift = sift_pair_keys(transcript)
     rng = np.random.default_rng([config.seed, 1])  # derived post-round stream
-    alignment = alignment_test(transcript, config.alignment_fraction, config.alignment_floor, rng)
+    alignment = alignment_test(sift, config.alignment_fraction, config.alignment_floor, rng)
     stats["alignment_match_rates"] = alignment.match_rates
     if not alignment.ok:
         return aborted("AlignmentFailure")
 
-    sift = sift_pair_keys(transcript, alignment.excluded_ab, alignment.excluded_ac)
+    sift = alignment.kept
     len_ab, len_ac = len(sift.alice_ab), len(sift.alice_ac)
     stats["len_ab"], stats["len_ac"] = len_ab, len_ac
     stats["mismatch_ab"] = sift.mismatch_ab

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import flagcka.checks as checks_module
-from flagcka.bell import behavior_from_strategy
+from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS, behavior_from_strategy
 from flagcka.checks import (
     VERIFY_CHUNK,
     check_random_strategies,
@@ -464,6 +464,28 @@ def _ref_stacked_branch_operators(strategy, partner, t):
     a0, a1, *alice_flags = tensor(local(0), identity(strategy.party_dims[partner])[None])
     b0, b1, *partner_flags = tensor(identity(strategy.party_dims[0])[None], local(partner))
     return a0, a1, b0, b1, alice_flags + partner_flags, a0 @ (b0 + b1) + a1 @ (b0 - b1)
+
+
+_BLOCK_STRATEGIES = {
+    **{f"honest_v{v}": (lambda v=v: honest_flagged_strategy(NoiseParams(visibility=v))) for v in (1.0, 0.9)},
+    **{f"random_{seed}": (lambda seed=seed: random_projective_strategy(seed)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_STRATEGIES))
+def test_chsh_block_operator_gives_the_block_value(name):
+    # The two statements of a flagged CHSH block agree: the expectation of
+    # the checks' block operator on the (Alice, partner) state equals the
+    # value of the Bell functional's coefficients on the behavior table.
+    strategy = _BLOCK_STRATEGIES[name]()
+    functional = BELL_FUNCTIONALS["flagged"]
+    values = functional.block_values(behavior_from_strategy(strategy).table)
+    for block, value in zip(functional.blocks, values.tolist()):
+        cells = _BLOCK_CELLS["flagged"][block]
+        partner, t = cells.index("w"), cells[4]  # the flag it fixes on Alice's axis, ta
+        chsh = _branch_operators(_one(strategy), partner, t)[-1][0]
+        rho = partial_trace(strategy.state, strategy.party_dims, [0, partner])
+        assert abs(np.trace(rho @ chsh).real - value) <= 1e-12, (block, value)
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))

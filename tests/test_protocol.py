@@ -462,6 +462,21 @@ def test_check_flag_agreement_verdicts():
         check_flag_agreement(_bits("01"), _bits("011"), _bits("01"))
 
 
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_empty_transcript_aborts_below_threshold(kind):
+    # No test rounds: the Bell value 0 is below every threshold, and a
+    # flagged run's branch weights are undefined.
+    result = postprocess(Transcript(kind, np.empty(0, np.uint16)), ProtocolConfig(strategy_kind=kind))
+    assert (result.outcome, result.abort_reason) == ("aborted", "BellBelowThreshold")
+    assert result.stats["n_rounds"] == result.stats["n_test"] == 0
+    assert result.stats["bell_estimate"] == 0.0
+    if kind == "flagged":
+        assert result.stats["p_t0_estimate"] is None and result.stats["p_t1_estimate"] is None
+    else:
+        assert "p_t0_estimate" not in result.stats
+    json.loads(result_to_json(result))
+
+
 def _synthetic_transcript(rows, kind="flagged"):
     test = np.array([rt == "test" for rt, _, _ in rows], dtype=bool)
     data = np.array([(*inputs, *(bit for out in outputs for bit in out)) for _, inputs, outputs in rows], dtype=np.int8)
@@ -483,13 +498,21 @@ def test_sift_routes_by_flag():
     assert sift.alice_ab.dtype == sift.partner_ac.dtype == np.uint8
 
 
-def test_sift_respects_exclusions():
-    rows = [
-        ("generation", (0, 2, 2), ((1, 0), (1, 0), (0, 0))),
-        ("generation", (0, 2, 2), ((0, 0), (0, 0), (0, 0))),
-    ]
-    sift = sift_pair_keys(_synthetic_transcript(rows), exclude_ab=np.array([0]))
-    assert sift.alice_ab.tolist() == [0]
+def test_alignment_drops_the_sampled_bits():
+    # Per pair, choice(n_pair, k) picks the positions of the sifted key
+    # that are compared and dropped; the other bits stay, in order.
+    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=2000, seed=3, visibility=0.8)))
+    res = alignment_test(sift, 0.1, 0.5, np.random.default_rng(4))
+    draws = np.random.default_rng(4)
+    for pair in ("ab", "ac"):
+        alice, partner = getattr(sift, "alice_" + pair), getattr(sift, "partner_" + pair)
+        sampled = draws.choice(len(alice), size=math.ceil(0.1 * len(alice)), replace=False)
+        keep = np.setdiff1d(np.arange(len(alice)), sampled)
+        assert np.array_equal(getattr(res.kept, "alice_" + pair), alice[keep])
+        assert np.array_equal(getattr(res.kept, "partner_" + pair), partner[keep])
+        assert getattr(res.kept, "mismatch_" + pair) == np.count_nonzero(alice[keep] != partner[keep])
+        assert res.match_rates[pair] == np.count_nonzero(alice[sampled] == partner[sampled]) / len(sampled) < 1.0
+    assert res.ok
 
 
 def test_sift_parallel_feeds_both_keys():
@@ -525,12 +548,10 @@ _KEY_COLUMNS = {"flagged": {"ab": ("a", "b"), "ac": ("a", "c")}, "parallel": {"a
 def test_route_tables_read_each_pairs_bell_block():
     # protocol's routing is read off bell's block table: per kind and pair,
     # the generation codes marked are exactly those whose cells the pair's
-    # block gates, once step 4 has made every flag Alice's, and the key
-    # bits are the block's "a" and "b" columns.
+    # block gates, on every flag it fixes, and the key bits are the block's
+    # "a" and "b" columns.
     codes = np.arange(2 * len(_CELL_ROWS))
     test, rows = codes >= len(_CELL_ROWS), _CELL_ROWS[codes % len(_CELL_ROWS)]
-    common = rows.copy()
-    common[:, [COLUMNS.index("tb"), COLUMNS.index("tc")]] = rows[:, [COLUMNS.index("ta")]]
     for kind, blocks in _BLOCK_CELLS.items():
         pairs = dict(zip(("ab", "ac"), blocks.values()))
         assert list(_ROUTE_TABLES[kind]) == list(pairs)
@@ -539,7 +560,7 @@ def test_route_tables_read_each_pairs_bell_block():
             gated = np.ones(len(codes), dtype=bool)
             for axis, value in enumerate(cells):
                 if isinstance(value, int):
-                    gated &= common[:, axis] == value
+                    gated &= rows[:, axis] == value
             assert feeds.dtype == bool and np.array_equal(feeds, ~test & gated)
             assert alice.dtype == partner.dtype == np.uint8
             assert np.array_equal(alice, rows[:, cells.index("a")])
@@ -560,8 +581,8 @@ def test_sift_without_exclusions_keeps_every_routed_round():
         test, data = _rounds(tr)
         gen = ~test
         if kind == "flagged":
-            flag = data[:, COLUMNS.index("ta")]
-            routed = {"ab": gen & (flag == 0), "ac": gen & (flag == 1)}
+            flags = data[:, [COLUMNS.index(c) for c in ("ta", "tb", "tc")]]
+            routed = {"ab": gen & (flags == 0).all(axis=1), "ac": gen & (flags == 1).all(axis=1)}
         else:
             routed = {"ab": gen, "ac": gen}
         for pair, alice_key, partner_key in (("ab", sift.alice_ab, sift.partner_ab), ("ac", sift.alice_ac, sift.partner_ac)):
@@ -578,17 +599,17 @@ def _reference_xor_strings(u, v):
     return _reference_bit_string(np.frombuffer(u.encode(), dtype=np.uint8) ^ np.frombuffer(v.encode(), dtype=np.uint8))
 
 
-def _reference_sift(tr, pair, exclude):
-    """The pair's (Alice's, partner's) key as '0'/'1' strings, routed round by round."""
+def _reference_sift(tr, pair):
+    """The pair's (Alice's, partner's) key as '0'/'1' strings, routed round
+    by round: a flagged round feeds the pair whose flag all three carry."""
     alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[tr.strategy_kind][pair])
-    excluded = set() if exclude is None else set(exclude.tolist())
     flag = ("ab", "ac").index(pair)
+    flags = [COLUMNS.index(c) for c in ("ta", "tb", "tc")]
     test, data = _rounds(tr)
     rows = [
         r
         for r in range(len(test))
-        if not test[r] and (tr.strategy_kind == "parallel" or data[r, COLUMNS.index("ta")] == flag)
-        and r not in excluded
+        if not test[r] and (tr.strategy_kind == "parallel" or all(data[r, c] == flag for c in flags))
     ]
     return _reference_bit_string(data[rows, alice]), _reference_bit_string(data[rows, partner])
 
@@ -598,21 +619,29 @@ def _reference_sift(tr, pair, exclude):
     seed=hst.integers(0, 2**32 - 1),
     kind=hst.sampled_from(["flagged", "parallel"]),
     n_rounds=hst.integers(0, 60),
-    exclude_fraction=hst.sampled_from([None, 0.0, 0.3, 1.0]),
+    fraction=hst.sampled_from([0.0, 0.3, 0.9]),
 )
-def test_array_keys_match_the_string_reference(seed, kind, n_rounds, exclude_fraction):
+def test_array_keys_match_the_string_reference(seed, kind, n_rounds, fraction):
     rng = np.random.default_rng(seed)
     test = rng.random(n_rounds) < 0.3
     data = np.empty((n_rounds, len(COLUMNS)), dtype=np.int8)
     data[:, :3] = np.where(test[:, None], rng.integers(0, 2, (n_rounds, 3)), GENERATION_INPUTS)
     data[:, 3:] = rng.integers(0, 2, (n_rounds, 6))
     tr = _transcript(kind, test, data)
-    exclude = {
-        pair: None if exclude_fraction is None else rng.choice(n_rounds, size=int(exclude_fraction * n_rounds), replace=False)
-        for pair in ("ab", "ac")
-    }
-    sift = sift_pair_keys(tr, exclude["ab"], exclude["ac"])
-    (ab_alice, ab_partner), (ac_alice, ac_partner) = (_reference_sift(tr, pair, exclude[pair]) for pair in ("ab", "ac"))
+    sift = sift_pair_keys(tr)
+    reference = {pair: _reference_sift(tr, pair) for pair in ("ab", "ac")}
+    for pair in ("ab", "ac"):
+        alice, partner = reference[pair]
+        assert (_bit_string(getattr(sift, "alice_" + pair)), _bit_string(getattr(sift, "partner_" + pair))) == (alice, partner)
+        assert getattr(sift, "mismatch_" + pair) == sum(a != b for a, b in zip(alice, partner))
+    # The spot check drops the bits at choice(n_pair, k), Alice-Bob first.
+    sift = alignment_test(sift, fraction, 1.0, np.random.default_rng(seed)).kept
+    draws = np.random.default_rng(seed)
+    for pair, (alice, partner) in reference.items():
+        k = math.ceil(fraction * len(alice))
+        dropped = set(draws.choice(len(alice), size=k, replace=False).tolist()) if k else set()
+        reference[pair] = tuple("".join(bit for i, bit in enumerate(key) if i not in dropped) for key in (alice, partner))
+    (ab_alice, ab_partner), (ac_alice, ac_partner) = reference.values()
     assert (_bit_string(sift.alice_ab), _bit_string(sift.partner_ab)) == (ab_alice, ab_partner)
     assert (_bit_string(sift.alice_ac), _bit_string(sift.partner_ac)) == (ac_alice, ac_partner)
     assert sift.mismatch_ab == sum(a != b for a, b in zip(ab_alice, ab_partner))
@@ -632,47 +661,43 @@ def test_array_keys_match_the_string_reference(seed, kind, n_rounds, exclude_fra
 
 
 def test_alignment_vacuous_at_fraction_zero():
-    tr = run_rounds(ProtocolConfig(n_rounds=200, seed=8))
-    res = alignment_test(tr, 0.0, 0.98, np.random.default_rng(0))
+    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=200, seed=8)))
+    res = alignment_test(sift, 0.0, 0.98, np.random.default_rng(0))
     assert res.ok
     assert res.match_rates == {"ab": None, "ac": None}
-    assert len(res.excluded_ab) == 0 and len(res.excluded_ac) == 0
+    assert res.kept is sift
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
 def test_vacuous_alignment_keeps_no_round_arrays(kind):
-    # At fraction 0 the exclusions are new empty arrays, not views that
-    # pin a pair's index array (0.3-0.6 MB each at 1e5 rounds), and no
-    # pair's N-byte mask of rounds is looked up only to be counted (a
-    # 0.26 MB peak at 1e5 rounds when it was).
-    tr = run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind))
+    # At fraction 0 the check keeps the sifted keys themselves, not copies
+    # (0.16-0.32 MB per pair at 1e5 rounds), and draws nothing.
+    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind)))
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     tracemalloc.start()
     try:
-        res = alignment_test(tr, 0.0, 0.98, rng)
+        res = alignment_test(sift, 0.0, 0.98, rng)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.ok and res.match_rates == {"ab": None, "ac": None}
-    assert len(res.excluded_ab) == len(res.excluded_ac) == 0
-    assert res.excluded_ab.dtype == res.excluded_ac.dtype == np.intp
-    assert res.excluded_ab is not res.excluded_ac
+    assert res.kept is sift
     assert rng.bit_generator.state == state
     assert kept < 4096, kept
     assert peak < 64 * 1024, peak
 
 
 def test_alignment_passes_on_honest_run():
-    tr = run_rounds(ProtocolConfig(n_rounds=400, seed=8))
-    res = alignment_test(tr, 0.25, 0.98, np.random.default_rng(1))
+    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=400, seed=8)))
+    res = alignment_test(sift, 0.25, 0.98, np.random.default_rng(1))
     assert res.ok
     assert res.match_rates["ab"] == 1.0
     assert res.match_rates["ac"] == 1.0
-    test, data = _rounds(tr)
-    ab_rounds = np.flatnonzero(~test & (data[:, COLUMNS.index("ta")] == 0))
-    assert len(res.excluded_ab) == len(set(res.excluded_ab.tolist())) == math.ceil(0.25 * len(ab_rounds))
-    assert np.isin(res.excluded_ab, ab_rounds).all()
+    for pair in ("ab", "ac"):
+        n_pair = len(getattr(sift, "alice_" + pair))
+        assert len(getattr(res.kept, "alice_" + pair)) == len(getattr(res.kept, "partner_" + pair)) == n_pair - math.ceil(0.25 * n_pair)
+        assert getattr(res.kept, "mismatch_" + pair) == 0
 
 
 def test_alignment_catches_value_corruption():
@@ -680,7 +705,7 @@ def test_alignment_catches_value_corruption():
     test, data = _rounds(tr)
     data[~test, COLUMNS.index("b")] ^= 1  # Bob's value on every generation round
     bad = _transcript("flagged", test, data)
-    res = alignment_test(bad, 0.3, 0.98, np.random.default_rng(2))
+    res = alignment_test(sift_pair_keys(bad), 0.3, 0.98, np.random.default_rng(2))
     assert not res.ok
     assert res.match_rates["ab"] == pytest.approx(0.0)
 
@@ -1189,6 +1214,24 @@ def test_memory_is_flat_in_rounds(backend):
         written = [_traced_peak(lambda: write_transcript_jsonl(tr, sink)) for tr in map(run_rounds, configs)]
     growth_mb = [(peaks[1] - peaks[0]) / 2**20 for peaks in (sampled, written)]
     assert max(growth_mb) <= 2.0, growth_mb
+
+
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_sift_builds_no_mask_over_the_rounds(kind):
+    # Sifting selects each pair's codes a block at a time. Its traced peak
+    # is the keys it returns plus the selected codes, 2 bytes per key bit
+    # held twice while the blocks are joined: about twice the keys. An
+    # N-byte mask per pair would add 1 MB at 1e6 rounds.
+    n_rounds = 1_000_000
+    tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=7, strategy_kind=kind))
+    tracemalloc.start()
+    try:
+        sift = sift_pair_keys(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    keys = sum(key.nbytes for key in (sift.alice_ab, sift.partner_ab, sift.alice_ac, sift.partner_ac))
+    assert peak <= 2 * keys + n_rounds // 2, (peak, keys)
 
 
 def test_transcript_keeps_two_bytes_per_round():
