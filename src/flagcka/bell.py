@@ -357,31 +357,18 @@ class BehaviorEstimate:
         return self.counts.reshape(2, 3, 3, -1).sum(axis=-1)
 
 
-def estimate_behavior(rows: np.ndarray | None = None, *, cells: np.ndarray | None = None) -> BehaviorEstimate:
+def estimate_behavior(cells: np.ndarray) -> BehaviorEstimate:
     """Empirical conditional frequencies of sampled rounds.
 
-    The rounds come as exactly one of `rows`, an (N, 9) integer array
-    with one round per row in the columns (x, y, z, a, ta, b, tb, c, tc),
-    or `cells`, a 1-D integer array of each round's cell: its flat index
-    in a C-ordered TABLE_SHAPE table, row @ CELL_WEIGHTS. Rows are checked
-    column by column and turned into cells, the only temporary that grows
-    with N; cells are counted _COUNT_ROWS at a time. Cells of input
-    triples that never occur are left at zero and the triple is reported
-    in missing_inputs.
+    `cells` is a 1-D integer array of each round's cell: its flat index in
+    a C-ordered TABLE_SHAPE table, row @ CELL_WEIGHTS for the round's
+    columns (x, y, z, a, ta, b, tb, c, tc). The cells are counted
+    _COUNT_ROWS at a time. Cells of input triples that never occur are
+    left at zero and the triple is reported in missing_inputs.
     """
-    if (rows is None) == (cells is None):
-        raise ValueError("give exactly one of rows and cells")
-    if rows is not None:
-        if not np.issubdtype(rows.dtype, np.integer) or rows.ndim != 2 or rows.shape[1] != len(TABLE_SHAPE):
-            raise ValueError(f"rows must be an integer array of shape (N, 9), got {rows.dtype} of shape {rows.shape}")
-        if len(rows) and ((rows.min(axis=0) < 0).any() or (rows.max(axis=0) >= TABLE_SHAPE).any()):
-            raise ValueError(f"row values must lie below {TABLE_SHAPE} column by column")
-        # einsum, unlike matmul, casts the rows in buffered chunks, not as a
-        # whole copy; intp cells are what bincount reads without a copy.
-        cells = np.einsum("ij,j->i", rows, CELL_WEIGHTS, dtype=np.intp)
-    elif not np.issubdtype(cells.dtype, np.integer) or cells.ndim != 1:
+    if not np.issubdtype(cells.dtype, np.integer) or cells.ndim != 1:
         raise ValueError(f"cells must be a 1-D integer array, got {cells.dtype} of shape {cells.shape}")
-    elif len(cells) and (cells.min() < 0 or cells.max() >= _N_CELLS):
+    if len(cells) and (cells.min() < 0 or cells.max() >= _N_CELLS):
         raise ValueError(f"cells must lie in [0, {_N_CELLS})")
     counts = np.zeros(_N_CELLS, dtype=np.int64)
     for start in range(0, len(cells), _COUNT_ROWS):
@@ -423,6 +410,12 @@ _TRIPLE_OFFSETS = {",".join(map(str, k)): _CELL_SIZE * i for i, k in enumerate(n
 _OUTCOME_OFFSETS = {" ".join(map(str, k)): i for i, k in enumerate(np.ndindex(TABLE_SHAPE[3:]))}
 
 
+def _json_default(value):
+    """The `default` hook of json.dumps for the result and report documents:
+    a numpy scalar as its Python value, anything else as its repr."""
+    return value.item() if isinstance(value, np.generic) else repr(value)
+
+
 def behavior_to_json(behavior: Behavior) -> str:
     """The table as an object keyed by input triple 'x,y,z', each an object
     keyed by outcome 'a ta b tb c tc', both in C order."""
@@ -436,7 +429,8 @@ def behavior_to_json(behavior: Behavior) -> str:
 
 def behavior_from_json(text: str) -> Behavior:
     """Inverse of `behavior_to_json`. Absent cells are zero; a key that is
-    not one `behavior_to_json` writes raises ValueError."""
+    not one `behavior_to_json` writes, or a table that `Behavior.validate`
+    rejects, raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("behavior JSON must be an object keyed by input triple 'x,y,z'")
@@ -455,4 +449,4 @@ def behavior_from_json(text: str) -> Behavior:
                 flat[base + offset] = float(p)
             except TypeError:
                 raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number") from None
-    return Behavior(np.array(flat).reshape(TABLE_SHAPE))
+    return Behavior(np.array(flat).reshape(TABLE_SHAPE)).validate()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _pair_joint, behavior_from_strategy
+from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _json_default, _pair_joint, behavior_from_strategy
 from .qops import ATOL_OPERATOR, SQRT2, identity, kron_stack, partial_trace, sum_deviation, trace_distance, von_neumann_entropy
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
 
@@ -375,26 +375,8 @@ def check_random_strategies(base: Strategy, seeds, suite: str = "all") -> list[C
 
 
 def reports_to_json(reports) -> str:
-    def clean(value):
-        if isinstance(value, dict):
-            return {str(k): clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        if isinstance(value, (np.floating, float)):
-            return float(value)
-        if isinstance(value, (np.integer, int)):
-            return int(value)
-        return value
-
-    return json.dumps(
-        [
-            {
-                "name": r.name,
-                "residual": clean(r.residual),
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "details": clean(r.details),
-            }
-            for r in reports
-        ]
-    )
+    doc = [
+        {"name": r.name, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed, "details": r.details}
+        for r in reports
+    ]
+    return json.dumps(doc, default=_json_default)

@@ -10,7 +10,9 @@ One run proceeds in seven steps:
   3. parties measure; each measurement device sees only its input and
      the shared state handle, never the round type
   4. flags are announced; the run aborts if they differ anywhere
-     (FlagMismatch) or if the common string is constant (FlagConstant)
+     (FlagMismatch) or if the common string is constant (FlagConstant).
+     check_flag_agreement reads the codes one block at a time through
+     one table over the slots, so no array of this step spans the rounds
   5. test-round data is announced, the Bell value estimated and compared
      against the threshold (BellBelowThreshold on failure)
   6. generation rounds are sifted, once, into the Alice-Bob key (the
@@ -46,12 +48,14 @@ with the same config are bit-identical.
 A transcript stores each round as one uint16 code, the flat index of its
 (round type, row) cell: row @ CELL_WEIGHTS + 1152 * test, one of 2304
 slots. Every step after sampling reads a round only through its code:
-the flags and key bits are per-COLUMNS tables over the slots, each
-strategy kind's routing is a table per pair of the slots that feed the
-pair's key, read off the pair's block in bell._BLOCK_CELLS (the one table
-of which rounds and bits feed each key; its readers are listed in bell),
-the Bell estimate counts the test rounds' cells, and the JSONL writer
-copies each code's line bytes from one table.
+the flags and key bits are per-COLUMNS tables over the slots, step 4
+counts each block's rounds by a flag-class table (t when all three flags
+read t, 2 when they differ), each strategy kind's routing is a table per
+pair of the slots that feed the pair's key, read off the pair's block in
+bell._BLOCK_CELLS (the one table of which rounds and bits feed each key;
+its readers are listed in bell), the Bell estimate counts the test
+rounds' cells, and the JSONL writer copies each code's line bytes from
+one table.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .bell import (
     GENERATION_INPUTS,
     TABLE_SHAPE,
     _PAIR_CELLS,
+    _json_default,
     bell_value_stderr,
     estimate_behavior,
 )
@@ -143,6 +148,10 @@ _GENERATION_COLUMN = np.array(GENERATION_INPUTS)[:, None]
 _CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
 # Per party, the COLUMNS of its input, value and flag.
 _PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
+# Per code, Alice's, Bob's and Carole's flags, and its flag class: t when
+# all three read t, 2 when they differ.
+_CODE_FLAGS = _CODE_COLUMNS[COLUMNS.index("ta") :: 2]
+_FLAG_CLASS = np.where((_CODE_FLAGS == _CODE_FLAGS[0]).all(axis=0), _CODE_FLAGS[0], np.uint8(2))
 
 
 def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,41 +410,36 @@ def _bit_string(bits: np.ndarray) -> str:
     return (bits | 48).tobytes().decode("ascii")
 
 
-def check_flag_agreement(flags_a, flags_b, flags_c) -> str:
-    """Step-4 verdict: 'ok', 'FlagMismatch' or 'FlagConstant'.
+def check_flag_agreement(codes: np.ndarray) -> tuple[str, dict]:
+    """Step 4 on a flagged run's codes: the verdict, 'ok', 'FlagMismatch'
+    or 'FlagConstant', and its stats.
 
-    Takes the three announced flag columns. Any position where they
-    differ is a mismatch; identical but constant flags mean the source
-    never alternated and the run must abort too.
+    Each BLOCK_ROWS block counts its rounds by their _FLAG_CLASS entry.
+    Any round whose three flags differ is a mismatch: the stats name the
+    first, the parties off its majority flag, and the number of such
+    rounds. Flags that agree everywhere on one value mean the source never
+    alternated, and the run aborts too; otherwise the stats hold the
+    branch weights, None when there are no rounds.
     """
-    a, b, c = (np.asarray(f) for f in (flags_a, flags_b, flags_c))
-    if not (len(a) == len(b) == len(c)):
-        raise ValueError("flag columns must have equal length")
-    if not (np.array_equal(a, b) and np.array_equal(a, c)):
-        return "FlagMismatch"
-    if len(a) and (a == a[0]).all():
-        return "FlagConstant"
-    return "ok"
-
-
-def _flag_abort_stats(verdict: str, flags) -> dict:
-    """Where step 4 failed, for the result's stats.
-
-    FlagMismatch: the first round whose three flags differ, the parties
-    whose flag there is off that round's majority flag, and the number of
-    such rounds. FlagConstant: the one flag value every round carries.
-    """
-    flags = np.stack(flags)
-    if verdict == "FlagConstant":
-        return {"flag_constant_value": int(flags[0, 0])}
-    rounds = np.flatnonzero((flags != flags[0]).any(axis=0))
-    first = flags[:, rounds[0]]
-    majority = np.bincount(first).argmax()
-    return {
-        "flag_mismatch_round": int(rounds[0]),
-        "flag_mismatch_parties": [name for name, f in zip(PARTY_NAMES, first) if f != majority],
-        "flag_mismatch_count": len(rounds),
-    }
+    counts, first = np.zeros(3, dtype=np.int64), None
+    for start in range(0, len(codes), BLOCK_ROWS):
+        classes = _FLAG_CLASS.take(codes[start : start + BLOCK_ROWS])
+        block = np.bincount(classes, minlength=3)
+        if first is None and block[2]:
+            first = start + int(np.argmax(classes == 2))
+        counts += block
+    n, (n0, n1, mismatches) = len(codes), counts.tolist()
+    if mismatches:
+        flags = _CODE_FLAGS[:, codes[first]]
+        majority = int(flags.sum() > 1)
+        return "FlagMismatch", {
+            "flag_mismatch_round": first,
+            "flag_mismatch_parties": [name for name, f in zip(PARTY_NAMES, flags) if f != majority],
+            "flag_mismatch_count": mismatches,
+        }
+    if n and n0 in (0, n):
+        return "FlagConstant", {"flag_constant_value": int(n1 == n)}
+    return "ok", {"p_t0_estimate": n0 / n if n else None, "p_t1_estimate": n1 / n if n else None}
 
 
 def _bell_score(estimate, kind: str) -> tuple[float, dict]:
@@ -529,18 +533,6 @@ def _default_threshold(kind: str, n_test: int) -> float:
     return min(max(hi * (1.0 - 10.0 / math.sqrt(n_test)), lo), hi)
 
 
-def _flag_step(codes: np.ndarray) -> tuple[str, dict]:
-    """Step-4 verdict on the flags a flagged run's codes carry, and its
-    stats; with no rounds the branch weights are None. The three flag
-    columns it looks up are freed on return."""
-    flags = [_CODE_COLUMNS[columns[2]][codes] for columns in _PARTY_COLUMNS]
-    verdict = check_flag_agreement(*flags)
-    if verdict != "ok":
-        return verdict, _flag_abort_stats(verdict, flags)
-    n, n_t1 = len(codes), int(np.count_nonzero(flags[0]))
-    return verdict, {"p_t0_estimate": (n - n_t1) / n if n else None, "p_t1_estimate": n_t1 / n if n else None}
-
-
 def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResult:
     """Steps 4-7 on a finished transcript: announcements, checks, keys."""
     codes = transcript.codes
@@ -564,7 +556,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     if transcript.strategy_kind == "flagged":
         for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
             announce(Message(name, "FlagAnnounce", (codes, columns[2])))
-        verdict, flag_stats = _flag_step(codes)
+        verdict, flag_stats = check_flag_agreement(codes)
         stats.update(flag_stats)
         if verdict != "ok":
             return aborted(verdict)
@@ -794,25 +786,11 @@ def write_transcript_jsonl(transcript: Transcript, fh) -> None:
 
 
 def result_to_json(result: ProtocolResult) -> str:
-    def clean(v):
-        if isinstance(v, dict):
-            return {str(k): clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if v is None or isinstance(v, (str, int, float, bool)):
-            return v
-        return repr(v)
-
-    return json.dumps(
-        {
-            "outcome": result.outcome,
-            "abort_reason": result.abort_reason,
-            "keys": result.keys,
-            "k_xor": result.k_xor,
-            "stats": clean(result.stats),
-        }
-    )
+    doc = {
+        "outcome": result.outcome,
+        "abort_reason": result.abort_reason,
+        "keys": result.keys,
+        "k_xor": result.k_xor,
+        "stats": result.stats,
+    }
+    return json.dumps(doc, default=_json_default)

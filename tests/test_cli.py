@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from flagcka.bell import behavior_from_strategy, behavior_to_json
+from flagcka.bell import Behavior, behavior_from_strategy, behavior_to_json
 from flagcka.checks import VERIFY_CHUNK
 from flagcka import __version__, cli
 from flagcka.cli import _COMMANDS, _SLICE, _emit, build_parser, main
@@ -178,6 +178,39 @@ def test_rates_rejects_behavior_keys_it_cannot_place(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: behavior JSON" in captured.err
+
+
+def _honest_table(visibility):
+    return behavior_from_strategy(honest_flagged_strategy(NoiseParams(visibility=visibility))).table.copy()
+
+
+def _negative_entry_table():
+    # The mass at x=0, y=z=2, a=0, ta=0, b=1, tb=0, c=0, tc=0, plus 0.01
+    # more, moved to b=0: still normalised, but one entry is -0.01.
+    table = _honest_table(0.9)
+    moved = table[0, 2, 2, 0, 0, 1, 0, 0, 0] + 0.01
+    table[0, 2, 2, 0, 0, 1, 0, 0, 0] -= moved
+    table[0, 2, 2, 0, 0, 0, 0, 0, 0] += moved
+    return table
+
+
+def _unnormalised_table():
+    table = _honest_table(0.9)
+    table[1, 0, 0] *= 0.9
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [(_negative_entry_table, "entries outside [0, 1]"), (_unnormalised_table, "not normalized")],
+)
+def test_rates_rejects_a_behavior_that_is_not_one(tmp_path, capsys, table, message):
+    path = tmp_path / "behavior.json"
+    path.write_text(behavior_to_json(Behavior(table())))
+    assert main(["rates", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bad_config_value_exits_one(tmp_path, capsys):

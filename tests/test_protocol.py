@@ -453,13 +453,60 @@ def _bits(text):
     return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
 
 
+def _flag_codes(alice, bob, carole, test=0):
+    """Codes of rounds whose three flags are the bit strings given, every
+    other column 0."""
+    flags = np.stack([_bits(f) for f in (alice, bob, carole)]).T.astype(np.intp)
+    return (flags @ CELL_WEIGHTS[[COLUMNS.index(c) for c in ("ta", "tb", "tc")]] + test * len(_CELL_ROWS)).astype(np.uint16)
+
+
 def test_check_flag_agreement_verdicts():
-    assert check_flag_agreement(_bits("0101"), _bits("0101"), _bits("0101")) == "ok"
-    assert check_flag_agreement(_bits("0101"), _bits("0100"), _bits("0101")) == "FlagMismatch"
-    assert check_flag_agreement(_bits("0000"), _bits("0000"), _bits("0000")) == "FlagConstant"
-    assert check_flag_agreement(_bits("1111"), _bits("1111"), _bits("1111")) == "FlagConstant"
-    with pytest.raises(ValueError):
-        check_flag_agreement(_bits("01"), _bits("011"), _bits("01"))
+    assert check_flag_agreement(_flag_codes("0101", "0101", "0101")) == ("ok", {"p_t0_estimate": 0.5, "p_t1_estimate": 0.5})
+    assert check_flag_agreement(_flag_codes("0001", "0001", "0001", test=1)) == ("ok", {"p_t0_estimate": 0.75, "p_t1_estimate": 0.25})
+    assert check_flag_agreement(np.empty(0, np.uint16)) == ("ok", {"p_t0_estimate": None, "p_t1_estimate": None})
+    mismatch = {"flag_mismatch_round": 2, "flag_mismatch_parties": ["alice"], "flag_mismatch_count": 2}
+    assert check_flag_agreement(_flag_codes("0111", "0100", "0101")) == ("FlagMismatch", mismatch)
+    for t in "01":
+        assert check_flag_agreement(_flag_codes(t * 4, t * 4, t * 4)) == ("FlagConstant", {"flag_constant_value": int(t)})
+
+
+def test_check_flag_agreement_reads_every_code_slot():
+    # One round per code: a mismatch naming the party off the majority flag
+    # when the decoded flags differ, else a constant at their value.
+    flags = np.tile(_CELL_ROWS, (2, 1))[:, COLUMNS.index("ta") :: 2]
+    for code, f in enumerate(flags.tolist()):
+        verdict, stats = check_flag_agreement(np.array([code], dtype=np.uint16))
+        if len(set(f)) == 1:
+            assert (verdict, stats) == ("FlagConstant", {"flag_constant_value": f[0]})
+        else:
+            odd = [name for name, flag in zip(PARTY_NAMES, f) if f.count(flag) == 1]
+            assert (verdict, stats["flag_mismatch_parties"], stats["flag_mismatch_round"]) == ("FlagMismatch", odd, 0)
+
+
+def test_check_flag_agreement_finds_a_mismatch_in_a_later_block():
+    n = 3 * BLOCK_ROWS + 5
+    flags = "01" * (n // 2) + "0"
+    carole = list(flags)
+    for r in (BLOCK_ROWS, 2 * BLOCK_ROWS + 3):
+        carole[r] = "10"[int(carole[r])]
+    verdict, stats = check_flag_agreement(_flag_codes(flags, flags, "".join(carole)))
+    assert verdict == "FlagMismatch"
+    assert stats == {"flag_mismatch_round": BLOCK_ROWS, "flag_mismatch_parties": ["carole"], "flag_mismatch_count": 2}
+
+
+def test_flag_step_holds_no_array_over_the_rounds():
+    # Step 4 reads the codes a block at a time, so its temporaries are a
+    # block's, tens of KB; one whole flag column would take 0.95 MiB here.
+    tr = run_rounds(ProtocolConfig(n_rounds=1_000_000, seed=7))
+    transcripts = {
+        "ok": tr,
+        "FlagMismatch": apply_tamper(tr, "flag-flip:0.01", np.random.default_rng(0)),
+        "FlagConstant": apply_tamper(tr, "flag-constant:1", np.random.default_rng(0)),
+    }
+    for verdict, transcript in transcripts.items():
+        assert check_flag_agreement(transcript.codes)[0] == verdict
+        peak_mb = _traced_peak(lambda: check_flag_agreement(transcript.codes)) / 1e6
+        assert peak_mb < 0.25, (verdict, peak_mb)
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
