@@ -94,7 +94,6 @@ __all__ = [
     "ProtocolConfig",
     "Message",
     "Transcript",
-    "SiftResult",
     "AlignmentResult",
     "ProtocolResult",
     "run_rounds",
@@ -234,20 +233,10 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class SiftResult:
-    alice_ab: np.ndarray                      # uint8 key bits, one per sifted round
-    partner_ab: np.ndarray
-    alice_ac: np.ndarray
-    partner_ac: np.ndarray
-    mismatch_ab: int
-    mismatch_ac: int
-
-
-@dataclass(frozen=True)
 class AlignmentResult:
     ok: bool
     match_rates: dict
-    kept: SiftResult                          # the keys without the sampled bits
+    kept: dict                                # pair -> keys without the sampled bits
 
 
 @dataclass(frozen=True)
@@ -460,14 +449,7 @@ def _select(codes: np.ndarray, keep) -> np.ndarray:
     return np.concatenate([codes[:0], *(np.compress(keep(block), block) for block in blocks)])
 
 
-def _sift_result(keys: list) -> SiftResult:
-    """The SiftResult of the two pairs' (Alice's, partner's) key arrays,
-    Alice-Bob first, with their mismatch counts."""
-    mismatches = (int(np.count_nonzero(alice != partner)) for alice, partner in keys)
-    return SiftResult(*keys[0], *keys[1], *mismatches)
-
-
-def sift_pair_keys(transcript: Transcript) -> SiftResult:
+def sift_pair_keys(transcript: Transcript) -> dict:
     """Step-6 sifting into the two pairwise raw keys.
 
     The one selection of each pair's rounds: rounds and key bits follow
@@ -475,14 +457,14 @@ def sift_pair_keys(transcript: Transcript) -> SiftResult:
     generation round by its flags, Alice-Bob when all three read 0,
     Alice-Carole when all read 1; the two-pair strategy has no flags and
     every generation round feeds both keys, first output bits for
-    Alice-Bob, second bits for Alice-Carole. Mismatch counts compare
-    Alice's bit against the partner's. The keys are uint8 arrays of 0/1.
+    Alice-Bob, second bits for Alice-Carole. Returns pair -> (Alice's
+    bits, the partner's bits), "ab" then "ac", as uint8 arrays of 0/1.
     """
-    keys = []
-    for feeds, alice, partner in _ROUTE_TABLES[transcript.strategy_kind].values():
+    keys = {}
+    for pair, (feeds, alice, partner) in _ROUTE_TABLES[transcript.strategy_kind].items():
         codes = _select(transcript.codes, feeds.take)
-        keys.append((alice[codes], partner[codes]))
-    return _sift_result(keys)
+        keys[pair] = alice[codes], partner[codes]
+    return keys
 
 
 def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,31 +480,29 @@ def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.nd
     return k_ab[:m] ^ k_ac[:m], k_ab[:m]
 
 
-def alignment_test(sift: SiftResult, fraction: float, floor: float, rng) -> AlignmentResult:
+def alignment_test(keys: dict, fraction: float, floor: float, rng) -> AlignmentResult:
     """Optional spot check on the sifted keys, before the XOR.
 
-    For each pair, ceil(fraction * n_pair) positions of the pair's sifted
-    key are sampled (Alice-Bob first, then Alice-Carole, consuming draws
-    in that order), Alice's and the partner's bits there compared in
-    public, and the sampled bits dropped from both keys. The result holds
-    the kept keys; fraction 0 passes vacuously and keeps `sift` itself.
+    For each pair of `keys`, pair -> (Alice's bits, the partner's bits),
+    ceil(fraction * n_pair) positions of the pair's key are sampled (in
+    the mapping's order, Alice-Bob first, consuming draws in that order),
+    Alice's and the partner's bits there compared in public, and the
+    sampled bits dropped from both keys. The result holds the kept keys
+    in the same mapping; a pair with nothing sampled, as every pair at
+    fraction 0, keeps its arrays themselves and draws nothing.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    rates = dict.fromkeys(("ab", "ac"))
-    if fraction == 0.0:
-        return AlignmentResult(ok=True, match_rates=rates, kept=sift)
-    keys = []
-    for pair in rates:
-        alice, partner = getattr(sift, "alice_" + pair), getattr(sift, "partner_" + pair)
+    rates, kept = dict.fromkeys(keys), {}
+    for pair, (alice, partner) in keys.items():
         k = math.ceil(fraction * len(alice))
         if k:
             sampled = rng.choice(len(alice), size=k, replace=False)
             rates[pair] = int(np.count_nonzero(alice[sampled] == partner[sampled])) / k
             alice, partner = np.delete(alice, sampled), np.delete(partner, sampled)
-        keys.append((alice, partner))
+        kept[pair] = alice, partner
     ok = all(rate >= floor for rate in rates.values() if rate is not None)
-    return AlignmentResult(ok=ok, match_rates=rates, kept=_sift_result(keys))
+    return AlignmentResult(ok=ok, match_rates=rates, kept=kept)
 
 
 def _default_threshold(kind: str, n_test: int) -> float:
@@ -547,6 +527,8 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
         "strategy_kind": transcript.strategy_kind,
         "backend": config.backend,
     }
+    # This call's record replaces any earlier call's.
+    transcript.announcements = []
     announce = transcript.announcements.append
 
     def aborted(reason):
@@ -578,27 +560,26 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     if observed < threshold:
         return aborted("BellBelowThreshold")
 
-    sift = sift_pair_keys(transcript)
     rng = np.random.default_rng([config.seed, 1])  # derived post-round stream
-    alignment = alignment_test(sift, config.alignment_fraction, config.alignment_floor, rng)
+    alignment = alignment_test(sift_pair_keys(transcript), config.alignment_fraction, config.alignment_floor, rng)
     stats["alignment_match_rates"] = alignment.match_rates
     if not alignment.ok:
         return aborted("AlignmentFailure")
 
-    sift = alignment.kept
-    len_ab, len_ac = len(sift.alice_ab), len(sift.alice_ac)
-    stats["len_ab"], stats["len_ac"] = len_ab, len_ac
-    stats["mismatch_ab"] = sift.mismatch_ab
-    stats["mismatch_ac"] = sift.mismatch_ac
-    stats["mismatch_rate_ab"] = sift.mismatch_ab / len_ab if len_ab else None
-    stats["mismatch_rate_ac"] = sift.mismatch_ac / len_ac if len_ac else None
-    if len_ab or len_ac:
-        k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
+    kept = alignment.kept
+    lengths = {pair: len(alice) for pair, (alice, _) in kept.items()}
+    mismatches = {pair: int(np.count_nonzero(alice != partner)) for pair, (alice, partner) in kept.items()}
+    mismatch_rates = {pair: count / lengths[pair] if lengths[pair] else None for pair, count in mismatches.items()}
+    for name, per_pair in (("len", lengths), ("mismatch", mismatches), ("mismatch_rate", mismatch_rates)):
+        stats.update({f"{name}_{pair}": value for pair, value in per_pair.items()})
+    (alice_ab, bob_ab), (alice_ac, carole_ac) = kept["ab"], kept["ac"]
+    if len(alice_ab) or len(alice_ac):
+        k_xor, k_cka = xor_reconcile(alice_ab, alice_ac)
     else:
-        k_xor = k_cka = sift.alice_ab
+        k_xor = k_cka = alice_ab
     m = len(k_cka)
     # Carole recovers the conference key from the announced XOR and her Alice-Carole key.
-    bits = {"alice": k_cka, "bob": sift.partner_ab[:m], "carole": k_xor ^ sift.partner_ac[:m]}
+    bits = {"alice": k_cka, "bob": bob_ab[:m], "carole": k_xor ^ carole_ac[:m]}
     keys = {party: _bit_string(b) for party, b in bits.items()}
     k_xor = _bit_string(k_xor)
     announce(Message("alice", "XorAnnounce", k_xor))
@@ -689,7 +670,11 @@ def config_from_json(text: str) -> ProtocolConfig:
         for parent in parents:
             node = node.get(parent, {})
         if key in node:
-            kwargs[field] = parse(node[key])
+            value = node[key]
+            # int() would truncate 1.5 and read true as 1; an integral number such as 1e6 parses.
+            if parse is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"config {key!r} must be an integer, got {json.dumps(value)}")
+            kwargs[field] = parse(value)
     return ProtocolConfig(**kwargs)
 
 

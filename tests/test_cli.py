@@ -219,6 +219,17 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("doc", [{"n_rounds": 1.5}, {"n_rounds": True}, {"seed": 2.7}])
+def test_fractional_or_boolean_config_integer_exits_one(tmp_path, capsys, doc):
+    # Not a one-round run that aborts (exit 2), nor a run on a truncated seed.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config '{next(iter(doc))}' must be an integer" in captured.err
+
+
 def test_verify_rejects_negative_seeds(capsys):
     assert main(["verify", "--seeds", "-3"]) == 1
     captured = capsys.readouterr()

@@ -449,6 +449,20 @@ def test_message_schedule_through_completion():
     assert tr.announcements[-1].payload == result.k_xor
 
 
+def test_postprocess_again_replaces_the_announcements():
+    # The announcements are the record of the last postprocess call: a
+    # second call's record replaces the first's, as if it were the only one.
+    tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=7))
+    first = postprocess(tr, ProtocolConfig(n_rounds=2000, seed=7, bell_threshold=2.0))
+    config = ProtocolConfig(n_rounds=2000, seed=7, bell_threshold=2.82)
+    second = postprocess(tr, config)
+    assert (first.outcome, second.abort_reason) == ("completed", "BellBelowThreshold")
+    once = Transcript(tr.strategy_kind, tr.codes)
+    postprocess(once, config)
+    assert tr.announcements == once.announcements
+    assert [m.kind for m in tr.announcements] == ["FlagAnnounce"] * 3 + ["TestDataAnnounce"] * 3 + ["AbortNotice"]
+
+
 def _bits(text):
     return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
 
@@ -538,26 +552,27 @@ def test_sift_routes_by_flag():
         ("generation", (0, 2, 2), ((0, 0), (1, 0), (1, 0))),   # ab, mismatch
         ("generation", (0, 2, 2), ((1, 1), (1, 1), (0, 1))),   # ac, mismatch
     ]
-    sift = sift_pair_keys(_synthetic_transcript(rows))
-    assert sift.alice_ab.tolist() == [1, 0] and sift.partner_ab.tolist() == [1, 1]
-    assert sift.alice_ac.tolist() == [1, 1] and sift.partner_ac.tolist() == [1, 0]
-    assert sift.mismatch_ab == 1 and sift.mismatch_ac == 1
-    assert sift.alice_ab.dtype == sift.partner_ac.dtype == np.uint8
+    keys = sift_pair_keys(_synthetic_transcript(rows))
+    assert list(keys) == ["ab", "ac"]
+    assert [key.tolist() for key in keys["ab"]] == [[1, 0], [1, 1]]
+    assert [key.tolist() for key in keys["ac"]] == [[1, 1], [1, 0]]
+    assert all(np.count_nonzero(alice != partner) == 1 for alice, partner in keys.values())
+    assert all(key.dtype == np.uint8 for pair in keys.values() for key in pair)
 
 
 def test_alignment_drops_the_sampled_bits():
     # Per pair, choice(n_pair, k) picks the positions of the sifted key
     # that are compared and dropped; the other bits stay, in order.
-    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=2000, seed=3, visibility=0.8)))
-    res = alignment_test(sift, 0.1, 0.5, np.random.default_rng(4))
+    keys = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=2000, seed=3, visibility=0.8)))
+    res = alignment_test(keys, 0.1, 0.5, np.random.default_rng(4))
+    assert list(res.kept) == ["ab", "ac"]
     draws = np.random.default_rng(4)
-    for pair in ("ab", "ac"):
-        alice, partner = getattr(sift, "alice_" + pair), getattr(sift, "partner_" + pair)
+    for pair, (alice, partner) in keys.items():
         sampled = draws.choice(len(alice), size=math.ceil(0.1 * len(alice)), replace=False)
         keep = np.setdiff1d(np.arange(len(alice)), sampled)
-        assert np.array_equal(getattr(res.kept, "alice_" + pair), alice[keep])
-        assert np.array_equal(getattr(res.kept, "partner_" + pair), partner[keep])
-        assert getattr(res.kept, "mismatch_" + pair) == np.count_nonzero(alice[keep] != partner[keep])
+        kept_alice, kept_partner = res.kept[pair]
+        assert np.array_equal(kept_alice, alice[keep])
+        assert np.array_equal(kept_partner, partner[keep])
         assert res.match_rates[pair] == np.count_nonzero(alice[sampled] == partner[sampled]) / len(sampled) < 1.0
     assert res.ok
 
@@ -567,11 +582,12 @@ def test_sift_parallel_feeds_both_keys():
         ("generation", (0, 2, 2), ((1, 0), (1, 1), (1, 0))),
         ("generation", (0, 2, 2), ((0, 1), (0, 0), (0, 1))),
     ]
-    sift = sift_pair_keys(_synthetic_transcript(rows, kind="parallel"))
+    keys = sift_pair_keys(_synthetic_transcript(rows, kind="parallel"))
     # First bits go to Alice-Bob, second bits to Alice-Carole.
-    assert sift.alice_ab.tolist() == [1, 0] and sift.partner_ab.tolist() == [1, 0]
-    assert sift.alice_ac.tolist() == [0, 1] and sift.partner_ac.tolist() == [0, 1]
-    assert sift.mismatch_ab == 0 and sift.mismatch_ac == 0
+    assert list(keys) == ["ab", "ac"]
+    assert [key.tolist() for key in keys["ab"]] == [[1, 0], [1, 0]]
+    assert [key.tolist() for key in keys["ac"]] == [[0, 1], [0, 1]]
+    assert all(np.array_equal(alice, partner) for alice, partner in keys.values())
 
 
 def test_xor_reconcile():
@@ -624,7 +640,7 @@ def test_route_tables_read_each_pairs_bell_block():
 def test_sift_without_exclusions_keeps_every_routed_round():
     for kind in ("flagged", "parallel"):
         tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=13, strategy_kind=kind))
-        sift = sift_pair_keys(tr)
+        keys = sift_pair_keys(tr)
         test, data = _rounds(tr)
         gen = ~test
         if kind == "flagged":
@@ -632,7 +648,8 @@ def test_sift_without_exclusions_keeps_every_routed_round():
             routed = {"ab": gen & (flags == 0).all(axis=1), "ac": gen & (flags == 1).all(axis=1)}
         else:
             routed = {"ab": gen, "ac": gen}
-        for pair, alice_key, partner_key in (("ab", sift.alice_ab, sift.partner_ab), ("ac", sift.alice_ac, sift.partner_ac)):
+        assert list(keys) == list(routed)
+        for pair, (alice_key, partner_key) in keys.items():
             alice, partner = (COLUMNS.index(c) for c in _KEY_COLUMNS[kind][pair])
             assert np.array_equal(alice_key, data[routed[pair], alice])
             assert np.array_equal(partner_key, data[routed[pair], partner])
@@ -675,76 +692,76 @@ def test_array_keys_match_the_string_reference(seed, kind, n_rounds, fraction):
     data[:, :3] = np.where(test[:, None], rng.integers(0, 2, (n_rounds, 3)), GENERATION_INPUTS)
     data[:, 3:] = rng.integers(0, 2, (n_rounds, 6))
     tr = _transcript(kind, test, data)
-    sift = sift_pair_keys(tr)
+    keys = sift_pair_keys(tr)
     reference = {pair: _reference_sift(tr, pair) for pair in ("ab", "ac")}
-    for pair in ("ab", "ac"):
-        alice, partner = reference[pair]
-        assert (_bit_string(getattr(sift, "alice_" + pair)), _bit_string(getattr(sift, "partner_" + pair))) == (alice, partner)
-        assert getattr(sift, "mismatch_" + pair) == sum(a != b for a, b in zip(alice, partner))
+    assert {pair: tuple(map(_bit_string, key)) for pair, key in keys.items()} == reference
     # The spot check drops the bits at choice(n_pair, k), Alice-Bob first.
-    sift = alignment_test(sift, fraction, 1.0, np.random.default_rng(seed)).kept
+    kept = alignment_test(keys, fraction, 1.0, np.random.default_rng(seed)).kept
     draws = np.random.default_rng(seed)
     for pair, (alice, partner) in reference.items():
         k = math.ceil(fraction * len(alice))
         dropped = set(draws.choice(len(alice), size=k, replace=False).tolist()) if k else set()
         reference[pair] = tuple("".join(bit for i, bit in enumerate(key) if i not in dropped) for key in (alice, partner))
+    assert {pair: tuple(map(_bit_string, key)) for pair, key in kept.items()} == reference
     (ab_alice, ab_partner), (ac_alice, ac_partner) = reference.values()
-    assert (_bit_string(sift.alice_ab), _bit_string(sift.partner_ab)) == (ab_alice, ab_partner)
-    assert (_bit_string(sift.alice_ac), _bit_string(sift.partner_ac)) == (ac_alice, ac_partner)
-    assert sift.mismatch_ab == sum(a != b for a, b in zip(ab_alice, ab_partner))
-    assert sift.mismatch_ac == sum(a != b for a, b in zip(ac_alice, ac_partner))
     if not ab_alice and not ac_alice:
         with pytest.raises(ValueError):
-            xor_reconcile(sift.alice_ab, sift.alice_ac)
+            xor_reconcile(kept["ab"][0], kept["ac"][0])
         return
-    k_xor, k_cka = xor_reconcile(sift.alice_ab, sift.alice_ac)
+    k_xor, k_cka = xor_reconcile(kept["ab"][0], kept["ac"][0])
     m = min(len(ab_alice), len(ac_alice))
     reference_xor = _reference_xor_strings(ab_alice[:m], ac_alice[:m])
     assert _bit_string(k_xor) == reference_xor
     assert _bit_string(k_cka) == ab_alice[:m]
     # The rendered keys of Bob and of Carole, who recovers hers from the announced XOR.
-    assert _bit_string(sift.partner_ab[:m]) == ab_partner[:m]
-    assert _bit_string(k_xor ^ sift.partner_ac[:m]) == _reference_xor_strings(reference_xor, ac_partner[:m])
+    assert _bit_string(kept["ab"][1][:m]) == ab_partner[:m]
+    assert _bit_string(k_xor ^ kept["ac"][1][:m]) == _reference_xor_strings(reference_xor, ac_partner[:m])
 
 
 def test_alignment_vacuous_at_fraction_zero():
-    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=200, seed=8)))
-    res = alignment_test(sift, 0.0, 0.98, np.random.default_rng(0))
+    keys = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=200, seed=8)))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    res = alignment_test(keys, 0.0, 0.98, rng)
     assert res.ok
     assert res.match_rates == {"ab": None, "ac": None}
-    assert res.kept is sift
+    assert list(res.kept) == ["ab", "ac"]
+    for pair, (alice, partner) in keys.items():
+        assert res.kept[pair][0] is alice and res.kept[pair][1] is partner
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
 def test_vacuous_alignment_keeps_no_round_arrays(kind):
-    # At fraction 0 the check keeps the sifted keys themselves, not copies
-    # (0.16-0.32 MB per pair at 1e5 rounds), and draws nothing.
-    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind)))
+    # At fraction 0 the check keeps each pair's sifted arrays themselves,
+    # not copies (0.16-0.32 MB per pair at 1e5 rounds), and draws nothing.
+    keys = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=100_000, seed=31, strategy_kind=kind)))
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     tracemalloc.start()
     try:
-        res = alignment_test(sift, 0.0, 0.98, rng)
+        res = alignment_test(keys, 0.0, 0.98, rng)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.ok and res.match_rates == {"ab": None, "ac": None}
-    assert res.kept is sift
+    for pair, (alice, partner) in keys.items():
+        assert res.kept[pair][0] is alice and res.kept[pair][1] is partner
     assert rng.bit_generator.state == state
     assert kept < 4096, kept
     assert peak < 64 * 1024, peak
 
 
 def test_alignment_passes_on_honest_run():
-    sift = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=400, seed=8)))
-    res = alignment_test(sift, 0.25, 0.98, np.random.default_rng(1))
+    keys = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=400, seed=8)))
+    res = alignment_test(keys, 0.25, 0.98, np.random.default_rng(1))
     assert res.ok
     assert res.match_rates["ab"] == 1.0
     assert res.match_rates["ac"] == 1.0
-    for pair in ("ab", "ac"):
-        n_pair = len(getattr(sift, "alice_" + pair))
-        assert len(getattr(res.kept, "alice_" + pair)) == len(getattr(res.kept, "partner_" + pair)) == n_pair - math.ceil(0.25 * n_pair)
-        assert getattr(res.kept, "mismatch_" + pair) == 0
+    for pair, (alice, partner) in res.kept.items():
+        n_pair = len(keys[pair][0])
+        assert len(alice) == len(partner) == n_pair - math.ceil(0.25 * n_pair)
+        assert np.array_equal(alice, partner)
 
 
 def test_alignment_catches_value_corruption():
@@ -900,6 +917,8 @@ def test_config_json_text_is_pinned():
     )
     partial = config_from_json('{"threshold": null, "strategy": {"visibility": 0.5}}')
     assert partial == ProtocolConfig(visibility=0.5)
+    # An integral JSON number is an integer, whatever its notation.
+    assert config_from_json('{"n_rounds": 1e6, "seed": 3.0}') == ProtocolConfig(n_rounds=1_000_000, seed=3)
 
 
 _STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'visibility'"
@@ -913,6 +932,10 @@ _STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'vi
         ('{"strategy": {"kind": "flagged", "noise": 0}}', _STRATEGY_OBJECT),
         ('{"threshold": "high"}', "could not convert string to float: 'high'"),
         ('{"n_rounds": "1.5"}', "invalid literal for int() with base 10: '1.5'"),
+        ('{"n_rounds": 1.5}', "config 'n_rounds' must be an integer, got 1.5"),
+        ('{"n_rounds": true}', "config 'n_rounds' must be an integer, got true"),
+        ('{"seed": 2.7}', "config 'seed' must be an integer, got 2.7"),
+        ('{"seed": false}', "config 'seed' must be an integer, got false"),
         ('{"strategy": {"kind": "ghz"}}', "unknown strategy kind 'ghz'"),
     ],
 )
@@ -938,6 +961,9 @@ def test_result_json():
     assert doc["outcome"] == "completed"
     assert set(doc["keys"]) == {"alice", "bob", "carole"}
     assert doc["stats"]["key_length"] == len(doc["keys"]["alice"])
+    # The per-pair key stats, in their output order.
+    per_pair = [key for key in doc["stats"] if key.startswith(("len_", "mismatch_"))]
+    assert per_pair == ["len_ab", "len_ac", "mismatch_ab", "mismatch_ac", "mismatch_rate_ab", "mismatch_rate_ac"]
 
 
 def test_run_rounds_rejects_mismatched_strategy():
@@ -1273,12 +1299,12 @@ def test_sift_builds_no_mask_over_the_rounds(kind):
     tr = run_rounds(ProtocolConfig(n_rounds=n_rounds, seed=7, strategy_kind=kind))
     tracemalloc.start()
     try:
-        sift = sift_pair_keys(tr)
+        keys = sift_pair_keys(tr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    keys = sum(key.nbytes for key in (sift.alice_ab, sift.partner_ab, sift.alice_ac, sift.partner_ac))
-    assert peak <= 2 * keys + n_rounds // 2, (peak, keys)
+    nbytes = sum(key.nbytes for pair in keys.values() for key in pair)
+    assert peak <= 2 * nbytes + n_rounds // 2, (peak, nbytes)
 
 
 def test_transcript_keeps_two_bytes_per_round():
