@@ -34,7 +34,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _json_default, _pair_joint, behavior_from_strategy
-from .qops import ATOL_OPERATOR, SQRT2, identity, kron_stack, partial_trace, sum_deviation, trace_distance, von_neumann_entropy
+from .qops import (
+    ATOL_OPERATOR,
+    SQRT2,
+    identity,
+    kron_stack,
+    partial_trace,
+    sum_deviation,
+    tensor,
+    trace_distance,
+    von_neumann_entropy,
+)
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
 
 __all__ = [
@@ -321,7 +331,7 @@ def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
         rho_ae[a * env:(a + 1) * env, a * env:(a + 1) * env] = block / weight
     rho_ae = (rho_ae + rho_ae.conj().T) / 2.0
     rho_e = partial_trace(rho_ae, [2, env], [1])
-    product = np.kron(np.eye(2) / 2.0, rho_e)
+    product = tensor(np.eye(2) / 2.0, rho_e)
     distance = trace_distance(rho_ae, product)
     h_a_given_e = von_neumann_entropy(rho_ae) - von_neumann_entropy(rho_e)
     return _report(

@@ -128,6 +128,14 @@ _JSONL_ROWS = 1 << 10
 # The (x, y, z) triples the protocol draws: test rounds' {0, 1}^3, then
 # the generation inputs.
 PROTOCOL_INPUTS = (*itertools.product((0, 1), repeat=3), GENERATION_INPUTS)
+# Per party, a bool (prefixes, inputs) table: which of its inputs follow
+# each input prefix of the parties before it in PROTOCOL_INPUTS, prefixes
+# flat in C order of N_INPUTS (Alice has the one empty prefix).
+_DRAWN = np.zeros(N_INPUTS, dtype=bool)
+_DRAWN[tuple(np.array(PROTOCOL_INPUTS).T)] = True
+_FOLLOWING_INPUTS = tuple(
+    _DRAWN.any(axis=tuple(range(party + 1, 3))).reshape(-1, N_INPUTS[party]) for party in range(3)
+)
 # A conditioning of probability at or below this leaves its table row at zero.
 _P_CUTOFF = 1e-15
 # A round's code is the flat index of its (round type, row) cell in a
@@ -336,27 +344,25 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
     zero, as in `_cumulative_tables`. The effects are the strategy's own
     stacks, checked complete when it was built.
     """
-    protocol_inputs = np.array(PROTOCOL_INPUTS)
     tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
-    rhos, rows, seen = strategy.state[None], np.zeros(1, dtype=np.intp), np.zeros((1, 0), dtype=np.intp)
+    rhos, rows, seen = strategy.state[None], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     for party, (d, stack, table) in enumerate(zip(strategy.party_dims, strategy.effects, tables)):
         rhos = rhos.reshape(len(rhos), d, rhos.shape[1] // d, d, -1)
-        # The (prefix, input) pairs: the inputs that follow each prefix's in PROTOCOL_INPUTS.
-        prefix, triple = np.nonzero((seen[:, None, :] == protocol_inputs[:, :party]).all(axis=2))
-        drawn = np.zeros((len(rhos), N_INPUTS[party]), dtype=bool)
-        drawn[prefix, protocol_inputs[triple, party]] = True
-        prefix, x = np.nonzero(drawn)
+        # The (prefix, input) pairs: the inputs that follow each prefix's in
+        # PROTOCOL_INPUTS; `seen` is each prefix's flat input prefix.
+        prefix, x = np.nonzero(_FOLLOWING_INPUTS[party][seen])
         probs = born_rows(np.einsum("nijkj->nik", rhos)[prefix], stack[x], OUTCOME_LABELS)
         table[rows[prefix] * 3 + x] = np.cumsum(probs, axis=1)
         if party < 2:
             pair, o = np.nonzero(probs > _P_CUTOFF)
             prefix, x = prefix[pair], x[pair]
-            # Contracted for every (prefix, input, outcome) and then picked,
-            # so that no prefix's state is copied once per followed outcome.
-            reduced = np.einsum("xoki,nibkc->nxobc", stack, rhos)[prefix, x, o]
+            # Contracted for every (input, outcome, prefix) in one BLAS product
+            # and then picked, so that no prefix's state is copied once per
+            # followed outcome.
+            reduced = np.tensordot(stack, rhos, axes=([2, 3], [3, 1]))[x, o, prefix]
             rhos = reduced / np.trace(reduced, axis1=1, axis2=2).real[:, None, None]
             rows = (rows[prefix] * 3 + x) * 4 + o
-            seen = np.column_stack((seen[prefix], x))
+            seen = seen[prefix] * N_INPUTS[party] + x
     return tables
 
 
@@ -671,9 +677,12 @@ def config_from_json(text: str) -> ProtocolConfig:
             node = node.get(parent, {})
         if key in node:
             value = node[key]
-            # int() would truncate 1.5 and read true as 1; an integral number such as 1e6 parses.
-            if parse is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"config {key!r} must be an integer, got {json.dumps(value)}")
+            # int() would truncate 1.5 and read true as 1, float() would read
+            # true as 1.0; an integral number such as 1e6 parses.
+            fractional = parse is int and isinstance(value, float) and not value.is_integer()
+            if parse is not str and (isinstance(value, bool) or fractional):
+                noun = "an integer" if parse is int else "a number"
+                raise ValueError(f"config {key!r} must be {noun}, got {json.dumps(value)}")
             kwargs[field] = parse(value)
     return ProtocolConfig(**kwargs)
 

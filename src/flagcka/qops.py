@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from functools import reduce
 
 import numpy as np
 
@@ -83,10 +82,21 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more vectors or operators."""
+    """Kronecker product of one or more vectors or operators, equal to the
+    `np.kron` chain bit for bit.
+
+    One `kron_stack` per factor; a vector enters as a one-row matrix, as
+    `np.kron` pads it, and vectors alone give a vector. Stacks of matrices
+    broadcast their leading axes, so a (1, d, d) operand pairs with every
+    matrix of the other stack.
+    """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
-    return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
+    arrays = [np.asarray(f, dtype=complex) for f in factors]
+    product = np.atleast_2d(arrays[0])
+    for factor in arrays[1:]:
+        product = kron_stack(product, np.atleast_2d(factor))
+    return product.ravel() if all(a.ndim == 1 for a in arrays) else product
 
 
 def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,19 +192,21 @@ def born_rows(rhos: np.ndarray, effects: np.ndarray, labels: Sequence) -> np.nda
     """
     probs = np.einsum("klij,kji->kl", effects, rhos).real
     # NaN passes every comparison below, and +inf would be clipped to 1.
-    nonfinite = np.argwhere(~np.isfinite(probs))
-    if len(nonfinite):
-        row, col = nonfinite[0]
+    # Each test is one reduction; the first offending entry is located only
+    # on the way to an error.
+    finite = np.isfinite(probs)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite probability {probs[row, col]} for outcome {labels[col]}")
-    negative = np.argwhere(probs < -ATOL_OPERATOR)
-    if len(negative):
-        row, col = negative[0]
+    negative = probs < -ATOL_OPERATOR
+    if negative.any():
+        row, col = np.argwhere(negative)[0]
         raise ValueError(f"negative probability {probs[row, col]:.3e} for outcome {labels[col]}")
     probs = np.clip(probs, 0.0, 1.0)
     totals = probs.sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-10)
-    if len(off):
-        raise ValueError(f"outcome probabilities sum to {totals[off[0]]}, expected 1")
+    off = np.abs(totals - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"outcome probabilities sum to {totals[off.argmax()]}, expected 1")
     return probs
 
 

@@ -131,9 +131,9 @@ def _check_effects_positive(party: int, stack: np.ndarray) -> None:
     Hermitian with no eigenvalue below -ATOL_OPERATOR (one eigvalsh call)."""
     skew = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     lowest = np.linalg.eigvalsh(stack)[..., 0]
-    bad = np.argwhere((skew > ATOL_OPERATOR) | (lowest < -ATOL_OPERATOR))
-    if bad.size:
-        x, k = bad[0]
+    bad = (skew > ATOL_OPERATOR) | (lowest < -ATOL_OPERATOR)
+    if bad.any():
+        x, k = np.argwhere(bad)[0]
         if skew[x, k] > ATOL_OPERATOR:
             why = f"is not Hermitian (deviation {skew[x, k]:.3e})"
         else:
@@ -178,6 +178,12 @@ def _flagged_effects() -> tuple[np.ndarray, ...]:
     )
 
 
+# Per branch t, the subsystem order (Q_A, T_A, Q_B, T_B, Q_C, T_C) read off
+# a branch built as (Q_A, Q_partner, Q_spectator, T_A, T_B, T_C): Bob is
+# the partner of branch 0, Carole of branch 1.
+_BRANCH_PERMS = ((0, 3, 1, 4, 2, 5), (0, 3, 2, 4, 1, 5))
+
+
 def _flagged_branch(t: int, visibility: float) -> np.ndarray:
     """One branch of the flagged state, ordered (qubit, flag) per party.
 
@@ -187,18 +193,9 @@ def _flagged_branch(t: int, visibility: float) -> np.ndarray:
     entangled pair only.
     """
     pair = depolarize(projector(phi_plus()), visibility)
-    spectator = projector(plus_ket())
     flag = projector(basis_ket(2, t))
-    flags = tensor(flag, flag, flag)
-    if t == 0:
-        # Build as (Q_A, Q_B, Q_C, T_A, T_B, T_C), then interleave.
-        rho = tensor(pair, spectator, flags)
-        perm = [0, 3, 1, 4, 2, 5]
-    else:
-        # Build as (Q_A, Q_C, Q_B, T_A, T_B, T_C).
-        rho = tensor(pair, spectator, flags)
-        perm = [0, 3, 2, 4, 1, 5]
-    return permute_subsystems(rho, [2] * 6, perm)
+    rho = tensor(pair, projector(plus_ket()), flag, flag, flag)
+    return permute_subsystems(rho, [2] * 6, _BRANCH_PERMS[t])
 
 
 def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:

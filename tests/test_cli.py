@@ -230,6 +230,16 @@ def test_fractional_or_boolean_config_integer_exits_one(tmp_path, capsys, doc):
     assert f"config '{next(iter(doc))}' must be an integer" in captured.err
 
 
+def test_boolean_config_number_exits_one(tmp_path, capsys):
+    # Not a run at visibility 1 with no spot check, which completes (exit 0).
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"strategy": {"visibility": True}, "alignment_fraction": False}))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config 'alignment_fraction' must be a number, got false" in captured.err
+
+
 def test_verify_rejects_negative_seeds(capsys):
     assert main(["verify", "--seeds", "-3"]) == 1
     captured = capsys.readouterr()

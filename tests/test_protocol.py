@@ -936,6 +936,11 @@ _STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'vi
         ('{"n_rounds": true}', "config 'n_rounds' must be an integer, got true"),
         ('{"seed": 2.7}', "config 'seed' must be an integer, got 2.7"),
         ('{"seed": false}', "config 'seed' must be an integer, got false"),
+        ('{"gamma": true}', "config 'gamma' must be a number, got true"),
+        ('{"threshold": true}', "config 'threshold' must be a number, got true"),
+        ('{"alignment_fraction": false}', "config 'alignment_fraction' must be a number, got false"),
+        ('{"alignment_floor": true}', "config 'alignment_floor' must be a number, got true"),
+        ('{"strategy": {"visibility": true}}', "config 'visibility' must be a number, got true"),
         ('{"strategy": {"kind": "ghz"}}', "unknown strategy kind 'ghz'"),
     ],
 )

@@ -49,11 +49,24 @@ def test_phi_plus_is_maximally_entangled():
 
 
 def test_tensor_matches_kron_chain():
+    # Equal to the np.kron chain bit for bit, not within a tolerance.
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = rng.standard_normal((2, 2))
-    np.testing.assert_allclose(tensor(a, b, c), np.kron(np.kron(a, b), c))
+    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
+    # Kets alone give a ket.
+    kets = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 2, 2)]
+    chain = tensor(*kets)
+    assert chain.shape == (24,)
+    assert np.array_equal(chain, np.kron(np.kron(np.kron(kets[0], kets[1]), kets[2]), kets[3]))
+    # A (1, d, d) stack operand pairs with each matrix of the other stack.
+    stack = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    one = rng.standard_normal((1, 3, 3))
+    for left, right in ((stack, one), (one, stack)):
+        product = tensor(left, right)
+        assert product.shape == (4, 6, 6)
+        assert np.array_equal(product, np.kron(left, right))
 
 
 def test_pauli_observables():
