@@ -88,7 +88,8 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     One `kron_stack` per factor; a vector enters as a one-row matrix, as
     `np.kron` pads it, and vectors alone give a vector. Stacks of matrices
     broadcast their leading axes, so a (1, d, d) operand pairs with every
-    matrix of the other stack.
+    matrix of the other stack, as in `np.kron`; two longer stacks pair
+    matrix by matrix, where `np.kron` would pair every two.
     """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
