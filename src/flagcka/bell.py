@@ -162,24 +162,23 @@ class Behavior:
     def no_signalling_deviation(self) -> float:
         """Largest drift of any single-party marginal across the others' inputs."""
         t = self.table
-        dev = 0.0
         marg_a = t.sum(axis=(5, 6, 7, 8))          # x,y,z,a,ta
-        dev = max(dev, float(np.ptp(marg_a, axis=(1, 2)).max()))
         marg_b = t.sum(axis=(3, 4, 7, 8))          # x,y,z,b,tb
-        dev = max(dev, float(np.ptp(marg_b, axis=(0, 2)).max()))
         marg_c = t.sum(axis=(3, 4, 5, 6))          # x,y,z,c,tc
-        dev = max(dev, float(np.ptp(marg_c, axis=(0, 1)).max()))
-        return dev
+        # np.max, unlike the builtin, keeps a NaN drift.
+        drifts = (np.ptp(marg_a, axis=(1, 2)), np.ptp(marg_b, axis=(0, 2)), np.ptp(marg_c, axis=(0, 1)))
+        return float(np.max([drift.max() for drift in drifts]))
 
     def validate(self) -> "Behavior":
+        # Each bound is written so that a NaN fails it.
         lo, hi = float(self.table.min()), float(self.table.max())
-        if lo < -1e-12 or hi > 1.0 + 1e-12:
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
             raise ValueError(f"behavior entries outside [0, 1]: min {lo}, max {hi}")
         dn = self.normalization_deviation()
-        if dn > 1e-10:
+        if not dn <= 1e-10:
             raise ValueError(f"behavior not normalized (max deviation {dn:.3e})")
         ds = self.no_signalling_deviation()
-        if ds > 1e-9:
+        if not ds <= 1e-9:
             raise ValueError(f"behavior signals (max marginal drift {ds:.3e})")
         return self
 

@@ -138,11 +138,19 @@ def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
 
 
 def assert_density_operator(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (eigenvalues >= -1e-10)."""
+    """Validate Hermiticity, unit trace and positivity (eigenvalues >= -1e-10).
+
+    rho + 1e-10 I has a Cholesky factor exactly when no eigenvalue of rho
+    is below -1e-10, so a factor certifies the state; only when the
+    factorization fails does `eigvalsh` decide and name the eigenvalue.
+    """
     rho = _check_state(rho, name)
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -ATOL_EIG:
-        raise ValueError(f"{name} has negative eigenvalue {lo}")
+    try:
+        np.linalg.cholesky(rho + ATOL_EIG * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(rho)[0]
+        if lo < -ATOL_EIG:
+            raise ValueError(f"{name} has negative eigenvalue {lo}") from None
     return rho
 
 

@@ -165,37 +165,56 @@ def _value_projectors(observables) -> np.ndarray:
     return np.stack(((eye + obs) / 2.0, (eye - obs) / 2.0), axis=1)
 
 
-# Flag-t projector |t><t| of the flag register, stacked over t.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# Flag-t projector |t><t| of the flag register, and |ttt><ttt| of the three
+# flag registers, each stacked over t.
 _FLAG_PROJECTORS = np.array([projector(basis_ket(2, t)) for t in (0, 1)])
+_FLAG_TRIPLES = kron_stack(kron_stack(_FLAG_PROJECTORS, _FLAG_PROJECTORS), _FLAG_PROJECTORS)
+_read_only(_FLAG_PROJECTORS, _FLAG_TRIPLES)
+
+# Each party's (inputs, 2, 2, 2) value projectors. No visibility enters an
+# effect, so both kinds' effect stacks are built here once, read-only.
+_PARTY_VALUES = tuple(_value_projectors(obs) for obs in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES))
+# Flagged: party space = qubit (x) flag qubit. The value observable acts on
+# the qubit, the flag is always read in the computational basis.
+_FLAGGED_EFFECTS = _read_only(
+    *(kron_stack(values[:, :, None], _FLAG_PROJECTORS).reshape(-1, 4, 4, 4) for values in _PARTY_VALUES)
+)
+# Parallel: party space = first qubit (x) second qubit, one value bit each.
+_PARALLEL_EFFECTS = _read_only(
+    *(kron_stack(values[:, :, None], values[:, None, :]).reshape(-1, 4, 4, 4) for values in _PARTY_VALUES)
+)
+
+# A branch is built as (Q_A, Q_B, Q_C, T_A, T_B, T_C), qubits then flags;
+# party order (Q_A, T_A, Q_B, T_B, Q_C, T_C) reads these subsystems.
+_PARTY_ORDER = (0, 3, 1, 4, 2, 5)
 
 
-def _flagged_effects() -> tuple[np.ndarray, ...]:
-    # Party space = qubit (x) flag qubit. The value observable acts on the
-    # qubit, the flag is always read in the computational basis.
-    return tuple(
-        kron_stack(_value_projectors(observables)[:, :, None], _FLAG_PROJECTORS).reshape(-1, 4, 4, 4)
-        for observables in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES)
-    )
-
-
-# Per branch t, the subsystem order (Q_A, T_A, Q_B, T_B, Q_C, T_C) read off
-# a branch built as (Q_A, Q_partner, Q_spectator, T_A, T_B, T_C): Bob is
-# the partner of branch 0, Carole of branch 1.
-_BRANCH_PERMS = ((0, 3, 1, 4, 2, 5), (0, 3, 2, 4, 1, 5))
-
-
-def _flagged_branch(t: int, visibility: float) -> np.ndarray:
-    """One branch of the flagged state, ordered (qubit, flag) per party.
+def _flagged_state(visibility: float, flags=(0, 1)) -> np.ndarray:
+    """The even mixture of branches t in `flags` of the flagged state,
+    ordered (qubit, flag) per party.
 
     Branch t = 0 entangles Alice with Bob and hands Carole a |+> qubit,
     branch t = 1 entangles Alice with Carole and hands Bob the |+>; all
     three flag registers carry |t>. Depolarizing noise acts on the
-    entangled pair only.
+    entangled pair only. Branch 1's qubits are branch 0's with Bob's and
+    Carole's swapped. One product pairs each branch's qubits with its flag
+    triple, whose entries are 0 or 1, so every entry is exact; one
+    transpose puts all branches in party order. The mixture's weights are
+    powers of two, so it too is exact up to the one rounding of the sum.
     """
-    pair = depolarize(projector(phi_plus()), visibility)
-    flag = projector(basis_ket(2, t))
-    rho = tensor(pair, projector(plus_ket()), flag, flag, flag)
-    return permute_subsystems(rho, [2] * 6, _BRANCH_PERMS[t])
+    qubits = tensor(depolarize(projector(phi_plus()), visibility), projector(plus_ket()))
+    swapped = qubits.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    flags = list(flags)
+    branches = kron_stack(np.array([qubits, swapped])[flags], _FLAG_TRIPLES[flags])
+    axes = (0, *(1 + k for k in _PARTY_ORDER), *(7 + k for k in _PARTY_ORDER))
+    branches = branches.reshape(len(flags), *(2,) * 12).transpose(axes).reshape(len(flags), 64, 64)
+    return branches.sum(axis=0) / len(flags)
 
 
 def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -209,16 +228,14 @@ def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     partners measure (sigma_Z +- sigma_X)/sqrt(2) on their first two
     inputs and sigma_Z on the generation input.
     """
-    rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
-    return Strategy(rho, _flagged_effects(), "flagged")
+    return Strategy(_flagged_state(noise.visibility), _FLAGGED_EFFECTS, "flagged")
 
 
 def constant_flag_strategy(t: int = 0, noise: NoiseParams = NoiseParams()) -> Strategy:
     """Degenerate single-branch variant: every flag reads t in every round."""
     if t not in (0, 1):
         raise ValueError(f"flag value must be 0 or 1, got {t}")
-    rho = _flagged_branch(t, noise.visibility)
-    return Strategy(rho, _flagged_effects(), "flagged")
+    return Strategy(_flagged_state(noise.visibility, (t,)), _FLAGGED_EFFECTS, "flagged")
 
 
 def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -233,14 +250,11 @@ def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     pair = depolarize(projector(phi_plus()), noise.visibility)
     spectator = projector(plus_ket())
     # Built as (A1, B1, C1, A2, C2, B2), target order (A1, A2, B1, B2, C1, C2).
+    # |+><+| has entries 0.4999999999999999, so the chain keeps its order:
+    # each entry is ((pair * |+>) * pair) * |+>, rounded at each step.
     rho = tensor(pair, spectator, pair, spectator)
     rho = permute_subsystems(rho, [2] * 6, [0, 3, 1, 5, 2, 4])
-
-    def stack(observables):
-        value = _value_projectors(observables)
-        return kron_stack(value[:, :, None], value[:, None, :]).reshape(-1, 4, 4, 4)
-
-    return Strategy(rho, (stack(ALICE_OBSERVABLES), stack(PARTNER_OBSERVABLES), stack(PARTNER_OBSERVABLES)), "parallel")
+    return Strategy(rho, _PARALLEL_EFFECTS, "parallel")
 
 
 def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -253,8 +267,8 @@ def random_projective_strategy(seed: int, noise: NoiseParams = NoiseParams()) ->
     p_T(0) = p_T(1) = 1/2 while the Bell value wanders below the quantum
     maximum. Deterministic for a given seed.
     """
-    rho = 0.5 * _flagged_branch(0, noise.visibility) + 0.5 * _flagged_branch(1, noise.visibility)
-    return Strategy(rho, tuple(stack[0] for stack in random_projective_effects([seed])), "flagged")
+    effects = tuple(stack[0] for stack in random_projective_effects([seed]))
+    return Strategy(_flagged_state(noise.visibility), effects, "flagged")
 
 
 def random_projective_effects(seeds) -> tuple[np.ndarray, ...]:

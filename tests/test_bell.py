@@ -66,6 +66,23 @@ def test_behavior_rejects_unnormalized_table():
         Behavior(table).validate()
 
 
+def _one_nan_cell_table():
+    table = behavior_from_strategy(honest_flagged_strategy()).table.copy()
+    table[1, 2, 0, 0, 0, 0, 0, 1, 1] = np.nan
+    return table
+
+
+@pytest.mark.parametrize("table", [lambda: np.full(TABLE_SHAPE, np.nan), _one_nan_cell_table], ids=["all", "one_cell"])
+def test_behavior_rejects_nan(table):
+    # NaN fails every comparison, so each bound is written to fail on it.
+    b = Behavior(table())
+    assert np.isnan(b.normalization_deviation()) and np.isnan(b.no_signalling_deviation())
+    with pytest.raises(ValueError, match=r"^behavior entries outside \[0, 1\]: min nan, max nan$"):
+        b.validate()
+    with pytest.raises(ValueError, match=r"^behavior entries outside \[0, 1\]"):
+        behavior_from_json(behavior_to_json(b))
+
+
 def test_honest_bell_value_is_quantum_max():
     b = behavior_from_strategy(honest_flagged_strategy())
     rep = bell_value(b)

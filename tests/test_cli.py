@@ -200,9 +200,20 @@ def _unnormalised_table():
     return table
 
 
+def _nan_cell_table():
+    # validate must refuse the NaN itself, before binary_entropy reads it.
+    table = _honest_table(0.9)
+    table[0, 2, 2, 0, 0, 0, 0, 0, 0] = np.nan
+    return table
+
+
 @pytest.mark.parametrize(
     "table, message",
-    [(_negative_entry_table, "entries outside [0, 1]"), (_unnormalised_table, "not normalized")],
+    [
+        (_negative_entry_table, "entries outside [0, 1]"),
+        (_unnormalised_table, "not normalized"),
+        (_nan_cell_table, "entries outside [0, 1]: min nan"),
+    ],
 )
 def test_rates_rejects_a_behavior_that_is_not_one(tmp_path, capsys, table, message):
     path = tmp_path / "behavior.json"

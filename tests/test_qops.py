@@ -29,6 +29,7 @@ from flagcka.qops import (
     PAULI_X,
     PAULI_Z,
 )
+from flagcka.strategies import honest_flagged_strategy
 
 
 def test_kets_and_projectors():
@@ -382,10 +383,15 @@ def test_sum_deviation_is_per_family():
     np.testing.assert_allclose(sum_deviation(stack), [[0.0, 0.0], [0.0, 4e-9]], rtol=1e-6, atol=0)
 
 
-def test_purify_takes_positivity_from_its_own_eigh(monkeypatch):
+def _eigvalsh_counter(monkeypatch):
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    return calls
+
+
+def test_purify_takes_positivity_from_its_own_eigh(monkeypatch):
+    calls = _eigvalsh_counter(monkeypatch)
     rho = random_density_operator(4, np.random.default_rng(3))
     psi = purify(rho)
     assert calls == []
@@ -400,3 +406,66 @@ def test_purify_takes_positivity_from_its_own_eigh(monkeypatch):
     assert purify(np.diag([0.5 + 1e-11, 0.5, -1e-11])).size == 3 * 2
     with pytest.raises(ValueError, match="^purify input has trace"):
         purify(0.5 * rho)
+
+
+def test_state_positivity_is_certified_without_eigvalsh(monkeypatch):
+    def lowest(value):
+        return np.diag([0.5 - value / 2, 0.5 - value / 2, value])
+
+    # Rank 2 of 64, rank 2 of 3, full rank, a smallest eigenvalue of -5e-11,
+    # and one 5e-14 above -1e-10 (a diagonal's shift and factor are exact).
+    states = (
+        np.array(honest_flagged_strategy().state),
+        np.diag([0.5, 0.5, 0.0]),
+        random_density_operator(8, np.random.default_rng(0)),
+        lowest(-5e-11),
+        lowest(-1e-10 + 5e-14),
+    )
+    calls = _eigvalsh_counter(monkeypatch)
+    for rho in states:
+        np.testing.assert_array_equal(assert_density_operator(rho), rho)
+    assert calls == []
+    # Below -1e-10 the factorization fails and eigvalsh names the eigenvalue.
+    with pytest.raises(ValueError, match=r"^state has negative eigenvalue -2e-10$"):
+        assert_density_operator(lowest(-2e-10))
+    below = -1e-10 - 5e-14
+    with pytest.raises(ValueError, match=f"^state has negative eigenvalue {re.escape(str(np.float64(below)))}$"):
+        assert_density_operator(lowest(below))
+    assert calls == [1, 1]
+
+
+def positivity_sweep(n_states: int, seed: int) -> tuple[int, int, list]:
+    """Random states of dimension 2-64 whose smallest eigenvalue is drawn
+    from [-3e-10, 1e-10], some with further zero eigenvalues. Returns the
+    count, how many lie within 1e-14 of -1e-10 by `eigvalsh` (not judged),
+    and the (index, eigenvalue) of each state whose `assert_density_operator`
+    verdict disagrees with `eigvalsh(rho)[0] >= -1e-10`."""
+    rng = np.random.default_rng(seed)
+    band, disagree = 0, []
+    for k in range(n_states):
+        dim = int(rng.integers(2, 65))
+        u = haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        vals = rng.random(dim) * (rng.random(dim) < rng.random())
+        vals[1] += vals[1] == 0.0
+        vals[0] = rng.uniform(-3e-10, 1e-10)
+        vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+        rho = (u * vals) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        lowest = np.linalg.eigvalsh(rho)[0]
+        if abs(lowest + 1e-10) <= 1e-14:
+            band += 1
+            continue
+        try:
+            assert_density_operator(rho)
+            passed = True
+        except ValueError as exc:
+            assert str(exc) == f"state has negative eigenvalue {lowest}", exc
+            passed = False
+        if passed != (lowest >= -1e-10):
+            disagree.append((k, float(lowest)))
+    return n_states, band, disagree
+
+
+def test_state_positivity_agrees_with_the_spectrum():
+    count, band, disagree = positivity_sweep(300, seed=11)
+    assert disagree == [] and band < count // 10, (band, disagree)

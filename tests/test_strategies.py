@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from flagcka.qops import basis_ket, haar_unitaries, identity, partial_trace, phi_plus, plus_ket, projector, tensor
+from flagcka.qops import (
+    basis_ket,
+    haar_unitaries,
+    identity,
+    partial_trace,
+    permute_subsystems,
+    phi_plus,
+    plus_ket,
+    projector,
+    tensor,
+)
 from flagcka.strategies import (
     ALICE_OBSERVABLES,
     N_INPUTS,
@@ -11,6 +21,10 @@ from flagcka.strategies import (
     OUTCOME_LABELS,
     PARTNER_OBSERVABLES,
     Strategy,
+    _FLAG_PROJECTORS,
+    _FLAG_TRIPLES,
+    _FLAGGED_EFFECTS,
+    _PARALLEL_EFFECTS,
     _value_projectors,
     binary_observable_effects,
     constant_flag_strategy,
@@ -232,14 +246,53 @@ def _ref_measurements(kind):
     return [ref(ALICE_OBSERVABLES), ref(PARTNER_OBSERVABLES), ref(PARTNER_OBSERVABLES)]
 
 
+# Per flag branch t, the subsystem order (Q_A, T_A, Q_B, T_B, Q_C, T_C) read
+# off a branch built as (Q_A, Q_partner, Q_spectator, T_A, T_B, T_C): Bob is
+# the partner of branch 0, Carole of branch 1.
+_REF_BRANCH_PERMS = ((0, 3, 1, 4, 2, 5), (0, 3, 2, 4, 1, 5))
+
+
+def _ref_flagged_branch(t, v):
+    flag = projector(basis_ket(2, t))
+    rho = tensor(depolarize(projector(phi_plus()), v), projector(plus_ket()), flag, flag, flag)
+    return permute_subsystems(rho, [2] * 6, _REF_BRANCH_PERMS[t])
+
+
+def _ref_state(kind, v):
+    """The state built factor by factor and permuted as a whole: flagged as
+    the even mixture of both branches, "t0"/"t1" as one branch."""
+    if kind == "parallel":
+        pair, spectator = depolarize(projector(phi_plus()), v), projector(plus_ket())
+        # Built as (A1, B1, C1, A2, C2, B2), target order (A1, A2, B1, B2, C1, C2).
+        return permute_subsystems(tensor(pair, spectator, pair, spectator), [2] * 6, [0, 3, 1, 5, 2, 4])
+    if kind == "flagged":
+        return 0.5 * _ref_flagged_branch(0, v) + 0.5 * _ref_flagged_branch(1, v)
+    return _ref_flagged_branch(int(kind[1]), v)
+
+
+_BUILDERS = {
+    "flagged": honest_flagged_strategy,
+    "parallel": honest_parallel_strategy,
+    "t0": lambda noise: constant_flag_strategy(0, noise),
+    "t1": lambda noise: constant_flag_strategy(1, noise),
+}
+
 _BUILDER_CASES = {
     **{
-        f"{kind}_v{v}": (lambda kind=kind, build=build, v=v: (build(NoiseParams(visibility=v)), _ref_measurements(kind)))
-        for kind, build in (("flagged", honest_flagged_strategy), ("parallel", honest_parallel_strategy))
-        for v in (1.0, 0.9)
+        f"{kind}_v{v}": (
+            lambda kind=kind, v=v: (
+                _BUILDERS[kind](NoiseParams(visibility=v)),
+                _ref_state(kind, v),
+                _ref_measurements("parallel" if kind == "parallel" else "flagged"),
+            )
+        )
+        for kind in _BUILDERS
+        for v in (1.0, 0.9, 0.0, 0.123456789, 0.5, 0.97)
     },
     **{
-        f"random_{seed}": (lambda seed=seed: (random_projective_strategy(seed), _ref_random_measurements(seed)))
+        f"random_{seed}": (
+            lambda seed=seed: (random_projective_strategy(seed), _ref_state("flagged", 1.0), _ref_random_measurements(seed))
+        )
         for seed in range(5)
     },
 }
@@ -247,13 +300,25 @@ _BUILDER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
 def test_stacked_builders_match_tensor_reference(case):
-    s, ref = _BUILDER_CASES[case]()
+    s, ref_state, ref = _BUILDER_CASES[case]()
+    assert s.state.dtype == ref_state.dtype and np.array_equal(s.state, ref_state)
     for party in range(3):
         assert list(range(len(s.effects[party]))) == list(ref[party])
         for x, effects in ref[party].items():
             assert s.effects[party].shape[1] == len(effects) and list(effects) == list(OUTCOME_LABELS)
             for n, e in enumerate(effects.values()):
                 np.testing.assert_allclose(s.effects[party][x, n], e, rtol=0, atol=0)
+
+
+def test_module_stacks_are_read_only_and_copied():
+    # Built once at import; every strategy holds its own read-only copy.
+    for array in (_FLAG_PROJECTORS, _FLAG_TRIPLES, *_FLAGGED_EFFECTS, *_PARALLEL_EFFECTS):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    for s, stacks in ((honest_flagged_strategy(), _FLAGGED_EFFECTS), (honest_parallel_strategy(), _PARALLEL_EFFECTS)):
+        for held, module in zip(s.effects, stacks):
+            assert np.array_equal(held, module) and not np.shares_memory(held, module)
 
 
 _FAMILY_SLOTS = [(party, x) for party in range(3) for x in range(N_INPUTS[party])]
