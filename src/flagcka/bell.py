@@ -52,7 +52,6 @@ __all__ = [
     "BELL_FUNCTIONALS",
     "BehaviorEstimate",
     "behavior_from_strategy",
-    "deterministic_behavior",
     "flag_stats",
     "bell_value",
     "parallel_bell_value",
@@ -192,7 +191,8 @@ class FlagStats:
     agreement_prob: float
 
     def __post_init__(self):
-        if self.p0 + self.p1 > 1.0 + 1e-10:
+        # Written so that a NaN weight fails it.
+        if not self.p0 + self.p1 <= 1.0 + 1e-10:
             raise ValueError(f"branch weights sum to {self.p0 + self.p1} > 1")
 
 
@@ -234,37 +234,25 @@ def behavior_from_strategy(strategy: Strategy) -> Behavior:
     return Behavior(np.ascontiguousarray(p.real).reshape(TABLE_SHAPE)).validate()
 
 
-def deterministic_behavior(alice: dict, bob: dict, carole: dict) -> Behavior:
-    """Indicator behavior for deterministic outcome maps input -> (bit, bit)."""
-    table = np.zeros(TABLE_SHAPE)
-    for x in range(2):
-        for y in range(3):
-            for z in range(3):
-                a, ta = alice[x]
-                b, tb = bob[y]
-                c, tc = carole[z]
-                table[x, y, z, a, ta, b, tb, c, tc] = 1.0
-    return Behavior(table)
-
-
 def flag_stats(behavior: Behavior) -> FlagStats:
     """Branch weights read at inputs (0,0,0) after an input-independence check.
 
     Raises when the all-flags-agree mass or any single-party flag
-    marginal drifts with the inputs beyond 1e-9: flags that signal
-    have no well-defined branch weights.
+    marginal drifts with the inputs beyond 1e-9, or is NaN: flags that
+    signal have no well-defined branch weights.
     """
     t = behavior.table
     # Per input triple and branch, the mass of the branch block's cells.
     agree = np.stack([t[(..., *_gate(cells))].sum(axis=(3, 4, 5)) for cells in _BRANCH_CELLS.values()], axis=-1)
     agreement = agree.sum(axis=-1)
-    if float(np.ptp(agreement)) > 1e-9:
+    # Each bound is written so that a NaN fails it.
+    if not float(np.ptp(agreement)) <= 1e-9:
         raise ValueError(f"flag agreement probability varies with inputs by {np.ptp(agreement):.3e}")
     flag_a = t.sum(axis=(3, 5, 6, 7, 8))  # x,y,z,ta
     flag_b = t.sum(axis=(3, 4, 5, 7, 8))
     flag_c = t.sum(axis=(3, 4, 5, 6, 7))
     for name, marg in (("Alice", flag_a), ("Bob", flag_b), ("Carole", flag_c)):
-        if float(np.ptp(marg, axis=(0, 1, 2)).max()) > 1e-9:
+        if not float(np.ptp(marg, axis=(0, 1, 2)).max()) <= 1e-9:
             raise ValueError(f"{name} flag marginal depends on the inputs beyond 1e-9")
     return FlagStats(
         p0=float(agree[0, 0, 0, 0]),

@@ -20,6 +20,10 @@ a tolerance. The checks are:
                       outcome is uniform and product with the purifying
                       system, so H(A|E) = 1
 
+`run_check_suite`, and so `verify`, runs five of these six: the
+conditional-behavior check (`extract_conditional_behavior`) is called only
+by the tests, and whether `verify` should run it is still open.
+
 The first four are kernels over a stack of strategies that share a state,
 with each party's effects as a (K, inputs, 4, d, d) array. One strategy is
 a stack of one; `check_random_strategies` runs `verify`'s random ones.

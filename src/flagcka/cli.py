@@ -19,9 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bell import BELL_FUNCTIONALS, CHSH_QUANTUM_MAX, behavior_from_json, local_bound_bruteforce
+from .bell import BELL_FUNCTIONALS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_json, local_bound_bruteforce
 from .checks import check_decoupling, check_random_strategies, reports_to_json, run_check_suite
 from .protocol import (
+    PARTY_NAMES,
     ProtocolConfig,
     apply_tamper,
     config_from_json,
@@ -31,7 +32,7 @@ from .protocol import (
     write_transcript_jsonl,
 )
 from .rates import BoundMethod, curve_to_csv, no_flag_reference_rate, rate_report, robustness_curve
-from .strategies import honest_flagged_strategy
+from .strategies import N_INPUTS, OUTCOME_LABELS, honest_flagged_strategy
 
 _METHODS = {"minH": "min_entropy_analytic", "vn": "von_neumann_analytic"}
 _MODES = {"one-score": "one_score", "two-scores": "two_scores"}
@@ -178,10 +179,10 @@ def _info(args) -> int:
         "package": "flagcka",
         "version": __version__,
         "scenario": {
-            "parties": ["alice", "bob", "carole"],
-            "inputs": [2, 3, 3],
-            "outputs_per_party": 4,
-            "generation_inputs": [0, 2, 2],
+            "parties": list(PARTY_NAMES),
+            "inputs": list(N_INPUTS),
+            "outputs_per_party": len(OUTCOME_LABELS),
+            "generation_inputs": list(GENERATION_INPUTS),
         },
         "constants": {
             "local_bound": BELL_FUNCTIONALS["flagged"].local_bound,

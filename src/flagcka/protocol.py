@@ -113,7 +113,6 @@ __all__ = [
 
 PARTY_NAMES = ("alice", "bob", "carole")
 ABORT_REASONS = ("FlagMismatch", "FlagConstant", "BellBelowThreshold", "AlignmentFailure")
-PARALLEL_QUANTUM_MAX = BELL_FUNCTIONALS["parallel"].quantum_max
 # A round's row: inputs, then (value, flag) per party.
 COLUMNS = ("x", "y", "z", "a", "ta", "b", "tb", "c", "tc")
 _ROUND_TYPES = ("generation", "test")

@@ -24,7 +24,6 @@ __all__ = [
     "projector",
     "tensor",
     "kron_stack",
-    "dagger",
     "identity",
     "is_hermitian",
     "assert_density_operator",
@@ -113,10 +112,6 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], m * p, n * q)
-
-
-def dagger(op: np.ndarray) -> np.ndarray:
-    return np.asarray(op).conj().T
 
 
 def is_hermitian(op: np.ndarray) -> bool:

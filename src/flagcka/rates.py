@@ -131,17 +131,16 @@ def conditional_entropy_classical(behavior: Behavior, t: int) -> float:
 def branch_scores(report: BellReport, p0: float, p1: float, mode: str) -> tuple[float, float]:
     """Per-branch normalized CHSH scores under the chosen certification mode.
 
-    See the module docstring for the one_score floor derivation. Raises
-    when a needed branch weight vanishes.
+    Both modes divide by the branch weights given: two_scores each
+    branch's block, one_score the floor derived in the module docstring.
+    Raises unless both weights are positive.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     if p0 <= 0.0 or p1 <= 0.0:
         raise ValueError(f"branch weights must be positive, got ({p0}, {p1})")
     if mode == "two_scores":
-        if report.normalized_ab is None or report.normalized_ac is None:
-            raise ValueError("normalized branch values undefined; cannot use two_scores")
-        return (_normalize_score(report.normalized_ab), _normalize_score(report.normalized_ac))
+        return (_normalize_score(report.chsh_ab_t0 / p0), _normalize_score(report.chsh_ac_t1 / p1))
     s = report.total
     return (_normalize_score(_one_score_floor(s, p0, p1)), _normalize_score(_one_score_floor(s, p1, p0)))
 
@@ -179,33 +178,29 @@ class RateReport:
 
 
 def rate_report(behavior: Behavior, method: BoundMethod = BoundMethod()) -> RateReport:
-    """Asymptotic rate report for a behavior under the chosen bound."""
-    report = bell_value(behavior)
+    """Asymptotic rate report for a behavior under the chosen bound.
+
+    The branch weights are read once, by `flag_stats`; each branch's
+    score, entropy bound, error-correction cost and rate follow from them.
+    """
     stats = flag_stats(behavior)
     if stats.p0 <= 0.0 or stats.p1 <= 0.0:
         raise ValueError(f"degenerate flag distribution: p_T = ({stats.p0}, {stats.p1})")
-    s0, s1 = branch_scores(report, stats.p0, stats.p1, method.score_mode)
-    h0, h1 = method.bound(s0), method.bound(s1)
-    ec0 = conditional_entropy_classical(behavior, 0)
-    ec1 = conditional_entropy_classical(behavior, 1)
-    r0_raw, r1_raw = h0 - ec0, h1 - ec1
-    r0, r1 = max(r0_raw, 0.0), max(r1_raw, 0.0)
+    scores = branch_scores(bell_value(behavior), stats.p0, stats.p1, method.score_mode)
+    branches = {}
+    for t, score in enumerate(scores):
+        h = method.bound(score)
+        ec = conditional_entropy_classical(behavior, t)
+        branches.update(
+            {f"score{t}": score, f"entropy_bound{t}": h, f"ec_cost{t}": ec, f"r{t}_raw": h - ec, f"r{t}": max(h - ec, 0.0)}
+        )
     return RateReport(
         method=method.selector,
         score_mode=method.score_mode,
         p0=stats.p0,
         p1=stats.p1,
-        score0=s0,
-        score1=s1,
-        entropy_bound0=h0,
-        entropy_bound1=h1,
-        ec_cost0=ec0,
-        ec_cost1=ec1,
-        r0_raw=r0_raw,
-        r1_raw=r1_raw,
-        r0=r0,
-        r1=r1,
-        r_cka=min(stats.p0 * r0, stats.p1 * r1),
+        **branches,
+        r_cka=min(stats.p0 * branches["r0"], stats.p1 * branches["r1"]),
     )
 
 

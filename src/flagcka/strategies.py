@@ -42,10 +42,8 @@ __all__ = [
     "N_INPUTS",
     "NoiseParams",
     "Strategy",
-    "binary_observable_effects",
     "depolarize",
     "honest_flagged_strategy",
-    "constant_flag_strategy",
     "honest_parallel_strategy",
     "random_projective_strategy",
     "random_projective_effects",
@@ -141,11 +139,6 @@ def _check_effects_positive(party: int, stack: np.ndarray) -> None:
         raise ValueError(f"party {party} input {x} label {OUTCOME_LABELS[k]}: effect {why}")
 
 
-def binary_observable_effects(obs: np.ndarray) -> dict[int, np.ndarray]:
-    """Eigenprojectors {a: (I + (-1)^a O)/2} of a +-1-valued observable."""
-    return dict(enumerate(_value_projectors([obs])[0]))
-
-
 def depolarize(rho: np.ndarray, visibility: float) -> np.ndarray:
     """v * rho + (1 - v) * I/d."""
     if not 0.0 <= visibility <= 1.0:
@@ -195,9 +188,9 @@ _PARALLEL_EFFECTS = _read_only(
 _PARTY_ORDER = (0, 3, 1, 4, 2, 5)
 
 
-def _flagged_state(visibility: float, flags=(0, 1)) -> np.ndarray:
-    """The even mixture of branches t in `flags` of the flagged state,
-    ordered (qubit, flag) per party.
+def _flagged_state(visibility: float) -> np.ndarray:
+    """The even mixture of the two branches of the flagged state, ordered
+    (qubit, flag) per party.
 
     Branch t = 0 entangles Alice with Bob and hands Carole a |+> qubit,
     branch t = 1 entangles Alice with Carole and hands Bob the |+>; all
@@ -205,16 +198,15 @@ def _flagged_state(visibility: float, flags=(0, 1)) -> np.ndarray:
     entangled pair only. Branch 1's qubits are branch 0's with Bob's and
     Carole's swapped. One product pairs each branch's qubits with its flag
     triple, whose entries are 0 or 1, so every entry is exact; one
-    transpose puts all branches in party order. The mixture's weights are
-    powers of two, so it too is exact up to the one rounding of the sum.
+    transpose puts both branches in party order. The mixture's weight is
+    a power of two, so it too is exact up to the one rounding of the sum.
     """
     qubits = tensor(depolarize(projector(phi_plus()), visibility), projector(plus_ket()))
     swapped = qubits.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
-    flags = list(flags)
-    branches = kron_stack(np.array([qubits, swapped])[flags], _FLAG_TRIPLES[flags])
+    branches = kron_stack(np.array([qubits, swapped]), _FLAG_TRIPLES)
     axes = (0, *(1 + k for k in _PARTY_ORDER), *(7 + k for k in _PARTY_ORDER))
-    branches = branches.reshape(len(flags), *(2,) * 12).transpose(axes).reshape(len(flags), 64, 64)
-    return branches.sum(axis=0) / len(flags)
+    branches = branches.reshape(2, *(2,) * 12).transpose(axes).reshape(2, 64, 64)
+    return branches.sum(axis=0) / 2
 
 
 def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
@@ -229,13 +221,6 @@ def honest_flagged_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:
     inputs and sigma_Z on the generation input.
     """
     return Strategy(_flagged_state(noise.visibility), _FLAGGED_EFFECTS, "flagged")
-
-
-def constant_flag_strategy(t: int = 0, noise: NoiseParams = NoiseParams()) -> Strategy:
-    """Degenerate single-branch variant: every flag reads t in every round."""
-    if t not in (0, 1):
-        raise ValueError(f"flag value must be 0 or 1, got {t}")
-    return Strategy(_flagged_state(noise.visibility, (t,)), _FLAGGED_EFFECTS, "flagged")
 
 
 def honest_parallel_strategy(noise: NoiseParams = NoiseParams()) -> Strategy:

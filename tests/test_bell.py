@@ -12,13 +12,13 @@ from flagcka.bell import (
     CHSH_QUANTUM_MAX,
     GENERATION_INPUTS,
     Behavior,
+    FlagStats,
     TABLE_SHAPE,
     behavior_from_json,
     behavior_from_strategy,
     behavior_to_json,
     bell_value,
     bell_value_stderr,
-    deterministic_behavior,
     estimate_behavior,
     flag_stats,
     local_bound_bruteforce,
@@ -28,11 +28,12 @@ from flagcka.bell import _deterministic_values
 from flagcka.strategies import (
     N_INPUTS,
     NoiseParams,
-    constant_flag_strategy,
     honest_flagged_strategy,
     honest_parallel_strategy,
     random_projective_strategy,
 )
+
+from devices import constant_flag_strategy, deterministic_behavior
 
 
 def test_scenario_singleton():
@@ -81,6 +82,22 @@ def test_behavior_rejects_nan(table):
         b.validate()
     with pytest.raises(ValueError, match=r"^behavior entries outside \[0, 1\]"):
         behavior_from_json(behavior_to_json(b))
+
+
+@pytest.mark.parametrize("table", [lambda: np.full(TABLE_SHAPE, np.nan), _one_nan_cell_table], ids=["all", "one_cell"])
+def test_flag_stats_rejects_nan(table):
+    # A NaN anywhere makes some flag marginal NaN, and NaN fails each bound.
+    with pytest.raises(ValueError, match="varies with inputs by nan|flag marginal depends on the inputs"):
+        flag_stats(Behavior(table()))
+
+
+def test_flag_stats_weights_reject_nan():
+    for weights in [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)]:
+        with pytest.raises(ValueError, match="^branch weights sum to nan"):
+            FlagStats(*weights, agreement_prob=1.0)
+    FlagStats(0.5, 0.5 + 1e-10, agreement_prob=1.0)
+    with pytest.raises(ValueError, match=r"^branch weights sum to 1\.0000000002 > 1$"):
+        FlagStats(0.5, 0.5 + 2e-10, agreement_prob=1.0)
 
 
 def test_honest_bell_value_is_quantum_max():

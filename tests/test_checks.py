@@ -39,11 +39,12 @@ from flagcka.strategies import (
     OUTCOME_LABELS,
     NoiseParams,
     Strategy,
-    constant_flag_strategy,
     honest_flagged_strategy,
     random_projective_effects,
     random_projective_strategy,
 )
+
+from devices import constant_flag_strategy
 
 SQRT2 = np.sqrt(2.0)
 

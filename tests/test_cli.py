@@ -7,17 +7,24 @@ import sys
 import numpy as np
 import pytest
 
-from flagcka.bell import Behavior, behavior_from_strategy, behavior_to_json
+from flagcka.bell import GENERATION_INPUTS, Behavior, behavior_from_strategy, behavior_to_json
 from flagcka.checks import VERIFY_CHUNK
 from flagcka import __version__, cli
 from flagcka.cli import _COMMANDS, _SLICE, _emit, build_parser, main
-from flagcka.strategies import NoiseParams, honest_flagged_strategy
+from flagcka.protocol import PARTY_NAMES
+from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, honest_flagged_strategy
 
 
 def test_info_reports_constants(capsys):
     assert main(["info"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["package"] == "flagcka"
+    assert doc["scenario"] == {
+        "parties": list(PARTY_NAMES),
+        "inputs": list(N_INPUTS),
+        "outputs_per_party": len(OUTCOME_LABELS),
+        "generation_inputs": list(GENERATION_INPUTS),
+    }
     assert doc["scenario"]["inputs"] == [2, 3, 3]
     assert doc["constants"]["local_bound"] == 2.0
     assert doc["constants"]["quantum_maximum"] == pytest.approx(2 * np.sqrt(2))

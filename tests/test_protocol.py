@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from flagcka.bell import CELL_WEIGHTS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
-from flagcka.bell import _BLOCK_CELLS
+from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS
 from flagcka.protocol import (
+    ABORT_REASONS,
     BLOCK_ROWS,
-    PARALLEL_QUANTUM_MAX,
     COLUMNS,
     PARTY_NAMES,
     ProtocolConfig,
@@ -781,7 +781,7 @@ def test_default_threshold_clamps():
     expected = CHSH_QUANTUM_MAX * (1.0 - 10.0 / math.sqrt(n))
     assert _default_threshold("flagged", n) == pytest.approx(expected)
     assert _default_threshold("parallel", 4) == 4.0
-    assert _default_threshold("parallel", 0) == PARALLEL_QUANTUM_MAX
+    assert _default_threshold("parallel", 0) == BELL_FUNCTIONALS["parallel"].quantum_max
 
 
 def test_honest_runs_complete_with_identical_keys():
@@ -846,6 +846,36 @@ def test_low_visibility_aborts_below_threshold():
     assert res.outcome == "aborted"
     assert res.abort_reason == "BellBelowThreshold"
     assert res.stats["bell_estimate"] < res.stats["bell_threshold"]
+
+
+# A spot check of a fifth of each sifted key, with a floor above the match
+# rate that v = 0.9 gives (about 0.95).
+_MISALIGNED = dict(n_rounds=20000, seed=7, visibility=0.9, alignment_fraction=0.2, alignment_floor=0.99)
+
+
+def test_every_abort_reason_is_reached():
+    # One seeded run per reason, AlignmentFailure for both kinds: each
+    # reason the protocol names is one that some run ends with.
+    tampered = ProtocolConfig(n_rounds=1000, seed=13)
+    runs = [
+        ("FlagMismatch", tampered, "flag-flip:0.01"),
+        ("FlagConstant", tampered, "flag-constant:0"),
+        ("BellBelowThreshold", ProtocolConfig(n_rounds=5000, seed=4, visibility=0.7), None),
+        ("AlignmentFailure", ProtocolConfig(**_MISALIGNED, bell_threshold=2.0), None),
+        ("AlignmentFailure", ProtocolConfig(**_MISALIGNED, strategy_kind="parallel", bell_threshold=4.0), None),
+    ]
+    reached = set()
+    for reason, cfg, tamper in runs:
+        transcript = run_rounds(cfg)
+        if tamper is not None:
+            transcript = apply_tamper(transcript, tamper, np.random.default_rng(0))
+        result = postprocess(transcript, cfg)
+        assert (result.outcome, result.abort_reason) == ("aborted", reason), (reason, cfg)
+        if reason == "AlignmentFailure":
+            rates = result.stats["alignment_match_rates"]
+            assert 0.9 < min(rates.values()) < cfg.alignment_floor, rates
+        reached.add(reason)
+    assert reached == set(ABORT_REASONS)
 
 
 def test_mismatch_rate_tracks_visibility():

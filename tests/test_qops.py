@@ -8,7 +8,6 @@ from flagcka.qops import (
     basis_ket,
     born_rows,
     check_effects_complete,
-    dagger,
     haar_unitaries,
     identity,
     is_hermitian,
@@ -73,7 +72,7 @@ def test_tensor_matches_kron_chain():
 def test_pauli_observables():
     np.testing.assert_allclose(PAULI_Z @ PAULI_Z, identity(2))
     np.testing.assert_allclose(PAULI_X @ PAULI_X, identity(2))
-    np.testing.assert_allclose(dagger(PAULI_X), PAULI_X)
+    np.testing.assert_allclose(PAULI_X.conj().T, PAULI_X)
 
 
 def test_outcome_distribution_born_rule():
@@ -178,7 +177,7 @@ def test_purify_roundtrip():
         rho = random_density_operator(dim, rng)
         psi = purify(rho)
         mat = psi.reshape(dim, psi.size // dim)
-        np.testing.assert_allclose(mat @ dagger(mat), rho, atol=1e-10)
+        np.testing.assert_allclose(mat @ mat.conj().T, rho, atol=1e-10)
 
 
 def test_purify_is_deterministic():
@@ -257,7 +256,7 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(12)
     for dim in (2, 4):
         u = random_unitary(dim, rng)
-        np.testing.assert_allclose(dagger(u) @ u, identity(dim), atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ u, identity(dim), atol=1e-12)
 
 
 def test_random_density_operator_is_state():
@@ -396,7 +395,7 @@ def test_purify_takes_positivity_from_its_own_eigh(monkeypatch):
     psi = purify(rho)
     assert calls == []
     mat = psi.reshape(4, -1)
-    np.testing.assert_allclose(mat @ dagger(mat), rho, atol=1e-10)
+    np.testing.assert_allclose(mat @ mat.conj().T, rho, atol=1e-10)
     # The threshold and the message are those of assert_density_operator.
     negative = np.diag([0.5 + 1e-9, 0.5, -1e-9]).astype(complex)
     with pytest.raises(ValueError) as reference:

@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from flagcka.bell import CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_strategy, bell_value, flag_stats
+from flagcka.bell import (
+    CHSH_QUANTUM_MAX,
+    GENERATION_INPUTS,
+    TABLE_SHAPE,
+    Behavior,
+    BellReport,
+    behavior_from_strategy,
+    bell_value,
+    flag_stats,
+)
 from flagcka.rates import (
     BOUND_METHODS,
     SCORE_MODES,
     BoundMethod,
+    RateReport,
     binary_entropy,
     branch_scores,
     chsh_min_entropy_bound,
@@ -150,6 +160,20 @@ def test_branch_scores_one_score_floor():
     assert s1 == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", SCORE_MODES)
+def test_branch_scores_divide_by_the_weights_given(mode):
+    # Weights other than a behavior's own, and no normalized entries: both
+    # modes read the blocks or the total and the two weights they are given.
+    report = BellReport(chsh_ab_t0=0.6, chsh_ac_t1=1.8, normalized_ab=None, normalized_ac=None, total=2.4)
+    s0, s1 = branch_scores(report, 0.25, 0.75, mode)
+    if mode == "two_scores":
+        assert (s0, s1) == (0.6 / 0.25, 1.8 / 0.75)
+    else:
+        assert (s0, s1) == (2.0, max(2.0, (2.4 - CHSH_QUANTUM_MAX * 0.25) / 0.75))
+    with pytest.raises(ValueError, match=r"^branch weights must be positive, got \(0\.0, 0\.75\)$"):
+        branch_scores(report, 0.0, 0.75, mode)
+
+
 def test_one_score_floor_matches_grid_search():
     # The floor is the worst branch score consistent with the observed
     # total: minimize s0 subject to p0 s0 + p1 s1 = s, s1 <= 2 sqrt(2).
@@ -211,6 +235,78 @@ def test_rate_report_json():
     doc = json.loads(rep.to_json())
     assert doc["r_cka"] == pytest.approx(0.5, abs=1e-9)
     assert doc["method"] == "von_neumann_analytic"
+
+
+def _reference_rate_report(behavior, method):
+    """rate_report as first written: two_scores reads bell_value's blocks
+    normalized by its own branch weights at inputs (0,0,0), one_score the
+    weights of flag_stats, and each branch is written out."""
+    report = bell_value(behavior)
+    stats = flag_stats(behavior)
+    p0, p1 = stats.p0, stats.p1
+    if method.score_mode == "two_scores":
+        s0, s1 = report.normalized_ab, report.normalized_ac
+    else:
+        s0 = (report.total - CHSH_QUANTUM_MAX * p1) / p0
+        s1 = (report.total - CHSH_QUANTUM_MAX * p0) / p1
+    s0, s1 = min(max(s0, 2.0), CHSH_QUANTUM_MAX), min(max(s1, 2.0), CHSH_QUANTUM_MAX)
+    h0, h1 = method.bound(s0), method.bound(s1)
+    ec0 = conditional_entropy_classical(behavior, 0)
+    ec1 = conditional_entropy_classical(behavior, 1)
+    r0_raw, r1_raw = h0 - ec0, h1 - ec1
+    r0, r1 = max(r0_raw, 0.0), max(r1_raw, 0.0)
+    return RateReport(
+        method=method.selector,
+        score_mode=method.score_mode,
+        p0=p0,
+        p1=p1,
+        score0=s0,
+        score1=s1,
+        entropy_bound0=h0,
+        entropy_bound1=h1,
+        ec_cost0=ec0,
+        ec_cost1=ec1,
+        r0_raw=r0_raw,
+        r1_raw=r1_raw,
+        r0=r0,
+        r1=r1,
+        r_cka=min(p0 * r0, p1 * r1),
+    )
+
+
+_RATE_CASES = {
+    **{
+        f"honest_v{v}": (lambda v=v: honest_flagged_strategy(NoiseParams(visibility=v)))
+        for v in (1.0, 0.97, 0.95, 0.9, 0.85, 0.75)
+    },
+    **{
+        f"random_{seed}": (lambda seed=seed: random_projective_strategy(seed, NoiseParams(visibility=0.9)))
+        for seed in range(10)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_RATE_CASES))
+def test_rate_report_matches_the_reference(case):
+    behavior = behavior_from_strategy(_RATE_CASES[case]())
+    for selector in BOUND_METHODS:
+        for mode in SCORE_MODES:
+            method = BoundMethod(selector, mode)
+            assert rate_report(behavior, method).to_json() == _reference_rate_report(behavior, method).to_json()
+
+
+def _nan_tables():
+    yield np.full(TABLE_SHAPE, np.nan)
+    table = behavior_from_strategy(honest_flagged_strategy()).table.copy()
+    table[0, 1, 2, 1, 0, 1, 0, 0, 0] = np.nan
+    yield table
+
+
+@pytest.mark.parametrize("table", _nan_tables(), ids=["all", "one_cell"])
+def test_rate_report_refuses_nan_at_the_flag_weights(table):
+    with pytest.raises(ValueError) as raised:
+        rate_report(Behavior(table))
+    assert raised.traceback[-1].name == "flag_stats"
 
 
 def test_robustness_curve_endpoints_and_shape():

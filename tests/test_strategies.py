@@ -26,8 +26,6 @@ from flagcka.strategies import (
     _FLAGGED_EFFECTS,
     _PARALLEL_EFFECTS,
     _value_projectors,
-    binary_observable_effects,
-    constant_flag_strategy,
     depolarize,
     honest_flagged_strategy,
     honest_parallel_strategy,
@@ -36,6 +34,8 @@ from flagcka.strategies import (
     strategy_from_json,
     strategy_to_json,
 )
+
+from devices import constant_flag_strategy
 
 SQRT2 = np.sqrt(2.0)
 
@@ -57,11 +57,11 @@ def test_observables_square_to_identity():
 
 
 def test_binary_observable_effects():
-    effects = binary_observable_effects(np.diag([1.0, -1.0]))
+    (effects,) = _value_projectors([np.diag([1.0, -1.0])])
     np.testing.assert_allclose(effects[0], np.diag([1.0, 0.0]), atol=1e-15)
     np.testing.assert_allclose(effects[1], np.diag([0.0, 1.0]), atol=1e-15)
     with pytest.raises(ValueError):
-        binary_observable_effects(np.diag([1.0, -2.0]))  # not an involution
+        _value_projectors([np.diag([1.0, -2.0])])  # not an involution
 
 
 def test_noise_params_validation():
@@ -212,10 +212,15 @@ def test_strategy_json_roundtrip():
 # stacked array; these pin that every effect is the same to the last bit.
 
 
+def _ref_values(obs):
+    """The value-a projectors (I + (-1)^a O)/2 of one observable."""
+    return [(identity(2) + (-1) ** a * obs) / 2 for a in (0, 1)]
+
+
 def _ref_flagged_families(observables, rotations=None):
     families = {}
     for x, obs in enumerate(observables):
-        value = binary_observable_effects(obs)
+        value = _ref_values(obs)
         families[x] = {}
         for a in (0, 1):
             for t in (0, 1):
@@ -227,7 +232,7 @@ def _ref_flagged_families(observables, rotations=None):
 def _ref_parallel_families(observables):
     families = {}
     for x, obs in enumerate(observables):
-        value = binary_observable_effects(obs)
+        value = _ref_values(obs)
         families[x] = {(o1, o2): tensor(value[o1], value[o2]) for o1 in (0, 1) for o2 in (0, 1)}
     return families
 
@@ -343,14 +348,14 @@ def test_one_non_involution_fails_the_value_projectors(bad):
         _value_projectors(observables)
     stacked = _value_projectors(PARTNER_OBSERVABLES)
     for obs, value in zip(PARTNER_OBSERVABLES, stacked):
-        effects = binary_observable_effects(obs)
+        effects = _ref_values(obs)
         assert np.array_equal(value[0], effects[0]) and np.array_equal(value[1], effects[1])
 
 
 def test_observable_squared_off_by_8e_6_is_rejected():
     # The square is (1 + 8e-6) I: np.allclose's default rtol let it pass.
     with pytest.raises(ValueError, match="observable must square to the identity"):
-        binary_observable_effects(np.sqrt(1 + 8e-6) * ALICE_OBSERVABLES[0])
+        _value_projectors([np.sqrt(1 + 8e-6) * ALICE_OBSERVABLES[0]])
 
 
 def test_family_off_the_identity_by_4e_6_fails_the_strategy():
