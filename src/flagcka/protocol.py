@@ -39,7 +39,11 @@ The two device backends differ only in how they build the cumulative
 conditional tables these draws sample: `table` reads them off the exact
 behavior, `collapse` fills them by projective collapse of the strategy
 state. Both sample every block with one loop and one rule, so they
-agree draw for draw.
+agree draw for draw: the loop draws each block into one buffer made
+once per run, picks each party's outcome by counting the running maxima
+of its table row at or below its draw (`_pick`), and carries Carole's
+row (x, oa, y, ob, z) along the chain, so that a round's code is that
+row's _ROW_CELLS entry plus her outcome, plus 1152 on a test round.
 Post-round sampling (the alignment spot check, Alice-Bob pair before
 Alice-Carole) uses the stream default_rng([seed, 1]), so it is
 insensitive to how the transcript was produced or restored. Two runs
@@ -148,6 +152,12 @@ _TEST_WEIGHT = _N_CODES // 2
 # o = 2*value + flag.
 _CELL_ROWS = np.ascontiguousarray(np.indices(TABLE_SHAPE, dtype=np.int8).reshape(len(TABLE_SHAPE), -1).T)
 _OUTCOME_WEIGHTS = CELL_WEIGHTS[COLUMNS.index("ta") :: 2]
+# Per row of Carole's table, (x, oa, y, ob, z) flat in C order: the cell
+# of those inputs and outcomes with her own outcome 0.
+_ROW_CELLS = (
+    np.array([CELL_WEIGHTS[0], _OUTCOME_WEIGHTS[0], CELL_WEIGHTS[1], _OUTCOME_WEIGHTS[1], CELL_WEIGHTS[2]])
+    @ np.indices((N_INPUTS[0], len(OUTCOME_LABELS), N_INPUTS[1], len(OUTCOME_LABELS), N_INPUTS[2])).reshape(5, -1)
+).astype(np.uint16)
 # The generation inputs as a (3, 1) column.
 _GENERATION_COLUMN = np.array(GENERATION_INPUTS)[:, None]
 # Per COLUMNS entry, its value in every code: (9, _N_CODES) uint8.
@@ -160,16 +170,17 @@ _CODE_FLAGS = _CODE_COLUMNS[COLUMNS.index("ta") :: 2]
 _FLAG_CLASS = np.where((_CODE_FLAGS == _CODE_FLAGS[0]).all(axis=0), _CODE_FLAGS[0], np.uint8(2))
 
 
-def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Per code: whether the round feeds the key of a block's pair (bool),
-    and Alice's and the partner's key bit (uint8). A generation round feeds
-    it if every flag the block fixes has the block's value: the table marks
-    exactly the block's generation cells."""
+    and Alice's and the partner's key bits packed as alice << 1 | partner
+    (uint8). A generation round feeds it if every flag the block fixes has
+    the block's value: the table marks exactly the block's generation
+    cells."""
     feeds = np.arange(_N_CODES) < _TEST_WEIGHT
     for column, value in zip(_CODE_COLUMNS, cells):
         if isinstance(value, int):
             feeds &= column == value
-    return feeds, _CODE_COLUMNS[cells.index("a")], _CODE_COLUMNS[cells.index("b")]
+    return feeds, _CODE_COLUMNS[cells.index("a")] << 1 | _CODE_COLUMNS[cells.index("b")]
 
 
 _ROUTE_TABLES = {kind: {pair: _route_tables(cells) for pair, cells in pairs.items()} for kind, pairs in _PAIR_CELLS.items()}
@@ -255,27 +266,34 @@ class ProtocolResult:
     stats: dict
 
 
-def _pick(cols: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _edge_tables(tables) -> tuple:
+    """Per (R, 4) cumulative table, the (edges, maxima) pair `_pick` reads:
+    each (4, R), row k holding every table row's edge k, or the running
+    maximum of its edges 0..k. Built once per run."""
+    return tuple((np.ascontiguousarray(t.T), np.ascontiguousarray(np.maximum.accumulate(t, axis=1).T)) for t in tables)
+
+
+def _pick(edges: np.ndarray, maxima: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome index per draw, from the cumulative distributions of the
-    table rows `rows`; `cols` (4, R) holds each row's four edges as one
-    column.
+    table rows `rows`, as `_edge_tables` gives them.
 
     Bins are the label intervals in ascending order: outcome i is chosen
     when the draw lands in [edge i-1, edge i), so a zero-width bin is
     never chosen. The outcome is the number of leading edges the draw
     has passed, which is the first edge above it even on a row that is
-    not monotone. A draw in the float dust above every edge takes the
-    last positive-width bin among 1-3, else bin 0.
+    not monotone. A draw has passed edges 0..k exactly when it is at or
+    above their maximum, so that number is the sum of the four
+    comparisons with the running maxima. A draw in the float dust above
+    every edge takes the last positive-width bin among 1-3 of the raw
+    edges, else bin 0.
     """
-    passed = draws >= cols[0].take(rows)
-    idx = passed.view(np.uint8).copy()
-    for edges in cols[1:]:
-        passed &= draws >= edges.take(rows)
-        idx += passed
-    if passed.any():
-        cum = cols[:, rows[passed]].T
+    passed = draws >= maxima.take(rows, axis=1)
+    idx = passed.sum(axis=0, dtype=np.uint8)
+    dust = passed[3]
+    if dust.any():
+        cum = edges[:, rows[dust]].T
         rising = cum[:, 1:] > cum[:, :-1]
-        idx[passed] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
+        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
     return idx
 
 
@@ -308,20 +326,23 @@ def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.n
     return cum_a, cum_b, cum_c
 
 
-def _table_outcomes(tables, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome indices (N, 3) picked from the `_cumulative_tables` rows the
-    inputs and earlier outcomes select. Given the same draws this
-    reproduces the explicit-collapse outcomes. Inputs and draws are read,
-    and the outcomes returned, as (N, 3) views of (3, N) arrays, copied
-    only if they are laid out otherwise."""
-    cols_a, cols_b, cols_c = (np.ascontiguousarray(table.T) for table in tables)
-    x, y, z = np.ascontiguousarray(inputs.T, dtype=np.intp)
-    draw_a, draw_b, draw_c = np.ascontiguousarray(draws.T)
-    oa = _pick(cols_a, x, draw_a)
-    row_b = (x * 4 + oa) * 3 + y
-    ob = _pick(cols_b, row_b, draw_b)
-    oc = _pick(cols_c, (row_b * 4 + ob) * 3 + z, draw_c)
-    return np.stack((oa, ob, oc)).T
+def _table_cells(tables, inputs, draws, out=None) -> np.ndarray:
+    """Each round's cell, row @ CELL_WEIGHTS, with its outcomes picked from
+    the `_edge_tables` rows that its inputs and earlier outcomes select.
+    Given the same draws this reproduces the explicit-collapse outcomes.
+    `inputs` (x, y, z) and `draws` are each three 1-D arrays, one per
+    party; the chain carries Carole's row (x, oa, y, ob, z), whose cell
+    less her outcome is one _ROW_CELLS entry."""
+    (edges_a, max_a), (edges_b, max_b), (edges_c, max_c) = tables
+    x, y, z = inputs
+    draw_a, draw_b, draw_c = draws
+    row = x * 4 + _pick(edges_a, max_a, x, draw_a)
+    row *= 3
+    row += y
+    row = row * 4 + _pick(edges_b, max_b, row, draw_b)
+    row *= 3
+    row += z
+    return np.add(_ROW_CELLS.take(row), _pick(edges_c, max_c, row, draw_c), out=out)
 
 
 def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,15 +408,18 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
     n = config.n_rounds
     rng = np.random.default_rng(config.seed)
     codes = np.empty(n, dtype=np.uint16)
-    tables = (_cumulative_tables if config.backend == "table" else _collapse_tables)(strategy)
+    tables = _edge_tables((_cumulative_tables if config.backend == "table" else _collapse_tables)(strategy))
+    rows = min(n, BLOCK_ROWS)
+    uniforms, columns = np.empty((rows, 7)), np.empty((7, rows))
     for start in range(0, n, BLOCK_ROWS):
-        # The block's uniforms column by column: (7, R), each row contiguous.
-        u = np.ascontiguousarray(rng.random((min(BLOCK_ROWS, n - start), 7)).T)
-        test = u[0] < config.gamma
-        inputs = np.where(test, u[1:4] < 0.5, _GENERATION_COLUMN)
-        outcomes = _table_outcomes(tables, inputs.T, u[4:].T)
-        cells = CELL_WEIGHTS[:3] @ inputs + _OUTCOME_WEIGHTS @ outcomes.T
-        codes[start : start + len(test)] = cells + test * _TEST_WEIGHT
+        block = codes[start : start + BLOCK_ROWS]
+        u, cols = uniforms[: len(block)], columns[:, : len(block)]
+        rng.random(out=u)
+        # The block's uniforms column by column, each column contiguous.
+        np.copyto(cols, u.T)
+        test = cols[0] < config.gamma
+        _table_cells(tables, np.where(test, cols[1:4] < 0.5, _GENERATION_COLUMN), cols[4:], out=block)
+        block += test * np.uint16(_TEST_WEIGHT)
     return Transcript(strategy.kind, codes)
 
 
@@ -466,9 +490,14 @@ def sift_pair_keys(transcript: Transcript) -> dict:
     bits, the partner's bits), "ab" then "ac", as uint8 arrays of 0/1.
     """
     keys = {}
-    for pair, (feeds, alice, partner) in _ROUTE_TABLES[transcript.strategy_kind].items():
-        codes = _select(transcript.codes, feeds.take)
-        keys[pair] = alice[codes], partner[codes]
+    for pair, (feeds, bits) in _ROUTE_TABLES[transcript.strategy_kind].items():
+        # One gather per pair. A fancy index reads the uint16 codes as they
+        # are, where take would first copy them to intp. The low bit is the
+        # partner's; shifting in place leaves Alice's.
+        alice = bits[_select(transcript.codes, feeds.take)]
+        partner = alice & 1
+        alice >>= 1
+        keys[pair] = alice, partner
     return keys
 
 
@@ -504,7 +533,11 @@ def alignment_test(keys: dict, fraction: float, floor: float, rng) -> AlignmentR
         if k:
             sampled = rng.choice(len(alice), size=k, replace=False)
             rates[pair] = int(np.count_nonzero(alice[sampled] == partner[sampled])) / k
-            alice, partner = np.delete(alice, sampled), np.delete(partner, sampled)
+            keep = np.ones(len(alice), dtype=bool)
+            keep[sampled] = False
+            alice, partner = alice[keep], partner[keep]
+            # Freed before the next pair's mask is made.
+            del keep
         kept[pair] = alice, partner
     ok = all(rate >= floor for rate in rates.values() if rate is not None)
     return AlignmentResult(ok=ok, match_rates=rates, kept=kept)

@@ -79,7 +79,8 @@ def binary_entropy(p: float) -> float:
 
 
 def _normalize_score(s: float) -> float:
-    if s > CHSH_QUANTUM_MAX + 1e-9:
+    # Written so that a NaN score fails it.
+    if not s <= CHSH_QUANTUM_MAX + 1e-9:
         raise ValueError(f"CHSH score {s} exceeds the quantum maximum {CHSH_QUANTUM_MAX}")
     return min(max(s, 2.0), CHSH_QUANTUM_MAX)
 
@@ -137,7 +138,8 @@ def branch_scores(report: BellReport, p0: float, p1: float, mode: str) -> tuple[
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
-    if p0 <= 0.0 or p1 <= 0.0:
+    # Written so that a NaN weight fails it.
+    if not (p0 > 0.0 and p1 > 0.0):
         raise ValueError(f"branch weights must be positive, got ({p0}, {p1})")
     if mode == "two_scores":
         return (_normalize_score(report.chsh_ab_t0 / p0), _normalize_score(report.chsh_ac_t1 / p1))
@@ -214,7 +216,7 @@ def robustness_curve(scores, method: BoundMethod = BoundMethod()) -> list[tuple[
     out = []
     for s in scores:
         s = float(s)
-        if s < 2.0 - 1e-12 or s > CHSH_QUANTUM_MAX + 1e-9:
+        if not 2.0 - 1e-12 <= s <= CHSH_QUANTUM_MAX + 1e-9:
             raise ValueError(f"total Bell value {s} outside [2, 2*sqrt(2)]")
         out.append((s, method.bound(s if method.score_mode == "two_scores" else _one_score_floor(s, 0.5, 0.5))))
     return out

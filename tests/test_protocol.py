@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -44,7 +45,9 @@ from flagcka.protocol import (
     _ROUTE_TABLES,
     _bit_string,
     _default_threshold,
-    _table_outcomes,
+    _edge_tables,
+    _pick,
+    _table_cells,
     _write_index_digits,
 )
 from flagcka.qops import haar_unitaries, measure_collapse, projector, random_density_operator, select_outcome, tensor
@@ -136,6 +139,15 @@ def _layout_rows(n_rounds, seed, gamma=0.2):
     return inputs, u[:, 4:]
 
 
+def _chain_outcomes(tables, inputs, draws):
+    """The (N, 3) outcome indices that run_rounds' kernel picks from the
+    cumulative `tables` for rows of inputs and draws, read back from the
+    cells it returns, which must also hold the inputs given."""
+    rows = _CELL_ROWS[_table_cells(_edge_tables(tables), inputs.T, draws.T)]
+    assert np.array_equal(rows[:, :3], inputs)
+    return 2 * rows[:, 3::2] + rows[:, 4::2]
+
+
 def _collapse_outcomes_reference(strategy, inputs, draws):
     """Round by round: each party measures the state its predecessors left with measure_collapse."""
     def embedded(p, effect):
@@ -162,7 +174,7 @@ def test_memoised_collapse_matches_round_by_round_loop(kind, visibility, seed):
     strategy = _build_strategy(ProtocolConfig(strategy_kind=kind, visibility=visibility))
     inputs, draws = _layout_rows(2000, seed)
     expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_table_outcomes(_collapse_tables(strategy), inputs, draws), expected)
+    assert np.array_equal(_chain_outcomes(_collapse_tables(strategy), inputs, draws), expected)
 
 
 def test_memoised_collapse_matches_loop_on_a_generic_strategy():
@@ -178,7 +190,7 @@ def test_memoised_collapse_matches_loop_on_a_generic_strategy():
     effects = tuple(np.array([family() for x in range(N_INPUTS[p])]) for p in range(3))
     strategy = Strategy(random_density_operator(64, rng), effects)
     inputs, draws = _layout_rows(2000, 3)
-    outcomes = _table_outcomes(_collapse_tables(strategy), inputs, draws)
+    outcomes = _chain_outcomes(_collapse_tables(strategy), inputs, draws)
     assert np.array_equal(outcomes, _collapse_outcomes_reference(strategy, inputs, draws))
 
 
@@ -203,7 +215,7 @@ def test_memoised_collapse_matches_loop_with_unequal_local_dims():
     strategy = _unequal_dims_strategy(8)
     inputs, draws = _layout_rows(2000, 4)
     expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_table_outcomes(_collapse_tables(strategy), inputs, draws), expected)
+    assert np.array_equal(_chain_outcomes(_collapse_tables(strategy), inputs, draws), expected)
     # Each (party, input) picks exactly the labels of its nonzero projectors.
     for p in range(3):
         for x, family in enumerate(strategy.effects[p]):
@@ -619,7 +631,9 @@ def test_route_tables_read_each_pairs_bell_block():
         pairs = dict(zip(("ab", "ac"), blocks.values()))
         assert list(_ROUTE_TABLES[kind]) == list(pairs)
         for pair, cells in pairs.items():
-            feeds, alice, partner = _ROUTE_TABLES[kind][pair]
+            feeds, bits = _ROUTE_TABLES[kind][pair]
+            assert bits.dtype == np.uint8
+            alice, partner = bits >> 1, bits & 1
             gated = np.ones(len(codes), dtype=bool)
             for axis, value in enumerate(cells):
                 if isinstance(value, int):
@@ -1027,20 +1041,26 @@ def _diagonal_family():
     ],
 )
 def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
-    from flagcka.protocol import _pick
-
-    picked = int(_pick(np.cumsum(probs)[:, None], np.array([0]), np.array([draw]))[0])
+    picked = int(_picked(np.cumsum(probs)[None], np.array([0]), np.array([draw]))[0])
     (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
     assert picked == 2 * value + flag == select_outcome(probs, draw) == expected
     assert probs[picked] > 0.0
 
 
 def test_pick_is_row_wise():
-    from flagcka.protocol import _pick
-
+    # The last row is not monotone: its running maxima are all 0.9, so a
+    # draw above them is in the float dust, where the rule reads the raw
+    # edges (last rising bin 2), not the flat maxima (bin 0).
     cum = np.cumsum([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5 - 1e-12, 0.0, 0.0]], axis=1)
-    draws = np.array([0.5, 0.0, 1.0 - 1e-13])
-    assert _pick(np.ascontiguousarray(cum.T), np.arange(3), draws).tolist() == [2, 1, 1]
+    cum = np.vstack((cum, [0.9, 0.8, 0.85, 0.85]))
+    draws = np.array([0.5, 0.0, 1.0 - 1e-13, 0.95])
+    assert _picked(cum, np.arange(4), draws).tolist() == [2, 1, 1, 2]
+
+
+def _picked(cum, rows, draws):
+    """_pick on the rows `rows` of the cumulative table `cum` (R, 4)."""
+    (edges, maxima), = _edge_tables([cum])
+    return _pick(edges, maxima, rows, draws)
 
 
 def _argmax_pick(cum, draws):
@@ -1071,8 +1091,6 @@ _DRAWS = hst.one_of(
     picks=hst.lists(hst.tuples(hst.integers(0, 5), _DRAWS), min_size=1, max_size=20),
 )
 def test_pick_counts_passed_edges_as_argmax_does(widths, picks):
-    from flagcka.protocol import _pick
-
     cum = np.cumsum(widths, axis=1)
     rows = np.array([r % len(cum) for r, _ in picks])
     draws = np.array([d for _, d in picks])
@@ -1082,7 +1100,7 @@ def test_pick_counts_passed_edges_as_argmax_does(widths, picks):
     keep = (near >= 0.0) & (near < 1.0)
     rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
     draws = np.concatenate((draws, near[keep]))
-    assert np.array_equal(_pick(np.ascontiguousarray(cum.T), rows, draws), _argmax_pick(cum[rows], draws))
+    assert np.array_equal(_picked(cum, rows, draws), _argmax_pick(cum[rows], draws))
 
 
 def test_transcript_jsonl_bytes():
@@ -1267,7 +1285,7 @@ def _one_block_rounds(config):
     u = np.random.default_rng(config.seed).random((config.n_rounds, 7))
     test = u[:, 0] < config.gamma
     inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-    outcomes = _table_outcomes(_cumulative_tables(_build_strategy(config)), inputs, u[:, 4:])
+    outcomes = _chain_outcomes(_cumulative_tables(_build_strategy(config)), inputs, u[:, 4:])
     bits = np.stack((outcomes >> 1, outcomes & 1), axis=2).reshape(-1, 6)
     return test, np.column_stack((inputs, bits)).astype(np.int8)
 
@@ -1285,6 +1303,51 @@ def test_block_draws_match_one_block(backend, n_rounds):
     test, data = _one_block_rounds(config)
     assert np.array_equal(transcript_test, test)
     assert np.array_equal(transcript_data, data)
+
+
+# sha256 of run_rounds(config).codes.tobytes(), per (kind, visibility,
+# n_rounds), with seed _PINNED_SEEDS[n_rounds]; both backends give the same
+# codes. Any change to the draws, their layout or the sampling rule shows
+# here.
+_PINNED_SEEDS = {4095: 11, 4097: 12, 16385: 13, 100000: 14}
+_PINNED_CODES = {
+    ("flagged", 1.0, 4095): "e38b677ed144a0b5907c027b906be7116e8e0a5edd2fe05971dcf32c46d7439c",
+    ("flagged", 1.0, 4097): "7919dd22aa795c34ce6cae3654b355d68fb3d0d6e7b7fc999a12c626d6c4055e",
+    ("flagged", 1.0, 16385): "b5f4cb2614ab0a46f01865da773d9387e9341e542f51a8a28f868343bff0aaf5",
+    ("flagged", 1.0, 100000): "8a2295ede7676f4e6e401e5d2c3bbd4b5fbad4f2037aeaba0c25fc1b3c9fc5cd",
+    ("flagged", 0.97, 4095): "538843c8706963ea656e1d7a378e16fd523c51b3e92521393ea7fc569bfea159",
+    ("flagged", 0.97, 4097): "b3b80e94db3ad8eb7c1c86e77042dfae7d0e375be84e9e958a4360f54d47a391",
+    ("flagged", 0.97, 16385): "4cb13318152399eeeaa7f45bfb52b37cbccba1d45ca3fe3e1de5c2e47616c85b",
+    ("flagged", 0.97, 100000): "b30633193ea7ef9353ad416dce4b0c18a31eead54c27bda342d87bfe02a4d4a1",
+    ("flagged", 0.7, 4095): "dc72deabdc3a6cd388bb6703fbdf78929875c582524796e1a66a71a83a78acb8",
+    ("flagged", 0.7, 4097): "2ff88b8d9e46670c00c507261248e91fb7e497ec06ffd7eafe1548c27d60801d",
+    ("flagged", 0.7, 16385): "d632158cac442035df763cff876a5031c9a8e4d76e175e6b7ffedacb8dcaac9c",
+    ("flagged", 0.7, 100000): "f6c65707f171ea5317d39fb2aa5a875e4aaa6f1bdf91066b9fd8f3957cf53dae",
+    ("parallel", 1.0, 4095): "b4cf36f8403b66b2238c25cb1dd8eac304d637dd3a46d6861f43bd21be2979bb",
+    ("parallel", 1.0, 4097): "6e03dd33d88ba83ef9f22a1a61c4855d295a9ea8ccc1c8f12499f08a54b8852d",
+    ("parallel", 1.0, 16385): "aee07a15722c82dad926c9411820b4d299f5654f460bd96b4a4135530e19f244",
+    ("parallel", 1.0, 100000): "846e38809c9c62dc72bcaa1b5f53b4404c2c631060008b433bad1328a8ff1b52",
+    ("parallel", 0.97, 4095): "eb28c407a5c5dcb0864b7c7f4d4be2713fe81b3772db35b8c187c74edadef759",
+    ("parallel", 0.97, 4097): "1f6c3590b6bcd16f164ac3f6cafc640f4976ee2f32e8d830b39f913f2aecc003",
+    ("parallel", 0.97, 16385): "2c249ac95218e6fb0b1a5165c5f33197fc75d716849355f90c43feaff5a067a6",
+    ("parallel", 0.97, 100000): "f0f697dc48a29391f70176095e9864ea983860c65e7ea682de8ce640933c41bf",
+    ("parallel", 0.7, 4095): "86a6ba1db58ec30f0267f9df5510a234469e2fe13954f4fc5823444ec60a4a6f",
+    ("parallel", 0.7, 4097): "091b97859ef75f49ed269ca764e0c47fed5cc582d4546e6868f175b47151494d",
+    ("parallel", 0.7, 16385): "c163a07e957e041a7c88a9f88712f0b320ccb98aaf55e2f0282fdb765665fa6d",
+    ("parallel", 0.7, 100000): "4ae9b185d76d3455786ad5dc7527d22794a2eb1c62df913beccd4fac1e59b2fb",
+}
+
+
+@pytest.mark.parametrize("n_rounds", list(_PINNED_SEEDS))
+@pytest.mark.parametrize("visibility", [1.0, 0.97, 0.7])
+@pytest.mark.parametrize("backend", ["table", "collapse"])
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_round_codes_are_pinned(kind, backend, visibility, n_rounds):
+    config = ProtocolConfig(
+        n_rounds=n_rounds, seed=_PINNED_SEEDS[n_rounds], strategy_kind=kind, visibility=visibility, backend=backend
+    )
+    digest = hashlib.sha256(run_rounds(config).codes.tobytes()).hexdigest()
+    assert digest == _PINNED_CODES[kind, visibility, n_rounds]
 
 
 @pytest.mark.parametrize("n_rounds", [1, *_BLOCK_SPANS[1:]])

@@ -309,6 +309,28 @@ def test_rate_report_refuses_nan_at_the_flag_weights(table):
     assert raised.traceback[-1].name == "flag_stats"
 
 
+@pytest.mark.parametrize("bound", [chsh_min_entropy_bound, chsh_von_neumann_bound])
+def test_entropy_bounds_refuse_a_nan_score(bound):
+    # The score check raises, not a NaN bound or binary_entropy further on.
+    with pytest.raises(ValueError, match=r"^CHSH score nan exceeds the quantum maximum"):
+        bound(math.nan)
+
+
+@pytest.mark.parametrize("mode", SCORE_MODES)
+def test_branch_scores_refuse_a_nan_weight(mode):
+    report = bell_value(behavior_from_strategy(honest_flagged_strategy()))
+    for p0, p1 in [(math.nan, 0.5), (0.5, math.nan)]:
+        with pytest.raises(ValueError, match=r"^branch weights must be positive, got \((nan, 0\.5|0\.5, nan)\)$"):
+            branch_scores(report, p0, p1, mode)
+
+
+@pytest.mark.parametrize("selector", BOUND_METHODS)
+@pytest.mark.parametrize("mode", SCORE_MODES)
+def test_robustness_curve_refuses_a_nan_value(selector, mode):
+    with pytest.raises(ValueError, match=r"^total Bell value nan outside \[2, 2\*sqrt\(2\)\]$"):
+        robustness_curve([math.nan], BoundMethod(selector, mode))
+
+
 def test_robustness_curve_endpoints_and_shape():
     for sel in BOUND_METHODS:
         for mode in SCORE_MODES:
