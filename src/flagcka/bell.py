@@ -14,11 +14,11 @@ x Alice's input, w the partner's and a, b the two bits compared, carries
 the CHSH sign (-1)^(a + b + x*w). Its readers: BELL_FUNCTIONALS[kind].coeffs,
 a (2, *TABLE_SHAPE) tensor whose slice k holds block k's coefficient on
 every cell (the values, bell_value_stderr and local_bound_bruteforce
-contract it); the branch weights of flag_stats and bell_value;
-protocol's route tables; rates.conditional_entropy_classical; and the
-branches of checks, extract_conditional_behavior included. Cells with
-disagreeing flags carry no coefficient, so that mass can only lower the
-value.
+contract it); the branch masses of `_branch_masses`, which flag_stats
+checks and bell_value reads; protocol's route tables;
+rates.conditional_entropy_classical; and the branches of checks. Cells
+with disagreeing flags carry no coefficient, so that mass can only lower
+the value.
 
 Each block pools over the third party's (the spectator's) test inputs:
 a term reads the cells at spectator input 0 and at 1, with half its sign
@@ -234,6 +234,12 @@ def behavior_from_strategy(strategy: Strategy) -> Behavior:
     return Behavior(np.ascontiguousarray(p.real).reshape(TABLE_SHAPE)).validate()
 
 
+def _branch_masses(table: np.ndarray) -> np.ndarray:
+    """Per input triple and flagged branch t, the mass of the cells of the
+    block that gates on t: a (2, 3, 3, 2) array."""
+    return np.stack([table[(..., *_gate(cells))].sum(axis=(3, 4, 5)) for cells in _BRANCH_CELLS.values()], axis=-1)
+
+
 def flag_stats(behavior: Behavior) -> FlagStats:
     """Branch weights read at inputs (0,0,0) after an input-independence check.
 
@@ -242,8 +248,7 @@ def flag_stats(behavior: Behavior) -> FlagStats:
     signal have no well-defined branch weights.
     """
     t = behavior.table
-    # Per input triple and branch, the mass of the branch block's cells.
-    agree = np.stack([t[(..., *_gate(cells))].sum(axis=(3, 4, 5)) for cells in _BRANCH_CELLS.values()], axis=-1)
+    agree = _branch_masses(t)
     agreement = agree.sum(axis=-1)
     # Each bound is written so that a NaN fails it.
     if not float(np.ptp(agreement)) <= 1e-9:
@@ -264,12 +269,12 @@ def flag_stats(behavior: Behavior) -> FlagStats:
 def bell_value(behavior: Behavior) -> BellReport:
     """Evaluate both flag-gated CHSH blocks of the Bell functional.
 
-    Branch weights for normalization are read at inputs (0,0,0); a
-    vanishing weight leaves that normalized entry undefined (None).
+    Branch weights for normalization are `flag_stats`' masses at inputs
+    (0,0,0), read unchecked; a vanishing weight leaves that normalized
+    entry undefined (None).
     """
-    t = behavior.table
-    ab, ac = BELL_FUNCTIONALS["flagged"].block_values(t).tolist()
-    p0, p1 = (float(t[(0, 0, 0, *_gate(cells))].sum()) for cells in _BRANCH_CELLS.values())
+    ab, ac = BELL_FUNCTIONALS["flagged"].block_values(behavior.table).tolist()
+    p0, p1 = _branch_masses(behavior.table)[0, 0, 0].tolist()
     return BellReport(
         chsh_ab_t0=ab,
         chsh_ac_t1=ac,
@@ -432,8 +437,9 @@ def behavior_from_json(text: str) -> Behavior:
             offset = _OUTCOME_OFFSETS.get(key)
             if offset is None:
                 raise ValueError(f"behavior JSON: {key!r} in cell {triple!r} is not an outcome 'a ta b tb c tc' of six bits")
-            try:
-                flat[base + offset] = float(p)
-            except TypeError:
-                raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number") from None
+            # float() would read false as 0.0 and "0.5" as 0.5; json gives
+            # every number as an int or a float, and true as a bool.
+            if not isinstance(p, float) and type(p) is not int:
+                raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number")
+            flat[base + offset] = p
     return Behavior(np.array(flat).reshape(TABLE_SHAPE)).validate()

@@ -13,16 +13,14 @@ a tolerance. The checks are:
                       Tsirelson cap
   weighted Tsirelson  each branch block expectation is at most
                       2*sqrt(2) p_T(t)
-  conditional behavior the branch-conditioned pair behavior is a
-                      well-formed CHSH behavior independent of the
-                      spectator's input
   decoupling          at the maximal violation Alice's generation
                       outcome is uniform and product with the purifying
                       system, so H(A|E) = 1
 
-`run_check_suite`, and so `verify`, runs five of these six: the
-conditional-behavior check (`extract_conditional_behavior`) is called only
-by the tests, and whether `verify` should run it is still open.
+`run_check_suite`, and so `verify`, runs all five. The projection lemma
+also covers each branch's pair behavior: when every party's flag
+coarse-graining acts alike on the state, that behavior does not depend
+on the spectator's input, so it needs no check of its own.
 
 The first four are kernels over a stack of strategies that share a state,
 with each party's effects as a (K, inputs, 4, d, d) array. One strategy is
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _json_default, _pair_joint, behavior_from_strategy
+from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _json_default
 from .qops import (
     ATOL_OPERATOR,
     SQRT2,
@@ -57,7 +55,6 @@ __all__ = [
     "check_projection_lemma",
     "check_sos_identity",
     "check_weighted_tsirelson",
-    "extract_conditional_behavior",
     "check_decoupling",
     "run_check_suite",
     "check_random_strategies",
@@ -282,30 +279,6 @@ def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
     Expectations are taken in the reduced state of Alice and the partner.
     """
     return _branch_checks(strategy.state, _one(strategy), [], True)[0][0]
-
-
-def extract_conditional_behavior(strategy: Strategy, t: int) -> np.ndarray:
-    """Branch-conditioned pair behavior p(a, partner | x, w, T = t).
-
-    Returns a (2, 2, 2, 2) array over (x, w, a, partner_value), read from
-    the cells of branch t's block (all flags t) and normalized by the
-    branch weight. Raises if the table depends on the spectator party's
-    input beyond ATOL_IDENTITY or if the branch weight vanishes.
-    """
-    if t not in (0, 1):
-        raise ValueError(f"branch must be 0 or 1, got {t}")
-    cells = _BRANCH_CELLS[t]
-    # Per spectator input s, the table over (x, w, a, partner_value) at test inputs w.
-    joint = _pair_joint(behavior_from_strategy(strategy).table, cells)
-    tables = joint.transpose(cells.index("s"), 0, cells.index("w"), 3, 4)[:, :, :2]
-    spread = float(np.abs(tables[1:] - tables[0]).max())
-    if spread > ATOL_IDENTITY:
-        raise ValueError(f"conditional behavior depends on the spectator input (drift {spread:.3e})")
-    cond = tables[0]
-    weight = float(cond[0, 0].sum())
-    if weight <= 1e-12:
-        raise ValueError(f"flag branch {t} has no weight")
-    return cond / weight
 
 
 def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:

@@ -41,7 +41,8 @@ behavior, `collapse` fills them by projective collapse of the strategy
 state. Both sample every block with one loop and one rule, so they
 agree draw for draw: the loop draws each block into one buffer made
 once per run, picks each party's outcome by counting the running maxima
-of its table row at or below its draw (`_pick`), and carries Carole's
+of its table row at or below its draw (`_pick`; `_edge_tables` closes
+the float-dust rule into the rows), and carries Carole's
 row (x, oa, y, ob, z) along the chain, so that a round's code is that
 row's _ROW_CELLS entry plus her outcome, plus 1152 on a test round.
 Post-round sampling (the alignment spot check, Alice-Bob pair before
@@ -267,13 +268,23 @@ class ProtocolResult:
 
 
 def _edge_tables(tables) -> tuple:
-    """Per (R, 4) cumulative table, the (edges, maxima) pair `_pick` reads:
-    each (4, R), row k holding every table row's edge k, or the running
-    maximum of its edges 0..k. Built once per run."""
-    return tuple((np.ascontiguousarray(t.T), np.ascontiguousarray(np.maximum.accumulate(t, axis=1).T)) for t in tables)
+    """Per (R, 4) cumulative table, the (4, R) array `_pick` reads: row k
+    holds each table row's running maximum of its edges 0..k. Built once
+    per run, with the float-dust rule applied: each row is closed at its
+    last positive-width bin among 1-3, else bin 0, by setting that bin's
+    maximum and every later one to 1, which no draw reaches. A draw above
+    every raw edge then passes exactly the maxima before that bin, and no
+    other draw's count changes, since the raw maxima from it on are equal.
+    """
+    closed = []
+    for t in tables:
+        last = ((t[:, 1:] > t[:, :-1]) * np.arange(1, 4)).max(axis=1)
+        maxima = np.where(np.arange(4) >= last[:, None], 1.0, np.maximum.accumulate(t, axis=1))
+        closed.append(np.ascontiguousarray(maxima.T))
+    return tuple(closed)
 
 
-def _pick(edges: np.ndarray, maxima: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _pick(maxima: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome index per draw, from the cumulative distributions of the
     table rows `rows`, as `_edge_tables` gives them.
 
@@ -284,17 +295,10 @@ def _pick(edges: np.ndarray, maxima: np.ndarray, rows: np.ndarray, draws: np.nda
     not monotone. A draw has passed edges 0..k exactly when it is at or
     above their maximum, so that number is the sum of the four
     comparisons with the running maxima. A draw in the float dust above
-    every edge takes the last positive-width bin among 1-3 of the raw
-    edges, else bin 0.
+    every edge takes the last positive-width bin among 1-3, else bin 0,
+    as the closed rows give it.
     """
-    passed = draws >= maxima.take(rows, axis=1)
-    idx = passed.sum(axis=0, dtype=np.uint8)
-    dust = passed[3]
-    if dust.any():
-        cum = edges[:, rows[dust]].T
-        rising = cum[:, 1:] > cum[:, :-1]
-        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
-    return idx
+    return (draws >= maxima.take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
 
 
 def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,16 +337,16 @@ def _table_cells(tables, inputs, draws, out=None) -> np.ndarray:
     `inputs` (x, y, z) and `draws` are each three 1-D arrays, one per
     party; the chain carries Carole's row (x, oa, y, ob, z), whose cell
     less her outcome is one _ROW_CELLS entry."""
-    (edges_a, max_a), (edges_b, max_b), (edges_c, max_c) = tables
+    max_a, max_b, max_c = tables
     x, y, z = inputs
     draw_a, draw_b, draw_c = draws
-    row = x * 4 + _pick(edges_a, max_a, x, draw_a)
+    row = x * 4 + _pick(max_a, x, draw_a)
     row *= 3
     row += y
-    row = row * 4 + _pick(edges_b, max_b, row, draw_b)
+    row = row * 4 + _pick(max_b, row, draw_b)
     row *= 3
     row += z
-    return np.add(_ROW_CELLS.take(row), _pick(edges_c, max_c, row, draw_c), out=out)
+    return np.add(_ROW_CELLS.take(row), _pick(max_c, row, draw_c), out=out)
 
 
 def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -654,12 +658,11 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
         n_flip = math.ceil(rate * len(codes))
         codes[rng.choice(len(codes), size=n_flip, replace=False)] ^= np.uint16(_OUTCOME_WEIGHTS[1])
     elif kind == "flag-constant":
-        t = int(arg) if arg else 0
-        if t not in (0, 1):
+        if arg not in ("", "0", "1"):
             raise ValueError(f"tamper flag value must be 0 or 1, got {arg!r}")
         flags = np.uint16(_OUTCOME_WEIGHTS.sum())
         codes &= ~flags
-        codes |= flags * t
+        codes |= flags * int(arg or 0)
     else:
         raise ValueError(f"unknown tamper kind {kind!r}")
     return Transcript(transcript.strategy_kind, codes)
@@ -681,6 +684,22 @@ _CONFIG_JSON = (
     (("strategy", "visibility"), "visibility", float),
     (("backend",), "backend", str),
 )
+# The noun of the JSON values a parser reads, where it is not "a number"
+# (the threshold may also be null, for the default).
+_CONFIG_NOUNS = {int: "an integer", str: "a string"}
+
+
+def _config_value_ok(value, parse) -> bool:
+    """Whether a config JSON value has the type its parser reads: int()
+    would truncate 1.5 and read true as 1 and "7" as 7, float() would read
+    true as 1.0 and "0.9" as 0.9; an integral number such as 1e6 is an
+    integer."""
+    if parse is str:
+        return isinstance(value, str)
+    if value is None:
+        return parse is _optional_float
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and not (parse is int and isinstance(value, float) and not value.is_integer())
 
 
 def config_to_json(config: ProtocolConfig) -> str:
@@ -695,6 +714,8 @@ def config_to_json(config: ProtocolConfig) -> str:
 
 def config_from_json(text: str) -> ProtocolConfig:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("config JSON must be an object")
     unknown = set(doc) - {path[0] for path, _, _ in _CONFIG_JSON}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -709,12 +730,8 @@ def config_from_json(text: str) -> ProtocolConfig:
             node = node.get(parent, {})
         if key in node:
             value = node[key]
-            # int() would truncate 1.5 and read true as 1, float() would read
-            # true as 1.0; an integral number such as 1e6 parses.
-            fractional = parse is int and isinstance(value, float) and not value.is_integer()
-            if parse is not str and (isinstance(value, bool) or fractional):
-                noun = "an integer" if parse is int else "a number"
-                raise ValueError(f"config {key!r} must be {noun}, got {json.dumps(value)}")
+            if not _config_value_ok(value, parse):
+                raise ValueError(f"config {key!r} must be {_CONFIG_NOUNS.get(parse, 'a number')}, got {json.dumps(value)}")
             kwargs[field] = parse(value)
     return ProtocolConfig(**kwargs)
 

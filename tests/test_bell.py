@@ -382,6 +382,9 @@ def test_behavior_json_roundtrip_is_exact():
         ('[0.5, 0.5]', "not an object|must be an object"),
         ('{"0,0,0": [1.0]}', "'0,0,0'"),
         ('{"0,0,0": {"0 0 0 0 0 0": [1.0]}}', "not a number"),
+        # float() would read these as 0.0 and 1.0.
+        ('{"0,0,0": {"0 0 0 0 0 0": false}}', "probability False .* not a number"),
+        ('{"0,0,0": {"0 0 0 0 0 0": "1.0"}}', "probability '1.0' .* not a number"),
     ],
 )
 def test_behavior_from_json_rejects_keys_it_cannot_place(text, named):

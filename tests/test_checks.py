@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import flagcka.checks as checks_module
-from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS, behavior_from_strategy
+from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS, _BRANCH_CELLS, _pair_joint, behavior_from_strategy, flag_stats
 from flagcka.checks import (
     VERIFY_CHUNK,
     check_random_strategies,
@@ -16,7 +16,6 @@ from flagcka.checks import (
     check_projection_lemma,
     check_sos_identity,
     check_weighted_tsirelson,
-    extract_conditional_behavior,
     reports_to_json,
     run_check_suite,
 )
@@ -150,47 +149,58 @@ def test_weighted_tsirelson_random_has_slack():
         assert all(s >= -1e-10 for s in r.details["slacks"].values())
 
 
+def _spectator_tables(table, cells):
+    """A block's pair behavior per spectator input: the (3, 2, 2, 2, 2)
+    array over (s, x, w, a, partner_value) that bell._pair_joint reads
+    off the block's cells, at the partner's test inputs w."""
+    return _pair_joint(table, cells).transpose(cells.index("s"), 0, cells.index("w"), 3, 4)[:, :, :2]
+
+
 def test_extract_conditional_behavior_honest():
-    # Both branches reduce to the CHSH-maximal two-party behavior
-    # p(a, b | x, w) = (1 + (-1)^(a + b + x w) / sqrt(2)) / 4.
-    for t in (0, 1):
-        cond = extract_conditional_behavior(honest_flagged_strategy(), t)
-        for x in (0, 1):
-            for w in (0, 1):
-                assert cond[x, w].sum() == pytest.approx(1.0, abs=1e-10)
-                for a in (0, 1):
-                    for b in (0, 1):
-                        expected = (1.0 + ((-1.0) ** (a + b + x * w)) / SQRT2) / 4.0
-                        assert cond[x, w, a, b] == pytest.approx(expected, abs=1e-9)
+    # Both branches' pair behaviors, at every spectator input, are the
+    # CHSH-maximal two-party behavior p(a, b | x, w) = (1 + (-1)^(a + b + x w)
+    # / sqrt(2)) / 4 at branch weight 1/2.
+    table = behavior_from_strategy(honest_flagged_strategy()).table
+    for cells in _BRANCH_CELLS.values():
+        tables = _spectator_tables(table, cells)
+        for s, x, w, a, b in itertools.product(range(3), (0, 1), (0, 1), (0, 1), (0, 1)):
+            expected = (1.0 + ((-1.0) ** (a + b + x * w)) / SQRT2) / 8.0
+            assert tables[s, x, w, a, b] == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_extract_conditional_behavior_reads_each_branch_slice(seed):
-    strategy = random_projective_strategy(seed)
-    table = behavior_from_strategy(strategy).table
-    for t in (0, 1):
-        expected = np.empty((2, 2, 2, 2))
-        for x in (0, 1):
-            for w in (0, 1):
-                if t == 0:  # Alice and Bob at Bob's input w, Carole at input 0 and summed out
-                    expected[x, w] = table[x, w, 0, :, 0, :, 0, :, 0].sum(axis=2)
-                else:  # Alice and Carole at Carole's input w, Bob at input 0 and summed out
-                    expected[x, w] = table[x, 0, w, :, 1, :, 1, :, 1].sum(axis=1)
-        expected /= expected[0, 0].sum()
-        np.testing.assert_array_equal(extract_conditional_behavior(strategy, t), expected)
+    table = behavior_from_strategy(random_projective_strategy(seed)).table
+    for t, cells in _BRANCH_CELLS.items():
+        expected = np.empty((3, 2, 2, 2, 2))
+        for s, x, w in itertools.product(range(3), (0, 1), (0, 1)):
+            if t == 0:  # Alice and Bob at Bob's input w, Carole at input s and summed out
+                expected[s, x, w] = table[x, w, s, :, 0, :, 0, :, 0].sum(axis=2)
+            else:  # Alice and Carole at Carole's input w, Bob at input s and summed out
+                expected[s, x, w] = table[x, s, w, :, 1, :, 1, :, 1].sum(axis=1)
+        np.testing.assert_array_equal(_spectator_tables(table, cells), expected)
 
 
 def test_extract_conditional_behavior_raises_on_spectator_drift():
     # Rotate Carole's flag basis at input 1 only: the t = 0 gate then
-    # passes different mass depending on her input.
+    # passes different mass depending on her input. The projection lemma
+    # and flag consistency fail on it, and flag_stats refuses its weights.
     honest = honest_flagged_strategy()
     effects = _copied_effects(honest)
     value = {0: projector(np.array([1.0, 1.0]) / SQRT2), 1: projector(np.array([1.0, -1.0]) / SQRT2)}
     flag = {0: projector(plus_ket()), 1: projector(np.array([1.0, -1.0]) / SQRT2)}
     effects[2][1] = [tensor(value[c], flag[t]) for c, t in OUTCOME_LABELS]
     tampered = Strategy(state=honest.state, effects=tuple(effects), kind="flagged")
-    with pytest.raises(ValueError, match="spectator"):
-        extract_conditional_behavior(tampered, 0)
+    consistency, lemma = run_check_suite(tampered, "lemma")
+    assert (consistency.name, consistency.passed) == ("flag_consistency", False)
+    assert consistency.residual == pytest.approx(0.25, abs=1e-12)
+    assert (lemma.name, lemma.passed) == ("projection_lemma", False)
+    assert lemma.residual == pytest.approx(1.0 / SQRT2, abs=1e-12)
+    behavior = behavior_from_strategy(tampered)
+    tables = _spectator_tables(behavior.table, _BRANCH_CELLS[0])
+    assert np.abs(tables[1] - tables[0]).max() == pytest.approx((1.0 + 1.0 / SQRT2) / 16.0, abs=1e-12)
+    with pytest.raises(ValueError, match="varies with inputs"):
+        flag_stats(behavior)
 
 
 def test_decoupling_honest():

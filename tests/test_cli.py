@@ -174,9 +174,20 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _honest_json_with_false_zeros():
+    # The honest behavior, valid, with each of its zero cells written as false.
+    doc = json.loads(behavior_to_json(behavior_from_strategy(honest_flagged_strategy())))
+    return json.dumps({triple: {key: p if p else False for key, p in cell.items()} for triple, cell in doc.items()})
+
+
 @pytest.mark.parametrize(
     "text",
-    ['{"0,0,-1": {"0 0 0 0 0 -1": 0.25}}', '{"0,0,9": {"0 0 0 0 0 0": 1.0}}', "[1, 2]"],
+    [
+        '{"0,0,-1": {"0 0 0 0 0 -1": 0.25}}',
+        '{"0,0,9": {"0 0 0 0 0 0": 1.0}}',
+        "[1, 2]",
+        pytest.param(_honest_json_with_false_zeros(), id="honest-zeros-as-false"),
+    ],
 )
 def test_rates_rejects_behavior_keys_it_cannot_place(tmp_path, capsys, text):
     path = tmp_path / "behavior.json"
@@ -237,9 +248,21 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 1
 
 
-@pytest.mark.parametrize("doc", [{"n_rounds": 1.5}, {"n_rounds": True}, {"seed": 2.7}])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n_rounds": 1.5},
+        {"n_rounds": True},
+        {"seed": 2.7},
+        {"seed": None},
+        {"seed": [1]},
+        {"n_rounds": {"rounds": 1000}},
+        {"n_rounds": "1000"},
+    ],
+)
 def test_fractional_or_boolean_config_integer_exits_one(tmp_path, capsys, doc):
-    # Not a one-round run that aborts (exit 2), nor a run on a truncated seed.
+    # Not a one-round run that aborts (exit 2), nor a run on a truncated seed
+    # or on a string read as a number, nor a traceback on a null or a list.
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg)]) == 1

@@ -838,6 +838,8 @@ def test_tamper_validation():
         apply_tamper(tr, "flag-flip:abc", rng)
     with pytest.raises(ValueError):
         apply_tamper(tr, "flag-constant:2", rng)
+    with pytest.raises(ValueError, match="tamper flag value must be 0 or 1, got 'x'"):
+        apply_tamper(tr, "flag-constant:x", rng)
     with pytest.raises(ValueError):
         apply_tamper(tr, "bit-flip:0.1", rng)
     tr_par = run_rounds(ProtocolConfig(n_rounds=50, seed=0, strategy_kind="parallel"))
@@ -974,8 +976,8 @@ _STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'vi
         ('{"rounds": 7, "n_rounds": 1, "kind": 0}', "unknown config keys: ['kind', 'rounds']"),
         ('{"strategy": 3}', _STRATEGY_OBJECT),
         ('{"strategy": {"kind": "flagged", "noise": 0}}', _STRATEGY_OBJECT),
-        ('{"threshold": "high"}', "could not convert string to float: 'high'"),
-        ('{"n_rounds": "1.5"}', "invalid literal for int() with base 10: '1.5'"),
+        ('{"threshold": "high"}', "config 'threshold' must be a number, got \"high\""),
+        ('{"n_rounds": "1.5"}', "config 'n_rounds' must be an integer, got \"1.5\""),
         ('{"n_rounds": 1.5}', "config 'n_rounds' must be an integer, got 1.5"),
         ('{"n_rounds": true}', "config 'n_rounds' must be an integer, got true"),
         ('{"seed": 2.7}', "config 'seed' must be an integer, got 2.7"),
@@ -986,6 +988,14 @@ _STRATEGY_OBJECT = "config 'strategy' must be an object with keys 'kind' and 'vi
         ('{"alignment_floor": true}', "config 'alignment_floor' must be a number, got true"),
         ('{"strategy": {"visibility": true}}', "config 'visibility' must be a number, got true"),
         ('{"strategy": {"kind": "ghz"}}', "unknown strategy kind 'ghz'"),
+        ('{"seed": null}', "config 'seed' must be an integer, got null"),
+        ('{"n_rounds": [1000]}', "config 'n_rounds' must be an integer, got [1000]"),
+        ('{"gamma": null}', "config 'gamma' must be a number, got null"),
+        ('{"alignment_floor": {"floor": 0.9}}', "config 'alignment_floor' must be a number, got {\"floor\": 0.9}"),
+        ('{"strategy": {"visibility": "0.9"}}', "config 'visibility' must be a number, got \"0.9\""),
+        ('{"strategy": {"kind": null}}', "config 'kind' must be a string, got null"),
+        ('{"backend": 1}', "config 'backend' must be a string, got 1"),
+        ('[{"n_rounds": 100}]', "config JSON must be an object"),
     ],
 )
 def test_config_json_error_messages(text, message):
@@ -1048,9 +1058,9 @@ def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
 
 
 def test_pick_is_row_wise():
-    # The last row is not monotone: its running maxima are all 0.9, so a
-    # draw above them is in the float dust, where the rule reads the raw
-    # edges (last rising bin 2), not the flat maxima (bin 0).
+    # The last row is not monotone: its raw running maxima are all 0.9, so
+    # a draw above them is in the float dust, where the rule takes the
+    # last rising bin of the raw edges (bin 2), not the flat maxima's bin 0.
     cum = np.cumsum([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5 - 1e-12, 0.0, 0.0]], axis=1)
     cum = np.vstack((cum, [0.9, 0.8, 0.85, 0.85]))
     draws = np.array([0.5, 0.0, 1.0 - 1e-13, 0.95])
@@ -1059,8 +1069,8 @@ def test_pick_is_row_wise():
 
 def _picked(cum, rows, draws):
     """_pick on the rows `rows` of the cumulative table `cum` (R, 4)."""
-    (edges, maxima), = _edge_tables([cum])
-    return _pick(edges, maxima, rows, draws)
+    maxima, = _edge_tables([cum])
+    return _pick(maxima, rows, draws)
 
 
 def _argmax_pick(cum, draws):
@@ -1101,6 +1111,51 @@ def test_pick_counts_passed_edges_as_argmax_does(widths, picks):
     rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
     draws = np.concatenate((draws, near[keep]))
     assert np.array_equal(_picked(cum, rows, draws), _argmax_pick(cum[rows], draws))
+
+
+def _per_block_dust_pick(cum, rows, draws):
+    """Reference pick that applies the float-dust rule to each block's
+    draws instead of to the tables: the running maxima count the passed
+    edges, and the draws above every edge take the last positive-width
+    bin among 1-3 of the raw edges, else bin 0."""
+    edges, maxima = cum.T, np.maximum.accumulate(cum, axis=1).T
+    passed = draws >= maxima.take(rows, axis=1)
+    idx = passed.sum(axis=0, dtype=np.uint8)
+    dust = passed[3]
+    if dust.any():
+        raw = edges[:, rows[dust]].T
+        rising = raw[:, 1:] > raw[:, :-1]
+        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
+    return idx
+
+
+# Rows every example adds: rows that are not monotone, with zero-width
+# bins, all zero (as an unfollowed prefix leaves its row) and flat.
+_FIXED_ROWS = np.array(
+    [[0.9, 0.8, 0.85, 0.85], [0.6, 0.4, 0.7, 0.5], [0.5, 0.5 - 1e-12, 0.0, 0.0], [0.0] * 4, [0.5] * 4, [1.0] * 4]
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=0, max_size=6),
+    picks=hst.lists(hst.tuples(hst.integers(0, 11), _DRAWS), min_size=1, max_size=20),
+)
+def test_closed_tables_pick_as_the_per_block_dust_rule(widths, picks):
+    cum = np.vstack((np.cumsum(np.reshape(widths, (-1, 4)), axis=1), _FIXED_ROWS))
+    rows = np.array([r % len(cum) for r, _ in picks])
+    draws = np.array([d for _, d in picks])
+    # Per row, draws in the float dust [max edge, 1): the largest edge, the
+    # float above it, the last float below 1, and each pick's draw mapped
+    # into the interval.
+    top = np.maximum(cum.max(axis=1), 0.0)
+    dust_rows = np.concatenate((np.tile(np.arange(len(cum)), 3), rows))
+    dust = np.concatenate(
+        (top, np.nextafter(top, 2.0), np.full(len(cum), 1.0 - 2.0**-53), top[rows] + draws * (1.0 - top[rows]))
+    )
+    keep = (dust >= top[dust_rows]) & (dust < 1.0)
+    rows, draws = np.concatenate((rows, dust_rows[keep])), np.concatenate((draws, dust[keep]))
+    assert np.array_equal(_picked(cum, rows, draws), _per_block_dust_pick(cum, rows, draws))
 
 
 def test_transcript_jsonl_bytes():
