@@ -69,9 +69,6 @@ TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
 # flat index of its cell of a C-ordered TABLE_SHAPE table.
 CELL_WEIGHTS = np.array([math.prod(TABLE_SHAPE[k + 1:]) for k in range(len(TABLE_SHAPE))], dtype=np.int32)
 _N_CELLS = math.prod(TABLE_SHAPE)
-# Cells counted per bincount call, which copies cells of a narrower type
-# than intp: 512 KB at a time.
-_COUNT_ROWS = 1 << 16
 
 # Per kind and block, the table cells read by CHSH term (x, w, a, b) at
 # spectator input s, one entry per table axis: a term letter, a fixed
@@ -349,23 +346,22 @@ class BehaviorEstimate:
         return self.counts.reshape(2, 3, 3, -1).sum(axis=-1)
 
 
-def estimate_behavior(cells: np.ndarray) -> BehaviorEstimate:
+def estimate_behavior(counts: np.ndarray) -> BehaviorEstimate:
     """Empirical conditional frequencies of sampled rounds.
 
-    `cells` is a 1-D integer array of each round's cell: its flat index in
-    a C-ordered TABLE_SHAPE table, row @ CELL_WEIGHTS for the round's
-    columns (x, y, z, a, ta, b, tb, c, tc). The cells are counted
-    _COUNT_ROWS at a time. Cells of input triples that never occur are
-    left at zero and the triple is reported in missing_inputs.
+    `counts` is an integer array of _N_CELLS entries, flat or of
+    TABLE_SHAPE: per cell of a C-ordered TABLE_SHAPE table, the number of
+    rounds whose columns (x, y, z, a, ta, b, tb, c, tc) are that cell's,
+    as np.bincount of the rounds' row @ CELL_WEIGHTS gives it. Cells of
+    input triples that never occur are left at zero and the triple is
+    reported in missing_inputs.
     """
-    if not np.issubdtype(cells.dtype, np.integer) or cells.ndim != 1:
-        raise ValueError(f"cells must be a 1-D integer array, got {cells.dtype} of shape {cells.shape}")
-    if len(cells) and (cells.min() < 0 or cells.max() >= _N_CELLS):
-        raise ValueError(f"cells must lie in [0, {_N_CELLS})")
-    counts = np.zeros(_N_CELLS, dtype=np.int64)
-    for start in range(0, len(cells), _COUNT_ROWS):
-        counts += np.bincount(cells[start : start + _COUNT_ROWS], minlength=_N_CELLS)
-    counts = counts.reshape(TABLE_SHAPE)
+    counts = np.asarray(counts)
+    if not np.issubdtype(counts.dtype, np.integer) or counts.shape not in ((_N_CELLS,), TABLE_SHAPE):
+        raise ValueError(f"counts must be an integer array of shape ({_N_CELLS},) or {TABLE_SHAPE}, got {counts.dtype} of shape {counts.shape}")
+    if counts.min() < 0:
+        raise ValueError("counts must not be negative")
+    counts = counts.astype(np.int64).reshape(TABLE_SHAPE)
     totals = counts.reshape(2, 3, 3, -1).sum(axis=-1)
     table = np.zeros(TABLE_SHAPE)
     nz = totals > 0
@@ -439,7 +435,12 @@ def behavior_from_json(text: str) -> Behavior:
                 raise ValueError(f"behavior JSON: {key!r} in cell {triple!r} is not an outcome 'a ta b tb c tc' of six bits")
             # float() would read false as 0.0 and "0.5" as 0.5; json gives
             # every number as an int or a float, and true as a bool.
-            if not isinstance(p, float) and type(p) is not int:
-                raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number")
+            if not isinstance(p, float):
+                if type(p) is not int:
+                    raise ValueError(f"behavior JSON: probability {p!r} at {triple!r} {key!r} is not a number")
+                try:
+                    p = float(p)
+                except OverflowError:
+                    raise ValueError(f"behavior JSON: probability at {triple!r} {key!r} is an integer too large for a float") from None
             flat[base + offset] = p
     return Behavior(np.array(flat).reshape(TABLE_SHAPE)).validate()

@@ -11,10 +11,11 @@ One run proceeds in seven steps:
      the shared state handle, never the round type
   4. flags are announced; the run aborts if they differ anywhere
      (FlagMismatch) or if the common string is constant (FlagConstant).
-     check_flag_agreement reads the codes one block at a time through
-     one table over the slots, so no array of this step spans the rounds
-  5. test-round data is announced, the Bell value estimated and compared
-     against the threshold (BellBelowThreshold on failure)
+     check_flag_agreement counts the rounds per flag class from the
+     codes' histogram and scans the codes only for a first mismatch
+  5. test-round data is announced, the Bell value estimated from the
+     histogram's test half and compared against the threshold
+     (BellBelowThreshold on failure)
   6. generation rounds are sifted, once, into the Alice-Bob key (the
      rounds the flag-0 block gates) and the Alice-Carole key (flag 1);
      optionally a fraction of each sifted key is sampled, compared in
@@ -40,11 +41,14 @@ conditional tables these draws sample: `table` reads them off the exact
 behavior, `collapse` fills them by projective collapse of the strategy
 state. Both sample every block with one loop and one rule, so they
 agree draw for draw: the loop draws each block into one buffer made
-once per run, picks each party's outcome by counting the running maxima
-of its table row at or below its draw (`_pick`; `_edge_tables` closes
-the float-dust rule into the rows), and carries Carole's
-row (x, oa, y, ob, z) along the chain, so that a round's code is that
-row's _ROW_CELLS entry plus her outcome, plus 1152 on a test round.
+once per run, takes the block's inputs from bool arithmetic on its
+uniforms, picks each party's outcome by counting the running maxima of
+its table row at or below its draw (`_pick`; `_edge_tables` closes the
+float-dust rule into the rows, which sets the last maximum of every
+row to 1, so three comparisons count them), and carries Carole's row
+(x, oa, y, ob, z) along the chain, so that a round's code is that
+row's _ROW_CODES entry plus her outcome; the entry holds the 1152 of a
+test round, since Carole's input 2 is drawn on generation rounds only.
 Post-round sampling (the alignment spot check, Alice-Bob pair before
 Alice-Carole) uses the stream default_rng([seed, 1]), so it is
 insensitive to how the transcript was produced or restored. Two runs
@@ -53,14 +57,15 @@ with the same config are bit-identical.
 A transcript stores each round as one uint16 code, the flat index of its
 (round type, row) cell: row @ CELL_WEIGHTS + 1152 * test, one of 2304
 slots. Every step after sampling reads a round only through its code:
-the flags and key bits are per-COLUMNS tables over the slots, step 4
-counts each block's rounds by a flag-class table (t when all three flags
-read t, 2 when they differ), each strategy kind's routing is a table per
+the flags and key bits are per-COLUMNS tables over the slots; steps 4
+and 5 read the codes' histogram, made once per postprocess call, step 4
+through a one-hot table of each slot's flag class (t when all three
+flags read t, 2 when they differ) and step 5 through its test half, the
+test rounds' cell counts; each strategy kind's routing is a table per
 pair of the slots that feed the pair's key, read off the pair's block in
 bell._BLOCK_CELLS (the one table of which rounds and bits feed each key;
-its readers are listed in bell), the Bell estimate counts the test
-rounds' cells, and the JSONL writer copies each code's line bytes from
-one table.
+its readers are listed in bell); and the JSONL writer copies each code's
+line bytes from one table.
 """
 
 from __future__ import annotations
@@ -153,22 +158,26 @@ _TEST_WEIGHT = _N_CODES // 2
 # o = 2*value + flag.
 _CELL_ROWS = np.ascontiguousarray(np.indices(TABLE_SHAPE, dtype=np.int8).reshape(len(TABLE_SHAPE), -1).T)
 _OUTCOME_WEIGHTS = CELL_WEIGHTS[COLUMNS.index("ta") :: 2]
-# Per row of Carole's table, (x, oa, y, ob, z) flat in C order: the cell
-# of those inputs and outcomes with her own outcome 0.
-_ROW_CELLS = (
-    np.array([CELL_WEIGHTS[0], _OUTCOME_WEIGHTS[0], CELL_WEIGHTS[1], _OUTCOME_WEIGHTS[1], CELL_WEIGHTS[2]])
-    @ np.indices((N_INPUTS[0], len(OUTCOME_LABELS), N_INPUTS[1], len(OUTCOME_LABELS), N_INPUTS[2])).reshape(5, -1)
+# Per row of Carole's table, (x, oa, y, ob, z) flat in C order: the code
+# of those inputs and outcomes with her own outcome 0. Carole's input 2 is
+# drawn on generation rounds only, so every other row is a test round's.
+_ROW_INDICES = np.indices((N_INPUTS[0], len(OUTCOME_LABELS), N_INPUTS[1], len(OUTCOME_LABELS), N_INPUTS[2])).reshape(5, -1)
+_ROW_CODES = (
+    np.array([CELL_WEIGHTS[0], _OUTCOME_WEIGHTS[0], CELL_WEIGHTS[1], _OUTCOME_WEIGHTS[1], CELL_WEIGHTS[2]]) @ _ROW_INDICES
+    + _TEST_WEIGHT * (_ROW_INDICES[4] != GENERATION_INPUTS[2])
 ).astype(np.uint16)
-# The generation inputs as a (3, 1) column.
-_GENERATION_COLUMN = np.array(GENERATION_INPUTS)[:, None]
+# The generation inputs as a (3, 1) uint8 column.
+_GENERATION_COLUMN = np.array(GENERATION_INPUTS, dtype=np.uint8)[:, None]
 # Per COLUMNS entry, its value in every code: (9, _N_CODES) uint8.
 _CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
 # Per party, the COLUMNS of its input, value and flag.
 _PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
-# Per code, Alice's, Bob's and Carole's flags, and its flag class: t when
-# all three read t, 2 when they differ.
+# Per code, Alice's, Bob's and Carole's flags; whether they differ; and a
+# (3, _N_CODES) int64 one-hot of its flag class: t when all three read t,
+# 2 when they differ.
 _CODE_FLAGS = _CODE_COLUMNS[COLUMNS.index("ta") :: 2]
-_FLAG_CLASS = np.where((_CODE_FLAGS == _CODE_FLAGS[0]).all(axis=0), _CODE_FLAGS[0], np.uint8(2))
+_MISMATCHED = (_CODE_FLAGS != _CODE_FLAGS[0]).any(axis=0)
+_FLAG_CLASSES = np.stack([*(~_MISMATCHED & (_CODE_FLAGS[0] == t) for t in (0, 1)), _MISMATCHED]).astype(np.int64)
 
 
 def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -275,6 +284,7 @@ def _edge_tables(tables) -> tuple:
     maximum and every later one to 1, which no draw reaches. A draw above
     every raw edge then passes exactly the maxima before that bin, and no
     other draw's count changes, since the raw maxima from it on are equal.
+    Row 3 is therefore 1 throughout.
     """
     closed = []
     for t in tables:
@@ -293,12 +303,13 @@ def _pick(maxima: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray
     never chosen. The outcome is the number of leading edges the draw
     has passed, which is the first edge above it even on a row that is
     not monotone. A draw has passed edges 0..k exactly when it is at or
-    above their maximum, so that number is the sum of the four
-    comparisons with the running maxima. A draw in the float dust above
-    every edge takes the last positive-width bin among 1-3, else bin 0,
-    as the closed rows give it.
+    above their maximum, so that number is the sum of the comparisons
+    with the running maxima; the last maximum of a closed row is 1, which
+    no draw passes, so the first three comparisons make the sum. A draw
+    in the float dust above every edge takes the last positive-width bin
+    among 1-3, else bin 0, as the closed rows give it.
     """
-    return (draws >= maxima.take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
+    return (draws >= maxima[:3].take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
 
 
 def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,23 +341,25 @@ def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.n
     return cum_a, cum_b, cum_c
 
 
-def _table_cells(tables, inputs, draws, out=None) -> np.ndarray:
-    """Each round's cell, row @ CELL_WEIGHTS, with its outcomes picked from
-    the `_edge_tables` rows that its inputs and earlier outcomes select.
-    Given the same draws this reproduces the explicit-collapse outcomes.
-    `inputs` (x, y, z) and `draws` are each three 1-D arrays, one per
-    party; the chain carries Carole's row (x, oa, y, ob, z), whose cell
-    less her outcome is one _ROW_CELLS entry."""
+def _table_codes(tables, inputs, draws, out=None) -> np.ndarray:
+    """Each round's code, with its outcomes picked from the `_edge_tables`
+    rows that its inputs and earlier outcomes select. Given the same draws
+    this reproduces the explicit-collapse outcomes. `inputs` (x, y, z) and
+    `draws` are each three 1-D arrays, one per party; the chain carries
+    Carole's row (x, oa, y, ob, z), whose code less her outcome is one
+    _ROW_CODES entry."""
     max_a, max_b, max_c = tables
     x, y, z = inputs
     draw_a, draw_b, draw_c = draws
-    row = x * 4 + _pick(max_a, x, draw_a)
+    # An intp row, as the chain's rows reach 287.
+    row = x * np.intp(4)
+    row += _pick(max_a, x, draw_a)
     row *= 3
     row += y
     row = row * 4 + _pick(max_b, row, draw_b)
     row *= 3
     row += z
-    return np.add(_ROW_CELLS.take(row), _pick(max_c, row, draw_c), out=out)
+    return np.add(_ROW_CODES.take(row), _pick(max_c, row, draw_c), out=out)
 
 
 def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,8 +435,11 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
         # The block's uniforms column by column, each column contiguous.
         np.copyto(cols, u.T)
         test = cols[0] < config.gamma
-        _table_cells(tables, np.where(test, cols[1:4] < 0.5, _GENERATION_COLUMN), cols[4:], out=block)
-        block += test * np.uint16(_TEST_WEIGHT)
+        # The test bits on test rounds, the generation inputs on the others.
+        inputs = (cols[1:4] < 0.5).view(np.uint8)
+        inputs &= test
+        inputs |= _GENERATION_COLUMN * ~test
+        _table_codes(tables, inputs, cols[4:], out=block)
     return Transcript(strategy.kind, codes)
 
 
@@ -432,26 +448,36 @@ def _bit_string(bits: np.ndarray) -> str:
     return (bits | 48).tobytes().decode("ascii")
 
 
-def check_flag_agreement(codes: np.ndarray) -> tuple[str, dict]:
+def _code_counts(codes: np.ndarray) -> np.ndarray:
+    """(2304,) int64: the number of rounds of each code. bincount copies
+    the codes to intp, so it counts BLOCK_ROWS of them at a time."""
+    counts = np.zeros(_N_CODES, dtype=np.int64)
+    for start in range(0, len(codes), BLOCK_ROWS):
+        counts += np.bincount(codes[start : start + BLOCK_ROWS], minlength=_N_CODES)
+    return counts
+
+
+def check_flag_agreement(codes: np.ndarray, counts: np.ndarray | None = None) -> tuple[str, dict]:
     """Step 4 on a flagged run's codes: the verdict, 'ok', 'FlagMismatch'
     or 'FlagConstant', and its stats.
 
-    Each BLOCK_ROWS block counts its rounds by their _FLAG_CLASS entry.
-    Any round whose three flags differ is a mismatch: the stats name the
-    first, the parties off its majority flag, and the number of such
-    rounds. Flags that agree everywhere on one value mean the source never
-    alternated, and the run aborts too; otherwise the stats hold the
-    branch weights, None when there are no rounds.
+    The rounds are counted by flag class from `counts`, the codes'
+    histogram (`_code_counts(codes)` if not given). Any round whose three
+    flags differ is a mismatch: the stats name the first, which only this
+    abort path scans the codes for, the parties off its majority flag,
+    and the number of such rounds. Flags that agree everywhere on one
+    value mean the source never alternated, and the run aborts too;
+    otherwise the stats hold the branch weights, None when there are no
+    rounds.
     """
-    counts, first = np.zeros(3, dtype=np.int64), None
-    for start in range(0, len(codes), BLOCK_ROWS):
-        classes = _FLAG_CLASS.take(codes[start : start + BLOCK_ROWS])
-        block = np.bincount(classes, minlength=3)
-        if first is None and block[2]:
-            first = start + int(np.argmax(classes == 2))
-        counts += block
-    n, (n0, n1, mismatches) = len(codes), counts.tolist()
+    counts = _code_counts(codes) if counts is None else counts
+    n, (n0, n1, mismatches) = len(codes), (_FLAG_CLASSES @ counts).tolist()
     if mismatches:
+        for start in range(0, n, BLOCK_ROWS):
+            mismatched = _MISMATCHED.take(codes[start : start + BLOCK_ROWS])
+            if mismatched.any():
+                first = start + int(np.argmax(mismatched))
+                break
         flags = _CODE_FLAGS[:, codes[first]]
         majority = int(flags.sum() > 1)
         return "FlagMismatch", {
@@ -558,10 +584,11 @@ def _default_threshold(kind: str, n_test: int) -> float:
 def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResult:
     """Steps 4-7 on a finished transcript: announcements, checks, keys."""
     codes = transcript.codes
-    # The test rounds' cells, row @ CELL_WEIGHTS: their announced data.
-    cells = _select(codes, lambda block: block >= _TEST_WEIGHT)
-    cells -= _TEST_WEIGHT
-    n_test = len(cells)
+    # Steps 4 and 5 read the rounds only through the codes' histogram; its
+    # test half counts the test rounds' cells, their announced data.
+    counts = _code_counts(codes)
+    test_counts = counts[_TEST_WEIGHT:]
+    n_test = int(test_counts.sum())
     stats = {
         "n_rounds": len(codes),
         "n_test": n_test,
@@ -580,7 +607,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     if transcript.strategy_kind == "flagged":
         for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
             announce(Message(name, "FlagAnnounce", (codes, columns[2])))
-        verdict, flag_stats = check_flag_agreement(codes)
+        verdict, flag_stats = check_flag_agreement(codes, counts)
         stats.update(flag_stats)
         if verdict != "ok":
             return aborted(verdict)
@@ -588,7 +615,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
         # The codes, and the party's input, value and flag columns of the test rounds.
         announce(Message(name, "TestDataAnnounce", (codes, columns)))
-    estimate = estimate_behavior(cells=cells)
+    estimate = estimate_behavior(test_counts)
     observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold
@@ -732,7 +759,10 @@ def config_from_json(text: str) -> ProtocolConfig:
             value = node[key]
             if not _config_value_ok(value, parse):
                 raise ValueError(f"config {key!r} must be {_CONFIG_NOUNS.get(parse, 'a number')}, got {json.dumps(value)}")
-            kwargs[field] = parse(value)
+            try:
+                kwargs[field] = parse(value)
+            except OverflowError:
+                raise ValueError(f"config {key!r} is an integer too large for a float") from None
     return ProtocolConfig(**kwargs)
 
 
@@ -767,29 +797,36 @@ def _line_rows(digits: int) -> np.ndarray:
 
 @functools.cache
 def _four_digits() -> np.ndarray:
-    """(10000, 4) uint8: the ASCII digits of 0000 to 9999."""
-    return np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    """(2, 10000) uint32: the four ASCII digits of 0000 to 9999, each as
+    one word in memory order; in row 1 the leading zeros are NULs, so that
+    0 to 9999 read right-aligned."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    padded = digits.copy()
+    padded[:, :3][np.logical_and.accumulate(digits[:, :3] == ord("0"), axis=1)] = 0
+    return np.stack((digits, padded)).view(np.uint32)[..., 0]
 
 
 def _write_index_digits(slots: np.ndarray, start: int) -> None:
     """Right-align the ASCII digits of the indices start, start + 1, ...
-    in the rows of the uint8 array `slots`, leaving the rest of each row.
+    in the rows, at least four bytes wide, of the uint8 array `slots`,
+    leaving the rest of each row.
 
-    The indices go in pieces that share their number of digits and all
-    but their last four: the last four are a slice of `_four_digits`,
-    the others one string broadcast down the piece.
+    The indices go in pieces that share all but their last four digits:
+    the last four are written as one unaligned word per row, a slice of
+    `_four_digits`, the others as one string broadcast down the piece.
     """
     table = _four_digits()
+    words = slots[:, -4:].view(np.uint32)[:, 0]
     stop = start + len(slots)
     lo = start
     while lo < stop:
-        digits = len(str(lo))
-        hi = min(stop, (lo // 10_000 + 1) * 10_000, 10**digits)
-        low = min(digits, 4)
-        piece = slots[lo - start : hi - start]
-        piece[:, -low:] = table[lo % 10_000 : (hi - 1) % 10_000 + 1, 4 - low :]
-        if digits > 4:
-            piece[:, -digits:-4] = np.frombuffer(str(lo // 10_000).encode(), dtype=np.uint8)
+        high, low = divmod(lo, 10_000)
+        hi = min(stop, (high + 1) * 10_000)
+        piece = slice(lo - start, hi - start)
+        words[piece] = table[int(high == 0), low : low + hi - lo]
+        if high:
+            text = str(high).encode()
+            slots[piece, -4 - len(text) : -4] = np.frombuffer(text, dtype=np.uint8)
         lo = hi
 
 
@@ -807,7 +844,8 @@ def _jsonl_blocks(transcript: Transcript):
     if n == 0:
         yield b"\n"
         return
-    width = len(str(n - 1))
+    # Index slots at least four bytes wide, as _write_index_digits needs.
+    width = max(len(str(n - 1)), 4)
     table = _line_rows(width)
     slot = slice(len(_INDEX_KEY), len(_INDEX_KEY) + width)
     for start in range(0, n, _JSONL_ROWS):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 
 import numpy as np
@@ -229,9 +230,14 @@ def _cells(rows):
     return rows.astype(np.intp) @ CELL_WEIGHTS
 
 
-def _pair_cells(records):
-    """The cells of ((x, y, z), ((a, ta), (b, tb), (c, tc))) pairs."""
-    return _cells(np.array([(*inputs, *(bit for out in outputs for bit in out)) for inputs, outputs in records]))
+def _counts(cells):
+    """The flat per-cell counts of an array of cells, as estimate_behavior reads them."""
+    return np.bincount(cells, minlength=math.prod(TABLE_SHAPE))
+
+
+def _pair_counts(records):
+    """The cell counts of ((x, y, z), ((a, ta), (b, tb), (c, tc))) pairs."""
+    return _counts(_cells(np.array([(*inputs, *(bit for out in outputs for bit in out)) for inputs, outputs in records])))
 
 
 def test_estimate_behavior_from_pairs():
@@ -241,7 +247,7 @@ def test_estimate_behavior_from_pairs():
         ((0, 0, 0), ((1, 1), (1, 1), (1, 1))),
         ((1, 2, 2), ((0, 0), (1, 0), (0, 0))),
     ]
-    est = estimate_behavior(_pair_cells(records))
+    est = estimate_behavior(_pair_counts(records))
     t = est.behavior.table
     assert t[0, 0, 0, 0, 0, 0, 0, 0, 0] == pytest.approx(2 / 3)
     assert t[0, 0, 0, 1, 1, 1, 1, 1, 1] == pytest.approx(1 / 3)
@@ -267,8 +273,10 @@ def test_estimate_behavior_array_input_matches_pairs():
         counts[(x, y, z, *outputs)] += 1
     totals = counts.reshape(18, -1).sum(axis=1).reshape(2, 3, 3, 1, 1, 1, 1, 1, 1)
     expected = np.divide(counts, totals, out=np.zeros(TABLE_SHAPE), where=totals > 0)
-    for cells in (_cells(rows), _cells(rows).astype(np.uint16)):
-        est = estimate_behavior(cells)
+    # Flat or of TABLE_SHAPE, of any integer type.
+    flat = _counts(_cells(rows))
+    for cell_counts in (flat, flat.astype(np.uint16), flat.reshape(TABLE_SHAPE)):
+        est = estimate_behavior(cell_counts)
         np.testing.assert_array_equal(est.counts, counts)
         np.testing.assert_allclose(est.behavior.table, expected, atol=0)
 
@@ -280,9 +288,14 @@ def test_estimate_behavior_counts_cells_as_it_counts_rows():
     # Counted one row at a time.
     counts = np.zeros(TABLE_SHAPE, dtype=np.int64)
     np.add.at(counts, tuple(rows.T), 1)
-    np.testing.assert_array_equal(estimate_behavior(cells).counts, counts)
-    assert estimate_behavior(cells[:0]).counts.sum() == 0
-    for bad in (cells.astype(float), cells[:, None], np.array([1152], dtype=np.uint16), np.array([-1])):
+    estimate = estimate_behavior(_counts(cells))
+    np.testing.assert_array_equal(estimate.counts, counts)
+    assert estimate.counts.dtype == np.int64
+    assert estimate_behavior(_counts(cells[:0])).counts.sum() == 0
+    flat = _counts(cells)
+    negative = flat.copy()
+    negative[7] = -1
+    for bad in (flat.astype(float), flat[:, None], flat[:-1], np.append(flat, 0), negative, flat.reshape(2, -1)):
         with pytest.raises(ValueError):
             estimate_behavior(bad)
 
@@ -302,7 +315,7 @@ def test_estimate_behavior_converges_to_born():
                 outcomes = rng.choice(p.size, size=n_per, p=p / p.sum())
                 # The outcome's six bits (a, ta, b, tb, c, tc) are its cell within the triple's.
                 blocks.append((CELL_WEIGHTS[:3] @ (x, y, z) + outcomes).astype(np.uint16))
-    est = estimate_behavior(np.concatenate(blocks))
+    est = estimate_behavior(_counts(np.concatenate(blocks)))
     assert est.missing_inputs == ()
     tv = 0.5 * np.abs(est.behavior.table - behavior.table).reshape(18, -1).sum(axis=1).max()
     assert tv < 0.01
@@ -314,7 +327,7 @@ def test_estimate_behavior_converges_to_born():
 
 
 def test_bell_value_stderr_unsampled_triple_is_inf():
-    est = estimate_behavior(_pair_cells([((0, 0, 0), ((0, 0), (0, 0), (0, 0)))]))
+    est = estimate_behavior(_pair_counts([((0, 0, 0), ((0, 0), (0, 0), (0, 0)))]))
     assert bell_value_stderr(est) == np.inf
 
 
@@ -494,7 +507,7 @@ def test_bell_value_stderr_matches_loop_reference():
     rows = np.column_stack(
         [rng.integers(2, size=3000), rng.integers(2, size=3000), rng.integers(2, size=3000), rng.integers(2, size=(3000, 6))]
     )
-    est = estimate_behavior(_cells(rows))
+    est = estimate_behavior(_counts(_cells(rows)))
     for kind, c in coeff.items():
         var = 0.0
         for x, y, z in itertools.product(range(2), range(3), range(3)):

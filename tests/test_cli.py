@@ -281,6 +281,37 @@ def test_boolean_config_number_exits_one(tmp_path, capsys):
     assert "config 'alignment_fraction' must be a number, got false" in captured.err
 
 
+# A JSON integer of 401 digits: json reads it as an int that float() cannot hold.
+_HUGE_INTEGER = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("field", ["gamma", "threshold", "alignment_fraction", "alignment_floor", "visibility"])
+def test_config_integer_too_large_for_a_float_exits_one(tmp_path, capsys, field):
+    # Not an OverflowError traceback: one error line that names the field.
+    cfg = tmp_path / "bad.json"
+    doc = f'{{"strategy": {{"visibility": {_HUGE_INTEGER}}}}}' if field == "visibility" else f'{{"{field}": {_HUGE_INTEGER}}}'
+    cfg.write_text(doc)
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flagcka simulate: error: config '{field}' is an integer too large for a float\n"
+
+
+def test_rates_rejects_a_behavior_integer_too_large_for_a_float(tmp_path, capsys):
+    doc = json.loads(behavior_to_json(behavior_from_strategy(honest_flagged_strategy())))
+    cell = doc["0,2,2"]
+    key = next(key for key, p in cell.items() if p == 0)
+    cell[key] = "HUGE"
+    path = tmp_path / "behavior.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', _HUGE_INTEGER))
+    assert main(["rates", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"flagcka rates: error: behavior JSON: probability at '0,2,2' {key!r} is an integer too large for a float\n"
+    )
+
+
 def test_verify_rejects_negative_seeds(capsys):
     assert main(["verify", "--seeds", "-3"]) == 1
     captured = capsys.readouterr()

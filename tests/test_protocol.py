@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from flagcka.bell import CELL_WEIGHTS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, TABLE_SHAPE, behavior_from_strategy
-from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS
+from flagcka.bell import BELL_FUNCTIONALS, _BLOCK_CELLS, bell_value_stderr, estimate_behavior
 from flagcka.protocol import (
     ABORT_REASONS,
     BLOCK_ROWS,
@@ -47,7 +47,7 @@ from flagcka.protocol import (
     _default_threshold,
     _edge_tables,
     _pick,
-    _table_cells,
+    _table_codes,
     _write_index_digits,
 )
 from flagcka.qops import haar_unitaries, measure_collapse, projector, random_density_operator, select_outcome, tensor
@@ -142,8 +142,8 @@ def _layout_rows(n_rounds, seed, gamma=0.2):
 def _chain_outcomes(tables, inputs, draws):
     """The (N, 3) outcome indices that run_rounds' kernel picks from the
     cumulative `tables` for rows of inputs and draws, read back from the
-    cells it returns, which must also hold the inputs given."""
-    rows = _CELL_ROWS[_table_cells(_edge_tables(tables), inputs.T, draws.T)]
+    codes it returns, which must also hold the inputs given."""
+    rows = _CELL_ROWS[_table_codes(_edge_tables(tables), inputs.T, draws.T) % len(_CELL_ROWS)]
     assert np.array_equal(rows[:, :3], inputs)
     return 2 * rows[:, 3::2] + rows[:, 4::2]
 
@@ -533,6 +533,106 @@ def test_flag_step_holds_no_array_over_the_rounds():
         assert check_flag_agreement(transcript.codes)[0] == verdict
         peak_mb = _traced_peak(lambda: check_flag_agreement(transcript.codes)) / 1e6
         assert peak_mb < 0.25, (verdict, peak_mb)
+
+
+def _per_block_flag_step(codes):
+    """Reference step 4: each BLOCK_ROWS block of codes mapped through a
+    flag-class table decoded from _CELL_ROWS (t when all three flags read
+    t, 2 when they differ) and counted, the first mismatch noted in the
+    block that holds it."""
+    flags = np.tile(_CELL_ROWS, (2, 1))[:, COLUMNS.index("ta") :: 2].T
+    classes_of = np.where((flags == flags[0]).all(axis=0), flags[0], 2)
+    counts, first = np.zeros(3, dtype=np.int64), None
+    for start in range(0, len(codes), BLOCK_ROWS):
+        classes = classes_of[codes[start : start + BLOCK_ROWS]]
+        if first is None and (classes == 2).any():
+            first = start + int(np.flatnonzero(classes == 2)[0])
+        counts += np.bincount(classes, minlength=3)
+    n, (n0, n1, mismatches) = len(codes), counts.tolist()
+    if mismatches:
+        f = flags[:, codes[first]].tolist()
+        majority = int(sum(f) > 1)
+        return "FlagMismatch", {
+            "flag_mismatch_round": first,
+            "flag_mismatch_parties": [name for name, flag in zip(PARTY_NAMES, f) if flag != majority],
+            "flag_mismatch_count": mismatches,
+        }
+    if n and n0 in (0, n):
+        return "FlagConstant", {"flag_constant_value": int(n1 == n)}
+    return "ok", {"p_t0_estimate": n0 / n if n else None, "p_t1_estimate": n1 / n if n else None}
+
+
+def _per_block_steps_4_5(transcript, config):
+    """Reference steps 4 and 5: the abort reason they reach (None if the
+    run goes on to step 6) and every stat they write. The test rounds'
+    cells are selected block by block and counted one decoded row at a
+    time."""
+    codes, kind = transcript.codes, transcript.strategy_kind
+    blocks = np.split(codes, range(BLOCK_ROWS, len(codes), BLOCK_ROWS))
+    cells = np.concatenate([block[block >= len(_CELL_ROWS)] for block in blocks]).astype(np.intp) - len(_CELL_ROWS)
+    stats = {"n_rounds": len(codes), "n_test": len(cells), "n_gen": len(codes) - len(cells), "strategy_kind": kind, "backend": config.backend}
+    if kind == "flagged":
+        verdict, flag_stats = _per_block_flag_step(codes)
+        stats.update(flag_stats)
+        if verdict != "ok":
+            return verdict, stats
+    counts = np.zeros(TABLE_SHAPE, dtype=np.int64)
+    np.add.at(counts, tuple(_CELL_ROWS[cells].T), 1)
+    estimate = estimate_behavior(counts)
+    functional = BELL_FUNCTIONALS[kind]
+    blocks = functional.block_values(estimate.behavior.table).tolist()
+    observed, stderr = sum(blocks), bell_value_stderr(estimate, kind)
+    threshold = _default_threshold(kind, len(cells)) if config.bell_threshold is None else config.bell_threshold
+    stats.update(
+        bell_stderr=stderr,
+        bell_branches=dict(zip(functional.blocks, blocks)),
+        bell_estimate=observed,
+        bell_threshold=threshold,
+        bell_margin_stderr=(observed - threshold) / stderr if 0.0 < stderr < math.inf else None,
+        missing_test_inputs=[t for t in estimate.missing_inputs if all(v < 2 for v in t)],
+    )
+    return ("BellBelowThreshold" if observed < threshold else None), stats
+
+
+def _steps_4_5_cases():
+    """(name, transcript, config) cases for steps 4 and 5."""
+    n = 3 * BLOCK_ROWS + 17
+    config = ProtocolConfig(n_rounds=n, seed=8, visibility=0.97)
+    tr = run_rounds(config)
+    tb = CELL_WEIGHTS[COLUMNS.index("tb")]
+    # Bob's flag flipped at one round, and at that round and the last.
+    for rounds in ([0], [0, n - 1], [BLOCK_ROWS - 1], [BLOCK_ROWS - 1, n - 1], [BLOCK_ROWS], [BLOCK_ROWS, n - 1], [n - 1]):
+        codes = tr.codes.copy()
+        codes[rounds] ^= np.uint16(tb)
+        yield f"mismatch-at-{rounds}", Transcript("flagged", codes), config
+    for t in "01":
+        yield f"constant-{t}", apply_tamper(tr, f"flag-constant:{t}", np.random.default_rng(0)), config
+    yield "completed", tr, config
+    for kind in ("flagged", "parallel"):
+        for m in (0, 1):
+            yield f"{kind}-{m}-rounds", Transcript(kind, run_rounds(replace(config, n_rounds=1, strategy_kind=kind)).codes[:m]), config
+        run_config = replace(config, strategy_kind=kind, n_rounds=2 * BLOCK_ROWS + 1, visibility=0.9)
+        run = run_rounds(run_config)
+        yield f"{kind}-run", run, run_config
+        yield f"{kind}-below-threshold", run, replace(run_config, bell_threshold=BELL_FUNCTIONALS[kind].quantum_max)
+
+
+@pytest.mark.parametrize("transcript, config", [pytest.param(tr, config, id=name) for name, tr, config in _steps_4_5_cases()])
+def test_code_histogram_gives_the_per_block_steps_4_5(transcript, config):
+    # Steps 4 and 5 read the rounds only through the codes' histogram; a
+    # per-block reference gives the same abort reason and the same stats,
+    # every one of them, and check_flag_agreement its per-block verdict.
+    reason, expected = _per_block_steps_4_5(transcript, config)
+    result = postprocess(transcript, config)
+    if reason is None:
+        assert result.outcome == "completed"
+        got = {key: result.stats[key] for key in expected}
+    else:
+        assert (result.outcome, result.abort_reason) == ("aborted", reason)
+        got = result.stats
+    assert got == expected
+    if transcript.strategy_kind == "flagged":
+        assert check_flag_agreement(transcript.codes) == _per_block_flag_step(transcript.codes)
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
@@ -1158,6 +1258,46 @@ def test_closed_tables_pick_as_the_per_block_dust_rule(widths, picks):
     assert np.array_equal(_picked(cum, rows, draws), _per_block_dust_pick(cum, rows, draws))
 
 
+def _four_comparison_pick(maxima, rows, draws):
+    """Reference pick that counts all four comparisons with the closed
+    running maxima, the last of which no draw below 1 passes."""
+    return (draws >= maxima.take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=0, max_size=6),
+    picks=hst.lists(hst.tuples(hst.integers(0, 11), _DRAWS), min_size=1, max_size=20),
+)
+def test_closed_tables_end_in_one_and_pick_with_three_comparisons(widths, picks):
+    # Rows that fall short of 1 (dust), flat, all-zero and non-monotone
+    # rows among them; each table also reversed, and as a lone row.
+    cum = np.vstack((np.cumsum(np.reshape(widths, (-1, 4)), axis=1), _FIXED_ROWS))
+    tables = (cum, cum[::-1], cum[:1])
+    for table, maxima in zip(tables, _edge_tables(tables)):
+        assert maxima.shape == (4, len(table))
+        assert (maxima[3] == 1.0).all()
+    maxima, = _edge_tables([cum])
+    rows = np.array([r % len(cum) for r, _ in picks])
+    draws = np.array([d for _, d in picks])
+    # Every closed edge below 1 as a draw, and the floats just below and above it.
+    edges = maxima.T.ravel()
+    near = np.concatenate((np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)))
+    keep = (near >= 0.0) & (near < 1.0)
+    rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
+    draws = np.concatenate((draws, near[keep]))
+    assert np.array_equal(_pick(maxima, rows, draws), _four_comparison_pick(maxima, rows, draws))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strategy_tables_close_row_three(seed):
+    # The tables of a random strategy on both backends, each row closed at 1.
+    strategy = random_projective_strategy(seed)
+    for build in (_cumulative_tables, _collapse_tables):
+        for maxima in _edge_tables(build(strategy)):
+            assert (maxima[3] == 1.0).all()
+
+
 def test_transcript_jsonl_bytes():
     rows = [
         ("test", (1, 0, 1), ((0, 1), (1, 0), (1, 1))),
@@ -1210,11 +1350,12 @@ def test_transcript_text_across_digit_and_block_boundaries():
     assert transcript_to_jsonl(tr) == expected
 
 
-@pytest.mark.parametrize("start, count", [(0, 10_123), (9_990, 20), (99_999_990, 20_011), (123_456_789_995, 10)])
+@pytest.mark.parametrize("start, count", [(0, 10_123), (9_990, 20), (99_999_990, 20_011), (123_456_789_995, 10), (0, 12), (995, 10)])
 def test_index_digits_match_str(start, count):
     # Pieces cross every group of four digits and every change in the
-    # number of digits, up to indices no transcript test reaches.
-    width = len(str(start + count - 1))
+    # number of digits, up to indices no transcript test reaches. A slot
+    # is at least four bytes wide.
+    width = max(4, len(str(start + count - 1)))
     slots = np.zeros((count, width), dtype=np.uint8)
     _write_index_digits(slots, start)
     assert [row.tobytes().lstrip(b"\0").decode() for row in slots] == [str(i) for i in range(start, start + count)]
