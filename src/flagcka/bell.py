@@ -68,7 +68,6 @@ TABLE_SHAPE = (2, 3, 3, 2, 2, 2, 2, 2, 2)
 # Weights of a round's nine columns (x, y, z, a, ta, b, tb, c, tc) in the
 # flat index of its cell of a C-ordered TABLE_SHAPE table.
 CELL_WEIGHTS = np.array([math.prod(TABLE_SHAPE[k + 1:]) for k in range(len(TABLE_SHAPE))], dtype=np.int32)
-_N_CELLS = math.prod(TABLE_SHAPE)
 
 # Per kind and block, the table cells read by CHSH term (x, w, a, b) at
 # spectator input s, one entry per table axis: a term letter, a fixed
@@ -349,19 +348,19 @@ class BehaviorEstimate:
 def estimate_behavior(counts: np.ndarray) -> BehaviorEstimate:
     """Empirical conditional frequencies of sampled rounds.
 
-    `counts` is an integer array of _N_CELLS entries, flat or of
-    TABLE_SHAPE: per cell of a C-ordered TABLE_SHAPE table, the number of
-    rounds whose columns (x, y, z, a, ta, b, tb, c, tc) are that cell's,
-    as np.bincount of the rounds' row @ CELL_WEIGHTS gives it. Cells of
-    input triples that never occur are left at zero and the triple is
-    reported in missing_inputs.
+    `counts` is an integer array of TABLE_SHAPE: per cell, the number of
+    rounds whose columns (x, y, z, a, ta, b, tb, c, tc) are that cell's.
+    A flat array, such as np.bincount of the rounds' row @ CELL_WEIGHTS,
+    is reshaped by the caller, so that an array of cells is never taken
+    for counts. Cells of input triples that never occur are left at zero
+    and the triple is reported in missing_inputs.
     """
     counts = np.asarray(counts)
-    if not np.issubdtype(counts.dtype, np.integer) or counts.shape not in ((_N_CELLS,), TABLE_SHAPE):
-        raise ValueError(f"counts must be an integer array of shape ({_N_CELLS},) or {TABLE_SHAPE}, got {counts.dtype} of shape {counts.shape}")
+    if not np.issubdtype(counts.dtype, np.integer) or counts.shape != TABLE_SHAPE:
+        raise ValueError(f"counts must be an integer array of shape {TABLE_SHAPE}, got {counts.dtype} of shape {counts.shape}")
     if counts.min() < 0:
         raise ValueError("counts must not be negative")
-    counts = counts.astype(np.int64).reshape(TABLE_SHAPE)
+    counts = counts.astype(np.int64)
     totals = counts.reshape(2, 3, 3, -1).sum(axis=-1)
     table = np.zeros(TABLE_SHAPE)
     nz = totals > 0

@@ -59,8 +59,8 @@ A transcript stores each round as one uint16 code, the flat index of its
 slots. Every step after sampling reads a round only through its code:
 the flags and key bits are per-COLUMNS tables over the slots; steps 4
 and 5 read the codes' histogram, made once per postprocess call, step 4
-through a one-hot table of each slot's flag class (t when all three
-flags read t, 2 when they differ) and step 5 through its test half, the
+through a table of each slot's flag class (t when all three flags read
+t, 2 when they differ) and step 5 through its test half, the
 test rounds' cell counts; each strategy kind's routing is a table per
 pair of the slots that feed the pair's key, read off the pair's block in
 bell._BLOCK_CELLS (the one table of which rounds and bits feed each key;
@@ -172,12 +172,11 @@ _GENERATION_COLUMN = np.array(GENERATION_INPUTS, dtype=np.uint8)[:, None]
 _CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
 # Per party, the COLUMNS of its input, value and flag.
 _PARTY_COLUMNS = ((0, 3, 4), (1, 5, 6), (2, 7, 8))
-# Per code, Alice's, Bob's and Carole's flags; whether they differ; and a
-# (3, _N_CODES) int64 one-hot of its flag class: t when all three read t,
-# 2 when they differ.
+# Per code, Alice's, Bob's and Carole's flags; its flag class (uint8): t
+# when all three read t, 2 when they differ; and whether they differ.
 _CODE_FLAGS = _CODE_COLUMNS[COLUMNS.index("ta") :: 2]
-_MISMATCHED = (_CODE_FLAGS != _CODE_FLAGS[0]).any(axis=0)
-_FLAG_CLASSES = np.stack([*(~_MISMATCHED & (_CODE_FLAGS[0] == t) for t in (0, 1)), _MISMATCHED]).astype(np.int64)
+_FLAG_CLASS = np.where((_CODE_FLAGS == _CODE_FLAGS[0]).all(axis=0), _CODE_FLAGS[0], 2).astype(np.uint8)
+_MISMATCHED = _FLAG_CLASS == 2
 
 
 def _route_tables(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +350,10 @@ def _table_codes(tables, inputs, draws, out=None) -> np.ndarray:
     max_a, max_b, max_c = tables
     x, y, z = inputs
     draw_a, draw_b, draw_c = draws
-    # An intp row, as the chain's rows reach 287.
-    row = x * np.intp(4)
+    # An intp row, as the chain's rows reach 287: widened by the ufunc's
+    # dtype, which does not depend on how a NumPy version casts uint8 x
+    # against a scalar.
+    row = np.multiply(x, 4, dtype=np.intp)
     row += _pick(max_a, x, draw_a)
     row *= 3
     row += y
@@ -457,12 +458,12 @@ def _code_counts(codes: np.ndarray) -> np.ndarray:
     return counts
 
 
-def check_flag_agreement(codes: np.ndarray, counts: np.ndarray | None = None) -> tuple[str, dict]:
+def check_flag_agreement(codes: np.ndarray, counts: np.ndarray) -> tuple[str, dict]:
     """Step 4 on a flagged run's codes: the verdict, 'ok', 'FlagMismatch'
     or 'FlagConstant', and its stats.
 
     The rounds are counted by flag class from `counts`, the codes'
-    histogram (`_code_counts(codes)` if not given). Any round whose three
+    histogram as `_code_counts(codes)` gives it. Any round whose three
     flags differ is a mismatch: the stats name the first, which only this
     abort path scans the codes for, the parties off its majority flag,
     and the number of such rounds. Flags that agree everywhere on one
@@ -470,8 +471,8 @@ def check_flag_agreement(codes: np.ndarray, counts: np.ndarray | None = None) ->
     otherwise the stats hold the branch weights, None when there are no
     rounds.
     """
-    counts = _code_counts(codes) if counts is None else counts
-    n, (n0, n1, mismatches) = len(codes), (_FLAG_CLASSES @ counts).tolist()
+    # Float sums, exact for counts below 2**53.
+    n, (n0, n1, mismatches) = len(codes), map(int, np.bincount(_FLAG_CLASS, weights=counts, minlength=3))
     if mismatches:
         for start in range(0, n, BLOCK_ROWS):
             mismatched = _MISMATCHED.take(codes[start : start + BLOCK_ROWS])
@@ -615,7 +616,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     for name, columns in zip(PARTY_NAMES, _PARTY_COLUMNS):
         # The codes, and the party's input, value and flag columns of the test rounds.
         announce(Message(name, "TestDataAnnounce", (codes, columns)))
-    estimate = estimate_behavior(test_counts)
+    estimate = estimate_behavior(test_counts.reshape(TABLE_SHAPE))
     observed, bell_stats = _bell_score(estimate, transcript.strategy_kind)
     stats.update(bell_stats)
     threshold = config.bell_threshold

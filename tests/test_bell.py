@@ -231,8 +231,8 @@ def _cells(rows):
 
 
 def _counts(cells):
-    """The flat per-cell counts of an array of cells, as estimate_behavior reads them."""
-    return np.bincount(cells, minlength=math.prod(TABLE_SHAPE))
+    """The per-cell counts of an array of cells, of TABLE_SHAPE as estimate_behavior reads them."""
+    return np.bincount(cells, minlength=math.prod(TABLE_SHAPE)).reshape(TABLE_SHAPE)
 
 
 def _pair_counts(records):
@@ -273,9 +273,9 @@ def test_estimate_behavior_array_input_matches_pairs():
         counts[(x, y, z, *outputs)] += 1
     totals = counts.reshape(18, -1).sum(axis=1).reshape(2, 3, 3, 1, 1, 1, 1, 1, 1)
     expected = np.divide(counts, totals, out=np.zeros(TABLE_SHAPE), where=totals > 0)
-    # Flat or of TABLE_SHAPE, of any integer type.
-    flat = _counts(_cells(rows))
-    for cell_counts in (flat, flat.astype(np.uint16), flat.reshape(TABLE_SHAPE)):
+    # Of any integer type.
+    counted = _counts(_cells(rows))
+    for cell_counts in (counted, counted.astype(np.uint16)):
         est = estimate_behavior(cell_counts)
         np.testing.assert_array_equal(est.counts, counts)
         np.testing.assert_allclose(est.behavior.table, expected, atol=0)
@@ -292,10 +292,13 @@ def test_estimate_behavior_counts_cells_as_it_counts_rows():
     np.testing.assert_array_equal(estimate.counts, counts)
     assert estimate.counts.dtype == np.int64
     assert estimate_behavior(_counts(cells[:0])).counts.sum() == 0
-    flat = _counts(cells)
+    flat = _counts(cells).ravel()
     negative = flat.copy()
     negative[7] = -1
-    for bad in (flat.astype(float), flat[:, None], flat[:-1], np.append(flat, 0), negative, flat.reshape(2, -1)):
+    # Only TABLE_SHAPE counts are read: a flat array is refused, and so is
+    # an array of cells, even one of exactly as many rounds as there are cells.
+    one_per_cell = _cells(np.tile(rows, (len(flat) // len(rows) + 1, 1))[: len(flat)])
+    for bad in (flat, one_per_cell, flat.astype(float), flat[:, None], np.append(flat, 0), negative.reshape(TABLE_SHAPE), flat.reshape(2, -1)):
         with pytest.raises(ValueError):
             estimate_behavior(bad)
 

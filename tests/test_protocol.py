@@ -44,6 +44,7 @@ from flagcka.protocol import (
     _ROUND_TYPES,
     _ROUTE_TABLES,
     _bit_string,
+    _code_counts,
     _default_threshold,
     _edge_tables,
     _pick,
@@ -146,6 +147,22 @@ def _chain_outcomes(tables, inputs, draws):
     rows = _CELL_ROWS[_table_codes(_edge_tables(tables), inputs.T, draws.T) % len(_CELL_ROWS)]
     assert np.array_equal(rows[:, :3], inputs)
     return 2 * rows[:, 3::2] + rows[:, 4::2]
+
+
+def test_table_codes_take_narrow_inputs():
+    # run_rounds passes uint8 inputs; the chain's rows, up to 287, must not
+    # wrap in them. Every input triple, as uint8 and as intp, with draws
+    # that reach Carole's rows above 255.
+    tables = _edge_tables(_cumulative_tables(random_projective_strategy(3)))
+    triples = np.array(list(itertools.product(*map(range, N_INPUTS))))
+    inputs = np.repeat(triples, 64, axis=0)
+    draws = np.random.default_rng(11).random((len(inputs), 3))
+    codes = _table_codes(tables, inputs.T.astype(np.uint8), draws.T)
+    assert np.array_equal(codes, _table_codes(tables, inputs.T.astype(np.intp), draws.T))
+    rows = _CELL_ROWS[codes % len(_CELL_ROWS)]
+    assert np.array_equal(rows[:, :3], inputs)
+    x, y, z, a, ta, b, tb = rows[:, :7].T.astype(np.intp)
+    assert ((((x * 4 + 2 * a + ta) * 3 + y) * 4 + 2 * b + tb) * 3 + z).max() > 255
 
 
 def _collapse_outcomes_reference(strategy, inputs, draws):
@@ -486,14 +503,19 @@ def _flag_codes(alice, bob, carole, test=0):
     return (flags @ CELL_WEIGHTS[[COLUMNS.index(c) for c in ("ta", "tb", "tc")]] + test * len(_CELL_ROWS)).astype(np.uint16)
 
 
+def _check_flags(codes):
+    """check_flag_agreement on codes and their histogram, as postprocess calls it."""
+    return check_flag_agreement(codes, _code_counts(codes))
+
+
 def test_check_flag_agreement_verdicts():
-    assert check_flag_agreement(_flag_codes("0101", "0101", "0101")) == ("ok", {"p_t0_estimate": 0.5, "p_t1_estimate": 0.5})
-    assert check_flag_agreement(_flag_codes("0001", "0001", "0001", test=1)) == ("ok", {"p_t0_estimate": 0.75, "p_t1_estimate": 0.25})
-    assert check_flag_agreement(np.empty(0, np.uint16)) == ("ok", {"p_t0_estimate": None, "p_t1_estimate": None})
+    assert _check_flags(_flag_codes("0101", "0101", "0101")) == ("ok", {"p_t0_estimate": 0.5, "p_t1_estimate": 0.5})
+    assert _check_flags(_flag_codes("0001", "0001", "0001", test=1)) == ("ok", {"p_t0_estimate": 0.75, "p_t1_estimate": 0.25})
+    assert _check_flags(np.empty(0, np.uint16)) == ("ok", {"p_t0_estimate": None, "p_t1_estimate": None})
     mismatch = {"flag_mismatch_round": 2, "flag_mismatch_parties": ["alice"], "flag_mismatch_count": 2}
-    assert check_flag_agreement(_flag_codes("0111", "0100", "0101")) == ("FlagMismatch", mismatch)
+    assert _check_flags(_flag_codes("0111", "0100", "0101")) == ("FlagMismatch", mismatch)
     for t in "01":
-        assert check_flag_agreement(_flag_codes(t * 4, t * 4, t * 4)) == ("FlagConstant", {"flag_constant_value": int(t)})
+        assert _check_flags(_flag_codes(t * 4, t * 4, t * 4)) == ("FlagConstant", {"flag_constant_value": int(t)})
 
 
 def test_check_flag_agreement_reads_every_code_slot():
@@ -501,7 +523,7 @@ def test_check_flag_agreement_reads_every_code_slot():
     # when the decoded flags differ, else a constant at their value.
     flags = np.tile(_CELL_ROWS, (2, 1))[:, COLUMNS.index("ta") :: 2]
     for code, f in enumerate(flags.tolist()):
-        verdict, stats = check_flag_agreement(np.array([code], dtype=np.uint16))
+        verdict, stats = _check_flags(np.array([code], dtype=np.uint16))
         if len(set(f)) == 1:
             assert (verdict, stats) == ("FlagConstant", {"flag_constant_value": f[0]})
         else:
@@ -515,7 +537,7 @@ def test_check_flag_agreement_finds_a_mismatch_in_a_later_block():
     carole = list(flags)
     for r in (BLOCK_ROWS, 2 * BLOCK_ROWS + 3):
         carole[r] = "10"[int(carole[r])]
-    verdict, stats = check_flag_agreement(_flag_codes(flags, flags, "".join(carole)))
+    verdict, stats = _check_flags(_flag_codes(flags, flags, "".join(carole)))
     assert verdict == "FlagMismatch"
     assert stats == {"flag_mismatch_round": BLOCK_ROWS, "flag_mismatch_parties": ["carole"], "flag_mismatch_count": 2}
 
@@ -530,8 +552,9 @@ def test_flag_step_holds_no_array_over_the_rounds():
         "FlagConstant": apply_tamper(tr, "flag-constant:1", np.random.default_rng(0)),
     }
     for verdict, transcript in transcripts.items():
-        assert check_flag_agreement(transcript.codes)[0] == verdict
-        peak_mb = _traced_peak(lambda: check_flag_agreement(transcript.codes)) / 1e6
+        counts = _code_counts(transcript.codes)
+        assert check_flag_agreement(transcript.codes, counts)[0] == verdict
+        peak_mb = _traced_peak(lambda: check_flag_agreement(transcript.codes, counts)) / 1e6
         assert peak_mb < 0.25, (verdict, peak_mb)
 
 
@@ -632,7 +655,7 @@ def test_code_histogram_gives_the_per_block_steps_4_5(transcript, config):
         got = result.stats
     assert got == expected
     if transcript.strategy_kind == "flagged":
-        assert check_flag_agreement(transcript.codes) == _per_block_flag_step(transcript.codes)
+        assert _check_flags(transcript.codes) == _per_block_flag_step(transcript.codes)
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
