@@ -43,8 +43,6 @@ from .qops import (
     kron_stack,
     partial_trace,
     sum_deviation,
-    tensor,
-    trace_distance,
     von_neumann_entropy,
 )
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
@@ -197,8 +195,7 @@ def _branch_operators(effects: tuple, partner: int, t: int):
     """
     def local(e):
         # Signed observables A_0, A_1, then flag projectors P_0, P_1.
-        e = e[:, :2]
-        return np.concatenate([e[:, :, t] - e[:, :, 2 + t], e[:, :, t] + e[:, :, 2 + t]], axis=1)
+        return np.concatenate([e[:, :2, t] - e[:, :2, 2 + t], _flag_projectors(e)[:, t, :2]], axis=1)
 
     # The Kronecker product of stacks embeds each operator of a stack at once.
     alice = kron_stack(local(effects[0]), identity(effects[partner].shape[-1]))
@@ -284,11 +281,11 @@ def check_weighted_tsirelson(strategy: Strategy) -> CheckReport:
 def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
     """Alice's generation outcome decouples from the purifier at max violation.
 
-    Builds the classical-quantum state of (Alice's value at input 0,
-    branch t) and the purifier E, and reports the trace distance to
-    uniform (x) reduced, together with H(A|E). At visibility 1 the
-    distance vanishes and H(A|E) = 1; below it the entropy drop is
-    informational.
+    Alice's value a (input 0, branch t) is classical, so rho_AE is the
+    direct sum of the purifier's normalized blocks rho_a, rho_E = sum_a
+    rho_a, the trace distance to uniform (x) rho_E is 1/2 sum_a ||rho_a -
+    rho_E/2||_1 and H(A|E) = sum_a S(rho_a) - S(rho_E). At visibility 1 the
+    distance vanishes and H(A|E) = 1; below it the drop is informational.
     """
     if t not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {t}")
@@ -303,14 +300,10 @@ def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
     weight = float(sum(b.trace().real for b in blocks))
     if weight <= 1e-12:
         return _report(f"decoupling_t{t}", np.inf, ATOL_STATE, reason="vanishing branch weight")
-    rho_ae = np.zeros((2 * env, 2 * env), dtype=complex)
-    for a, block in enumerate(blocks):
-        rho_ae[a * env:(a + 1) * env, a * env:(a + 1) * env] = block / weight
-    rho_ae = (rho_ae + rho_ae.conj().T) / 2.0
-    rho_e = partial_trace(rho_ae, [2, env], [1])
-    product = tensor(np.eye(2) / 2.0, rho_e)
-    distance = trace_distance(rho_ae, product)
-    h_a_given_e = von_neumann_entropy(rho_ae) - von_neumann_entropy(rho_e)
+    blocks = [(r + r.conj().T) / 2.0 for r in (b / weight for b in blocks)]
+    rho_e = blocks[0] + blocks[1]
+    distance = 0.5 * sum(np.abs(np.linalg.eigvalsh(b - rho_e / 2.0)).sum() for b in blocks)
+    h_a_given_e = sum(von_neumann_entropy(b) for b in blocks) - von_neumann_entropy(rho_e)
     return _report(
         f"decoupling_t{t}",
         distance,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success (protocol completed, checks passed), 2 when
 the protocol aborts or a verification check fails, 1 for usage or
-config errors. Every command accepts --seed, --output and --format and
-is deterministic for a fixed seed.
+config errors (`main` prints one `flagcka COMMAND: error:` line). Every
+command accepts --seed, --output and --format and is deterministic.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ def _rates(args) -> int:
 
 def _curve(args) -> int:
     if args.points < 2:
-        print("curve: error: --points must be at least 2", file=sys.stderr)
-        return 1
+        raise ValueError("--points must be at least 2")
     method = BoundMethod(selector=_METHODS[args.method], score_mode=_MODES[args.mode])
     points = robustness_curve(np.linspace(2.0, CHSH_QUANTUM_MAX, args.points), method)
     if args.format == "csv":
@@ -160,8 +159,7 @@ def _local_bound(args) -> int:
 
 def _verify(args) -> int:
     if args.seeds < 0:
-        print("verify: error: --seeds must be at least 0", file=sys.stderr)
-        return 1
+        raise ValueError("--seeds must be at least 0")
     honest = honest_flagged_strategy()
     reports = run_check_suite(honest, args.suite)
     # The random strategies share the honest strategy's state.
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"flagcka {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -182,12 +182,10 @@ class RateReport:
 def rate_report(behavior: Behavior, method: BoundMethod = BoundMethod()) -> RateReport:
     """Asymptotic rate report for a behavior under the chosen bound.
 
-    The branch weights are read once, by `flag_stats`; each branch's
-    score, entropy bound, error-correction cost and rate follow from them.
+    The branch weights are read once, by `flag_stats`, and checked by
+    `branch_scores`; each branch's score, bound, cost and rate follow.
     """
     stats = flag_stats(behavior)
-    if stats.p0 <= 0.0 or stats.p1 <= 0.0:
-        raise ValueError(f"degenerate flag distribution: p_T = ({stats.p0}, {stats.p1})")
     scores = branch_scores(bell_value(behavior), stats.p0, stats.p1, method.score_mode)
     branches = {}
     for t, score in enumerate(scores):

@@ -173,11 +173,23 @@ _read_only(_FLAG_PROJECTORS, _FLAG_TRIPLES)
 # Each party's (inputs, 2, 2, 2) value projectors. No visibility enters an
 # effect, so both kinds' effect stacks are built here once, read-only.
 _PARTY_VALUES = tuple(_value_projectors(obs) for obs in (ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES))
-# Flagged: party space = qubit (x) flag qubit. The value observable acts on
-# the qubit, the flag is always read in the computational basis.
-_FLAGGED_EFFECTS = _read_only(
-    *(kron_stack(values[:, :, None], _FLAG_PROJECTORS).reshape(-1, 4, 4, 4) for values in _PARTY_VALUES)
-)
+
+
+def _flagged_effects(rotations: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Per party, the (inputs, 4, 4, 4) flagged effects V (x) |t><t| of value
+    projector V and flag t. Given (K, 3, 2, 2, 2) unitaries U per member,
+    party and flag t, V becomes (U V) U^H and each stack gains axis K first."""
+    stacks = []
+    for party, values in enumerate(_PARTY_VALUES):
+        values = values[:, :, None]
+        if rotations is not None:
+            u = rotations[:, party, None, None]
+            values = (u @ values) @ u.conj().swapaxes(-1, -2)
+        stacks.append(kron_stack(values, _FLAG_PROJECTORS).reshape(*values.shape[:-4], 4, 4, 4))
+    return tuple(stacks)
+
+
+_FLAGGED_EFFECTS = _read_only(*_flagged_effects())
 # Parallel: party space = first qubit (x) second qubit, one value bit each.
 _PARALLEL_EFFECTS = _read_only(
     *(kron_stack(values[:, :, None], values[:, None, :]).reshape(-1, 4, 4, 4) for values in _PARTY_VALUES)
@@ -261,15 +273,9 @@ def random_projective_effects(seeds) -> tuple[np.ndarray, ...]:
     for each of K seeds, labels in OUTCOME_LABELS order. Each seed makes one
     draw: per party and flag sector, the real and then the imaginary part of
     a 2 x 2 complex Gaussian matrix. One QR (`haar_unitaries`) makes all
-    unitaries U; value projector V becomes (U V) U^H."""
+    unitaries, and `_flagged_effects` rotates the value projectors by them."""
     z = np.reshape([np.random.default_rng(s).standard_normal((3, 2, 2, 2, 2)) for s in seeds], (-1, 3, 2, 2, 2, 2))
-    rotations = haar_unitaries(z[:, :, :, 0] + 1j * z[:, :, :, 1])[:, :, None, None]
-    stacks = []
-    for party, observables in enumerate((ALICE_OBSERVABLES, PARTNER_OBSERVABLES, PARTNER_OBSERVABLES)):
-        u = rotations[:, party]
-        rotated = (u @ _value_projectors(observables)[:, :, None]) @ u.conj().swapaxes(-1, -2)
-        stacks.append(kron_stack(rotated, _FLAG_PROJECTORS).reshape(len(z), len(observables), 4, 4, 4))
-    return tuple(stacks)
+    return _flagged_effects(haar_unitaries(z[:, :, :, 0] + 1j * z[:, :, :, 1]))
 
 
 # JSON keys of OUTCOME_LABELS.
@@ -282,10 +288,13 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
+    # The config and behavior readers' rule: an int or float, never a bool, that fits a float.
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except TypeError as exc:
-        raise ValueError(f"matrix entries must be [re, im] pairs of numbers ({exc})") from None
+        if all(isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z) for row in rows for z in row):
+            return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError("matrix entries must be [re, im] pairs of numbers that fit a float")
 
 
 def strategy_to_json(strategy: Strategy) -> str:

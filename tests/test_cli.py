@@ -14,6 +14,8 @@ from flagcka.cli import _COMMANDS, _SLICE, _emit, build_parser, main
 from flagcka.protocol import PARTY_NAMES
 from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, honest_flagged_strategy
 
+from devices import constant_flag_strategy
+
 
 def test_info_reports_constants(capsys):
     assert main(["info"]) == 0
@@ -134,6 +136,9 @@ def test_curve_csv_and_endpoints(tmp_path):
 
 def test_curve_rejects_single_point(capsys):
     assert main(["curve", "--points", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "flagcka curve: error: --points must be at least 2\n"
 
 
 def test_local_bound_command(capsys):
@@ -316,7 +321,28 @@ def test_verify_rejects_negative_seeds(capsys):
     assert main(["verify", "--seeds", "-3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--seeds" in captured.err
+    assert captured.err == "flagcka verify: error: --seeds must be at least 0\n"
+
+
+def test_rates_rejects_a_one_branch_behavior(tmp_path, capsys):
+    # Every flag reads 0, so branch 1 has no weight.
+    path = tmp_path / "behavior.json"
+    path.write_text(behavior_to_json(behavior_from_strategy(constant_flag_strategy(0))))
+    assert main(["rates", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("flagcka rates: error: branch weights must be positive, got (")
+    assert captured.err.endswith(", 0.0)\n") and captured.err.count("\n") == 1
+
+
+def test_simulate_refuses_rounds_it_cannot_hold(capsys):
+    # 10^15 two-byte codes are beyond the address space, so the first
+    # allocation fails at once, with nothing reserved.
+    assert main(["simulate", "--rounds", "1000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("flagcka simulate: error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
 
 
 _SUITE_NAMES = {

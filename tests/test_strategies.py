@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -377,6 +378,22 @@ def test_random_effects_stack_each_seeds_strategy(seeds):
             assert np.array_equal(stacks[party][k], s.effects[party])
 
 
+def _sha256(stacks):
+    digest = hashlib.sha256()
+    for stack in stacks:
+        digest.update(stack.tobytes())
+    return digest.hexdigest()
+
+
+def test_flagged_effect_stacks_are_pinned():
+    # Digests of the complex128 bytes, party after party, of the honest
+    # stacks and of the random ones of seeds 0-8.
+    assert _sha256(_FLAGGED_EFFECTS) == "ec2e0539f7f1c3b01f75204bbdcf4325199a1f803e85c1875eaf5f4515baf6be"
+    assert _sha256(random_projective_effects(range(9))) == (
+        "adc3a38d069b6c8255b2a2634e8915fe2606906bbd37b489189e045538685e25"
+    )
+
+
 def test_strategy_arrays_are_read_only():
     s = honest_flagged_strategy()
     for party in range(3):
@@ -432,6 +449,9 @@ def _not_positive(doc):
         families["1,1"][i][i][0] -= 0.5
 
 
+_ENTRY_RULE = r"^matrix entries must be \[re, im\] pairs of numbers that fit a float$"
+
+
 def _edited_json(edit):
     doc = json.loads(strategy_to_json(honest_flagged_strategy()))
     edit(doc)
@@ -453,6 +473,10 @@ def _edited_json(edit):
         (lambda doc: doc["state"][0].__setitem__(0, 0.5), "matrix entries must be \\[re, im\\] pairs"),
         (lambda doc: doc["measurements"][0]["1"]["0,1"][2].__setitem__(1, ["0", 0]), "matrix entries must be"),
         (_not_positive, "party 2 input 1 label \\(1, 1\\): effect is not positive"),
+        # The config and behavior readers' rule: ints and floats, never bools, that fit a float.
+        pytest.param(lambda doc: doc["state"][1].__setitem__(1, [False, False]), _ENTRY_RULE, id="entry-of-bools"),
+        pytest.param(lambda doc: doc["state"][1].__setitem__(1, [10**400, 0]), _ENTRY_RULE, id="entry-int-too-large"),
+        pytest.param(lambda doc: doc["state"][1].__setitem__(1, [1.0, 0.0, 0.0]), _ENTRY_RULE, id="entry-triple"),
     ],
 )
 def test_strategy_json_from_elsewhere_is_checked(edit, message):
