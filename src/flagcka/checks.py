@@ -36,15 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import CHSH_QUANTUM_MAX, _BRANCH_CELLS, _PAIR_CELLS, _json_default
-from .qops import (
-    ATOL_OPERATOR,
-    SQRT2,
-    identity,
-    kron_stack,
-    partial_trace,
-    sum_deviation,
-    von_neumann_entropy,
-)
+from .qops import SQRT2, check_effects_complete, identity, kron_stack, partial_trace, von_neumann_entropy
 from .strategies import N_INPUTS, OUTCOME_LABELS, Strategy, random_projective_effects
 
 __all__ = [
@@ -65,6 +57,9 @@ ATOL_STATE = 1e-10
 # Strategies per kernel call in `check_random_strategies`: each adds ~0.13 MB
 # to the kernels' peak, and a chunk of 8 is only ~10% faster than one of 4.
 VERIFY_CHUNK = 4
+
+# The suites `run_check_suite` and `verify --suite` take; "all" runs every check.
+_SUITES = ("sos", "lemma", "tsirelson", "decoupling", "all")
 
 # The (party, input) keys of the flag projectors, and the index pairs of
 # keys of different parties, in itertools.combinations order.
@@ -316,7 +311,7 @@ def check_decoupling(strategy: Strategy, t: int = 0) -> CheckReport:
 def _stack_checks(base: Strategy, effects: tuple, suite: str) -> list[CheckReport]:
     """The reports of one suite but decoupling, member by member, from one
     kernel call per check; the members share `base`'s state."""
-    if suite not in ("sos", "lemma", "tsirelson", "decoupling", "all"):
+    if suite not in _SUITES:
         raise ValueError(f"unknown check suite {suite!r}")
     columns = []
     if suite in ("lemma", "all"):
@@ -327,7 +322,7 @@ def _stack_checks(base: Strategy, effects: tuple, suite: str) -> list[CheckRepor
 
 
 def run_check_suite(strategy: Strategy, suite: str = "all") -> list[CheckReport]:
-    """Run one named suite ('sos', 'lemma', 'tsirelson', 'decoupling', 'all')."""
+    """Run one named suite of `_SUITES`."""
     reports = _stack_checks(strategy, _one(strategy), suite)
     if suite in ("decoupling", "all"):
         reports += [check_decoupling(strategy, t) for t in (0, 1)]
@@ -338,16 +333,19 @@ def check_random_strategies(base: Strategy, seeds, suite: str = "all") -> list[C
     """`run_check_suite(random_projective_strategy(seed), suite)` for every seed,
     joined, but with `base`'s state (checked and purified once) and without
     decoupling, a property of the maximal violation only. Per VERIFY_CHUNK seeds
-    the effects are built and checked once, and each check is one kernel call.
-    An invalid member raises a ValueError naming its seed."""
+    the effects are built once, each member's checked complete by
+    `check_effects_complete`, and each check is one kernel call. An invalid
+    member raises a ValueError naming its seed."""
     seeds, reports = list(seeds), []
     for chunk in (seeds[start:start + VERIFY_CHUNK] for start in range(0, len(seeds), VERIFY_CHUNK)):
         effects = random_projective_effects(chunk)
-        gaps = np.max([sum_deviation(e).max(axis=1) for e in effects], axis=0)
         try:
-            if not (gaps <= ATOL_OPERATOR).all():
-                member = int(np.argmin(gaps <= ATOL_OPERATOR))
-                raise _MemberError(f"effects do not sum to identity (max deviation {gaps[member]:.3e})", member)
+            for member, stacks in enumerate(zip(*effects)):
+                try:
+                    # The three parties' families as one (8, 4, 4, 4) stack.
+                    check_effects_complete(np.concatenate(stacks))
+                except ValueError as exc:
+                    raise _MemberError(str(exc), member) from None
             reports += _stack_checks(base, effects, suite)
         except _MemberError as exc:
             raise ValueError(f"random strategy seed {chunk[exc.args[1]]}: {exc}") from None

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .bell import BELL_FUNCTIONALS, CHSH_QUANTUM_MAX, GENERATION_INPUTS, behavior_from_json, local_bound_bruteforce
-from .checks import check_decoupling, check_random_strategies, reports_to_json, run_check_suite
+from .checks import _SUITES, check_decoupling, check_random_strategies, reports_to_json, run_check_suite
 from .protocol import (
     PARTY_NAMES,
+    _BACKENDS,
     ProtocolConfig,
     apply_tamper,
     config_from_json,
@@ -32,7 +33,7 @@ from .protocol import (
     write_transcript_jsonl,
 )
 from .rates import BoundMethod, curve_to_csv, no_flag_reference_rate, rate_report, robustness_curve
-from .strategies import N_INPUTS, OUTCOME_LABELS, honest_flagged_strategy
+from .strategies import N_INPUTS, OUTCOME_LABELS, _HONEST_BUILDERS, honest_flagged_strategy
 
 _METHODS = {"minH": "min_entropy_analytic", "vn": "von_neumann_analytic"}
 _MODES = {"one-score": "one_score", "two-scores": "two_scores"}
@@ -201,9 +202,9 @@ def _simulate_args(sim):
     sim.add_argument("--threshold", type=float, dest="bell_threshold", metavar="THRESHOLD", help="Bell abort threshold")
     sim.add_argument("--alignment-fraction", type=float, dest="alignment_fraction")
     sim.add_argument("--alignment-floor", type=float, dest="alignment_floor")
-    sim.add_argument("--strategy", choices=("flagged", "parallel"), dest="strategy_kind")
+    sim.add_argument("--strategy", choices=tuple(_HONEST_BUILDERS), dest="strategy_kind")
     sim.add_argument("--visibility", type=float)
-    sim.add_argument("--backend", choices=("table", "collapse"))
+    sim.add_argument("--backend", choices=tuple(_BACKENDS))
     sim.add_argument("--tamper", help="fault injection, e.g. flag-flip:0.01 or flag-constant:0")
     sim.add_argument("--transcript", help="write per-round records as JSON lines")
     sim.add_argument("--keys-dir", dest="keys_dir", help="write one key file per party")
@@ -224,7 +225,7 @@ def _curve_args(curve):
 
 
 def _verify_args(verify):
-    verify.add_argument("--suite", choices=("sos", "lemma", "tsirelson", "decoupling", "all"), default="all")
+    verify.add_argument("--suite", choices=_SUITES, default="all")
     verify.add_argument("--seeds", type=int, default=5, help="number of randomized strategies")
 
 

@@ -89,14 +89,7 @@ from .bell import (
     estimate_behavior,
 )
 from .qops import born_rows
-from .strategies import (
-    N_INPUTS,
-    OUTCOME_LABELS,
-    NoiseParams,
-    Strategy,
-    honest_flagged_strategy,
-    honest_parallel_strategy,
-)
+from .strategies import N_INPUTS, OUTCOME_LABELS, _HONEST_BUILDERS, NoiseParams, Strategy
 
 __all__ = [
     "ABORT_REASONS",
@@ -199,7 +192,9 @@ _ROUTE_TABLES = {kind: {pair: _route_tables(cells) for pair, cells in pairs.item
 class ProtocolConfig:
     n_rounds: int = 1000
     gamma: float = 0.2
-    bell_threshold: float | None = None      # None: 2*sqrt(2)*(1 - 10/sqrt(n_test))
+    # None: q*(1 - 10/sqrt(n_test)), q the kind's quantum maximum (2*sqrt(2)
+    # flagged, 4*sqrt(2) parallel), clamped to [local bound, q].
+    bell_threshold: float | None = None
     alignment_fraction: float = 0.0
     alignment_floor: float = 0.98
     seed: int = 0
@@ -212,7 +207,7 @@ class ProtocolConfig:
             raise ValueError(f"n_rounds must be positive, got {self.n_rounds}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.strategy_kind not in ("flagged", "parallel"):
+        if self.strategy_kind not in _HONEST_BUILDERS:
             raise ValueError(f"unknown strategy kind {self.strategy_kind!r}")
         if self.bell_threshold is not None:
             functional = BELL_FUNCTIONALS[self.strategy_kind]
@@ -225,8 +220,8 @@ class ProtocolConfig:
             raise ValueError(f"alignment_floor must be in (0, 1], got {self.alignment_floor}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.backend not in ("table", "collapse"):
-            raise ValueError(f"backend must be 'table' or 'collapse', got {self.backend!r}")
+        if self.backend not in _BACKENDS:
+            raise ValueError(f"backend must be {' or '.join(map(repr, _BACKENDS))}, got {self.backend!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,11 +399,12 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
     return tables
 
 
+# Each device backend and its builder of the cumulative tables.
+_BACKENDS = {"table": _cumulative_tables, "collapse": _collapse_tables}
+
+
 def _build_strategy(config: ProtocolConfig) -> Strategy:
-    noise = NoiseParams(visibility=config.visibility)
-    if config.strategy_kind == "parallel":
-        return honest_parallel_strategy(noise)
-    return honest_flagged_strategy(noise)
+    return _HONEST_BUILDERS[config.strategy_kind](NoiseParams(visibility=config.visibility))
 
 
 def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Transcript:
@@ -426,7 +422,7 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
     n = config.n_rounds
     rng = np.random.default_rng(config.seed)
     codes = np.empty(n, dtype=np.uint16)
-    tables = _edge_tables((_cumulative_tables if config.backend == "table" else _collapse_tables)(strategy))
+    tables = _edge_tables(_BACKENDS[config.backend](strategy))
     rows = min(n, BLOCK_ROWS)
     uniforms, columns = np.empty((rows, 7)), np.empty((7, rows))
     for start in range(0, n, BLOCK_ROWS):
@@ -537,10 +533,8 @@ def xor_reconcile(k_ab: np.ndarray, k_ac: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns (k_xor, k_cka) where k_cka is the truncated Alice-Bob key;
     anyone holding the Alice-Carole key recovers k_cka as
-    k_xor ^ k_ac. Raises if both keys are empty.
+    k_xor ^ k_ac. Two empty keys give two empty arrays.
     """
-    if not len(k_ab) and not len(k_ac):
-        raise ValueError("both pair keys are empty; nothing to reconcile")
     m = min(len(k_ab), len(k_ac))
     return k_ab[:m] ^ k_ac[:m], k_ab[:m]
 
@@ -643,10 +637,7 @@ def postprocess(transcript: Transcript, config: ProtocolConfig) -> ProtocolResul
     for name, per_pair in (("len", lengths), ("mismatch", mismatches), ("mismatch_rate", mismatch_rates)):
         stats.update({f"{name}_{pair}": value for pair, value in per_pair.items()})
     (alice_ab, bob_ab), (alice_ac, carole_ac) = kept["ab"], kept["ac"]
-    if len(alice_ab) or len(alice_ac):
-        k_xor, k_cka = xor_reconcile(alice_ab, alice_ac)
-    else:
-        k_xor = k_cka = alice_ab
+    k_xor, k_cka = xor_reconcile(alice_ab, alice_ac)
     m = len(k_cka)
     # Carole recovers the conference key from the announced XOR and her Alice-Carole key.
     bits = {"alice": k_cka, "bob": bob_ab[:m], "carole": k_xor ^ carole_ac[:m]}
@@ -686,11 +677,11 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
         n_flip = math.ceil(rate * len(codes))
         codes[rng.choice(len(codes), size=n_flip, replace=False)] ^= np.uint16(_OUTCOME_WEIGHTS[1])
     elif kind == "flag-constant":
-        if arg not in ("", "0", "1"):
+        if arg not in ("0", "1"):
             raise ValueError(f"tamper flag value must be 0 or 1, got {arg!r}")
         flags = np.uint16(_OUTCOME_WEIGHTS.sum())
         codes &= ~flags
-        codes |= flags * int(arg or 0)
+        codes |= flags * int(arg)
     else:
         raise ValueError(f"unknown tamper kind {kind!r}")
     return Transcript(transcript.strategy_kind, codes)

@@ -37,7 +37,6 @@ __all__ = [
     "permute_subsystems",
     "purify",
     "von_neumann_entropy",
-    "trace_distance",
     "haar_unitaries",
     "random_density_operator",
 ]
@@ -323,11 +322,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
         raise ValueError(f"negative eigenvalue {vals[0]} in entropy input")
     vals = vals[vals > ENTROPY_EIG_CUTOFF]
     return float(max(0.0, -np.sum(vals * np.log2(vals))))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Devices the tests build and the package does not: a deterministic
-behavior and the single-branch flagged strategy.
+behavior and the single-branch flagged strategy; and the trace distance
+of the tests' full-matrix decoupling reference.
 
 Imported as `from devices import ...`; pytest puts this directory on
 sys.path.
@@ -38,3 +39,9 @@ def constant_flag_strategy(t: int = 0, noise: NoiseParams = NoiseParams()) -> St
     party = tensor(identity(2), projector(basis_ket(2, t)))
     keep = tensor(party, party, party)
     return Strategy(2 * (keep @ honest.state @ keep), honest.effects, "flagged")
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of a - b, from the spectrum of the Hermitian difference."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())

@@ -30,7 +30,6 @@ from flagcka.qops import (
     purify,
     random_density_operator,
     tensor,
-    trace_distance,
     von_neumann_entropy,
 )
 from flagcka.strategies import (
@@ -43,7 +42,7 @@ from flagcka.strategies import (
     random_projective_strategy,
 )
 
-from devices import constant_flag_strategy
+from devices import constant_flag_strategy, trace_distance
 
 SQRT2 = np.sqrt(2.0)
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -343,6 +344,18 @@ def test_simulate_refuses_rounds_it_cannot_hold(capsys):
     assert captured.out == ""
     assert captured.err.startswith("flagcka simulate: error: Unable to allocate ")
     assert captured.err.count("\n") == 1
+
+
+def test_simulate_with_no_generation_round_completes_with_empty_keys(tmp_path, capsys):
+    # At gamma 0.9999 every one of the 2000 rounds is a test round.
+    out, keys = tmp_path / "result.json", tmp_path / "keys"
+    argv = ["simulate", "--rounds", "2000", "--gamma", "0.9999", "--seed", "1", "--output", str(out), "--keys-dir", str(keys)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    doc = json.loads(out.read_text())
+    assert doc["stats"]["n_gen"] == 0 and doc["keys"] == {"alice": "", "bob": "", "carole": ""}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "2dab5b0268bca17cf3b66b5889c143a6b24388d02752932a3b988b98ef7adc97"
+    assert {path.name: path.read_text() for path in keys.iterdir()} == dict.fromkeys(["alice.key", "bob.key", "carole.key"], "\n")
 
 
 _SUITE_NAMES = {

@@ -735,8 +735,10 @@ def test_xor_reconcile():
     # truncation to the shorter key
     k_xor, k_cka = xor_reconcile(_bits("10101"), _bits("011"))
     assert len(k_xor) == len(k_cka) == 3
-    with pytest.raises(ValueError):
-        xor_reconcile(_bits(""), _bits(""))
+    # Two empty keys, as after a run with no generation round.
+    k_xor, k_cka = xor_reconcile(_bits(""), _bits(""))
+    assert k_xor.dtype == k_cka.dtype == np.uint8
+    assert len(k_xor) == len(k_cka) == 0
 
 
 # Per strategy kind and pair: the (Alice's, partner's) key-bit columns.
@@ -841,10 +843,6 @@ def test_array_keys_match_the_string_reference(seed, kind, n_rounds, fraction):
         reference[pair] = tuple("".join(bit for i, bit in enumerate(key) if i not in dropped) for key in (alice, partner))
     assert {pair: tuple(map(_bit_string, key)) for pair, key in kept.items()} == reference
     (ab_alice, ab_partner), (ac_alice, ac_partner) = reference.values()
-    if not ab_alice and not ac_alice:
-        with pytest.raises(ValueError):
-            xor_reconcile(kept["ab"][0], kept["ac"][0])
-        return
     k_xor, k_cka = xor_reconcile(kept["ab"][0], kept["ac"][0])
     m = min(len(ab_alice), len(ac_alice))
     reference_xor = _reference_xor_strings(ab_alice[:m], ac_alice[:m])
@@ -963,6 +961,10 @@ def test_tamper_validation():
         apply_tamper(tr, "flag-constant:2", rng)
     with pytest.raises(ValueError, match="tamper flag value must be 0 or 1, got 'x'"):
         apply_tamper(tr, "flag-constant:x", rng)
+    # One spelling per value: the value is never implied.
+    for spec in ("flag-constant", "flag-constant:"):
+        with pytest.raises(ValueError, match="tamper flag value must be 0 or 1, got ''$"):
+            apply_tamper(tr, spec, rng)
     with pytest.raises(ValueError):
         apply_tamper(tr, "bit-flip:0.1", rng)
     tr_par = run_rounds(ProtocolConfig(n_rounds=50, seed=0, strategy_kind="parallel"))

@@ -23,12 +23,13 @@ from flagcka.qops import (
     select_outcome,
     sum_deviation,
     tensor,
-    trace_distance,
     von_neumann_entropy,
     PAULI_X,
     PAULI_Z,
 )
 from flagcka.strategies import honest_flagged_strategy
+
+from devices import trace_distance
 
 
 def test_kets_and_projectors():
