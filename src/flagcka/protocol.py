@@ -39,7 +39,9 @@ depend on the block size); row r serves round r:
 The two device backends differ only in how they build the cumulative
 conditional tables these draws sample: `table` reads them off the exact
 behavior, `collapse` fills them by projective collapse of the strategy
-state. Both sample every block with one loop and one rule, so they
+state. Both fill the same rows, every row whose conditioning has
+probability above _P_CUTOFF, whether the protocol draws its inputs or
+not. Both sample every block with one loop and one rule, so they
 agree draw for draw: the loop draws each block into one buffer made
 once per run, takes the block's inputs from bool arithmetic on its
 uniforms, picks each party's outcome by counting the running maxima of
@@ -71,7 +73,6 @@ line bytes from one table.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -127,17 +128,6 @@ _ROUND_TYPES = ("generation", "test")
 # up to 40% of the writer's time.
 BLOCK_ROWS = 1 << 12
 _JSONL_ROWS = 1 << 10
-# The (x, y, z) triples the protocol draws: test rounds' {0, 1}^3, then
-# the generation inputs.
-PROTOCOL_INPUTS = (*itertools.product((0, 1), repeat=3), GENERATION_INPUTS)
-# Per party, a bool (prefixes, inputs) table: which of its inputs follow
-# each input prefix of the parties before it in PROTOCOL_INPUTS, prefixes
-# flat in C order of N_INPUTS (Alice has the one empty prefix).
-_DRAWN = np.zeros(N_INPUTS, dtype=bool)
-_DRAWN[tuple(np.array(PROTOCOL_INPUTS).T)] = True
-_FOLLOWING_INPUTS = tuple(
-    _DRAWN.any(axis=tuple(range(party + 1, 3))).reshape(-1, N_INPUTS[party]) for party in range(3)
-)
 # A conditioning of probability at or below this leaves its table row at zero.
 _P_CUTOFF = 1e-15
 # A round's code is the flat index of its (round type, row) cell in a
@@ -363,39 +353,43 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
 
     The state a party measures depends only on the inputs and outcomes of
     the parties before it: the prefix (x) for Alice, (x, oa, y) for Bob and
-    (x, oa, y, ob, z) for Carole. The prefixes of PROTOCOL_INPUTS are
-    built one party at a time. A level holds, per followed prefix, the
-    reduced state of the parties still to measure, its table row before
-    the party's input and the inputs so far; every (prefix, input) row is
-    the cumulative Born distribution of the prefix's local state, all in
-    one `born_rows` call. Alice measures Tr_BC rho; her outcome, of
-    projector P, leaves rho_BC proportional to Tr_A[(P (x) I) rho], which
-    is Tr_A of the collapsed state (P (x) I) rho (P (x) I) since P^2 = P.
-    Bob measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC]. Each
-    reduced state is normalised by its own trace, and only outcomes of
-    probability above _P_CUTOFF are followed; the rows of the others stay
-    zero, as in `_cumulative_tables`. The effects are the strategy's own
-    stacks, checked complete when it was built.
+    (x, oa, y, ob, z) for Carole. The prefixes are built one party at a
+    time. A level holds, per followed prefix, the reduced state of the
+    parties still to measure and its table row before the party's input;
+    the row of every (prefix, input) pair, each of the party's inputs
+    after each prefix, is the cumulative Born distribution of the
+    prefix's local state, all in one `born_rows` call. Alice measures
+    Tr_BC rho; her outcome, of projector P, leaves rho_BC proportional to
+    Tr_A[(P (x) I) rho], which is Tr_A of the collapsed state
+    (P (x) I) rho (P (x) I) since P^2 = P. Bob measures Tr_C rho_BC and
+    leaves Carole Tr_B[(P (x) I) rho_BC]. Each reduced state is
+    normalised by its own trace, and only prefixes whose probability
+    given the inputs is above _P_CUTOFF are followed; the rows of the
+    others stay zero, so the filled rows are those `_cumulative_tables`
+    fills. The effects are the strategy's own stacks, checked complete
+    when it was built.
     """
     tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
-    rhos, rows, seen = strategy.state[None], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    rhos, rows, masses = strategy.state[None], np.zeros(1, dtype=np.intp), np.ones(1)
     for party, (d, stack, table) in enumerate(zip(strategy.party_dims, strategy.effects, tables)):
         rhos = rhos.reshape(len(rhos), d, rhos.shape[1] // d, d, -1)
-        # The (prefix, input) pairs: the inputs that follow each prefix's in
-        # PROTOCOL_INPUTS; `seen` is each prefix's flat input prefix.
-        prefix, x = np.nonzero(_FOLLOWING_INPUTS[party][seen])
+        # Every (prefix, input) pair of the level, and its table row.
+        prefix, x = np.divmod(np.arange(len(rows) * N_INPUTS[party]), N_INPUTS[party])
+        rows = rows[prefix] * N_INPUTS[party] + x
         probs = born_rows(np.einsum("nijkj->nik", rhos)[prefix], stack[x], OUTCOME_LABELS)
-        table[rows[prefix] * 3 + x] = np.cumsum(probs, axis=1)
+        table[rows] = np.cumsum(probs, axis=1)
         if party < 2:
-            pair, o = np.nonzero(probs > _P_CUTOFF)
-            prefix, x = prefix[pair], x[pair]
+            # Each prefix extended by an input and an outcome: its
+            # probability given the inputs, the product of the Born
+            # probabilities along it.
+            joint = masses[prefix, None] * probs
+            pair, o = np.nonzero(joint > _P_CUTOFF)
             # Contracted for every (input, outcome, prefix) in one BLAS product
             # and then picked, so that no prefix's state is copied once per
             # followed outcome.
-            reduced = np.tensordot(stack, rhos, axes=([2, 3], [3, 1]))[x, o, prefix]
+            reduced = np.tensordot(stack, rhos, axes=([2, 3], [3, 1]))[x[pair], o, prefix[pair]]
             rhos = reduced / np.trace(reduced, axis1=1, axis2=2).real[:, None, None]
-            rows = (rows[prefix] * 3 + x) * 4 + o
-            seen = seen[prefix] * N_INPUTS[party] + x
+            rows, masses = rows[pair] * 4 + o, joint[pair, o]
     return tables
 
 
@@ -833,9 +827,6 @@ def _jsonl_blocks(transcript: Transcript):
     bytes. No Python code runs per line.
     """
     n = len(transcript.codes)
-    if n == 0:
-        yield b"\n"
-        return
     # Index slots at least four bytes wide, as _write_index_digits needs.
     width = max(len(str(n - 1)), 4)
     table = _line_rows(width)

@@ -299,11 +299,10 @@ def purify(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] < -ATOL_EIG:
         raise ValueError(f"purify input has negative eigenvalue {vals[0]}")
+    # A unit-trace state has an eigenvalue of at least 1/dim, so one is kept.
     kept = vals > ENTROPY_EIG_CUTOFF
     vals, vecs = vals[kept], vecs[:, kept]
     rank = len(vals)
-    if rank == 0:
-        raise ValueError("state has no eigenvalue above the cutoff")
     first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(rank)]
     vecs = vecs * (np.abs(first) / first)
     # Row j of parts is eigenvector j as (re, im) of each component in turn.

@@ -1,6 +1,7 @@
 import itertools
 import math
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ def test_behavior_rejects_signalling_table():
     assert b.no_signalling_deviation() > 0.5
     with pytest.raises(ValueError):
         b.validate()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 3, 3, 4, 4, 4), (*TABLE_SHAPE, 1)])
+def test_behavior_rejects_a_table_of_the_wrong_shape(shape):
+    message = f"^behavior table must have shape {re.escape(str(TABLE_SHAPE))}, got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        Behavior(np.zeros(shape))
 
 
 def test_behavior_rejects_unnormalized_table():

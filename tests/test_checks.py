@@ -245,6 +245,12 @@ def test_decoupling_vanishing_branch():
     assert np.isinf(r.residual)
 
 
+@pytest.mark.parametrize("t", [2, -1])
+def test_decoupling_refuses_a_branch_that_is_not_0_or_1(t):
+    with pytest.raises(ValueError, match=f"^branch must be 0 or 1, got {t}$"):
+        check_decoupling(honest_flagged_strategy(), t)
+
+
 def _decoupling_embedded(strategy, t):
     """check_decoupling's numbers with Alice's effect embedded into the full space."""
     dim = strategy.state.shape[0]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flagcka.bell import GENERATION_INPUTS, Behavior, behavior_from_strategy, behavior_to_json
-from flagcka.checks import VERIFY_CHUNK
+from flagcka.checks import VERIFY_CHUNK, CheckReport
 from flagcka import __version__, cli
 from flagcka.cli import _COMMANDS, _SLICE, _emit, build_parser, main
 from flagcka.protocol import PARTY_NAMES
@@ -133,6 +133,18 @@ def test_curve_csv_and_endpoints(tmp_path):
     assert float(rows[0]["entropy_bound"]) == pytest.approx(0.0, abs=1e-9)
     assert float(rows[-1]["s"]) == pytest.approx(2 * np.sqrt(2))
     assert float(rows[-1]["entropy_bound"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_curve_json_and_endpoints(capsys):
+    assert main(["curve", "--points", "5", "--method", "minH", "--mode", "one-score"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["method"], doc["mode"]) == ("min_entropy_analytic", "one_score")
+    points = doc["points"]
+    assert len(points) == 5
+    assert points[0]["s"] == pytest.approx(2.0)
+    assert points[0]["entropy_bound"] == pytest.approx(0.0, abs=1e-9)
+    assert points[-1]["s"] == pytest.approx(2 * np.sqrt(2))
+    assert points[-1]["entropy_bound"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_curve_rejects_single_point(capsys):
@@ -410,6 +422,15 @@ def test_verify_equals_its_two_halves(capsys):
     assert len(whole) == 7 * n
     first = VERIFY_CHUNK + 1
     _same_json_reports(random_reports(40, first) + random_reports(40 + first, n - first), whole)
+
+
+def test_verify_names_each_failed_check_and_exits_two(monkeypatch, capsys):
+    failing = CheckReport("sos_identity", 0.25, 1e-9, False)
+    monkeypatch.setattr(cli, "run_check_suite", lambda strategy, suite: [failing])
+    assert main(["verify", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert [r["name"] for r in json.loads(captured.out)] == ["sos_identity"]
+    assert captured.err == "FAIL sos_identity: residual 2.500e-01 > 1.0e-09\n"
 
 
 def test_verify_names_the_seed_of_an_invalid_strategy(monkeypatch, capsys):

@@ -34,13 +34,11 @@ from flagcka.protocol import (
     transcript_to_jsonl,
     write_transcript_jsonl,
     xor_reconcile,
-    PROTOCOL_INPUTS,
     _build_strategy,
     _collapse_tables,
     _cumulative_tables,
     _CELL_ROWS,
     _CODE_SHAPE,
-    _P_CUTOFF,
     _ROUND_TYPES,
     _ROUTE_TABLES,
     _bit_string,
@@ -97,6 +95,10 @@ def test_config_validation():
         ProtocolConfig(backend="gpu")
     with pytest.raises(ValueError):
         ProtocolConfig(visibility=1.5)
+    with pytest.raises(ValueError, match=r"^alignment_fraction must be in \[0, 1\), got 1\.0$"):
+        ProtocolConfig(alignment_fraction=1.0)
+    with pytest.raises(ValueError, match=r"^alignment_floor must be in \(0, 1\], got nan$"):
+        ProtocolConfig(alignment_floor=math.nan)
 
 
 def test_runs_are_deterministic():
@@ -300,11 +302,13 @@ def test_backends_read_the_strategy_not_the_callers_arrays(kind):
         assert np.array_equal(table, reference)
 
 
-def _prefixes(transcript):
+def _table_rows(transcript):
+    """Per party, the table row each round samples its outcome from."""
     _, data = _rounds(transcript)
-    x, y, z = data[:, :3].T.tolist()
-    oa, ob, _ = (2 * data[:, 3:9:2] + data[:, 4:9:2]).T.tolist()
-    return set(zip(x)) | set(zip(x, oa, y)) | set(zip(x, oa, y, ob, z))
+    x, y, z = data[:, :3].T.astype(np.intp)
+    oa, ob = (2 * data[:, 3:7:2] + data[:, 4:7:2]).T
+    row_b = (x * 4 + oa) * 3 + y
+    return x, row_b, (row_b * 4 + ob) * 3 + z
 
 
 def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
@@ -317,30 +321,15 @@ def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
         protocol, "born_rows", lambda rhos, effects, labels: calls.extend([1] * len(rhos)) or original(rhos, effects, labels)
     )
     config = ProtocolConfig(n_rounds=2000, seed=0, backend="collapse")
-    # Prefixes with positive probability under the protocol's input support.
-    b6 = behavior_from_strategy(_build_strategy(config)).table.reshape(2, 3, 3, 4, 4, 4)
-    triples = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [GENERATION_INPUTS]
-    reachable = {(x,) for x, _, _ in triples}
-    for x, y, z in triples:
-        reachable |= {(x, oa, y) for oa in range(4) if b6[x, y, z, oa].sum() > 1e-12}
-        reachable |= {(x, oa, y, ob, z) for oa in range(4) for ob in range(4) if b6[x, y, z, oa, ob].sum() > 1e-12}
-    assert set(PROTOCOL_INPUTS) == set(triples)
+    filled = [table.any(axis=1) for table in _cumulative_tables(_build_strategy(config))]
     # The tables are built before any round is drawn: one distribution per
-    # reachable prefix, however many rounds follow and whichever they reach.
+    # row the table backend fills, however many rounds follow and whichever
+    # rows they reach.
     for n_rounds in (2000, 20000):
         calls.clear()
         transcript = run_rounds(replace(config, n_rounds=n_rounds))
-        assert _prefixes(transcript) <= reachable
-        assert len(calls) == len(reachable) < 2 + 24 + 288
-
-
-def _table_rows():
-    """Per party, the table rows of the protocol's inputs: row -> (x, y, z, oa, ob)."""
-    rows = ({}, {}, {})
-    for (x, y, z), oa, ob in itertools.product(PROTOCOL_INPUTS, range(4), range(4)):
-        row_b = (x * 4 + oa) * 3 + y
-        rows[0][x] = rows[1][row_b] = rows[2][(row_b * 4 + ob) * 3 + z] = (x, y, z, oa, ob)
-    return rows
+        assert len(calls) == sum(map(np.count_nonzero, filled)) < 2 + 24 + 288
+        assert all(f[rows].all() for f, rows in zip(filled, _table_rows(transcript)))
 
 
 _TABLE_STRATEGIES = {
@@ -375,16 +364,11 @@ def test_stacked_behavior_matches_per_triple_contractions(name):
 @pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
 def test_collapse_tables_match_behavior_tables(name):
     strategy = _TABLE_STRATEGIES[name]()
-    b6 = behavior_from_strategy(strategy).table.reshape(2, 3, 3, 4, 4, 4)
-    expected = _cumulative_tables(strategy)
-    for party, (collapse, rows) in enumerate(zip(_collapse_tables(strategy), _table_rows())):
-        filled = collapse.any(axis=1)
-        assert np.abs(collapse[filled] - expected[party][filled]).max() <= 1e-12
-        # A row left at zero is of an input the protocol never draws, or
-        # of a conditioning (oa, or oa and ob) at or below the cutoff.
-        for row in np.flatnonzero(~filled).tolist():
-            if row in rows:
-                assert party > 0 and b6[rows[row][: party + 3]].sum() <= _P_CUTOFF
+    for collapse, table in zip(_collapse_tables(strategy), _cumulative_tables(strategy)):
+        # The same rows filled, each a conditioning above the cutoff, and
+        # the same distributions in them.
+        assert np.array_equal(collapse.any(axis=1), table.any(axis=1))
+        assert np.abs(collapse - table).max() <= 1e-12
 
 
 def _rare_outcome_strategy(seed, delta):
@@ -414,6 +398,11 @@ def test_backends_agree_on_rare_outcomes(seed, delta):
     (test_table, data_table), (test_collapse, data_collapse) = _rounds(table), _rounds(collapse)
     assert np.array_equal(test_table, test_collapse)
     assert np.array_equal(data_table, data_collapse)
+    # Both fill the rows of the conditionings above the cutoff, though a
+    # conditioning of order delta leaves its row only about 1e-16 / delta
+    # accurate on either backend.
+    for collapse, table in zip(_collapse_tables(strategy), _cumulative_tables(strategy)):
+        assert np.array_equal(collapse.any(axis=1), table.any(axis=1))
 
 
 @pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.9), ("parallel", 0.97)])
@@ -864,6 +853,13 @@ def test_alignment_vacuous_at_fraction_zero():
     for pair, (alice, partner) in keys.items():
         assert res.kept[pair][0] is alice and res.kept[pair][1] is partner
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.0, math.nan])
+def test_alignment_refuses_a_fraction_outside_its_range(fraction):
+    keys = sift_pair_keys(run_rounds(ProtocolConfig(n_rounds=200, seed=8)))
+    with pytest.raises(ValueError, match=rf"^fraction must be in \[0, 1\), got {fraction}$"):
+        alignment_test(keys, fraction, 0.98, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", ["flagged", "parallel"])
@@ -1585,6 +1581,16 @@ def test_written_jsonl_matches_joined_text(n_rounds):
         record = {"index": r, "type": ("generation", "test")[int(test[r])], "inputs": data[r, :3].tolist()}
         record["outputs"] = data[r, 3:].reshape(3, 2).tolist()
         assert lines[r] == json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["flagged", "parallel"])
+def test_empty_transcript_is_empty_jsonl(kind):
+    # No rounds, no lines: not even a blank one, which no JSON reader parses.
+    transcript = Transcript(kind, np.empty(0, np.uint16))
+    fh = io.BytesIO()
+    write_transcript_jsonl(transcript, fh)
+    assert transcript_to_jsonl(transcript) == ""
+    assert fh.getvalue() == b""
 
 
 def _traced_peak(fn) -> int:

@@ -92,6 +92,52 @@ def test_outcome_distribution_rejects_bad_effects():
         outcome_distribution(rho, {0: identity(2) * 0.3})  # does not sum to I
 
 
+def _qubit_basis_family():
+    return {0: projector(basis_ket(2, 0)), 1: projector(basis_ket(2, 1))}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: basis_ket(2, 2), "basis index 2 out of range for dimension 2", id="basis-index"),
+        pytest.param(lambda: tensor(), "tensor() needs at least one factor", id="no-factor"),
+        pytest.param(
+            lambda: assert_density_operator(np.zeros((2, 3))), "state must be a square matrix, got shape (2, 3)", id="not-square"
+        ),
+        pytest.param(
+            lambda: outcome_distribution(identity(4) / 4, _qubit_basis_family()),
+            "state dimension (4, 4) does not match effects (2)",
+            id="effects-dimension",
+        ),
+        pytest.param(
+            lambda: measure_collapse(identity(2) / 2, _qubit_basis_family(), 1.0), "draw must lie in [0, 1), got 1.0", id="draw"
+        ),
+        pytest.param(
+            lambda: partial_trace(identity(4) / 4, (2, 3), keep=(0,)),
+            "state shape (4, 4) does not match dims [2, 3]",
+            id="trace-dims",
+        ),
+        pytest.param(
+            lambda: partial_trace(identity(4) / 4, (2, 2), keep=(0, 0)),
+            "invalid keep list [0, 0] for 2 subsystems",
+            id="keep-twice",
+        ),
+        pytest.param(
+            lambda: partial_trace(identity(4) / 4, (2, 2), keep=(2,)), "invalid keep list [2] for 2 subsystems", id="keep-range"
+        ),
+        pytest.param(
+            lambda: permute_subsystems(identity(4), (2, 2), (0, 0)), "perm (0, 0) is not a permutation of 0..1", id="perm"
+        ),
+        pytest.param(
+            lambda: von_neumann_entropy(np.diag([1.5, -0.5])), "negative eigenvalue -0.5 in entropy input", id="entropy-negative"
+        ),
+    ],
+)
+def test_qops_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_measure_collapse_deterministic_on_eigenstate():
     rho = projector(basis_ket(2, 0))
     effects = {0: projector(basis_ket(2, 0)), 1: projector(basis_ket(2, 1))}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,38 @@ def test_branch_scores_refuse_a_nan_weight(mode):
     for p0, p1 in [(math.nan, 0.5), (0.5, math.nan)]:
         with pytest.raises(ValueError, match=r"^branch weights must be positive, got \((nan, 0\.5|0\.5, nan)\)$"):
             branch_scores(report, p0, p1, mode)
+
+
+def _all_flags_zero_behavior():
+    """Every party outputs value 0 with flag 0 on every input: branch 1 has no weight."""
+    table = np.zeros(TABLE_SHAPE)
+    table[..., 0, 0, 0, 0, 0, 0] = 1.0
+    return Behavior(table)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: conditional_entropy_classical(behavior_from_strategy(honest_flagged_strategy()), 2),
+            "branch must be 0 or 1, got 2",
+            id="branch",
+        ),
+        pytest.param(
+            lambda: conditional_entropy_classical(_all_flags_zero_behavior(), 1),
+            "flag branch 1 has no weight at the generation inputs",
+            id="weightless-branch",
+        ),
+        pytest.param(
+            lambda: branch_scores(bell_value(behavior_from_strategy(honest_flagged_strategy())), 0.5, 0.5, "three_scores"),
+            f"mode must be one of {re.escape(str(SCORE_MODES))}, got 'three_scores'",
+            id="mode",
+        ),
+    ],
+)
+def test_rate_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("selector", BOUND_METHODS)

@@ -484,6 +484,22 @@ def test_strategy_json_from_elsewhere_is_checked(edit, message):
         strategy_from_json(_edited_json(edit))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda s: Strategy(s.state, s.effects, kind="triangle"), "unknown strategy kind 'triangle'", id="kind"
+        ),
+        pytest.param(lambda s: Strategy(s.state, s.effects[:2]), "strategy needs exactly three parties", id="two-parties"),
+        pytest.param(lambda s: depolarize(s.state, 1.5), r"visibility must be in \[0, 1\], got 1\.5", id="visibility"),
+        pytest.param(lambda s: strategy_from_json("[]"), "strategy JSON must be an object", id="json-array"),
+    ],
+)
+def test_strategy_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(honest_flagged_strategy())
+
+
 def test_strategy_json_text_is_keyed_by_input_and_label():
     doc = json.loads(strategy_to_json(honest_parallel_strategy()))
     assert list(doc) == ["kind", "party_dims", "state", "measurements"]
