@@ -24,37 +24,30 @@ One run proceeds in seven steps:
      recover the Alice-Bob string as the conference key
 
 All announcements are deferred to after the last round, so devices can
-gain nothing from the public transcript. Steps 1-3 of a run read the
-uniforms default_rng(seed).random((n_rounds, 7)), drawn BLOCK_ROWS rows
-at a time (the generator fills in stream order, so the numbers do not
-depend on the block size); row r serves round r:
+gain nothing from the public transcript. The rounds are iid, so a
+round's code has one law, p_code over the 2304 codes (`_p_code`): the
+test half is gamma/8 times the strategy's table p(outcomes | x, y, z)
+on the eight test input triples, the generation half 1 - gamma times it
+at GENERATION_INPUTS, and every other cell, and every cell at or below
+_P_CUTOFF, is 0. Steps 1-3 draw each round's code from p_code with one
+uniform, default_rng(seed).random(n_rounds), drawn BLOCK_ROWS at a time
+(the generator fills in stream order, so the codes do not depend on the
+block size), by the inverse CDF: the positive cells in ascending code
+order, their cumulative masses normalised and the last edge set above
+1, and the round's code the cell whose index is the number of edges at
+or below its uniform. A guide table (Chen & Asau 1974) starts each
+draw at its bucket's first candidate cell (`_sampler`, `_draw_codes`).
 
-  column 0     round type: a test round when the draw is below gamma
-  columns 1-3  test-round inputs of Alice, Bob and Carole: 1 when the
-               draw is below 0.5, else 0 (unread on generation rounds)
-  columns 4-6  one collapse draw each for Alice, Bob and Carole, who
-               measure in that order: the outcome is the first label, in
-               ascending order, whose cumulative probability exceeds it
-
-The two device backends differ only in how they build the cumulative
-conditional tables these draws sample: `table` reads them off the exact
-behavior, `collapse` fills them by projective collapse of the strategy
-state. Both fill the same rows, every row whose conditioning has
-probability above _P_CUTOFF, whether the protocol draws its inputs or
-not. Both sample every block with one loop and one rule, so they
-agree draw for draw: the loop draws each block into one buffer made
-once per run, takes the block's inputs from bool arithmetic on its
-uniforms, picks each party's outcome by counting the running maxima of
-its table row at or below its draw (`_pick`; `_edge_tables` closes the
-float-dust rule into the rows, which sets the last maximum of every
-row to 1, so three comparisons count them), and carries Carole's row
-(x, oa, y, ob, z) along the chain, so that a round's code is that
-row's _ROW_CODES entry plus her outcome; the entry holds the 1152 of a
-test round, since Carole's input 2 is drawn on generation rounds only.
-Post-round sampling (the alignment spot check, Alice-Bob pair before
-Alice-Carole) uses the stream default_rng([seed, 1]), so it is
-insensitive to how the transcript was produced or restored. Two runs
-with the same config are bit-identical.
+The two device backends differ only in how they build the table:
+`table` reads it off the exact behavior, `collapse` as the leaf masses
+of a walk over the measurement prefixes by projective collapse of the
+strategy state. Their tables agree to rounding, so they agree draw for
+draw: a draw changes only if it lies within their difference of an
+edge, and a zero cell is never listed. Post-round sampling (the
+alignment spot check, Alice-Bob pair before Alice-Carole) uses the
+stream default_rng([seed, 1]), so it is insensitive to how the
+transcript was produced or restored. Two runs with the same config are
+bit-identical.
 
 A transcript stores each round as one uint16 code, the flat index of its
 (round type, row) cell: row @ CELL_WEIGHTS + 1152 * test, one of 2304
@@ -128,8 +121,13 @@ _ROUND_TYPES = ("generation", "test")
 # up to 40% of the writer's time.
 BLOCK_ROWS = 1 << 12
 _JSONL_ROWS = 1 << 10
-# A conditioning of probability at or below this leaves its table row at zero.
+# A code law's cell at or below this is zero (`_p_code`).
 _P_CUTOFF = 1e-15
+# The guide table's buckets over [0, 1), a power of two so that a draw's
+# bucket is exact, and the forward steps a draw takes from its bucket's
+# start before the searchsorted fallback (`_draw_codes`).
+_GUIDE_BUCKETS = 1 << 12
+_GUIDE_STEPS = 2
 # A round's code is the flat index of its (round type, row) cell in a
 # C-ordered _CODE_SHAPE array: row @ CELL_WEIGHTS + test * _TEST_WEIGHT.
 _CODE_SHAPE = (2, *TABLE_SHAPE)
@@ -137,20 +135,9 @@ _N_CODES = math.prod(_CODE_SHAPE)
 _TEST_WEIGHT = _N_CODES // 2
 # The COLUMNS row of each cell of a C-ordered TABLE_SHAPE table, the inverse
 # of row @ CELL_WEIGHTS, and the cell weights of Alice's, Bob's and
-# Carole's flags, which are also those of their outcome indices
-# o = 2*value + flag.
+# Carole's flags.
 _CELL_ROWS = np.ascontiguousarray(np.indices(TABLE_SHAPE, dtype=np.int8).reshape(len(TABLE_SHAPE), -1).T)
-_OUTCOME_WEIGHTS = CELL_WEIGHTS[COLUMNS.index("ta") :: 2]
-# Per row of Carole's table, (x, oa, y, ob, z) flat in C order: the code
-# of those inputs and outcomes with her own outcome 0. Carole's input 2 is
-# drawn on generation rounds only, so every other row is a test round's.
-_ROW_INDICES = np.indices((N_INPUTS[0], len(OUTCOME_LABELS), N_INPUTS[1], len(OUTCOME_LABELS), N_INPUTS[2])).reshape(5, -1)
-_ROW_CODES = (
-    np.array([CELL_WEIGHTS[0], _OUTCOME_WEIGHTS[0], CELL_WEIGHTS[1], _OUTCOME_WEIGHTS[1], CELL_WEIGHTS[2]]) @ _ROW_INDICES
-    + _TEST_WEIGHT * (_ROW_INDICES[4] != GENERATION_INPUTS[2])
-).astype(np.uint16)
-# The generation inputs as a (3, 1) uint8 column.
-_GENERATION_COLUMN = np.array(GENERATION_INPUTS, dtype=np.uint8)[:, None]
+_FLAG_WEIGHTS = CELL_WEIGHTS[COLUMNS.index("ta") :: 2]
 # Per COLUMNS entry, its value in every code: (9, _N_CODES) uint8.
 _CODE_COLUMNS = np.ascontiguousarray(np.tile(_CELL_ROWS, (2, 1)).T.view(np.uint8))
 # Per party, the COLUMNS of its input, value and flag.
@@ -260,129 +247,104 @@ class ProtocolResult:
     stats: dict
 
 
-def _edge_tables(tables) -> tuple:
-    """Per (R, 4) cumulative table, the (4, R) array `_pick` reads: row k
-    holds each table row's running maximum of its edges 0..k. Built once
-    per run, with the float-dust rule applied: each row is closed at its
-    last positive-width bin among 1-3, else bin 0, by setting that bin's
-    maximum and every later one to 1, which no draw reaches. A draw above
-    every raw edge then passes exactly the maxima before that bin, and no
-    other draw's count changes, since the raw maxima from it on are equal.
-    Row 3 is therefore 1 throughout.
+def _p_code(table: np.ndarray, gamma: float) -> np.ndarray:
+    """The law of a round's code: (2304,) masses over the _CODE_SHAPE cells.
+
+    `table` is p(outcomes | x, y, z), of TABLE_SHAPE. A test round
+    (probability gamma) draws each of the eight input triples below 2
+    with probability 1/8, a generation round the inputs GENERATION_INPUTS,
+    so the test half is gamma/8 times the table on those eight triples and
+    the generation half 1 - gamma times the table at GENERATION_INPUTS.
+    Every other cell is 0, and so is every cell at or below _P_CUTOFF: the
+    one rule on what a round can be, whichever backend gave the table.
     """
-    closed = []
-    for t in tables:
-        last = ((t[:, 1:] > t[:, :-1]) * np.arange(1, 4)).max(axis=1)
-        maxima = np.where(np.arange(4) >= last[:, None], 1.0, np.maximum.accumulate(t, axis=1))
-        closed.append(np.ascontiguousarray(maxima.T))
-    return tuple(closed)
+    law = np.zeros(_CODE_SHAPE)
+    law[(0, *GENERATION_INPUTS)] = (1.0 - gamma) * table[GENERATION_INPUTS]
+    law[1, :2, :2, :2] = gamma / 8.0 * table[:2, :2, :2]
+    law[law <= _P_CUTOFF] = 0.0
+    return law.ravel()
 
 
-def _pick(maxima: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome index per draw, from the cumulative distributions of the
-    table rows `rows`, as `_edge_tables` gives them.
+def _sampler(law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The guide-table inverse CDF of a code law (Chen & Asau, AIIE Trans.
+    6(2), 1974): (edges, guide, cells).
 
-    Bins are the label intervals in ascending order: outcome i is chosen
-    when the draw lands in [edge i-1, edge i), so a zero-width bin is
-    never chosen. The outcome is the number of leading edges the draw
-    has passed, which is the first edge above it even on a row that is
-    not monotone. A draw has passed edges 0..k exactly when it is at or
-    above their maximum, so that number is the sum of the comparisons
-    with the running maxima; the last maximum of a closed row is 1, which
-    no draw passes, so the first three comparisons make the sum. A draw
-    in the float dust above every edge takes the last positive-width bin
-    among 1-3, else bin 0, as the closed rows give it.
+    `cells` lists the positive cells in ascending code order, as uint16
+    codes, and `edges` their cumulative masses, normalised, with the last
+    edge set to 2 so that no draw below 1 passes it. A draw u takes the
+    cell whose index is the number of edges at or below u, so a zero cell,
+    never listed, is never drawn, and a draw exactly at an edge takes the
+    next cell. `guide` holds that number at each of the _GUIDE_BUCKETS
+    bucket starts j / _GUIDE_BUCKETS, where a draw of bucket j starts.
+    Not Walker's alias method: its pairing branches on comparisons with 1,
+    so a last-bit difference between the backends' laws could pair other
+    cells and change many draws, where here a draw changes only if it lies
+    within that difference of an edge.
     """
-    return (draws >= maxima[:3].take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
+    cells = np.flatnonzero(law).astype(np.uint16)
+    edges = np.cumsum(law[cells])
+    edges /= edges[-1]
+    edges[-1] = 2.0
+    guide = np.searchsorted(edges, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
+    return edges, guide, cells
 
 
-def _cumulative_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative conditional tables of the sequential Born chain.
+def _draw_codes(sampler, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each draw's code, as `_sampler` says, written to the uint16 `out`.
 
-    One row of four per conditioning, from the strategy behavior: Alice's
-    given x, Bob's given (x, oa, y), Carole's given (x, oa, y, ob, z).
+    A draw starts at its bucket's guide entry, which u * _GUIDE_BUCKETS
+    gives exactly since the bucket count is a power of two, and takes
+    _GUIDE_STEPS forward steps past the edges at or below it; the few
+    draws still short of their cell then take np.searchsorted's count.
     """
+    edges, guide, cells = sampler
+    index = guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
+    for _ in range(_GUIDE_STEPS):
+        index += edges.take(index) <= u
+    short = np.flatnonzero(edges.take(index) <= u)
+    if len(short):
+        index[short] = np.searchsorted(edges, u[short], side="right")
+    return cells.take(index, out=out)
+
+
+def _behavior_table(strategy: Strategy) -> np.ndarray:
+    """p(outcomes | x, y, z) of TABLE_SHAPE, read off the exact behavior."""
     from .bell import behavior_from_strategy
 
-    b6 = behavior_from_strategy(strategy).table.reshape(2, 3, 3, 4, 4, 4)
-    p_a = b6[:, 0, 0].sum(axis=(2, 3))                      # (x, oa)
-    joint_ab = b6[:, :, 0].sum(axis=4)                      # (x, y, oa, ob)
-    cond_b = np.divide(
-        joint_ab,
-        p_a[:, None, :, None],
-        out=np.zeros_like(joint_ab),
-        where=p_a[:, None, :, None] > _P_CUTOFF,
-    )
-    cond_c = np.divide(
-        b6,
-        joint_ab[:, :, None, :, :, None],
-        out=np.zeros_like(b6),
-        where=joint_ab[:, :, None, :, :, None] > _P_CUTOFF,
-    )
-    cum_a = np.cumsum(p_a, axis=-1)
-    cum_b = np.cumsum(cond_b, axis=-1).transpose(0, 2, 1, 3).reshape(-1, 4)
-    cum_c = np.cumsum(cond_c, axis=-1).transpose(0, 3, 1, 4, 2, 5).reshape(-1, 4)
-    return cum_a, cum_b, cum_c
+    return behavior_from_strategy(strategy).table
 
 
-def _table_codes(tables, inputs, draws, out=None) -> np.ndarray:
-    """Each round's code, with its outcomes picked from the `_edge_tables`
-    rows that its inputs and earlier outcomes select. Given the same draws
-    this reproduces the explicit-collapse outcomes. `inputs` (x, y, z) and
-    `draws` are each three 1-D arrays, one per party; the chain carries
-    Carole's row (x, oa, y, ob, z), whose code less her outcome is one
-    _ROW_CODES entry."""
-    max_a, max_b, max_c = tables
-    x, y, z = inputs
-    draw_a, draw_b, draw_c = draws
-    # An intp row, as the chain's rows reach 287: widened by the ufunc's
-    # dtype, which does not depend on how a NumPy version casts uint8 x
-    # against a scalar.
-    row = np.multiply(x, 4, dtype=np.intp)
-    row += _pick(max_a, x, draw_a)
-    row *= 3
-    row += y
-    row = row * 4 + _pick(max_b, row, draw_b)
-    row *= 3
-    row += z
-    return np.add(_ROW_CODES.take(row), _pick(max_c, row, draw_c), out=out)
-
-
-def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_cumulative_tables`' rows, by explicit projective collapse.
+def _collapse_table(strategy: Strategy) -> np.ndarray:
+    """`_behavior_table`'s table, by explicit projective collapse.
 
     The state a party measures depends only on the inputs and outcomes of
     the parties before it: the prefix (x) for Alice, (x, oa, y) for Bob and
     (x, oa, y, ob, z) for Carole. The prefixes are built one party at a
     time. A level holds, per followed prefix, the reduced state of the
-    parties still to measure and its table row before the party's input;
-    the row of every (prefix, input) pair, each of the party's inputs
-    after each prefix, is the cumulative Born distribution of the
-    prefix's local state, all in one `born_rows` call. Alice measures
-    Tr_BC rho; her outcome, of projector P, leaves rho_BC proportional to
-    Tr_A[(P (x) I) rho], which is Tr_A of the collapsed state
-    (P (x) I) rho (P (x) I) since P^2 = P. Bob measures Tr_C rho_BC and
-    leaves Carole Tr_B[(P (x) I) rho_BC]. Each reduced state is
-    normalised by its own trace, and only prefixes whose probability
-    given the inputs is above _P_CUTOFF are followed; the rows of the
-    others stay zero, so the filled rows are those `_cumulative_tables`
-    fills. The effects are the strategy's own stacks, checked complete
-    when it was built.
+    parties still to measure and its probability given the inputs; the
+    Born distribution of every (prefix, input) pair, each of the party's
+    inputs after each prefix, is one `born_rows` call on the prefix's
+    local state. Alice measures Tr_BC rho; her outcome, of projector P,
+    leaves rho_BC proportional to Tr_A[(P (x) I) rho], which is Tr_A of
+    the collapsed state (P (x) I) rho (P (x) I) since P^2 = P. Bob
+    measures Tr_C rho_BC and leaves Carole Tr_B[(P (x) I) rho_BC]. Each
+    reduced state is normalised by its own trace, and only prefixes whose
+    probability is above _P_CUTOFF are followed: a cell after any other
+    prefix has at most its probability, which `_p_code` zeroes anyway, so
+    it stays zero here. The table holds the leaves' probabilities, the
+    product of the Born probabilities along each. The effects are the
+    strategy's own stacks, checked complete when it was built.
     """
-    tables = (np.zeros((2, 4)), np.zeros((2 * 4 * 3, 4)), np.zeros((2 * 4 * 3 * 4 * 3, 4)))
     rhos, rows, masses = strategy.state[None], np.zeros(1, dtype=np.intp), np.ones(1)
-    for party, (d, stack, table) in enumerate(zip(strategy.party_dims, strategy.effects, tables)):
+    for party, (d, stack) in enumerate(zip(strategy.party_dims, strategy.effects)):
         rhos = rhos.reshape(len(rhos), d, rhos.shape[1] // d, d, -1)
-        # Every (prefix, input) pair of the level, and its table row.
+        # Every (prefix, input) pair of the level, and its row.
         prefix, x = np.divmod(np.arange(len(rows) * N_INPUTS[party]), N_INPUTS[party])
         rows = rows[prefix] * N_INPUTS[party] + x
-        probs = born_rows(np.einsum("nijkj->nik", rhos)[prefix], stack[x], OUTCOME_LABELS)
-        table[rows] = np.cumsum(probs, axis=1)
+        # Each prefix extended by an input and an outcome: its probability
+        # given the inputs.
+        joint = masses[prefix, None] * born_rows(np.einsum("nijkj->nik", rhos)[prefix], stack[x], OUTCOME_LABELS)
         if party < 2:
-            # Each prefix extended by an input and an outcome: its
-            # probability given the inputs, the product of the Born
-            # probabilities along it.
-            joint = masses[prefix, None] * probs
             pair, o = np.nonzero(joint > _P_CUTOFF)
             # Contracted for every (input, outcome, prefix) in one BLAS product
             # and then picked, so that no prefix's state is copied once per
@@ -390,11 +352,14 @@ def _collapse_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.nda
             reduced = np.tensordot(stack, rhos, axes=([2, 3], [3, 1]))[x[pair], o, prefix[pair]]
             rhos = reduced / np.trace(reduced, axis1=1, axis2=2).real[:, None, None]
             rows, masses = rows[pair] * 4 + o, joint[pair, o]
-    return tables
+    # Leaves by (x, oa, y, ob, z, oc), reordered to TABLE_SHAPE's (x, y, z, oa, ob, oc).
+    leaves = np.zeros((N_INPUTS[0], 4, N_INPUTS[1], 4, N_INPUTS[2], 4))
+    leaves.reshape(-1, 4)[rows] = joint
+    return leaves.transpose(0, 2, 4, 1, 3, 5).reshape(TABLE_SHAPE)
 
 
-# Each device backend and its builder of the cumulative tables.
-_BACKENDS = {"table": _cumulative_tables, "collapse": _collapse_tables}
+# Each device backend and its builder of p(outcomes | x, y, z).
+_BACKENDS = {"table": _behavior_table, "collapse": _collapse_table}
 
 
 def _build_strategy(config: ProtocolConfig) -> Strategy:
@@ -404,11 +369,10 @@ def _build_strategy(config: ProtocolConfig) -> Strategy:
 def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Transcript:
     """Steps 1-3: distribute, announce round type, choose inputs, measure.
 
-    The backend chooses the builder of the cumulative tables, once; each
-    block of BLOCK_ROWS rounds then draws its uniforms (laid out as the
-    module docstring says), picks its outcomes from those tables and
-    stores each round's code. Announcements of flags and test data
-    happen in postprocess.
+    The backend builds the strategy's table once, and `_p_code` and
+    `_sampler` make its code law's sampler; each block of BLOCK_ROWS
+    rounds then draws one uniform per round and stores each round's code.
+    Announcements of flags and test data happen in postprocess.
     """
     strategy = _build_strategy(config) if strategy is None else strategy
     if strategy.kind != config.strategy_kind:
@@ -416,21 +380,13 @@ def run_rounds(config: ProtocolConfig, strategy: Strategy | None = None) -> Tran
     n = config.n_rounds
     rng = np.random.default_rng(config.seed)
     codes = np.empty(n, dtype=np.uint16)
-    tables = _edge_tables(_BACKENDS[config.backend](strategy))
-    rows = min(n, BLOCK_ROWS)
-    uniforms, columns = np.empty((rows, 7)), np.empty((7, rows))
+    sampler = _sampler(_p_code(_BACKENDS[config.backend](strategy), config.gamma))
+    uniforms = np.empty(min(n, BLOCK_ROWS))
     for start in range(0, n, BLOCK_ROWS):
         block = codes[start : start + BLOCK_ROWS]
-        u, cols = uniforms[: len(block)], columns[:, : len(block)]
+        u = uniforms[: len(block)]
         rng.random(out=u)
-        # The block's uniforms column by column, each column contiguous.
-        np.copyto(cols, u.T)
-        test = cols[0] < config.gamma
-        # The test bits on test rounds, the generation inputs on the others.
-        inputs = (cols[1:4] < 0.5).view(np.uint8)
-        inputs &= test
-        inputs |= _GENERATION_COLUMN * ~test
-        _table_codes(tables, inputs, cols[4:], out=block)
+        _draw_codes(sampler, u, block)
     return Transcript(strategy.kind, codes)
 
 
@@ -669,11 +625,11 @@ def apply_tamper(transcript: Transcript, spec: str, rng) -> Transcript:
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"tamper rate must be in (0, 1], got {rate}")
         n_flip = math.ceil(rate * len(codes))
-        codes[rng.choice(len(codes), size=n_flip, replace=False)] ^= np.uint16(_OUTCOME_WEIGHTS[1])
+        codes[rng.choice(len(codes), size=n_flip, replace=False)] ^= np.uint16(_FLAG_WEIGHTS[1])
     elif kind == "flag-constant":
         if arg not in ("0", "1"):
             raise ValueError(f"tamper flag value must be 0 or 1, got {arg!r}")
-        flags = np.uint16(_OUTCOME_WEIGHTS.sum())
+        flags = np.uint16(_FLAG_WEIGHTS.sum())
         codes &= ~flags
         codes |= flags * int(arg)
     else:

@@ -359,14 +359,15 @@ def test_simulate_refuses_rounds_it_cannot_hold(capsys):
 
 
 def test_simulate_with_no_generation_round_completes_with_empty_keys(tmp_path, capsys):
-    # At gamma 0.9999 every one of the 2000 rounds is a test round.
+    # At gamma 1 - 2e-10 every one of the 2000 rounds is a test round but
+    # with probability 2000 * 2e-10 = 4e-7.
     out, keys = tmp_path / "result.json", tmp_path / "keys"
-    argv = ["simulate", "--rounds", "2000", "--gamma", "0.9999", "--seed", "1", "--output", str(out), "--keys-dir", str(keys)]
+    argv = ["simulate", "--rounds", "2000", "--gamma", "0.9999999998", "--seed", "1", "--output", str(out), "--keys-dir", str(keys)]
     assert main(argv) == 0
     assert capsys.readouterr() == ("", "")
     doc = json.loads(out.read_text())
     assert doc["stats"]["n_gen"] == 0 and doc["keys"] == {"alice": "", "bob": "", "carole": ""}
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == "2dab5b0268bca17cf3b66b5889c143a6b24388d02752932a3b988b98ef7adc97"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "8fd7678e73655b9fd93fd14c8ac772ef9b6f3fa7abc88068aca8ecf3de7d8e8d"
     assert {path.name: path.read_text() for path in keys.iterdir()} == dict.fromkeys(["alice.key", "bob.key", "carole.key"], "\n")
 
 

@@ -34,23 +34,37 @@ from flagcka.protocol import (
     transcript_to_jsonl,
     write_transcript_jsonl,
     xor_reconcile,
+    _BACKENDS,
     _build_strategy,
-    _collapse_tables,
-    _cumulative_tables,
+    _behavior_table,
+    _collapse_table,
     _CELL_ROWS,
     _CODE_SHAPE,
+    _GUIDE_BUCKETS,
+    _GUIDE_STEPS,
+    _P_CUTOFF,
     _ROUND_TYPES,
     _ROUTE_TABLES,
     _bit_string,
     _code_counts,
     _default_threshold,
-    _edge_tables,
-    _pick,
-    _table_codes,
+    _draw_codes,
+    _p_code,
+    _sampler,
     _write_index_digits,
 )
-from flagcka.qops import haar_unitaries, measure_collapse, projector, random_density_operator, select_outcome, tensor
+from flagcka.qops import (
+    haar_unitaries,
+    measure_collapse,
+    outcome_distribution,
+    projector,
+    random_density_operator,
+    select_outcome,
+    tensor,
+)
 from flagcka.strategies import N_INPUTS, OUTCOME_LABELS, NoiseParams, Strategy, random_projective_strategy
+
+from devices import constant_flag_strategy
 
 
 def random_unitary(dim, rng):
@@ -135,40 +149,31 @@ def test_backends_agree_under_noise_and_parallel():
     assert np.array_equal(test_c, test_d) and np.array_equal(data_c, data_d)
 
 
-def _layout_rows(n_rounds, seed, gamma=0.2):
-    # Inputs and collapse draws as run_rounds takes them from its block of uniforms.
-    u = np.random.default_rng(seed).random((n_rounds, 7))
-    inputs = np.where((u[:, 0] < gamma)[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-    return inputs, u[:, 4:]
-
-
-def _chain_outcomes(tables, inputs, draws):
-    """The (N, 3) outcome indices that run_rounds' kernel picks from the
-    cumulative `tables` for rows of inputs and draws, read back from the
-    codes it returns, which must also hold the inputs given."""
-    rows = _CELL_ROWS[_table_codes(_edge_tables(tables), inputs.T, draws.T) % len(_CELL_ROWS)]
-    assert np.array_equal(rows[:, :3], inputs)
-    return 2 * rows[:, 3::2] + rows[:, 4::2]
+def _codes_of(law, draws):
+    """`_draw_codes` on the sampler of `law`, for an array of draws."""
+    return _draw_codes(_sampler(law), draws, np.empty(len(draws), dtype=np.uint16))
 
 
 def test_table_codes_take_narrow_inputs():
-    # run_rounds passes uint8 inputs; the chain's rows, up to 287, must not
-    # wrap in them. Every input triple, as uint8 and as intp, with draws
-    # that reach Carole's rows above 255.
-    tables = _edge_tables(_cumulative_tables(random_projective_strategy(3)))
-    triples = np.array(list(itertools.product(*map(range, N_INPUTS))))
-    inputs = np.repeat(triples, 64, axis=0)
-    draws = np.random.default_rng(11).random((len(inputs), 3))
-    codes = _table_codes(tables, inputs.T.astype(np.uint8), draws.T)
-    assert np.array_equal(codes, _table_codes(tables, inputs.T.astype(np.intp), draws.T))
-    rows = _CELL_ROWS[codes % len(_CELL_ROWS)]
-    assert np.array_equal(rows[:, :3], inputs)
-    x, y, z, a, ta, b, tb = rows[:, :7].T.astype(np.intp)
-    assert ((((x * 4 + 2 * a + ta) * 3 + y) * 4 + 2 * b + tb) * 3 + z).max() > 255
+    # The sampler keeps its cells as uint16 codes, the transcript's type,
+    # and gathers them with intp indices. A law on every one of the 2304
+    # cells, with draws at every edge, gives codes above 255 and in the
+    # test half, each the cell a plain searchsorted on the edges names.
+    law = np.random.default_rng(11).random(len(_CELL_ROWS) * 2)
+    edges, _, cells = _sampler(law)
+    assert cells.dtype == np.uint16 and np.array_equal(cells, np.arange(len(law)))
+    draws = np.concatenate((edges[:-1], np.random.default_rng(12).random(4096)))
+    codes = _codes_of(law, draws)
+    assert np.array_equal(codes, np.searchsorted(edges, draws, side="right"))
+    assert codes.max() == len(law) - 1 and (codes > 255).any() and (codes >= len(_CELL_ROWS)).any()
 
 
-def _collapse_outcomes_reference(strategy, inputs, draws):
-    """Round by round: each party measures the state its predecessors left with measure_collapse."""
+def _collapse_outcomes_reference(strategy):
+    """p(outcomes | x, y, z) of TABLE_SHAPE, per input triple: the product
+    of the sequential Born probabilities, each party measuring with
+    outcome_distribution the full state its predecessors' measure_collapse
+    left. Outcomes of a prefix probability at or below the cutoff are not
+    followed, as in the memoised walk; the cells after them stay 0."""
     def embedded(p, effect):
         ops = [np.eye(d) for d in strategy.party_dims]
         ops[p] = effect
@@ -178,22 +183,37 @@ def _collapse_outcomes_reference(strategy, inputs, draws):
         [{label: embedded(p, e) for label, e in _family(strategy, p, x).items()} for x in range(N_INPUTS[p])]
         for p in range(3)
     ]
-    out = np.empty(inputs.shape, dtype=np.intp)
-    for r, (row_inputs, row_draws) in enumerate(zip(inputs.tolist(), draws.tolist())):
-        rho = strategy.state
-        for p in range(3):
-            (value, flag), rho = measure_collapse(rho, effects[p][row_inputs[p]], row_draws[p])
-            out[r, p] = 2 * value + flag
-    return out
+    table = np.zeros((*N_INPUTS, 4, 4, 4))
+
+    def walk(inputs, rho, outcomes, mass):
+        p = len(outcomes)
+        family = effects[p][inputs[p]]
+        probs = outcome_distribution(rho, family)
+        cum = np.cumsum([probs[label] for label in OUTCOME_LABELS])
+        for o, label in enumerate(OUTCOME_LABELS):
+            if p == 2:
+                table[(*inputs, *outcomes, o)] = mass * probs[label]
+            elif mass * probs[label] > _P_CUTOFF:
+                # A draw inside the outcome's bin collapses onto it.
+                picked, post = measure_collapse(rho, family, cum[o] - probs[label] / 2)
+                assert picked == label
+                walk(inputs, post, (*outcomes, o), mass * probs[label])
+
+    for inputs in itertools.product(*map(range, N_INPUTS)):
+        walk(inputs, strategy.state, (), 1.0)
+    return table.reshape(TABLE_SHAPE)
 
 
 @pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.85), ("parallel", 0.97)])
 @pytest.mark.parametrize("seed", [0, 7, 21])
 def test_memoised_collapse_matches_round_by_round_loop(kind, visibility, seed):
-    strategy = _build_strategy(ProtocolConfig(strategy_kind=kind, visibility=visibility))
-    inputs, draws = _layout_rows(2000, seed)
-    expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_chain_outcomes(_collapse_tables(strategy), inputs, draws), expected)
+    # The law-level reference gives the collapse table, and every round a
+    # seeded collapse run draws is a cell of positive reference mass.
+    config = ProtocolConfig(n_rounds=2000, seed=seed, strategy_kind=kind, visibility=visibility, backend="collapse")
+    strategy = _build_strategy(config)
+    expected = _collapse_outcomes_reference(strategy)
+    assert np.abs(_collapse_table(strategy) - expected).max() <= 1e-12
+    assert (_p_code(expected, config.gamma)[run_rounds(config, strategy).codes] > 0).all()
 
 
 def test_memoised_collapse_matches_loop_on_a_generic_strategy():
@@ -208,9 +228,7 @@ def test_memoised_collapse_matches_loop_on_a_generic_strategy():
 
     effects = tuple(np.array([family() for x in range(N_INPUTS[p])]) for p in range(3))
     strategy = Strategy(random_density_operator(64, rng), effects)
-    inputs, draws = _layout_rows(2000, 3)
-    outcomes = _chain_outcomes(_collapse_tables(strategy), inputs, draws)
-    assert np.array_equal(outcomes, _collapse_outcomes_reference(strategy, inputs, draws))
+    assert np.abs(_collapse_table(strategy) - _collapse_outcomes_reference(strategy)).max() <= 1e-12
 
 
 def _unequal_dims_strategy(seed):
@@ -232,14 +250,16 @@ def _unequal_dims_strategy(seed):
 
 def test_memoised_collapse_matches_loop_with_unequal_local_dims():
     strategy = _unequal_dims_strategy(8)
-    inputs, draws = _layout_rows(2000, 4)
-    expected = _collapse_outcomes_reference(strategy, inputs, draws)
-    assert np.array_equal(_chain_outcomes(_collapse_tables(strategy), inputs, draws), expected)
-    # Each (party, input) picks exactly the labels of its nonzero projectors.
-    for p in range(3):
+    expected = _collapse_outcomes_reference(strategy)
+    assert np.abs(_collapse_table(strategy) - expected).max() <= 1e-12
+    # Each (party, input) gives exactly the labels of its nonzero
+    # projectors positive marginal probability.
+    table = expected.reshape(*N_INPUTS, 4, 4, 4)
+    marginals = (table[:, 0, 0].sum(axis=(2, 3)), table[0, :, 0].sum(axis=(1, 3)), table[0, 0, :].sum(axis=(1, 2)))
+    for p, marginal in enumerate(marginals):
         for x, family in enumerate(strategy.effects[p]):
             nonzero = {o for o, effect in enumerate(family) if np.any(effect)}
-            assert set(expected[inputs[:, p] == x, p].tolist()) == nonzero
+            assert set(np.flatnonzero(marginal[x] > _P_CUTOFF).tolist()) == nonzero
 
 
 def test_collapse_measures_reduced_local_states(monkeypatch):
@@ -294,21 +314,21 @@ def test_backends_read_the_strategy_not_the_callers_arrays(kind):
     strategy = Strategy(state, tuple(effects), kind)
     effects[1][2, [0, 1]] = effects[1][2, [1, 0]]
     state[:] = np.eye(64) / 64
-    # Rows the walk leaves at zero are of inputs the protocol never draws.
-    tables = zip(_collapse_tables(strategy), _cumulative_tables(strategy), _cumulative_tables(honest))
-    for collapse, table, reference in tables:
-        filled = collapse.any(axis=1)
-        assert filled.any() and np.abs(collapse[filled] - table[filled]).max() <= 1e-12
-        assert np.array_equal(table, reference)
+    table = _behavior_table(strategy)
+    assert np.abs(_collapse_table(strategy) - table).max() <= 1e-12
+    assert np.array_equal(table, _behavior_table(honest))
 
 
-def _table_rows(transcript):
-    """Per party, the table row each round samples its outcome from."""
-    _, data = _rounds(transcript)
-    x, y, z = data[:, :3].T.astype(np.intp)
-    oa, ob = (2 * data[:, 3:7:2] + data[:, 4:7:2]).T
-    row_b = (x * 4 + oa) * 3 + y
-    return x, row_b, (row_b * 4 + ob) * 3 + z
+def _followed_prefixes(table):
+    """The number of (prefix, input) pairs the collapse walk measures:
+    Alice's inputs, then each of the party's inputs after every prefix of
+    probability above the cutoff given the inputs, read off `table`."""
+    b6 = table.reshape(*N_INPUTS, 4, 4, 4)
+    alice = b6[:, 0, 0].sum(axis=(2, 3))                  # (x, oa)
+    alice_bob = b6[:, :, 0].sum(axis=4)                   # (x, y, oa, ob)
+    return N_INPUTS[0] + N_INPUTS[1] * np.count_nonzero(alice > _P_CUTOFF) + N_INPUTS[2] * np.count_nonzero(
+        alice_bob > _P_CUTOFF
+    )
 
 
 def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
@@ -321,15 +341,16 @@ def test_collapse_computes_one_distribution_per_prefix(monkeypatch):
         protocol, "born_rows", lambda rhos, effects, labels: calls.extend([1] * len(rhos)) or original(rhos, effects, labels)
     )
     config = ProtocolConfig(n_rounds=2000, seed=0, backend="collapse")
-    filled = [table.any(axis=1) for table in _cumulative_tables(_build_strategy(config))]
-    # The tables are built before any round is drawn: one distribution per
-    # row the table backend fills, however many rounds follow and whichever
-    # rows they reach.
+    table = _behavior_table(_build_strategy(config))
+    law = _p_code(table, config.gamma)
+    # The table is built before any round is drawn: one distribution per
+    # followed prefix and input, however many rounds follow and whichever
+    # cells they reach.
     for n_rounds in (2000, 20000):
         calls.clear()
         transcript = run_rounds(replace(config, n_rounds=n_rounds))
-        assert len(calls) == sum(map(np.count_nonzero, filled)) < 2 + 24 + 288
-        assert all(f[rows].all() for f, rows in zip(filled, _table_rows(transcript)))
+        assert len(calls) == _followed_prefixes(table) < 2 + 24 + 288
+        assert (law[transcript.codes] > 0).all()
 
 
 _TABLE_STRATEGIES = {
@@ -364,11 +385,11 @@ def test_stacked_behavior_matches_per_triple_contractions(name):
 @pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
 def test_collapse_tables_match_behavior_tables(name):
     strategy = _TABLE_STRATEGIES[name]()
-    for collapse, table in zip(_collapse_tables(strategy), _cumulative_tables(strategy)):
-        # The same rows filled, each a conditioning above the cutoff, and
-        # the same distributions in them.
-        assert np.array_equal(collapse.any(axis=1), table.any(axis=1))
-        assert np.abs(collapse - table).max() <= 1e-12
+    collapse, table = _collapse_table(strategy), _behavior_table(strategy)
+    # The same table, and so the same cells above the cutoff in each code law.
+    assert np.abs(collapse - table).max() <= 1e-12
+    for gamma in (0.2, 0.9):
+        assert np.array_equal(_p_code(collapse, gamma) > 0, _p_code(table, gamma) > 0)
 
 
 def _rare_outcome_strategy(seed, delta):
@@ -398,11 +419,10 @@ def test_backends_agree_on_rare_outcomes(seed, delta):
     (test_table, data_table), (test_collapse, data_collapse) = _rounds(table), _rounds(collapse)
     assert np.array_equal(test_table, test_collapse)
     assert np.array_equal(data_table, data_collapse)
-    # Both fill the rows of the conditionings above the cutoff, though a
-    # conditioning of order delta leaves its row only about 1e-16 / delta
-    # accurate on either backend.
-    for collapse, table in zip(_collapse_tables(strategy), _cumulative_tables(strategy)):
-        assert np.array_equal(collapse.any(axis=1), table.any(axis=1))
+    # The tables hold joint probabilities given the inputs, with no
+    # division by a conditioning's probability, so they agree as wholes,
+    # the cells of order delta among them.
+    assert np.abs(_collapse_table(strategy) - _behavior_table(strategy)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind, visibility", [("flagged", 1.0), ("flagged", 0.9), ("parallel", 0.97)])
@@ -470,9 +490,14 @@ def test_message_schedule_through_completion():
 def test_postprocess_again_replaces_the_announcements():
     # The announcements are the record of the last postprocess call: a
     # second call's record replaces the first's, as if it were the only one.
-    tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=7))
+    # At v = 0.85 the Bell value is 2.404, 0.40 above the local bound and
+    # 0.42 below the quantum maximum; at 1800 expected test rounds its
+    # estimate's standard error is about 0.075, so the first call completes
+    # and the second aborts but with probability about 4e-8 (normal tails at
+    # 5.4 and 5.6 standard errors).
+    tr = run_rounds(ProtocolConfig(n_rounds=2000, seed=7, gamma=0.9, visibility=0.85))
     first = postprocess(tr, ProtocolConfig(n_rounds=2000, seed=7, bell_threshold=2.0))
-    config = ProtocolConfig(n_rounds=2000, seed=7, bell_threshold=2.82)
+    config = ProtocolConfig(n_rounds=2000, seed=7, bell_threshold=CHSH_QUANTUM_MAX)
     second = postprocess(tr, config)
     assert (first.outcome, second.abort_reason) == ("completed", "BellBelowThreshold")
     once = Transcript(tr.strategy_kind, tr.codes)
@@ -997,7 +1022,11 @@ def test_every_abort_reason_is_reached():
     runs = [
         ("FlagMismatch", tampered, "flag-flip:0.01"),
         ("FlagConstant", tampered, "flag-constant:0"),
-        ("BellBelowThreshold", ProtocolConfig(n_rounds=5000, seed=4, visibility=0.7), None),
+        # At v = 0.3 the Bell value is 0.85; at 1000 expected test rounds the
+        # default threshold is the local bound 2 and the estimate's standard
+        # error about 0.13, so the run completes with probability below 1e-18
+        # (the normal tail at 9 standard errors).
+        ("BellBelowThreshold", ProtocolConfig(n_rounds=5000, seed=4, visibility=0.3), None),
         ("AlignmentFailure", ProtocolConfig(**_MISALIGNED, bell_threshold=2.0), None),
         ("AlignmentFailure", ProtocolConfig(**_MISALIGNED, strategy_kind="parallel", bell_threshold=4.0), None),
     ]
@@ -1172,151 +1201,191 @@ def _diagonal_family():
     ],
 )
 def test_vectorised_pick_follows_collapse_rule(probs, draw, expected):
-    picked = int(_picked(np.cumsum(probs)[None], np.array([0]), np.array([draw]))[0])
+    picked = int(_codes_of(np.array(probs), np.array([draw]))[0])
     (value, flag), _ = measure_collapse(np.diag(probs).astype(complex), _diagonal_family(), draw)
     assert picked == 2 * value + flag == select_outcome(probs, draw) == expected
     assert probs[picked] > 0.0
 
 
+def _three_comparison_pick(sampler, draws):
+    """The guided pick without its fallback: the bucket's start and
+    _GUIDE_STEPS forward steps, one comparison each; the check for draws
+    still short makes three."""
+    edges, guide, _ = sampler
+    index = guide[(draws * _GUIDE_BUCKETS).astype(np.intp)]
+    for _ in range(_GUIDE_STEPS):
+        index += edges[index] <= draws
+    return index
+
+
+def _crowded_law():
+    """A law of 2304 cells, 2000 of them crowded into the first bucket of
+    the guide table, so most draws there need the searchsorted fallback."""
+    law = np.zeros(len(_CELL_ROWS) * 2)
+    law[:2000] = 1e-9
+    law[2000:2300:3] = 1.0
+    return law
+
+
 def test_pick_is_row_wise():
-    # The last row is not monotone: its raw running maxima are all 0.9, so
-    # a draw above them is in the float dust, where the rule takes the
-    # last rising bin of the raw edges (bin 2), not the flat maxima's bin 0.
-    cum = np.cumsum([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0], [0.5, 0.5 - 1e-12, 0.0, 0.0]], axis=1)
-    cum = np.vstack((cum, [0.9, 0.8, 0.85, 0.85]))
-    draws = np.array([0.5, 0.0, 1.0 - 1e-13, 0.95])
-    assert _picked(cum, np.arange(4), draws).tolist() == [2, 1, 1, 2]
+    # Each draw takes the cell it takes alone, whatever else its block
+    # holds: guided draws and draws that fall back to searchsorted, here
+    # in the crowded first bucket, mixed in one block.
+    law = _crowded_law()
+    edges, _, _ = _sampler(law)
+    draws = np.concatenate((np.random.default_rng(3).random(500), edges[:-1:7], np.nextafter(edges[:-1:5], 0.0)))
+    draws = draws[draws < 1.0]
+    assert (draws < 1.0 / _GUIDE_BUCKETS).sum() > 100
+    alone = [int(_codes_of(law, draws[k : k + 1])[0]) for k in range(len(draws))]
+    assert _codes_of(law, draws).tolist() == alone
 
 
-def _picked(cum, rows, draws):
-    """_pick on the rows `rows` of the cumulative table `cum` (R, 4)."""
-    maxima, = _edge_tables([cum])
-    return _pick(maxima, rows, draws)
+def test_searchsorted_fallback_on_a_crowded_bucket(monkeypatch):
+    # Draws short of their cell after the guided steps take searchsorted's
+    # count, in one call for just those draws. In the crowded first bucket
+    # almost every draw is short by about 2000 cells.
+    law = _crowded_law()
+    sampler = _sampler(law)
+    edges, guide, cells = sampler
+    assert guide[1] - guide[0] == 2000
+    draws = np.random.default_rng(4).random(4096) / _GUIDE_BUCKETS
+    index = np.searchsorted(edges, draws, side="right")
+    short = np.count_nonzero(_three_comparison_pick(sampler, draws) < index)
+    calls = []
+    original = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, side: calls.append(len(v)) or original(a, v, side=side))
+    codes = _draw_codes(sampler, draws, np.empty(len(draws), dtype=np.uint16))
+    monkeypatch.undo()
+    assert codes.tolist() == cells[index].tolist()
+    assert calls == [short] and short > 4000
 
 
-def _argmax_pick(cum, draws):
-    """Reference pick over rows of cumulative distributions `cum` (N, 4):
-    the first edge above the draw, by argmax, with _pick's dust rule."""
-    below = draws[:, None] < cum
-    idx = below.argmax(axis=1)
-    dust = ~below.any(axis=1)
-    if dust.any():
-        rising = cum[dust, 1:] > cum[dust, :-1]
-        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
-    return idx
+def _argmax_pick(edges, draws):
+    """Reference pick over the closed edges: the first edge above the draw,
+    by argmax."""
+    return (draws[:, None] < edges).argmax(axis=1)
 
 
-# Bin widths with zero-width bins, shared edges, rows that fall short of 1
-# (dust above the last edge) and entries down to -1e-12, which
-# Behavior.validate admits and which make a row's edges non-monotone.
-_BIN_WIDTHS = hst.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0 / 3.0, 1.0, 1e-12, -1e-12, 0.5 - 1e-12, 1.0 - 1e-12])
+# Cell masses with zero cells, masses below float resolution at 1 (which
+# leave an edge equal to the one before) and laws whose total falls short
+# of 1 or exceeds it by rounding, as a behavior table's may.
+_BIN_WIDTHS = hst.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0 / 3.0, 1.0, 1e-12, 1e-14, 1e-300, 0.5 - 1e-12, 1.0 - 1e-12])
 _DRAWS = hst.one_of(
     hst.floats(0.0, 1.0, exclude_max=True),
     hst.sampled_from([0.0, 1e-12, 0.25, 1.0 / 3.0, 0.5, 1.0 - 1e-12, 1.0 - 1e-13, 1.0 - 2.0**-53]),
 )
+_LAWS = hst.lists(_BIN_WIDTHS, min_size=1, max_size=24).filter(lambda widths: max(widths) > 0.0)
+
+
+def _near_edges(edges):
+    """Every edge below 1 of a sampler, the floats just below and above it,
+    and every guide bucket start and the float below it, as draws."""
+    starts = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+    near = np.concatenate((np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0), starts, np.nextafter(starts, -1.0)))
+    return near[(near >= 0.0) & (near < 1.0)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=1, max_size=6),
-    picks=hst.lists(hst.tuples(hst.integers(0, 5), _DRAWS), min_size=1, max_size=20),
-)
-def test_pick_counts_passed_edges_as_argmax_does(widths, picks):
-    cum = np.cumsum(widths, axis=1)
-    rows = np.array([r % len(cum) for r, _ in picks])
-    draws = np.array([d for _, d in picks])
-    # Every edge of every row as a draw, and the floats just below and above it.
-    edges = cum.ravel()
-    near = np.concatenate((np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)))
-    keep = (near >= 0.0) & (near < 1.0)
-    rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
-    draws = np.concatenate((draws, near[keep]))
-    assert np.array_equal(_picked(cum, rows, draws), _argmax_pick(cum[rows], draws))
-
-
-def _per_block_dust_pick(cum, rows, draws):
-    """Reference pick that applies the float-dust rule to each block's
-    draws instead of to the tables: the running maxima count the passed
-    edges, and the draws above every edge take the last positive-width
-    bin among 1-3 of the raw edges, else bin 0."""
-    edges, maxima = cum.T, np.maximum.accumulate(cum, axis=1).T
-    passed = draws >= maxima.take(rows, axis=1)
-    idx = passed.sum(axis=0, dtype=np.uint8)
-    dust = passed[3]
-    if dust.any():
-        raw = edges[:, rows[dust]].T
-        rising = raw[:, 1:] > raw[:, :-1]
-        idx[dust] = np.where(rising.any(axis=1), 3 - rising[:, ::-1].argmax(axis=1), 0)
-    return idx
-
-
-# Rows every example adds: rows that are not monotone, with zero-width
-# bins, all zero (as an unfollowed prefix leaves its row) and flat.
-_FIXED_ROWS = np.array(
-    [[0.9, 0.8, 0.85, 0.85], [0.6, 0.4, 0.7, 0.5], [0.5, 0.5 - 1e-12, 0.0, 0.0], [0.0] * 4, [0.5] * 4, [1.0] * 4]
-)
+@given(widths=_LAWS, draws=hst.lists(_DRAWS, min_size=1, max_size=20))
+def test_pick_counts_passed_edges_as_argmax_does(widths, draws):
+    law = np.array(widths)
+    edges, _, cells = _sampler(law)
+    draws = np.concatenate((draws, _near_edges(edges)))
+    assert np.array_equal(_codes_of(law, draws), cells[_argmax_pick(edges, draws)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=0, max_size=6),
-    picks=hst.lists(hst.tuples(hst.integers(0, 11), _DRAWS), min_size=1, max_size=20),
-)
-def test_closed_tables_pick_as_the_per_block_dust_rule(widths, picks):
-    cum = np.vstack((np.cumsum(np.reshape(widths, (-1, 4)), axis=1), _FIXED_ROWS))
-    rows = np.array([r % len(cum) for r, _ in picks])
-    draws = np.array([d for _, d in picks])
-    # Per row, draws in the float dust [max edge, 1): the largest edge, the
-    # float above it, the last float below 1, and each pick's draw mapped
-    # into the interval.
-    top = np.maximum(cum.max(axis=1), 0.0)
-    dust_rows = np.concatenate((np.tile(np.arange(len(cum)), 3), rows))
-    dust = np.concatenate(
-        (top, np.nextafter(top, 2.0), np.full(len(cum), 1.0 - 2.0**-53), top[rows] + draws * (1.0 - top[rows]))
-    )
-    keep = (dust >= top[dust_rows]) & (dust < 1.0)
-    rows, draws = np.concatenate((rows, dust_rows[keep])), np.concatenate((draws, dust[keep]))
-    assert np.array_equal(_picked(cum, rows, draws), _per_block_dust_pick(cum, rows, draws))
-
-
-def _four_comparison_pick(maxima, rows, draws):
-    """Reference pick that counts all four comparisons with the closed
-    running maxima, the last of which no draw below 1 passes."""
-    return (draws >= maxima.take(rows, axis=1)).sum(axis=0, dtype=np.uint8)
+@given(widths=_LAWS, draws=hst.lists(_DRAWS, min_size=1, max_size=20))
+def test_closed_tables_pick_as_the_per_block_dust_rule(widths, draws):
+    # The float dust: the draws at or above the last edge below the top,
+    # up to the last float below 1, all take the last positive cell, so
+    # no draw falls off the end of a law that sums short of 1.
+    law = np.array(widths)
+    edges, _, cells = _sampler(law)
+    top = edges[-2] if len(edges) > 1 else 0.0
+    dust = np.array([top, np.nextafter(top, 2.0), 1.0 - 2.0**-53, *(top + np.array(draws) * (1.0 - top))])
+    dust = dust[(dust >= top) & (dust < 1.0)]
+    assert (_codes_of(law, dust) == np.flatnonzero(law)[-1]).all()
+    assert cells[-1] == np.flatnonzero(law)[-1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    widths=hst.lists(hst.lists(_BIN_WIDTHS, min_size=4, max_size=4), min_size=0, max_size=6),
-    picks=hst.lists(hst.tuples(hst.integers(0, 11), _DRAWS), min_size=1, max_size=20),
-)
-def test_closed_tables_end_in_one_and_pick_with_three_comparisons(widths, picks):
-    # Rows that fall short of 1 (dust), flat, all-zero and non-monotone
-    # rows among them; each table also reversed, and as a lone row.
-    cum = np.vstack((np.cumsum(np.reshape(widths, (-1, 4)), axis=1), _FIXED_ROWS))
-    tables = (cum, cum[::-1], cum[:1])
-    for table, maxima in zip(tables, _edge_tables(tables)):
-        assert maxima.shape == (4, len(table))
-        assert (maxima[3] == 1.0).all()
-    maxima, = _edge_tables([cum])
-    rows = np.array([r % len(cum) for r, _ in picks])
-    draws = np.array([d for _, d in picks])
-    # Every closed edge below 1 as a draw, and the floats just below and above it.
-    edges = maxima.T.ravel()
-    near = np.concatenate((np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)))
-    keep = (near >= 0.0) & (near < 1.0)
-    rows = np.concatenate((rows, np.tile(np.repeat(np.arange(len(cum)), 4), 3)[keep]))
-    draws = np.concatenate((draws, near[keep]))
-    assert np.array_equal(_pick(maxima, rows, draws), _four_comparison_pick(maxima, rows, draws))
+@given(widths=_LAWS, draws=hst.lists(_DRAWS, min_size=1, max_size=20))
+def test_closed_tables_end_in_one_and_pick_with_three_comparisons(widths, draws):
+    # The edges rise to 1, the last is closed above it, and the cells are
+    # the positive ones in ascending order. A draw with at most
+    # _GUIDE_STEPS edges between its bucket's start and itself is at its
+    # cell after the guided steps; any other is short of it, and only
+    # those fall back.
+    law = np.array(widths)
+    sampler = _sampler(law)
+    edges, guide, cells = sampler
+    assert np.array_equal(cells, np.flatnonzero(law)) and cells.dtype == np.uint16
+    assert edges[-1] == 2.0 and (np.diff(edges) >= 0.0).all() and (edges[:-1] <= 1.0).all()
+    cumulative = np.cumsum(law[cells])
+    assert np.array_equal(edges[:-1], (cumulative / cumulative[-1])[:-1])
+    draws = np.concatenate((draws, _near_edges(edges)))
+    index = np.searchsorted(edges, draws, side="right")
+    guided = _three_comparison_pick(sampler, draws)
+    within = index - guide[(draws * _GUIDE_BUCKETS).astype(np.intp)] <= _GUIDE_STEPS
+    assert np.array_equal(guided[within], index[within])
+    assert (guided[~within] < index[~within]).all()
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_strategy_tables_close_row_three(seed):
-    # The tables of a random strategy on both backends, each row closed at 1.
+def test_strategy_samplers_close_the_last_edge(seed):
+    # A random strategy's sampler on both backends: the same cells, edges
+    # within 1e-12, each closed by a last edge above 1.
     strategy = random_projective_strategy(seed)
-    for build in (_cumulative_tables, _collapse_tables):
-        for maxima in _edge_tables(build(strategy)):
-            assert (maxima[3] == 1.0).all()
+    (table_edges, _, table_cells), (collapse_edges, _, collapse_cells) = (
+        _sampler(_p_code(build(strategy), 0.2)) for build in (_behavior_table, _collapse_table)
+    )
+    assert np.array_equal(table_cells, collapse_cells)
+    assert np.abs(table_edges - collapse_edges).max() <= 1e-12
+    assert table_edges[-1] == collapse_edges[-1] == 2.0
+
+
+_RARE_CASES = [(seed, delta) for seed in (0, 1) for delta in (1e-18, 1e-16, 1e-14, 1e-12, 1e-10)]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [pytest.param(lambda s=s, d=d: _rare_outcome_strategy(s, d), id=f"rare-{s}-{d}") for s, d in _RARE_CASES]
+    + [pytest.param(lambda t=t: constant_flag_strategy(t), id=f"constant-flag-{t}") for t in (0, 1)],
+)
+@pytest.mark.parametrize("backend", ["table", "collapse"])
+def test_no_zero_cell_is_drawn(strategy, backend):
+    # Every round is a cell of positive mass in the law it is drawn from,
+    # on strategies where most cells have mass of order delta or none.
+    strategy = strategy()
+    config = ProtocolConfig(n_rounds=200_000, seed=5, backend=backend)
+    law = _p_code(_BACKENDS[backend](strategy), config.gamma)
+    counts = np.bincount(run_rounds(config, strategy).codes, minlength=len(law))
+    assert (law[counts > 0] > 0.0).all()
+
+
+@pytest.mark.parametrize("name", list(_TABLE_STRATEGIES))
+@pytest.mark.parametrize("gamma", [0.2, 0.9, 1e-3])
+def test_p_code_halves_are_the_table_at_the_drawn_inputs(name, gamma):
+    table = _behavior_table(_TABLE_STRATEGIES[name]())
+    law = _p_code(table, gamma)
+    assert law.shape == (math.prod(_CODE_SHAPE),) and abs(law.sum() - 1.0) <= 1e-12
+    generation, test = law.reshape(_CODE_SHAPE)
+    cut = lambda cells: np.where(cells > _P_CUTOFF, cells, 0.0)
+    expected_test = np.zeros(TABLE_SHAPE)
+    expected_test[:2, :2, :2] = cut(gamma / 8 * table[:2, :2, :2])
+    expected_generation = np.zeros(TABLE_SHAPE)
+    expected_generation[GENERATION_INPUTS] = cut((1 - gamma) * table[GENERATION_INPUTS])
+    assert np.array_equal(test, expected_test) and np.array_equal(generation, expected_generation)
+
+
+def test_a_draw_at_an_edge_takes_the_next_cell():
+    law = np.zeros(len(_CELL_ROWS) * 2)
+    law[[3, 700, 1152, 2303]] = [0.25, 0.25, 0.25, 0.25]
+    edges, _, _ = _sampler(law)
+    assert edges[:-1].tolist() == [0.25, 0.5, 0.75]
+    draws = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+    assert _codes_of(law, draws).tolist() == [3, 3, 700, 1152, 2303, 2303]
 
 
 def test_transcript_jsonl_bytes():
@@ -1497,14 +1566,11 @@ def test_pooled_bell_estimate_spread():
     assert np.std(estimates) < 0.2
 
 
-def _one_block_rounds(config):
-    """run_rounds' decoded (test, data) with all uniforms drawn as one block."""
-    u = np.random.default_rng(config.seed).random((config.n_rounds, 7))
-    test = u[:, 0] < config.gamma
-    inputs = np.where(test[:, None], u[:, 1:4] < 0.5, GENERATION_INPUTS)
-    outcomes = _chain_outcomes(_cumulative_tables(_build_strategy(config)), inputs, u[:, 4:])
-    bits = np.stack((outcomes >> 1, outcomes & 1), axis=2).reshape(-1, 6)
-    return test, np.column_stack((inputs, bits)).astype(np.int8)
+def _one_block_codes(config):
+    """run_rounds' codes with all uniforms drawn as one block, each the
+    cell a plain searchsorted on the sampler's edges names."""
+    edges, _, cells = _sampler(_p_code(_BACKENDS[config.backend](_build_strategy(config)), config.gamma))
+    return cells[np.searchsorted(edges, np.random.default_rng(config.seed).random(config.n_rounds), side="right")]
 
 
 # Run lengths at and across block boundaries: one block, then the 2^14-row
@@ -1516,10 +1582,17 @@ _BLOCK_SPANS = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7, 
 @pytest.mark.parametrize("backend", ["table", "collapse"])
 def test_block_draws_match_one_block(backend, n_rounds):
     config = ProtocolConfig(n_rounds=n_rounds, seed=17, visibility=0.9, backend=backend)
-    transcript_test, transcript_data = _rounds(run_rounds(config))
-    test, data = _one_block_rounds(config)
-    assert np.array_equal(transcript_test, test)
-    assert np.array_equal(transcript_data, data)
+    assert np.array_equal(run_rounds(config).codes, _one_block_codes(config))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 1000, 1 << 16])
+def test_codes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    import flagcka.protocol as protocol
+
+    config = ProtocolConfig(n_rounds=3 * BLOCK_ROWS + 5, seed=19, visibility=0.9)
+    expected = run_rounds(config).codes
+    monkeypatch.setattr(protocol, "BLOCK_ROWS", block_rows)
+    assert np.array_equal(run_rounds(config).codes, expected)
 
 
 # sha256 of run_rounds(config).codes.tobytes(), per (kind, visibility,
@@ -1528,30 +1601,30 @@ def test_block_draws_match_one_block(backend, n_rounds):
 # here.
 _PINNED_SEEDS = {4095: 11, 4097: 12, 16385: 13, 100000: 14}
 _PINNED_CODES = {
-    ("flagged", 1.0, 4095): "e38b677ed144a0b5907c027b906be7116e8e0a5edd2fe05971dcf32c46d7439c",
-    ("flagged", 1.0, 4097): "7919dd22aa795c34ce6cae3654b355d68fb3d0d6e7b7fc999a12c626d6c4055e",
-    ("flagged", 1.0, 16385): "b5f4cb2614ab0a46f01865da773d9387e9341e542f51a8a28f868343bff0aaf5",
-    ("flagged", 1.0, 100000): "8a2295ede7676f4e6e401e5d2c3bbd4b5fbad4f2037aeaba0c25fc1b3c9fc5cd",
-    ("flagged", 0.97, 4095): "538843c8706963ea656e1d7a378e16fd523c51b3e92521393ea7fc569bfea159",
-    ("flagged", 0.97, 4097): "b3b80e94db3ad8eb7c1c86e77042dfae7d0e375be84e9e958a4360f54d47a391",
-    ("flagged", 0.97, 16385): "4cb13318152399eeeaa7f45bfb52b37cbccba1d45ca3fe3e1de5c2e47616c85b",
-    ("flagged", 0.97, 100000): "b30633193ea7ef9353ad416dce4b0c18a31eead54c27bda342d87bfe02a4d4a1",
-    ("flagged", 0.7, 4095): "dc72deabdc3a6cd388bb6703fbdf78929875c582524796e1a66a71a83a78acb8",
-    ("flagged", 0.7, 4097): "2ff88b8d9e46670c00c507261248e91fb7e497ec06ffd7eafe1548c27d60801d",
-    ("flagged", 0.7, 16385): "d632158cac442035df763cff876a5031c9a8e4d76e175e6b7ffedacb8dcaac9c",
-    ("flagged", 0.7, 100000): "f6c65707f171ea5317d39fb2aa5a875e4aaa6f1bdf91066b9fd8f3957cf53dae",
-    ("parallel", 1.0, 4095): "b4cf36f8403b66b2238c25cb1dd8eac304d637dd3a46d6861f43bd21be2979bb",
-    ("parallel", 1.0, 4097): "6e03dd33d88ba83ef9f22a1a61c4855d295a9ea8ccc1c8f12499f08a54b8852d",
-    ("parallel", 1.0, 16385): "aee07a15722c82dad926c9411820b4d299f5654f460bd96b4a4135530e19f244",
-    ("parallel", 1.0, 100000): "846e38809c9c62dc72bcaa1b5f53b4404c2c631060008b433bad1328a8ff1b52",
-    ("parallel", 0.97, 4095): "eb28c407a5c5dcb0864b7c7f4d4be2713fe81b3772db35b8c187c74edadef759",
-    ("parallel", 0.97, 4097): "1f6c3590b6bcd16f164ac3f6cafc640f4976ee2f32e8d830b39f913f2aecc003",
-    ("parallel", 0.97, 16385): "2c249ac95218e6fb0b1a5165c5f33197fc75d716849355f90c43feaff5a067a6",
-    ("parallel", 0.97, 100000): "f0f697dc48a29391f70176095e9864ea983860c65e7ea682de8ce640933c41bf",
-    ("parallel", 0.7, 4095): "86a6ba1db58ec30f0267f9df5510a234469e2fe13954f4fc5823444ec60a4a6f",
-    ("parallel", 0.7, 4097): "091b97859ef75f49ed269ca764e0c47fed5cc582d4546e6868f175b47151494d",
-    ("parallel", 0.7, 16385): "c163a07e957e041a7c88a9f88712f0b320ccb98aaf55e2f0282fdb765665fa6d",
-    ("parallel", 0.7, 100000): "4ae9b185d76d3455786ad5dc7527d22794a2eb1c62df913beccd4fac1e59b2fb",
+    ("flagged", 1.0, 4095): "2dee573ebc3f9bb2e053a26c29f1a09db493594631b19df6e6f476aa5bb66e32",
+    ("flagged", 1.0, 4097): "ae2a9d27c6362ad2a57e970d784aabe87b6f40f3a1e977ccff67c7a06020ebec",
+    ("flagged", 1.0, 16385): "bcfbabe1d5d896035b5d6c95c786dfecfa8bd3443b9c126451fd5f907f794a17",
+    ("flagged", 1.0, 100000): "dce2329a7d44b023d4a07ed97901db7d56f9bc1c4243b3d37d852a7afe9169ca",
+    ("flagged", 0.97, 4095): "584e284ddfdf5c13bfb9d36aa92a0e66a3d7051d1aabb2318972bf58cd5c46f7",
+    ("flagged", 0.97, 4097): "b845153dc3f1feb6e11f485aec6b277764dc9558231939a6076eb0143325d96a",
+    ("flagged", 0.97, 16385): "ee2a0592e12ff8064d1405124fdec4cd6be6354e2ff776c12ef890211cda3faf",
+    ("flagged", 0.97, 100000): "eae7f6199ed7b31e89775ab2299c14a3a1a1a68568b093268ccf94a2dbbf4210",
+    ("flagged", 0.7, 4095): "8bdc3ab5cc02d60ed8d856c6373f8af877a654c9d6264da9df13819412f10931",
+    ("flagged", 0.7, 4097): "d36542f445b07edbcc8b1f48ccf6e0234a89684e0a123f8ad3679492d95584ab",
+    ("flagged", 0.7, 16385): "cb30728eca4eabe4cb571cbc37bcb8a288474df05f6b7ac79ce796de0e7bb972",
+    ("flagged", 0.7, 100000): "05ec5fb031e77b226e830098f17f5354a13c6776eb655bb26c55cf8b0bf47920",
+    ("parallel", 1.0, 4095): "74a09893f80be561796ac3d73c78f44f78ab279e8632593365d366eecf57bc2e",
+    ("parallel", 1.0, 4097): "86eeb65937f02d61c7fd063ee8b3b6607e1cb4b3c2a7623e31c21170a825dfe0",
+    ("parallel", 1.0, 16385): "825df541bbc9023a3daa01ada79edfd64e27fab3b96e83be9238f350ed99872d",
+    ("parallel", 1.0, 100000): "3b75634a4bd8aaf8b82308dd21330b52aa816e47d027a4f2f9c92ef3035883fb",
+    ("parallel", 0.97, 4095): "a5353f664a09de222ef46076de3baab2cf9de7238e4f94e58ace4badaf2aaba0",
+    ("parallel", 0.97, 4097): "4414409051c609f0d3ae900583dde5e3020c3d0d276dce10487c1b8538491525",
+    ("parallel", 0.97, 16385): "a17e9238adbcf7fafbd137d18264b034d6a0f6a6ffa92f1bf62e0dc4425ca992",
+    ("parallel", 0.97, 100000): "1ae248a9b80344de7c22ca52521244d95f6c0bbfc4638ad09ae19adf333f070f",
+    ("parallel", 0.7, 4095): "39c8dd7ca2026fc58d34c51afb40ca0801075cbee3563195b1e046fb6df92828",
+    ("parallel", 0.7, 4097): "b0a4f971a37759d6738a59206ca120f099109c5624dad8e71ffef9274ac286e8",
+    ("parallel", 0.7, 16385): "c972e5cc2a3d6df81b6a0e8f1e85c2ab53833afb4e643d6f33537bd4b9ee945a",
+    ("parallel", 0.7, 100000): "2fea82d1caa0d877579131ccfd03202d2f07dbd1c7e212eb64d109bff0c0e239",
 }
 
 
